@@ -188,7 +188,7 @@ def binding_record(
     lam = config.coupling_c / n
     model = replace(config.base, N=n, lam=lam)
     binding = fock_ed.binding_from_ed(model, config.ed, config.check_global)
-    sandwich = fock_ed.variational_sandwich(model, config.ed, binding)
+    sandwich = fock_ed.variational_sandwich(binding)
     w0 = config.base.potential.w_zero
     leading = lam * (n - 1) * w0
     residual = n * (binding.delta_E - leading)

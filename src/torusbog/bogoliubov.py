@@ -119,18 +119,6 @@ def tail_bounds(model: TorusModel) -> tuple[float, float]:
     return eb_tail, d_tail
 
 
-def sum_eB(model: TorusModel) -> tuple[float, float]:
-    """e_B = -sum over the truncated lattice of s_p, with its tail bound."""
-    solution = solve(model)
-    return solution.e_B, solution.e_B_tail_bound
-
-
-def sum_D(model: TorusModel) -> tuple[float, float]:
-    """D = sum over the truncated lattice of |p|^2 alpha^2/(1-alpha^2), with tail bound."""
-    solution = solve(model)
-    return solution.D, solution.D_tail_bound
-
-
 @dataclass(frozen=True)
 class Predictions:
     """The two headline numbers with truncation-tail certificates."""
@@ -145,10 +133,9 @@ class Predictions:
     leading_binding: float
 
 
-def predict_energies(model: TorusModel) -> Predictions:
+def predict_energies(model: TorusModel, solution: BogoliubovSolution) -> Predictions:
     """gse = (lambda/2) N(N-1) w_hat(0) + e_B;
-    binding = lambda (N-1) w_hat(0) + (e_B - D)/N."""
-    solution = solve(model)
+    binding = lambda (N-1) w_hat(0) + (e_B - D)/N, from solution = solve(model)."""
     w0 = model.potential.w_zero
     leading_gse = 0.5 * model.lam * model.N * (model.N - 1) * w0
     leading_binding = model.lam * (model.N - 1) * w0

@@ -304,13 +304,17 @@ def parse_ed(doc: dict | None):
         required=set(),
         path="ed",
     )
-    settings = fock_ed.EDSettings(
-        tol=_as_number(ed_doc, "tol", "ed", default=1e-9),
-        max_iter=_as_int(ed_doc, "max_iter", "ed", default=1000),
-        seed=_as_int(ed_doc, "seed", "ed", default=0),
-        dense_threshold=_as_int(ed_doc, "dense_threshold", "ed", default=2000),
-        k=_as_int(ed_doc, "k", "ed", default=1),
-    )
+    solver = {
+        "tol": _as_number(ed_doc, "tol", "ed", default=1e-9),
+        "max_iter": _as_int(ed_doc, "max_iter", "ed", default=1000),
+        "seed": _as_int(ed_doc, "seed", "ed", default=0),
+        "dense_threshold": _as_int(ed_doc, "dense_threshold", "ed", default=2000),
+        "k": _as_int(ed_doc, "k", "ed", default=1),
+    }
+    try:
+        settings = fock_ed.EDSettings(**solver)
+    except ValueError as exc:
+        raise ConfigError(f"ed.{exc}") from exc
     sector = None
     if "momentum_sector" in ed_doc and ed_doc["momentum_sector"] is not None:
         raw = ed_doc["momentum_sector"]
@@ -323,6 +327,8 @@ def parse_ed(doc: dict | None):
         ed_doc, "hamiltonian", "ed", default="particle", choices={"particle", "pair"}
     )
     cutoff = _as_int(ed_doc, "excitation_cutoff", "ed")
+    if cutoff is not None and cutoff < 0:
+        raise ConfigError("ed.excitation_cutoff must be nonnegative")
     return settings, sector, hamiltonian, cutoff
 
 
@@ -334,11 +340,16 @@ def parse_hb(doc: dict | None) -> dict:
         required=set(),
         path="hb",
     )
-    return {
+    knobs = {
         "start_cutoff": _as_int(hb_doc, "start_cutoff", "hb", default=6),
         "max_cutoff": _as_int(hb_doc, "max_cutoff", "hb", default=60),
         "cutoff_delta": _as_number(hb_doc, "cutoff_delta", "hb", default=1e-10),
     }
+    if knobs["start_cutoff"] < 0:
+        raise ConfigError("hb.start_cutoff must be nonnegative")
+    if knobs["max_cutoff"] < knobs["start_cutoff"]:
+        raise ConfigError("hb.max_cutoff must be at least hb.start_cutoff")
+    return knobs
 
 
 def parse_study(doc: dict | None):
@@ -409,12 +420,22 @@ def load_config(path: str, verb: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def write_report(out_dir: str, report: dict) -> str:
+def _write_canonical(out_dir: str, name: str, doc: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "report.json")
+    path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(jsonable(report)) + "\n")
+        fh.write(canonical_json(jsonable(doc)) + "\n")
     return path
+
+
+def write_report(out_dir: str, report: dict) -> str:
+    """report.json: a pure function of the config."""
+    return _write_canonical(out_dir, "report.json", report)
+
+
+def write_diagnostics(out_dir: str, stats: dict) -> str:
+    """diagnostics.json: how the run got its results (cache hits and misses)."""
+    return _write_canonical(out_dir, "diagnostics.json", {"cache": stats})
 
 
 def _csv_cell(value) -> str:
@@ -490,7 +511,7 @@ def run_eval(parsed: dict, out_dir: str) -> int:
 
     model = parsed["model"]
     solution = bogoliubov.solve(model)
-    predictions = bogoliubov.predict_energies(model)
+    predictions = bogoliubov.predict_energies(model, solution)
     report = {
         "workflow": "eval",
         "tool_version": _version(),
@@ -553,6 +574,8 @@ def _verify_ed_payload(payload) -> bool:
 
 
 def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
+    from dataclasses import asdict
+
     from . import fock_ed
     from .model import Momentum
 
@@ -567,44 +590,27 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             raise ConfigError("missing required key: ed.excitation_cutoff")
 
         def compute() -> dict:
-            nonzero = model.nonzero_modes()
-            basis_a, ham_a = fock_ed.build_bogoliubov_hamiltonian(
-                nonzero, cutoff, model.potential
+            # Solves at cutoff and cutoff + 2; their difference certifies the
+            # reported cutoff + 2 ground.
+            hb = fock_ed.converged_bogoliubov_ground(
+                model.nonzero_modes(),
+                model.potential,
+                start_cutoff=cutoff,
+                max_cutoff=cutoff + 2,
+                cutoff_delta=parsed["hb"]["cutoff_delta"],
+                settings=settings,
             )
-            res_a = fock_ed.lowest_eigenpairs(
-                ham_a, settings.k, settings.tol, settings.max_iter, settings.seed,
-                settings.dense_threshold,
-            )
-            basis_b, ham_b = fock_ed.build_bogoliubov_hamiltonian(
-                nonzero, cutoff + 2, model.potential
-            )
-            res_b = fock_ed.lowest_eigenpairs(
-                ham_b, settings.k, settings.tol, settings.max_iter, settings.seed,
-                settings.dense_threshold,
-            )
-            delta = abs(res_b.ground_energy - res_a.ground_energy)
-            payload = _ed_payload(res_b, basis_b, settings.tol)
-            payload["excitation_cutoff"] = cutoff + 2
-            payload["cutoff_delta"] = delta
-            payload["converged"] = bool(
-                res_a.converged
-                and res_b.converged
-                and delta < parsed["hb"]["cutoff_delta"]
-            )
+            payload = _ed_payload(hb.result, hb.basis, settings.tol)
+            payload["excitation_cutoff"] = hb.cutoff_used
+            payload["cutoff_delta"] = hb.delta_achieved
+            payload["converged"] = hb.converged
             return payload
 
         key_payload = {
             "op": "ed-pair",
             "tool_version": version,
             "model": model.to_canonical_dict(),
-            "ed": {
-                "tol": settings.tol,
-                "max_iter": settings.max_iter,
-                "seed": settings.seed,
-                "dense_threshold": settings.dense_threshold,
-                "k": settings.k,
-                "excitation_cutoff": cutoff,
-            },
+            "ed": {**asdict(settings), "excitation_cutoff": cutoff},
             "cutoff_delta": parsed["hb"]["cutoff_delta"],
         }
     else:
@@ -618,27 +624,17 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
                 model.mode_set(), n_particles=model.N, momentum_sector=sector
             )
             ham = fock_ed.build_hamiltonian(model, basis)
-            result = fock_ed.lowest_eigenpairs(
-                ham, settings.k, settings.tol, settings.max_iter, settings.seed,
-                settings.dense_threshold,
-            )
+            result = fock_ed.lowest_eigenpairs(ham, settings)
             return _ed_payload(result, basis, settings.tol)
 
         key_payload = {
             "op": "ed-particle",
             "tool_version": version,
             "model": model.to_canonical_dict(),
-            "ed": {
-                "tol": settings.tol,
-                "max_iter": settings.max_iter,
-                "seed": settings.seed,
-                "dense_threshold": settings.dense_threshold,
-                "k": settings.k,
-            },
+            "ed": asdict(settings),
             "momentum_sector": list(sector) if sector is not None else None,
         }
 
-    before = dict(stats)
     payload = cached_compute(
         cache_dir, key_payload, compute, _verify_ed_payload, version, stats
     )
@@ -646,10 +642,10 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
         "workflow": "ed",
         "tool_version": version,
         "model": model.to_canonical_dict(),
-        "cache_hit": stats["hits"] > before["hits"],
         "result": payload,
     }
     write_report(out_dir, report)
+    write_diagnostics(out_dir, stats)
     return EXIT_OK if payload["converged"] else EXIT_NOT_CONVERGED
 
 
@@ -694,6 +690,8 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "tool_version": version,
             "model": cfg.base.to_canonical_dict(),
             "N": n,
+            # The overlap reads the pair-Hamiltonian solve sized by the largest N.
+            "N_max": cfg.N_values[-1] if cfg.with_overlap else None,
             "coupling_c": cfg.coupling_c,
             "ed": asdict(cfg.ed),
             "hb": {
@@ -743,9 +741,9 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
         "hb_cutoff_used": report_obj.hb_cutoff_used,
         "hb_cutoff_delta": report_obj.hb_cutoff_delta,
         "records": records,
-        "cache": stats,
     }
     write_report(out_dir, report)
+    write_diagnostics(out_dir, stats)
     write_study_csv(out_dir, records, report_obj.prediction)
     all_converged = all(rec["converged"] for rec in records)
     if not all_converged or report_obj.fit is None:
@@ -874,7 +872,9 @@ def run_selfcheck(parsed: dict, out_dir: str) -> int:
     sandwich_model = model
     if model.N > 6:
         sandwich_model = replace(model, N=6, lam=model.lam)
-    sandwich = fock_ed.variational_sandwich(sandwich_model, settings)
+    sandwich = fock_ed.variational_sandwich(
+        fock_ed.binding_from_ed(sandwich_model, settings, check_global=False)
+    )
     ok_sandwich = (
         sandwich.lower - 1e-9 <= sandwich.delta_E <= sandwich.upper + 1e-9
     )
@@ -929,8 +929,8 @@ def run_selfcheck(parsed: dict, out_dir: str) -> int:
         f"{off_sector} entries cross momentum sectors",
     )
 
-    res_orig = fock_ed.lowest_eigenpairs(ham, 1, settings.tol, settings.max_iter,
-                                         settings.seed, settings.dense_threshold)
+    ground_settings = replace(settings, k=1)
+    res_orig = fock_ed.lowest_eigenpairs(ham, ground_settings)
     w0 = model.potential.w_zero
     trial_energy = ident_model.lam * w0 * n_check * (n_check - 1) / 2.0
     record(
@@ -943,8 +943,7 @@ def run_selfcheck(parsed: dict, out_dir: str) -> int:
     if shifted is not model.potential:
         shifted_model = replace(ident_model, potential=shifted)
         ham_shift = fock_ed.build_hamiltonian(shifted_model, basis)
-        res_shift = fock_ed.lowest_eigenpairs(ham_shift, 1, settings.tol, settings.max_iter,
-                                              settings.seed, settings.dense_threshold)
+        res_shift = fock_ed.lowest_eigenpairs(ham_shift, ground_settings)
         lhs = res_shift.ground_energy + offset(ident_model.lam, n_check)
         dev = abs(lhs - res_orig.ground_energy) / max(1.0, abs(res_orig.ground_energy))
         record("zero_mode_offset_exact", dev <= 1e-10, f"relative dev {dev:.3e}")

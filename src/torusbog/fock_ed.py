@@ -19,7 +19,7 @@ the binding-energy study.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -36,13 +36,27 @@ DEGENERACY_GAP = 1e-8
 
 @dataclass(frozen=True)
 class EDSettings:
-    """Eigensolver knobs shared by every workflow."""
+    """Eigensolver knobs shared by every workflow, range-checked on construction."""
 
     tol: float = 1e-9
     max_iter: int = 1000
     seed: int = 0
     dense_threshold: int = 2000
     k: int = 1
+
+    def __post_init__(self) -> None:
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+        if self.dense_threshold < 0:
+            raise ValueError(
+                f"dense_threshold must be nonnegative, got {self.dense_threshold}"
+            )
 
 
 @dataclass(frozen=True)
@@ -330,29 +344,22 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
 
 
 def lowest_eigenpairs(
-    op: scipy.sparse.spmatrix,
-    k: int = 1,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-    seed: int = 0,
-    dense_threshold: int = 2000,
+    op: scipy.sparse.spmatrix, settings: EDSettings = EDSettings()
 ) -> EDResult:
-    """k smallest eigenvalues and the ground vector of a symmetric sparse operator.
+    """The settings.k smallest eigenvalues and ground vector of a symmetric operator.
 
-    Dimension <= dense_threshold goes to a direct dense solve; larger problems run
-    Lanczos with full reorthogonalization from a start vector that is a
-    deterministic function of (seed, dimension). The residual ||H v - E v|| is
-    always measured post hoc on the returned vector, and convergence means
+    Dimension <= settings.dense_threshold goes to a direct dense solve; larger
+    problems run Lanczos with full reorthogonalization from a start vector that
+    is a deterministic function of (seed, dimension). The residual ||H v - E v||
+    is always measured post hoc on the returned vector, and convergence means
     residual_norm <= tol.
     """
     dim = op.shape[0]
     if dim == 0:
         raise ValueError("empty operator")
-    if k < 1:
-        raise ValueError("k must be positive")
-    k = min(k, dim)
+    k = min(settings.k, dim)
     k_int = min(dim, max(k, 2))
-    if dim <= dense_threshold:
+    if dim <= settings.dense_threshold:
         dense = op.toarray()
         eigvals, eigvecs = scipy.linalg.eigh(dense)
         ground = _phase_fixed(np.ascontiguousarray(eigvecs[:, 0]))
@@ -360,7 +367,9 @@ def lowest_eigenpairs(
         method = "dense"
         theta = eigvals[:k_int]
     else:
-        theta, ground, iterations = _lanczos_lowest(op, k_int, tol, max_iter, seed)
+        theta, ground, iterations = _lanczos_lowest(
+            op, k_int, settings.tol, settings.max_iter, settings.seed
+        )
         method = "lanczos"
     ground = ground / float(np.linalg.norm(ground))
     residual = float(np.linalg.norm(op @ ground - theta[0] * ground))
@@ -370,7 +379,7 @@ def lowest_eigenpairs(
         ground_vector=ground,
         residual_norm=residual,
         iterations=iterations,
-        converged=residual <= tol,
+        converged=residual <= settings.tol,
         method=method,
         gap=gap,
         vector_reliable=gap > DEGENERACY_GAP,
@@ -683,6 +692,8 @@ class BindingResult:
     result_Nm1: EDResult
     basis_N: FockBasis
     basis_Nm1: FockBasis
+    ham_N: scipy.sparse.csr_matrix
+    ham_Nm1: scipy.sparse.csr_matrix
     k0_is_global: bool | None
     converged: bool
 
@@ -703,28 +714,16 @@ def binding_from_ed(
     k0 = zero_momentum(model.d)
     results = {}
     bases = {}
+    hams = {}
     for sector in (model.N, model.N - 1):
-        basis = enumerate_basis(modes, n_particles=sector, momentum_sector=k0)
-        ham = build_hamiltonian(model, basis)
-        results[sector] = lowest_eigenpairs(
-            ham,
-            k=settings.k,
-            tol=settings.tol,
-            max_iter=settings.max_iter,
-            seed=settings.seed,
-            dense_threshold=settings.dense_threshold,
-        )
-        bases[sector] = basis
+        bases[sector] = enumerate_basis(modes, n_particles=sector, momentum_sector=k0)
+        hams[sector] = build_hamiltonian(model, bases[sector])
+        results[sector] = lowest_eigenpairs(hams[sector], settings)
     k0_is_global: bool | None = None
     if check_global:
         full = enumerate_basis(modes, n_particles=model.N)
         res_full = lowest_eigenpairs(
-            build_hamiltonian(model, full),
-            k=1,
-            tol=settings.tol,
-            max_iter=settings.max_iter,
-            seed=settings.seed,
-            dense_threshold=settings.dense_threshold,
+            build_hamiltonian(model, full), replace(settings, k=1)
         )
         scale = max(1.0, abs(res_full.ground_energy))
         k0_is_global = (
@@ -744,6 +743,8 @@ def binding_from_ed(
         result_Nm1=results[model.N - 1],
         basis_N=bases[model.N],
         basis_Nm1=bases[model.N - 1],
+        ham_N=hams[model.N],
+        ham_Nm1=hams[model.N - 1],
         k0_is_global=k0_is_global,
         converged=converged,
     )
@@ -768,28 +769,21 @@ class SandwichResult:
     converged: bool
 
 
-def variational_sandwich(
-    model: TorusModel,
-    settings: EDSettings = EDSettings(),
-    binding: BindingResult | None = None,
-) -> SandwichResult:
+def variational_sandwich(binding: BindingResult) -> SandwichResult:
     """Evaluate both Rayleigh quotients plus the norm identities
-    ||a_0 Psi_N||^2 = N - <N+>_N and ||a_0* Psi_{N-1}||^2 = N - <N+>_{N-1}."""
-    if binding is None:
-        binding = binding_from_ed(model, settings, check_global=False)
+    ||a_0 Psi_N||^2 = N - <N+>_N and ||a_0* Psi_{N-1}||^2 = N - <N+>_{N-1},
+    reusing the sector operators and ground vectors of the binding solve."""
     basis_n, basis_m = binding.basis_N, binding.basis_Nm1
-    ham_n = build_hamiltonian(model, basis_n)
-    ham_m = build_hamiltonian(model, basis_m)
     a0 = zero_mode_annihilation(basis_n, basis_m)
     psi_n = binding.result_N.ground_vector
     psi_m = binding.result_Nm1.ground_vector
     v = a0 @ psi_n
     vv = float(v @ v)
-    lower = binding.E_N - float(v @ (ham_m @ v)) / vv
+    lower = binding.E_N - float(v @ (binding.ham_Nm1 @ v)) / vv
     u = a0.T @ psi_m
     uu = float(u @ u)
-    upper = float(u @ (ham_n @ u)) / uu - binding.E_Nm1
-    n = model.N
+    upper = float(u @ (binding.ham_N @ u)) / uu - binding.E_Nm1
+    n = basis_n.n_particles
     dev_n = abs(vv - (n - expect_nplus(psi_n, basis_n)))
     dev_m = abs(uu - (n - expect_nplus(psi_m, basis_m)))
     return SandwichResult(
@@ -829,28 +823,22 @@ def converged_bogoliubov_ground(
 ) -> HBGround:
     """Raise the excitation cutoff in steps of 2 until the ground value settles.
 
-    Convergence means successive ground energies differ by less than cutoff_delta.
-    min_cutoff forces the final basis to reach at least that cutoff (the overlap
-    path needs the image space of an N-particle state to be representable).
+    Convergence means two successive converged ground energies differ by less
+    than cutoff_delta. min_cutoff forces the final basis to reach at least that
+    cutoff (the overlap path needs the image space of an N-particle state to be
+    representable).
     """
-    cutoff = max(start_cutoff, 2)
+    cutoff = start_cutoff
     if min_cutoff is not None:
         cutoff = max(cutoff, min_cutoff)
     prev: tuple[int, EDResult, FockBasis] | None = None
     last_delta = math.inf
     while cutoff <= max_cutoff:
         basis, ham = build_bogoliubov_hamiltonian(modes, cutoff, potential)
-        result = lowest_eigenpairs(
-            ham,
-            k=settings.k,
-            tol=settings.tol,
-            max_iter=settings.max_iter,
-            seed=settings.seed,
-            dense_threshold=settings.dense_threshold,
-        )
+        result = lowest_eigenpairs(ham, settings)
         if prev is not None:
             last_delta = abs(result.ground_energy - prev[1].ground_energy)
-            if last_delta < cutoff_delta and result.converged:
+            if last_delta < cutoff_delta and result.converged and prev[1].converged:
                 return HBGround(
                     result=result,
                     basis=basis,

@@ -150,7 +150,8 @@ def test_5_variational_sandwich_bracket(capsys):
     worst_slack = math.inf
     for make in (make_one_pair_model, make_two_band_model):
         for n in (4, 8, 16):
-            sandwich = fock_ed.variational_sandwich(make(N=n))
+            binding = fock_ed.binding_from_ed(make(N=n), check_global=False)
+            sandwich = fock_ed.variational_sandwich(binding)
             assert sandwich.converged
             slack = min(
                 sandwich.delta_E - sandwich.lower,
@@ -273,8 +274,8 @@ def test_9_solver_oracle_equivalence(capsys):
     worst = 0.0
     for label, op in cases:
         assert op.shape[0] <= 2000, label
-        dense = fock_ed.lowest_eigenpairs(op, dense_threshold=10**9)
-        iterative = fock_ed.lowest_eigenpairs(op, dense_threshold=0)
+        dense = fock_ed.lowest_eigenpairs(op, EDSettings(dense_threshold=10**9))
+        iterative = fock_ed.lowest_eigenpairs(op, EDSettings(dense_threshold=0))
         assert dense.method == "dense" and iterative.method == "lanczos", label
         assert dense.converged and iterative.converged, label
         worst = max(worst, abs(dense.eigenvalues[0] - iterative.eigenvalues[0]))

@@ -19,6 +19,10 @@ def write_json(path, doc) -> str:
     return str(path)
 
 
+def read_json(path) -> dict:
+    return json.loads(path.read_text())
+
+
 def one_pair_model_doc(n: int = 4, **extra) -> dict:
     doc = {
         "d": 1,
@@ -210,6 +214,24 @@ class TestConfigRejection:
         assert self.run_eval(tmp_path, doc) == 2
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ({"ed": {"k": 0}}, "ed.k"),
+            ({"ed": {"tol": 0.0}}, "ed.tol"),
+            ({"ed": {"max_iter": 0, "dense_threshold": 0}}, "ed.max_iter"),
+            ({"ed": {"dense_threshold": -1}}, "ed.dense_threshold"),
+            ({"ed": {"seed": -1, "dense_threshold": 0}}, "ed.seed"),
+            ({"ed": {"hamiltonian": "pair", "excitation_cutoff": -1}}, "ed.excitation_cutoff"),
+            ({"hb": {"start_cutoff": -1}}, "hb.start_cutoff"),
+            ({"hb": {"start_cutoff": 8, "max_cutoff": 6}}, "hb.max_cutoff"),
+        ],
+    )
+    def test_out_of_range_solver_settings(self, tmp_path, capsys, section, key):
+        cfg = write_json(tmp_path / "cfg.json", {"model": one_pair_model_doc(), **section})
+        assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_config_required_for_eval(self):
         with pytest.raises(SystemExit):
             cli.main(["eval"])
@@ -271,8 +293,10 @@ class TestEdWorkflow:
                 ["ed", "--config", cfg, "--out", str(out), "--cache", str(cache)]
             )
             assert code == 0
-            report = json.loads((out / "report.json").read_text())
-            assert report["cache_hit"] is expect_hit
+            report = read_json(out / "report.json")
+            assert read_json(out / "diagnostics.json") == {
+                "cache": {"hits": int(expect_hit), "misses": int(not expect_hit)}
+            }
             assert report["result"]["eigenvalues"][0] == pytest.approx(
                 -0.02532217485889982, rel=1e-13
             )
@@ -347,8 +371,7 @@ class TestEdWorkflow:
         assert cli.main(
             ["ed", "--config", cfg, "--out", str(tmp_path / "o2"), "--cache", str(cache)]
         ) == 0
-        report = json.loads((tmp_path / "o2" / "report.json").read_text())
-        assert report["cache_hit"] is False
+        assert read_json(tmp_path / "o2" / "diagnostics.json")["cache"]["hits"] == 0
         restored = json.loads(entry_path.read_text())
         assert restored["payload"]["converged"] is True
 
@@ -393,11 +416,25 @@ class TestStudyWorkflow:
         assert cli.main(
             ["study", "--config", cfg, "--out", str(out2), "--cache", str(cache)]
         ) == 0
-        r1 = json.loads((out1 / "report.json").read_text())
-        r2 = json.loads((out2 / "report.json").read_text())
-        assert r1["cache"] == {"hits": 0, "misses": 3}
-        assert r2["cache"] == {"hits": 3, "misses": 0}
+        r1 = read_json(out1 / "report.json")
+        r2 = read_json(out2 / "report.json")
+        assert read_json(out1 / "diagnostics.json")["cache"] == {"hits": 0, "misses": 3}
+        assert read_json(out2 / "diagnostics.json")["cache"] == {"hits": 3, "misses": 0}
         assert r1["records"] == r2["records"]
+
+    def test_record_cache_keyed_on_largest_n(self, tmp_path):
+        # The overlap of every record reads the pair solve sized by max(N_values).
+        # Both configs share the model, so only that size tells the records apart.
+        cache = tmp_path / "cache"
+        for i, n_values in enumerate(((3, 4, 5), (3, 4, 6))):
+            doc = self.study_doc(n_values)
+            doc["model"]["N"] = 6
+            cfg = write_json(tmp_path / f"cfg{i}.json", doc)
+            out = tmp_path / f"o{i}"
+            assert cli.main(
+                ["study", "--config", cfg, "--out", str(out), "--cache", str(cache)]
+            ) == 0
+            assert read_json(out / "diagnostics.json")["cache"] == {"hits": 0, "misses": 3}
 
     def test_too_few_points_for_fit_exits_3(self, tmp_path):
         doc = self.study_doc((4, 5))
@@ -418,6 +455,29 @@ class TestStudyWorkflow:
         assert cli.main(["study", "--config", cfg, "--out", str(out)]) == 3
         report = json.loads((out / "report.json").read_text())
         assert not all(rec["converged"] for rec in report["records"])
+
+
+class TestColdWarmReports:
+    @pytest.mark.parametrize(
+        "verb, doc",
+        [
+            ("ed", {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}}),
+            ("ed", {"model": one_pair_model_doc(3),
+                    "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}}),
+            ("study", {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}}),
+        ],
+    )
+    def test_report_bytes_do_not_depend_on_the_cache(self, tmp_path, verb, doc):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        cache = tmp_path / "cache"
+        outs = [tmp_path / "cold", tmp_path / "warm"]
+        for out in outs:
+            assert cli.main(
+                [verb, "--config", cfg, "--out", str(out), "--cache", str(cache)]
+            ) == 0
+        cold, warm = (read_json(out / "diagnostics.json")["cache"] for out in outs)
+        assert cold["hits"] == 0 and warm["misses"] == 0
+        assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
 
 
 class TestSelfcheckWorkflow:

@@ -270,7 +270,7 @@ class TestLowestEigenpairs:
         import scipy.sparse as sp
 
         mat = sp.csr_matrix(np.diag([3.0, 1.0, 2.0]))
-        result = fock_ed.lowest_eigenpairs(mat, k=2)
+        result = fock_ed.lowest_eigenpairs(mat, fock_ed.EDSettings(k=2))
         assert result.method == "dense"
         assert result.eigenvalues[0] == pytest.approx(1.0)
         assert result.eigenvalues[1] == pytest.approx(2.0)
@@ -280,8 +280,8 @@ class TestLowestEigenpairs:
     def test_iterative_path_agrees_with_dense(self, one_pair_model):
         basis = one_pair_k0_basis(12)
         ham = fock_ed.build_hamiltonian(make_one_pair_model(N=12), basis)
-        dense = fock_ed.lowest_eigenpairs(ham, dense_threshold=10**9)
-        lanczos = fock_ed.lowest_eigenpairs(ham, dense_threshold=0)
+        dense = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=10**9))
+        lanczos = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=0))
         assert dense.method == "dense"
         assert lanczos.method == "lanczos"
         assert lanczos.converged
@@ -290,22 +290,25 @@ class TestLowestEigenpairs:
     def test_deterministic_given_seed(self):
         basis = one_pair_k0_basis(10)
         ham = fock_ed.build_hamiltonian(make_one_pair_model(N=10), basis)
-        a = fock_ed.lowest_eigenpairs(ham, dense_threshold=0, seed=5)
-        b = fock_ed.lowest_eigenpairs(ham, dense_threshold=0, seed=5)
+        lanczos = fock_ed.EDSettings(dense_threshold=0, seed=5)
+        a = fock_ed.lowest_eigenpairs(ham, lanczos)
+        b = fock_ed.lowest_eigenpairs(ham, lanczos)
         assert a.eigenvalues == b.eigenvalues
         assert np.array_equal(a.ground_vector, b.ground_vector)
 
     def test_non_convergence_flagged(self):
         basis = one_pair_k0_basis(24)
         ham = fock_ed.build_hamiltonian(make_one_pair_model(N=24), basis)
-        result = fock_ed.lowest_eigenpairs(ham, dense_threshold=0, max_iter=3)
+        result = fock_ed.lowest_eigenpairs(
+            ham, fock_ed.EDSettings(dense_threshold=0, max_iter=3)
+        )
         assert not result.converged
         assert result.residual_norm > 1e-9
 
     def test_eigenvalues_sorted_and_k_honored(self):
         basis = one_pair_k0_basis(8)
         ham = fock_ed.build_hamiltonian(make_one_pair_model(N=8), basis)
-        result = fock_ed.lowest_eigenpairs(ham, k=4)
+        result = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(k=4))
         assert len(result.eigenvalues) == 4
         assert list(result.eigenvalues) == sorted(result.eigenvalues)
 
@@ -313,7 +316,9 @@ class TestLowestEigenpairs:
         basis = one_pair_k0_basis(6)
         ham = fock_ed.build_hamiltonian(make_one_pair_model(N=6), basis)
         for threshold in (0, 10**9):
-            result = fock_ed.lowest_eigenpairs(ham, dense_threshold=threshold)
+            result = fock_ed.lowest_eigenpairs(
+                ham, fock_ed.EDSettings(dense_threshold=threshold)
+            )
             v = result.ground_vector
             assert v[int(np.argmax(np.abs(v)))] > 0.0
 
@@ -321,7 +326,7 @@ class TestLowestEigenpairs:
         import scipy.sparse as sp
 
         mat = sp.csr_matrix(np.diag([1.0, 1.0, 2.0]))
-        result = fock_ed.lowest_eigenpairs(mat, k=2)
+        result = fock_ed.lowest_eigenpairs(mat, fock_ed.EDSettings(k=2))
         assert result.gap <= 1e-8
         assert not result.vector_reliable
 
@@ -390,7 +395,7 @@ class TestObservables:
         import scipy.sparse as sp
 
         mat = sp.csr_matrix(np.diag([1.0, 1.0, 2.0]))
-        result = fock_ed.lowest_eigenpairs(mat, k=2)
+        result = fock_ed.lowest_eigenpairs(mat, fock_ed.EDSettings(k=2))
         modes = (Momentum((-1,)), Momentum((0,)), Momentum((1,)))
         basis = fock_ed.enumerate_basis(modes, n_particles=1)
         assert basis.size == 3
@@ -543,7 +548,7 @@ class TestBindingFromED:
 class TestVariationalSandwich:
     def test_bracket_and_norm_identities(self):
         model = make_one_pair_model(N=8)
-        sw = fock_ed.variational_sandwich(model)
+        sw = fock_ed.variational_sandwich(fock_ed.binding_from_ed(model, check_global=False))
         assert sw.lower - 1e-9 <= sw.delta_E <= sw.upper + 1e-9
         assert sw.norm_identity_dev_N <= 1e-10
         assert sw.norm_identity_dev_Nm1 <= 1e-10
@@ -551,14 +556,19 @@ class TestVariationalSandwich:
 
     def test_n16_golden(self):
         model = make_one_pair_model(N=16)
-        sw = fock_ed.variational_sandwich(model)
+        sw = fock_ed.variational_sandwich(fock_ed.binding_from_ed(model, check_global=False))
         lower, de, upper = GOLD_SW16
         assert sw.lower == pytest.approx(lower, abs=1e-9)
         assert sw.delta_E == pytest.approx(de, abs=1e-9)
         assert sw.upper == pytest.approx(upper, abs=1e-9)
 
-    def test_reuses_precomputed_binding(self):
+    def test_reuses_precomputed_binding(self, monkeypatch):
         model = make_one_pair_model(N=6)
         binding = fock_ed.binding_from_ed(model, check_global=False)
-        sw = fock_ed.variational_sandwich(model, binding=binding)
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("the sandwich must reuse the binding's operators")
+
+        monkeypatch.setattr(fock_ed, "build_hamiltonian", no_rebuild)
+        sw = fock_ed.variational_sandwich(binding)
         assert sw.delta_E == binding.delta_E
