@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bogoliubov, fock_ed
-from .model import Momentum, TorusModel
+from .model import TorusModel
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,6 @@ class StudyReport:
     hb_cutoff_delta: float | None
 
 
-def consistent_truncation_prediction(model: TorusModel) -> float:
-    """e_B - D with both sums over exactly the model's mode set."""
-    solution = bogoliubov.solve(model)
-    return solution.e_B - solution.D
-
-
 def extrapolate_residual(
     points: Sequence[tuple[int, float]], fit_model: str = "1/N"
 ) -> FitResult:
@@ -138,31 +132,15 @@ def quasifree_overlap(
     The bases may have different excitation cutoffs; states absent from one side
     contribute nothing to the inner product.
     """
-    n = basis_n.n_particles
-    if n is None:
-        raise ValueError("psi must live in a fixed-particle-number basis")
-    zp = basis_n.zero_position
-    if zp is None:
-        raise ValueError("basis mismatch: no zero mode to strip")
-    nonzero_modes = tuple(p for p in basis_n.modes if not p.is_zero)
-    if basis_exc.modes != nonzero_modes:
-        raise ValueError("basis mismatch: excitation modes must be the nonzero modes")
-    exc_counts = basis_exc.excitation_counts()
-    keep = exc_counts <= n
+    images = fock_ed.strip_zero_mode(basis_n, basis_exc)
+    keep = basis_exc.excitation_counts() <= basis_n.n_particles
     phi_kept = np.where(keep, phi, 0.0)
     norm = float(np.linalg.norm(phi_kept))
     if norm == 0.0:
         raise ValueError("quasi-free vector vanishes below the excitation cutoff")
     phi_kept /= norm
-    total = 0.0
-    for c, s in zip(psi, basis_n.states):
-        if c == 0.0:
-            continue
-        stripped = tuple(v for i, v in enumerate(s) if i != zp)
-        i = basis_exc.index.get(stripped)
-        if i is not None:
-            total += float(c) * float(phi_kept[i])
-    return abs(total)
+    hit = images >= 0
+    return abs(float(psi[hit] @ phi_kept[images[hit]]))
 
 
 def solve_quasifree_reference(config: SweepConfig) -> fock_ed.HBGround | None:

@@ -248,7 +248,7 @@ def parse_model(doc: dict):
     pot_doc = _require_mapping(doc["potential"], "model.potential")
     _check_keys(
         pot_doc,
-        allowed={"entries", "support_radius", "offset_log"},
+        allowed={"entries", "support_radius"},
         required={"entries"},
         path="model.potential",
     )
@@ -270,9 +270,8 @@ def parse_model(doc: dict):
     support = _as_number(pot_doc, "support_radius", "model.potential")
     if support is None:
         support = max((p.norm for p, _ in entries), default=0.0)
-    offset_log = _as_number(pot_doc, "offset_log", "model.potential", default=0.0)
     try:
-        potential = model_mod.PotentialSpec(tuple(entries), support, offset_log)
+        potential = model_mod.PotentialSpec(tuple(entries), support)
         return model_mod.TorusModel(
             d=d,
             N=n,
@@ -917,11 +916,12 @@ def run_selfcheck(parsed: dict, out_dir: str) -> int:
 
     full = fock_ed.enumerate_basis(model.mode_set(), n_particles=n_check)
     ham_full = fock_ed.build_hamiltonian(ident_model, full).tocoo()
-    sectors = [full.total_momentum(s) for s in full.states]
-    off_sector = sum(
-        1
-        for i, j, v in zip(ham_full.row, ham_full.col, ham_full.data)
-        if v != 0.0 and sectors[i] != sectors[j]
+    sectors = full.momenta()
+    off_sector = int(
+        np.count_nonzero(
+            (ham_full.data != 0.0)
+            & (sectors[ham_full.row] != sectors[ham_full.col]).any(axis=1)
+        )
     )
     record(
         "momentum_block_diagonal",

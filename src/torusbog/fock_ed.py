@@ -20,13 +20,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .model import Momentum, PotentialSpec, ResourceLimitError, TorusModel, zero_momentum
+from .model import (
+    TWO_PI,
+    Momentum,
+    PotentialSpec,
+    ResourceLimitError,
+    TorusModel,
+    zero_momentum,
+)
 
 DEFAULT_MAX_STATES = 500_000
 
@@ -59,29 +66,54 @@ class EDSettings:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Enumerated occupation vectors over a mode set, in lexicographic order.
+    """Occupation vectors over a mode set, in lexicographic order.
 
-    Exactly one of n_particles (fixed-N sector) or excitation_cutoff (all states
-    with total occupation <= M) is set.
+    states is one read-only (size, len(modes)) int64 array: row r holds the
+    occupation of every mode in state r. Exactly one of n_particles (fixed-N
+    sector) or excitation_cutoff (all states with total occupation <= M) is
+    set; momentum_sector, when set, names the total-momentum block the rows
+    were filtered to.
+
+    find() locates rows through their combinatorial rank, the row's position
+    in the lexicographic enumeration of the unfiltered sector (Streltsov,
+    Alon and Cederbaum, PRA 81, 022124 (2010)). A <= M basis ranks each row
+    with one extra slack slot holding M minus the row total, which turns it
+    into a fixed-sum sector over len(modes) + 1 slots in the same order.
     """
 
     modes: tuple[Momentum, ...]
-    states: tuple[tuple[int, ...], ...]
+    states: np.ndarray
     n_particles: int | None
     excitation_cutoff: int | None
     momentum_sector: Momentum | None
-    index: Mapping[tuple[int, ...], int] = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    _binomials: np.ndarray = field(init=False, repr=False)
+    _ranks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.states)})
+        states = np.array(self.states, dtype=np.int64)
+        if states.ndim != 2 or states.shape[1] != len(self.modes):
+            raise ValueError("states must be one row of occupations per state")
+        states.flags.writeable = False
+        exact = self.excitation_cutoff is None
+        budget = self.n_particles if exact else self.excitation_cutoff
+        slots = len(self.modes) + (0 if exact else 1)
+        # binomials[k, r] = C(r + k, k), the number of rows of k + 1 slots
+        # summing to r; each row is the running sum of the one before.
+        binomials = np.ones((slots, budget + 1), dtype=np.int64)
+        for k in range(1, slots):
+            binomials[k] = np.cumsum(binomials[k - 1])
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_binomials", binomials)
+        valid, ranks = self._rank(states)
+        if not valid.all() or np.any(np.diff(ranks) <= 0):
+            raise ValueError("states must be distinct sector rows in lexicographic order")
+        object.__setattr__(self, "_ranks", ranks)
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.states.shape[0]
 
     @property
     def zero_position(self) -> int | None:
@@ -90,39 +122,63 @@ class FockBasis:
                 return i
         return None
 
-    def total_momentum(self, state: tuple[int, ...]) -> Momentum:
-        d = self.modes[0].d
-        acc = [0] * d
-        for n, p in zip(state, self.modes):
-            for j in range(d):
-                acc[j] += n * p[j]
-        return Momentum(acc)
+    def _rank(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which rows lie in the unfiltered sector, and the rank of each that does.
+
+        With r the budget left before a slot and n its occupation, the rows
+        that share the prefix and put c < n there number C(r + k, k) -
+        C(r - n + k, k) by the hockey-stick identity, k being the slots after it.
+        """
+        budget = self._binomials.shape[1] - 1
+        if self.excitation_cutoff is not None:
+            rows = np.column_stack([rows, budget - rows.sum(axis=1)])
+        after = budget - np.cumsum(rows, axis=1)
+        valid = (rows >= 0).all(axis=1) & (after[:, -1] == 0)
+        rows, after = rows[valid], after[valid]
+        k = np.arange(rows.shape[1] - 1, -1, -1)
+        ranks = (self._binomials[k, after + rows] - self._binomials[k, after]).sum(axis=1)
+        return valid, ranks
+
+    def find(self, occupations) -> np.ndarray:
+        """Position of each occupation row in the basis, -1 where it is absent."""
+        rows = np.asarray(occupations, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != len(self.modes):
+            raise ValueError(
+                f"basis mismatch: rows of {len(self.modes)} occupations expected, "
+                f"got shape {rows.shape}"
+            )
+        valid, ranks = self._rank(rows)
+        at = np.searchsorted(self._ranks, ranks)
+        inside = at < self.size
+        hit = np.zeros(len(ranks), dtype=bool)
+        hit[inside] = self._ranks[at[inside]] == ranks[inside]
+        out = np.full(len(rows), -1, dtype=np.int64)
+        out[np.flatnonzero(valid)[hit]] = at[hit]
+        return out
+
+    def momenta(self) -> np.ndarray:
+        """Integer total momentum of every state, shape (size, d)."""
+        return self.states @ np.array(self.modes, dtype=np.int64)
 
     def excitation_counts(self) -> np.ndarray:
         """Per-state number of particles outside the zero mode."""
-        arr = np.asarray(self.states, dtype=np.int64)
-        if arr.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        totals = arr.sum(axis=1)
+        totals = self.states.sum(axis=1)
         zp = self.zero_position
-        return totals if zp is None else totals - arr[:, zp]
+        return totals if zp is None else totals - self.states[:, zp]
 
 
-def _occupations(m: int, budget: int, exact: bool) -> Iterator[tuple[int, ...]]:
-    # Lexicographic enumeration of occupation tuples with sum == budget (exact)
-    # or sum <= budget.
-    def rec(prefix: tuple[int, ...], remaining: int, slot: int) -> Iterator[tuple[int, ...]]:
-        if slot == m - 1:
-            if exact:
-                yield prefix + (remaining,)
-            else:
-                for c in range(remaining + 1):
-                    yield prefix + (c,)
-            return
-        for c in range(remaining + 1):
-            yield from rec(prefix + (c,), remaining - c, slot + 1)
-
-    yield from rec((), budget, 0)
+def _sector_rows(slots: int, budget: int) -> np.ndarray:
+    """Every row of slots nonnegative integers summing to budget, in
+    lexicographic order, built one slot at a time."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    remaining = np.array([budget], dtype=np.int64)
+    for _ in range(slots - 1):
+        counts = remaining + 1
+        parent = np.repeat(np.arange(len(rows)), counts)
+        value = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([rows[parent], value])
+        remaining = remaining[parent] - value
+    return np.column_stack([rows, remaining])
 
 
 def enumerate_basis(
@@ -149,45 +205,44 @@ def enumerate_basis(
         if n_particles < 0:
             raise ValueError("particle count must be nonnegative")
         count = math.comb(n_particles + m - 1, m - 1)
-        budget, exact = n_particles, True
+        slots, budget = m, n_particles
     else:
         if excitation_cutoff < 0:
             raise ValueError("excitation cutoff must be nonnegative")
         count = math.comb(excitation_cutoff + m, m)
-        budget, exact = excitation_cutoff, False
+        # A slack slot takes what the modes leave of the cutoff.
+        slots, budget = m + 1, excitation_cutoff
     if count > max_states:
         raise ResourceLimitError(f"sector holds {count} states, budget is {max_states}")
-    states = _occupations(m, budget, exact)
+    states = _sector_rows(slots, budget)[:, :m]
     if momentum_sector is not None:
-        d = modes[0].d
-        target = tuple(momentum_sector)
-        if len(target) != d:
+        if len(momentum_sector) != modes[0].d:
             raise ValueError("momentum sector dimension mismatch")
-        kept = []
-        for s in states:
-            acc = [0] * d
-            for n, p in zip(s, modes):
-                if n:
-                    for j in range(d):
-                        acc[j] += n * p[j]
-            if tuple(acc) == target:
-                kept.append(s)
-        states = kept
+        momenta = states @ np.array(modes, dtype=np.int64)
+        states = states[(momenta == np.array(momentum_sector)).all(axis=1)]
     return FockBasis(
         modes=modes,
-        states=tuple(states),
+        states=states,
         n_particles=n_particles,
         excitation_cutoff=excitation_cutoff,
         momentum_sector=momentum_sector,
     )
 
 
-def _add(a: Momentum, b: Momentum) -> Momentum:
-    return Momentum(x + y for x, y in zip(a, b))
+def _assemble(
+    rows: list[np.ndarray], cols: list[np.ndarray], vals: list[np.ndarray], size: int
+) -> scipy.sparse.csr_matrix:
+    """Square CSR matrix from blocks of entries, one block per operator term.
 
-
-def _sub(a: Momentum, b: Momentum) -> Momentum:
-    return Momentum(x - y for x, y in zip(a, b))
+    A stable sort by column puts the entries in the order a loop over states,
+    then terms, emits them, which fixes how duplicate entries are summed.
+    """
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    order = np.argsort(cols, kind="stable")
+    mat = scipy.sparse.coo_matrix(
+        (vals[order], (rows[order], cols[order])), shape=(size, size)
+    )
+    return mat.tocsr()
 
 
 def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_matrix:
@@ -203,65 +258,56 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
     if tuple(basis.modes) != model.mode_set():
         raise ValueError("basis modes do not match the model's mode set")
     modes = basis.modes
-    pos = {p: i for i, p in enumerate(modes)}
-    p2 = [p.norm2 for p in modes]
+    states = basis.states
     lam = model.lam
-    w0 = model.potential.w_zero
-    transfers = [
-        (ell, model.w_hat(ell)) for ell in model.potential.nonzero_momenta()
+    n_total = states.sum(axis=1)
+    diag = lam * model.potential.w_zero * n_total * (n_total - 1) / 2.0
+    for i, p in enumerate(modes):
+        diag += p.norm2 * states[:, i]
+    index = np.arange(basis.size)
+    rows, cols, vals = [index], [index], [diag]
+    # Transfer table: for every transfer l, its weight and the positions of
+    # p - l and p + l for every mode p, -1 outside the mode set.
+    pos = {p: i for i, p in enumerate(modes)}
+    table = [
+        (
+            model.w_hat(ell),
+            [pos.get(tuple(a - b for a, b in zip(p, ell)), -1) for p in modes],
+            [pos.get(tuple(a + b for a, b in zip(p, ell)), -1) for p in modes],
+        )
+        for ell in model.potential.nonzero_momenta()
     ]
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for j, s in enumerate(basis.states):
-        n_total = sum(s)
-        diag = lam * w0 * n_total * (n_total - 1) / 2.0
-        for i, n in enumerate(s):
-            if n:
-                diag += p2[i] * n
-        rows.append(j)
-        cols.append(j)
-        vals.append(diag)
-        if not transfers:
-            continue
-        for iq, q in enumerate(modes):
-            nq = s[iq]
-            if nq == 0:
+    for iq in range(len(modes)):
+        for ip in range(len(modes)):
+            moves = [
+                (wl, minus[ip], plus[iq])
+                for wl, minus, plus in table
+                if minus[ip] >= 0 and plus[iq] >= 0
+            ]
+            if not moves:
                 continue
-            s1 = list(s)
-            s1[iq] -= 1
-            f1 = math.sqrt(nq)
-            for ip, p in enumerate(modes):
-                np_ = s1[ip]
-                if np_ == 0:
-                    continue
-                f2 = f1 * math.sqrt(np_)
-                for ell, wl in transfers:
-                    r1 = _sub(p, ell)
-                    i1 = pos.get(r1)
-                    if i1 is None:
-                        continue
-                    r2 = _add(q, ell)
-                    i2 = pos.get(r2)
-                    if i2 is None:
-                        continue
-                    s3 = s1.copy()
-                    s3[ip] -= 1
-                    f3 = f2 * math.sqrt(s3[i2] + 1)
-                    s3[i2] += 1
-                    f4 = f3 * math.sqrt(s3[i1] + 1)
-                    s3[i1] += 1
-                    target = basis.index.get(tuple(s3))
-                    if target is None:
-                        # Momentum conservation guarantees membership.
-                        raise RuntimeError("generated state left the basis")
-                    rows.append(target)
-                    cols.append(j)
-                    vals.append(0.5 * lam * wl * f4)
-    mat = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(basis.size, basis.size)
-    )
-    return mat.tocsr()
+            # a_p a_q on every state holding both quanta.
+            n_p = states[:, ip] - (ip == iq)
+            sel = np.flatnonzero((states[:, iq] > 0) & (n_p > 0))
+            f2 = np.sqrt(states[sel, iq]) * np.sqrt(n_p[sel])
+            s1 = states[sel]
+            s1[:, iq] -= 1
+            s1[:, ip] -= 1
+            for wl, i1, i2 in moves:
+                # a*_{p-l} a*_{q+l}
+                s3 = s1.copy()
+                f3 = f2 * np.sqrt(s3[:, i2] + 1)
+                s3[:, i2] += 1
+                f4 = f3 * np.sqrt(s3[:, i1] + 1)
+                s3[:, i1] += 1
+                target = basis.find(s3)
+                if np.any(target < 0):
+                    # Momentum conservation guarantees membership.
+                    raise RuntimeError("generated state left the basis")
+                rows.append(target)
+                cols.append(sel)
+                vals.append(0.5 * lam * wl * f4)
+    return _assemble(rows, cols, vals, basis.size)
 
 
 def build_bogoliubov_hamiltonian(
@@ -284,42 +330,34 @@ def build_bogoliubov_hamiltonian(
     basis = enumerate_basis(
         modes, excitation_cutoff=excitation_cutoff, max_states=max_states
     )
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for j, s in enumerate(basis.states):
-        diag = 0.0
-        for i, p in enumerate(modes):
-            if s[i]:
-                diag += (p.norm2 + potential.w_hat(p)) * s[i]
-        rows.append(j)
-        cols.append(j)
-        vals.append(diag)
-        for i, p in enumerate(modes):
-            w = potential.w_hat(p)
-            if w == 0.0:
-                continue
-            im = pos[-p]
-            # a_p* a_{-p}*: the missing target above the cutoff is the hard truncation
-            up = list(s)
-            up[im] += 1
-            up[i] += 1
-            target = basis.index.get(tuple(up))
-            if target is not None:
-                rows.append(target)
-                cols.append(j)
-                vals.append(0.5 * w * math.sqrt((s[i] + 1) * (s[im] + 1)))
-            if s[i] >= 1 and s[im] >= 1:
-                down = list(s)
-                down[im] -= 1
-                down[i] -= 1
-                rows.append(basis.index[tuple(down)])
-                cols.append(j)
-                vals.append(0.5 * w * math.sqrt(s[i] * s[im]))
-    mat = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(basis.size, basis.size)
-    )
-    return basis, mat.tocsr()
+    states = basis.states
+    diag = np.zeros(basis.size)
+    for i, p in enumerate(modes):
+        diag += (p.norm2 + potential.w_hat(p)) * states[:, i]
+    index = np.arange(basis.size)
+    rows, cols, vals = [index], [index], [diag]
+    for i, p in enumerate(modes):
+        w = potential.w_hat(p)
+        if w == 0.0:
+            continue
+        im = pos[-p]
+        # a_p* a_{-p}*: the missing target above the cutoff is the hard truncation
+        up = states.copy()
+        up[:, im] += 1
+        up[:, i] += 1
+        target = basis.find(up)
+        sel = np.flatnonzero(target >= 0)
+        rows.append(target[sel])
+        cols.append(sel)
+        vals.append(0.5 * w * np.sqrt((states[sel, i] + 1) * (states[sel, im] + 1)))
+        sel = np.flatnonzero((states[:, i] >= 1) & (states[:, im] >= 1))
+        down = states[sel]
+        down[:, im] -= 1
+        down[:, i] -= 1
+        rows.append(basis.find(down))
+        cols.append(sel)
+        vals.append(0.5 * w * np.sqrt(states[sel, i] * states[sel, im]))
+    return basis, _assemble(rows, cols, vals, basis.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,16 +495,7 @@ def expect_nplus2(vec: np.ndarray, basis: FockBasis) -> float:
 
 def expect_total_momentum(vec: np.ndarray, basis: FockBasis) -> tuple[float, ...]:
     vec = _check_vector(vec, basis)
-    d = basis.modes[0].d
-    acc = [0.0] * d
-    for c, s in zip(vec, basis.states):
-        weight = float(c * c)
-        if weight == 0.0:
-            continue
-        K = basis.total_momentum(s)
-        for jcomp, val in enumerate(K.physical()):
-            acc[jcomp] += weight * val
-    return tuple(acc)
+    return tuple(float(k) for k in (vec * vec) @ (TWO_PI * basis.momenta()))
 
 
 def expect_mode_occupation(vec: np.ndarray, basis: FockBasis, p: Momentum) -> float:
@@ -475,8 +504,7 @@ def expect_mode_occupation(vec: np.ndarray, basis: FockBasis, p: Momentum) -> fl
         ip = basis.modes.index(p)
     except ValueError:
         raise ValueError(f"basis mismatch: mode {tuple(p)} not in basis") from None
-    occ = np.asarray([s[ip] for s in basis.states], dtype=float)
-    return float(np.dot(vec * vec, occ))
+    return float(np.dot(vec * vec, basis.states[:, ip].astype(float)))
 
 
 def expect_pairing(vec: np.ndarray, basis: FockBasis, p: Momentum) -> float:
@@ -488,53 +516,33 @@ def expect_pairing(vec: np.ndarray, basis: FockBasis, p: Momentum) -> float:
     im = basis.modes.index(-p)
     if ip == im:
         raise ValueError("pairing needs p != -p")
-    total = 0.0
-    for j, s in enumerate(basis.states):
-        if s[ip] >= 1 and s[im] >= 1:
-            t = list(s)
-            t[ip] -= 1
-            t[im] -= 1
-            i = basis.index.get(tuple(t))
-            if i is not None:
-                total += vec[i] * math.sqrt(s[ip] * s[im]) * vec[j]
-    return float(total)
-
-
-def observable_expectation(
-    result: EDResult,
-    basis: FockBasis,
-    observable: str | tuple,
-    allow_unreliable: bool = False,
-) -> float | tuple[float, ...]:
-    """Ground-state expectation of a named observable.
-
-    observable is "Nplus", "Nplus2", "momentum", ("n_p", p) or ("pairing", p).
-    Degenerate ground states (gap <= 1e-8) are refused unless allow_unreliable.
-    """
-    if not result.vector_reliable and not allow_unreliable:
-        raise ValueError(
-            f"ground gap {result.gap:.3e} is within the degeneracy tolerance; "
-            "vector-dependent observables are unreliable"
-        )
-    vec = result.ground_vector
-    if observable == "Nplus":
-        return expect_nplus(vec, basis)
-    if observable == "Nplus2":
-        return expect_nplus2(vec, basis)
-    if observable == "momentum":
-        return expect_total_momentum(vec, basis)
-    if isinstance(observable, tuple) and len(observable) == 2:
-        tag, p = observable
-        if tag == "n_p":
-            return expect_mode_occupation(vec, basis, p)
-        if tag == "pairing":
-            return expect_pairing(vec, basis, p)
-    raise ValueError(f"unknown observable {observable!r}")
+    states = basis.states
+    sel = np.flatnonzero((states[:, ip] >= 1) & (states[:, im] >= 1))
+    lowered = states[sel]
+    lowered[:, ip] -= 1
+    lowered[:, im] -= 1
+    target = basis.find(lowered)
+    hit = target >= 0
+    sel, target = sel[hit], target[hit]
+    return float(np.sum(vec[target] * np.sqrt(states[sel, ip] * states[sel, im]) * vec[sel]))
 
 
 # ---------------------------------------------------------------------------
 # Excitation map and operator identities
 # ---------------------------------------------------------------------------
+
+
+def strip_zero_mode(basis_n: FockBasis, basis_exc: FockBasis) -> np.ndarray:
+    """Position in basis_exc of every basis_n state with its zero-mode quanta
+    removed, -1 where that image is absent from basis_exc."""
+    if basis_n.n_particles is None:
+        raise ValueError("source basis must be a fixed-particle-number sector")
+    zp = basis_n.zero_position
+    if zp is None:
+        raise ValueError("basis mismatch: source basis has no zero mode to strip")
+    if basis_exc.modes != basis_n.modes[:zp] + basis_n.modes[zp + 1 :]:
+        raise ValueError("basis mismatch: excitation modes must be the nonzero modes, in order")
+    return basis_exc.find(np.delete(basis_n.states, zp, axis=1))
 
 
 def excitation_map(
@@ -546,28 +554,17 @@ def excitation_map(
     coefficient carries over with factor exactly 1, so norms are preserved.
     """
     vec = _check_vector(vec, basis_n)
-    if basis_n.n_particles is None:
-        raise ValueError("source basis must be a fixed-particle-number sector")
-    zp = basis_n.zero_position
-    if zp is None:
-        raise ValueError("source basis has no zero mode to strip")
-    nonzero_modes = tuple(p for p in basis_n.modes if not p.is_zero)
-    if basis_exc.modes != nonzero_modes:
-        raise ValueError("basis mismatch: excitation modes must be the nonzero modes, in order")
+    images = strip_zero_mode(basis_n, basis_exc)
     if basis_exc.excitation_cutoff is None or basis_exc.excitation_cutoff < basis_n.n_particles:
         raise ValueError("basis mismatch: excitation cutoff below the particle number")
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"input vector norm {norm} is not 1 within 1e-12")
+    carried = np.flatnonzero(vec != 0.0)
+    if np.any(images[carried] < 0):
+        raise ValueError("basis mismatch: image state missing from excitation basis")
     out = np.zeros(basis_exc.size)
-    for c, s in zip(vec, basis_n.states):
-        if c == 0.0:
-            continue
-        stripped = tuple(n for i, n in enumerate(s) if i != zp)
-        i = basis_exc.index.get(stripped)
-        if i is None:
-            raise ValueError("basis mismatch: image state missing from excitation basis")
-        out[i] = c
+    out[images[carried]] = vec[carried]
     out_norm = float(np.linalg.norm(out))
     if abs(out_norm - 1.0) > 1e-12:
         raise AssertionError(f"excitation map must preserve norms, got {out_norm}")
@@ -589,19 +586,14 @@ def zero_mode_annihilation(
     zp = basis_from.zero_position
     if zp is None:
         raise ValueError("mode set has no zero mode")
-    rows, cols, vals = [], [], []
-    for j, s in enumerate(basis_from.states):
-        n0 = s[zp]
-        if n0 == 0:
-            continue
-        t = list(s)
-        t[zp] -= 1
-        i = basis_to.index.get(tuple(t))
-        if i is None:
-            continue  # target outside a momentum-filtered image basis
-        rows.append(i)
-        cols.append(j)
-        vals.append(math.sqrt(n0))
+    cols = np.flatnonzero(basis_from.states[:, zp] > 0)
+    lowered = basis_from.states[cols]
+    lowered[:, zp] -= 1
+    rows = basis_to.find(lowered)
+    # A target outside a momentum-filtered image basis is dropped.
+    kept = rows >= 0
+    rows, cols = rows[kept], cols[kept]
+    vals = np.sqrt(basis_from.states[cols, zp])
     return scipy.sparse.coo_matrix(
         (vals, (rows, cols)), shape=(basis_to.size, basis_from.size)
     ).tocsr()
@@ -649,13 +641,10 @@ def operator_identity_residuals(
     y = (h[n] @ a0_n.T - a0_n.T @ h[n - 1]) @ a0_n
     lam = model.lam
     w0 = model.potential.w_zero
-    closed = np.zeros(bases[n].size)
-    for j, s in enumerate(bases[n].states):
-        acc = w0 * n
-        for i, p in enumerate(modes):
-            if s[i]:
-                acc += model.w_hat(p) * s[i]
-        closed[j] = lam * acc
+    acc = np.full(bases[n].size, w0 * n)
+    for i, p in enumerate(modes):
+        acc += model.w_hat(p) * bases[n].states[:, i]
+    closed = lam * acc
     residual_a = float(np.max(np.abs(x - y - np.diag(closed))))
 
     hn = h[n]

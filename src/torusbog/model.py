@@ -70,7 +70,6 @@ class PotentialSpec:
 
     entries: tuple[tuple[Momentum, float], ...]
     support_radius: float
-    offset_log: float = 0.0
     _table: Mapping[Momentum, float] = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -177,7 +176,7 @@ def normalize_zero_mode(
     if w0 == 0.0:
         return spec, lambda lam, N: 0.0
     entries = tuple((p, v) for p, v in spec.entries if not p.is_zero)
-    shifted = PotentialSpec(entries, spec.support_radius, spec.offset_log + w0)
+    shifted = PotentialSpec(entries, spec.support_radius)
     return shifted, lambda lam, N: lam * w0 * N * (N - 1) / 2.0
 
 
@@ -263,7 +262,6 @@ class TorusModel:
             "include_zero_mode": self.include_zero_mode,
             "potential": {
                 "entries": [[*p, v] for p, v in self.potential.entries],
-                "offset_log": self.potential.offset_log,
                 "support_radius": self.potential.support_radius,
             },
         }

@@ -61,7 +61,8 @@ class TestEnumerateBasis:
     def test_lexicographic_state_order(self):
         modes = tuple(Momentum((n,)) for n in (-1, 0, 1))
         basis = fock_ed.enumerate_basis(modes, n_particles=2)
-        assert list(basis.states) == sorted(basis.states)
+        rows = basis.states.tolist()
+        assert rows == sorted(rows)
 
     def test_momentum_filter_keeps_exactly_the_sector(self):
         modes = tuple(Momentum((n,)) for n in (-1, 0, 1))
@@ -69,14 +70,51 @@ class TestEnumerateBasis:
         k0 = fock_ed.enumerate_basis(
             modes, n_particles=3, momentum_sector=zero_momentum(1)
         )
-        expected = [s for s in full.states if full.total_momentum(s) == (0,)]
-        assert list(k0.states) == expected
-        assert all(k0.total_momentum(s) == (0,) for s in k0.states)
+        expected = [
+            s for s, k in zip(full.states.tolist(), full.momenta().tolist()) if k == [0]
+        ]
+        assert k0.states.tolist() == expected
+        assert k0.momenta().tolist() == [[0]] * k0.size
 
     def test_index_maps_state_to_position(self):
         basis = one_pair_k0_basis(4)
-        for i, s in enumerate(basis.states):
-            assert basis.index[s] == i
+        assert basis.find(basis.states).tolist() == list(range(basis.size))
+
+    def test_find_agrees_with_a_dict_over_the_rows(self):
+        # Modes -2..2; a full sector, its K = 0 block and a <= M basis, each
+        # asked for every row of a larger set in shuffled order.
+        model = make_two_band_model(N=5)
+        full = fock_ed.enumerate_basis(model.mode_set(), n_particles=5)
+        block = fock_ed.enumerate_basis(
+            model.mode_set(), n_particles=5, momentum_sector=zero_momentum(1)
+        )
+        below = fock_ed.enumerate_basis(model.nonzero_modes(), excitation_cutoff=4)
+        wider = fock_ed.enumerate_basis(model.nonzero_modes(), excitation_cutoff=6)
+        negative = [[-1, 2, 2, 1, 1], [3, -1, 0, 2, 1]]
+        cases = (
+            (full, full.states.tolist() + negative + [[1, 1, 1, 1, 0]]),
+            (block, full.states.tolist() + negative),
+            (below, wider.states.tolist() + [[-1, 1, 1, 1], [2, -2, 1, 0]]),
+        )
+        rng = np.random.default_rng(0)
+        for basis, queries in cases:
+            index = {tuple(s): i for i, s in enumerate(basis.states.tolist())}
+            queries = [queries[i] for i in rng.permutation(len(queries))]
+            expected = [index.get(tuple(q), -1) for q in queries]
+            assert basis.find(queries).tolist() == expected
+            assert sorted(set(expected)) == [-1] + list(range(basis.size))
+        assert full.find([[0, 0, 4, 1, 0]])[0] >= 0
+        assert block.find([[0, 0, 4, 1, 0]]).tolist() == [-1]  # K = 1
+        assert below.find([[1, 1, 1, 2]]).tolist() == [-1]  # 5 > M
+        assert full.find([[-1, 2, 2, 1, 1]]).tolist() == [-1]
+        with pytest.raises(ValueError, match="basis mismatch"):
+            full.find([[1, 1, 1, 2]])
+
+    def test_rows_must_be_sorted_sector_rows(self):
+        modes = (Momentum((-1,)), Momentum((1,)))
+        for rows in ([[1, 0], [0, 1]], [[0, 1], [0, 1]], [[0, 1], [1, 1]]):
+            with pytest.raises(ValueError, match="lexicographic"):
+                fock_ed.FockBasis(modes, np.array(rows), 1, None, None)
 
     def test_exactly_one_sector_choice(self):
         modes = (Momentum((1,)), Momentum((-1,)))
@@ -111,23 +149,48 @@ class TestBuildHamiltonian:
         model = make_one_pair_model(N=2, lam=1.0)
         basis = one_pair_k0_basis(2)
         ham = fock_ed.build_hamiltonian(model, basis).toarray()
-        assert list(basis.states) == [(0, 2, 0), (1, 0, 1)]
+        assert basis.states.tolist() == [[0, 2, 0], [1, 0, 1]]
         expected = np.array([[0.0, math.sqrt(2.0)], [math.sqrt(2.0), T_KIN]])
         assert np.allclose(ham, expected, atol=1e-14)
         ground = (T_KIN - math.sqrt(T_KIN * T_KIN + 8.0)) / 2.0
         result = fock_ed.lowest_eigenpairs(fock_ed.build_hamiltonian(model, basis))
         assert result.ground_energy == pytest.approx(ground, rel=1e-14)
 
-    def test_against_brute_force_three_modes(self):
+    @pytest.mark.parametrize(
+        "model, sector",
+        [
+            (make_one_pair_model(N=3, lam=0.7), None),
+            (make_two_band_model(N=6), zero_momentum(1)),
+            (
+                TorusModel(
+                    d=2,
+                    N=4,
+                    potential=PotentialSpec.from_table(
+                        {
+                            (1, 0): 1.0, (-1, 0): 1.0,
+                            (0, 1): 0.8, (0, -1): 0.8,
+                            (1, 1): 0.5, (-1, -1): 0.5,
+                        }
+                    ),
+                    mode_cutoff=1.5 * TWO_PI,  # 9 modes, |n|_inf <= 1
+                ),
+                zero_momentum(2),
+            ),
+        ],
+        ids=["one-pair-N3-full", "two-band-N6-K0", "square-N4-K0"],
+    )
+    def test_against_brute_force_three_modes(self, model, sector):
         # Independent reference: build H by applying the normal-ordered
         # operator sum to every basis vector with explicit ladder arithmetic.
-        model = make_one_pair_model(N=3, lam=0.7)
         modes = model.mode_set()
-        basis = fock_ed.enumerate_basis(modes, n_particles=3)
+        basis = fock_ed.enumerate_basis(
+            modes, n_particles=model.N, momentum_sector=sector
+        )
+        index = {tuple(s): i for i, s in enumerate(basis.states.tolist())}
         dim = basis.size
         ref = np.zeros((dim, dim))
         lam = model.lam
-        for j, s in enumerate(basis.states):
+        for j, s in enumerate(basis.states.tolist()):
             ref[j, j] += sum(p.norm2 * c for p, c in zip(modes, s))
             n = sum(s)
             ref[j, j] += lam * model.potential.w_zero * n * (n - 1) / 2.0
@@ -152,7 +215,7 @@ class TestBuildHamiltonian:
                         amp *= math.sqrt(state[ip]); state[ip] -= 1
                         state[iqt] += 1; amp *= math.sqrt(state[iqt])
                         state[ipt] += 1; amp *= math.sqrt(state[ipt])
-                        i = basis.index[tuple(state)]
+                        i = index[tuple(state)]
                         ref[i, j] += 0.5 * lam * wl * amp
         ham = fock_ed.build_hamiltonian(model, basis).toarray()
         assert np.allclose(ham, ref, atol=1e-13)
@@ -173,7 +236,7 @@ class TestBuildHamiltonian:
     def test_momentum_block_diagonal(self, two_band_model):
         basis = fock_ed.enumerate_basis(two_band_model.mode_set(), n_particles=3)
         ham = fock_ed.build_hamiltonian(two_band_model, basis).tocoo()
-        sectors = [basis.total_momentum(s) for s in basis.states]
+        sectors = basis.momenta().tolist()
         for i, j, v in zip(ham.row, ham.col, ham.data):
             if v != 0.0:
                 assert sectors[i] == sectors[j]
@@ -221,11 +284,12 @@ class TestPairHamiltonian:
         basis, ham = fock_ed.build_bogoliubov_hamiltonian(modes, 4, potential)
         dense = ham.toarray()
         p2 = Momentum((1,)).norm2
-        for j, s in enumerate(basis.states):
+        index = {tuple(s): i for i, s in enumerate(basis.states.tolist())}
+        for j, s in enumerate(basis.states.tolist()):
             assert dense[j, j] == pytest.approx((p2 + 1.0) * sum(s), rel=1e-15)
             up = (s[0] + 1, s[1] + 1)
-            if up in basis.index:
-                i = basis.index[up]
+            if up in index:
+                i = index[up]
                 assert dense[i, j] == pytest.approx(
                     math.sqrt(up[0] * up[1]), rel=1e-15
                 )
@@ -344,8 +408,7 @@ class TestObservables:
         basis = one_pair_k0_basis(3)
         # States: (0,3,0), (1,1,1) -> indices via lex order.
         vec = np.zeros(basis.size)
-        i_all0 = basis.index[(0, 3, 0)]
-        i_exc = basis.index[(1, 1, 1)]
+        i_all0, i_exc = basis.find([(0, 3, 0), (1, 1, 1)])
         vec[i_all0] = math.sqrt(0.2)
         vec[i_exc] = math.sqrt(0.8)
         assert fock_ed.expect_nplus(vec, basis) == pytest.approx(0.8 * 2.0)
@@ -361,8 +424,7 @@ class TestObservables:
         basis, _ = fock_ed.build_bogoliubov_hamiltonian(modes, 2, potential)
         # <v, a_p a_-p v> couples (n+1, n+1) to (n, n).
         vec = np.zeros(basis.size)
-        vec[basis.index[(0, 0)]] = 0.8
-        vec[basis.index[(1, 1)]] = 0.6
+        vec[basis.find([(0, 0), (1, 1)])] = [0.8, 0.6]
         assert fock_ed.expect_pairing(vec, basis, Momentum((1,))) == pytest.approx(
             0.8 * 0.6 * 1.0
         )
@@ -377,34 +439,6 @@ class TestObservables:
         with pytest.raises(ValueError, match="basis mismatch"):
             fock_ed.expect_mode_occupation(np.zeros(basis.size), basis, Momentum((9,)))
 
-    def test_observable_dispatch_and_reliability(self):
-        model = make_one_pair_model(N=4)
-        basis = one_pair_k0_basis(4)
-        ham = fock_ed.build_hamiltonian(model, basis)
-        result = fock_ed.lowest_eigenpairs(ham)
-        assert result.vector_reliable
-        nplus = fock_ed.observable_expectation(result, basis, "Nplus")
-        assert nplus == pytest.approx(fock_ed.expect_nplus(result.ground_vector, basis))
-        assert fock_ed.observable_expectation(result, basis, "momentum") == pytest.approx((0.0,))
-        occ = fock_ed.observable_expectation(result, basis, ("n_p", Momentum((1,))))
-        assert occ >= 0.0
-        with pytest.raises(ValueError, match="unknown observable"):
-            fock_ed.observable_expectation(result, basis, "bogus")
-
-    def test_unreliable_vector_raises_unless_allowed(self):
-        import scipy.sparse as sp
-
-        mat = sp.csr_matrix(np.diag([1.0, 1.0, 2.0]))
-        result = fock_ed.lowest_eigenpairs(mat, fock_ed.EDSettings(k=2))
-        modes = (Momentum((-1,)), Momentum((0,)), Momentum((1,)))
-        basis = fock_ed.enumerate_basis(modes, n_particles=1)
-        assert basis.size == 3
-        with pytest.raises(ValueError, match="unreliable"):
-            fock_ed.observable_expectation(result, basis, "Nplus")
-        value = fock_ed.observable_expectation(
-            result, basis, "Nplus", allow_unreliable=True
-        )
-        assert math.isfinite(value)
 
 
 class TestExcitationMap:
@@ -416,9 +450,9 @@ class TestExcitationMap:
             (Momentum((-1,)), Momentum((1,))), excitation_cutoff=4
         )
         vec = np.zeros(basis_n.size)
-        vec[basis_n.index[(0, 4, 0)]] = 1.0
+        vec[basis_n.find([(0, 4, 0)])[0]] = 1.0
         out = fock_ed.excitation_map(vec, basis_n, basis_exc)
-        assert out[basis_exc.index[(0, 0)]] == 1.0
+        assert out[basis_exc.find([(0, 0)])[0]] == 1.0
         assert np.count_nonzero(out) == 1
 
     @given(st.integers(0, 10))
@@ -437,9 +471,10 @@ class TestExcitationMap:
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
         # Coefficients carry over unchanged, state by state.
         zp = basis_n.zero_position
-        for c, s in zip(vec, basis_n.states):
+        index = {tuple(s): i for i, s in enumerate(basis_exc.states.tolist())}
+        for c, s in zip(vec, basis_n.states.tolist()):
             stripped = tuple(v for i, v in enumerate(s) if i != zp)
-            assert out[basis_exc.index[stripped]] == c
+            assert out[index[stripped]] == c
 
     def test_cutoff_too_small_rejected(self):
         basis_n = fock_ed.enumerate_basis(
@@ -460,7 +495,8 @@ class TestZeroModeAnnihilation:
         b3 = fock_ed.enumerate_basis(modes, n_particles=3)
         b2 = fock_ed.enumerate_basis(modes, n_particles=2)
         a0 = fock_ed.zero_mode_annihilation(b3, b2)
-        for j, s in enumerate(b3.states):
+        index = {tuple(s): i for i, s in enumerate(b2.states.tolist())}
+        for j, s in enumerate(b3.states.tolist()):
             col = a0[:, j].toarray().ravel()
             n0 = s[b3.zero_position]
             if n0 == 0:
@@ -468,7 +504,7 @@ class TestZeroModeAnnihilation:
             else:
                 target = list(s)
                 target[b3.zero_position] -= 1
-                i = b2.index[tuple(target)]
+                i = index[tuple(target)]
                 assert col[i] == pytest.approx(math.sqrt(n0))
                 assert np.count_nonzero(col) == 1
 

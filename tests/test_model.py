@@ -179,7 +179,6 @@ class TestNormalizeZeroMode:
         shifted, offset = normalize_zero_mode(spec)
         assert shifted.w_zero == 0.0
         assert shifted.w_hat(Momentum((1,))) == 1.0
-        assert shifted.offset_log == spec.offset_log + 3.0
         assert offset(0.25, 4) == 0.25 * 3.0 * 4 * 3 / 2.0
 
 
