@@ -303,12 +303,17 @@ def parse_ed(doc: dict | None):
         required=set(),
         path="ed",
     )
+    # Keys left out take their defaults from EDSettings, the one place they live.
     solver = {
-        "tol": _as_number(ed_doc, "tol", "ed", default=1e-9),
-        "max_iter": _as_int(ed_doc, "max_iter", "ed", default=1000),
-        "seed": _as_int(ed_doc, "seed", "ed", default=0),
-        "dense_threshold": _as_int(ed_doc, "dense_threshold", "ed", default=2000),
-        "k": _as_int(ed_doc, "k", "ed", default=1),
+        key: parse(ed_doc, key, "ed")
+        for key, parse in (
+            ("tol", _as_number),
+            ("max_iter", _as_int),
+            ("seed", _as_int),
+            ("dense_threshold", _as_int),
+            ("k", _as_int),
+        )
+        if key in ed_doc
     }
     try:
         settings = fock_ed.EDSettings(**solver)

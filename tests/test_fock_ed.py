@@ -402,6 +402,67 @@ class TestLowestEigenpairs:
         res = np.linalg.norm(ham @ v - result.ground_energy * v)
         assert result.residual_norm == pytest.approx(res, abs=1e-14)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[-0.75]]),
+            np.array([[1.0, 0.5], [0.5, -2.0]]),
+            np.diag([1.0, 1.0, 2.0]),
+            fock_ed.build_hamiltonian(make_one_pair_model(N=12), one_pair_k0_basis(12)),
+            fock_ed.build_hamiltonian(
+                make_two_band_model(N=8),
+                fock_ed.enumerate_basis(
+                    make_two_band_model(N=8).mode_set(),
+                    n_particles=8,
+                    momentum_sector=zero_momentum(1),
+                ),
+            ),
+        ],
+        ids=["dim1", "dim2", "degenerate", "one-pair-N12-K0", "two-band-N8-K0"],
+    )
+    def test_dense_path_matches_full_spectrum(self, matrix, k):
+        import scipy.sparse as sp
+
+        op = sp.csr_matrix(matrix)
+        dense = op.toarray()
+        result = fock_ed.lowest_eigenpairs(op, fock_ed.EDSettings(k=k))
+        assert result.method == "dense"
+        # Oracle: every eigenpair from a different LAPACK driver.
+        full, vecs = np.linalg.eigh(dense)
+        assert len(result.eigenvalues) == min(k, len(full))
+        for got, want in zip(result.eigenvalues, full):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        if len(full) == 1:
+            assert result.gap == math.inf
+        else:
+            # Two drivers agree on the gap to the eigenvalue tolerance.
+            assert abs(result.gap - (full[1] - full[0])) <= 1e-12 * max(
+                1.0, abs(full[1])
+            )
+        expect_reliable = len(full) == 1 or full[1] - full[0] > fock_ed.DEGENERACY_GAP
+        assert result.vector_reliable == expect_reliable
+        if expect_reliable:
+            want = fock_ed._phase_fixed(vecs[:, 0])
+            assert np.linalg.norm(result.ground_vector - want) <= 1e-12
+
+    def test_dense_path_never_solves_the_full_spectrum(self, monkeypatch):
+        import scipy.linalg
+
+        real_eigh = scipy.linalg.eigh
+        calls = []
+
+        def subset_only(a, *args, **kwargs):
+            assert kwargs.get("subset_by_index") is not None, "full-spectrum eigh"
+            calls.append(kwargs["subset_by_index"])
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", subset_only)
+        ham = fock_ed.build_hamiltonian(make_one_pair_model(N=10), one_pair_k0_basis(10))
+        for k in (1, 3):
+            fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(k=k))
+        assert calls == [[0, 1], [0, 2]]
+
 
 class TestObservables:
     def test_nplus_and_occupations_by_hand(self):
