@@ -18,18 +18,24 @@ from . import bogoliubov, fock_ed
 from .model import TorusModel
 
 
+# Fit models of the residual: r_inf plus powers of 1/N, lowest order first.
+FIT_MODELS = ("1/N", "1/N+1/N2")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Template model plus the sweep schedule; coupling follows lambda = c/N."""
+    """Template model plus the sweep schedule; coupling follows lambda = c/N.
+
+    Range-checked on construction; every message starts with the field it
+    names.
+    """
 
     base: TorusModel
     N_values: tuple[int, ...]
     coupling_c: float = 1.0
-    fit_model: str = "1/N"
+    fit_model: str = FIT_MODELS[0]
     ed: fock_ed.EDSettings = fock_ed.EDSettings()
-    hb_start_cutoff: int = 6
-    hb_max_cutoff: int = 60
-    hb_cutoff_delta: float = 1e-10
+    hb: fock_ed.HBSettings = fock_ed.HBSettings()
     with_overlap: bool = True
     check_global: bool = True
 
@@ -39,14 +45,16 @@ class SweepConfig:
         if not values:
             raise ValueError("N_values is empty")
         if any(v < 2 for v in values):
-            raise ValueError("every N must be at least 2")
+            raise ValueError(f"N_values must each be at least 2, got {list(values)}")
         if any(b <= a for a, b in zip(values, values[1:])):
-            raise ValueError("N_values must be strictly increasing")
+            raise ValueError(f"N_values must be strictly increasing, got {list(values)}")
         # Mean-field study regime: lambda*N = c stays within [0.5, 2].
         if not 0.5 <= self.coupling_c <= 2.0:
             raise ValueError(f"coupling_c must lie in [0.5, 2], got {self.coupling_c}")
-        if self.fit_model not in ("1/N", "1/N+1/N2"):
-            raise ValueError(f"unknown fit model {self.fit_model!r}")
+        if self.fit_model not in FIT_MODELS:
+            raise ValueError(
+                f"fit_model must name a fit model of {FIT_MODELS}, got {self.fit_model!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ class StudyReport:
 
 
 def extrapolate_residual(
-    points: Sequence[tuple[int, float]], fit_model: str = "1/N"
+    points: Sequence[tuple[int, float]], fit_model: str = FIT_MODELS[0]
 ) -> FitResult:
     """Least-squares fit r(N) = r_inf + a/N (optionally + b/N^2).
 
@@ -101,13 +109,12 @@ def extrapolate_residual(
     """
     if len(points) < 3:
         raise ValueError(f"need at least 3 converged records, got {len(points)}")
+    if fit_model not in FIT_MODELS:
+        raise ValueError(f"unknown fit model {fit_model!r}")
     ns = np.asarray([float(n) for n, _ in points])
     rs = np.asarray([float(r) for _, r in points])
-    columns = [np.ones_like(ns), 1.0 / ns]
-    if fit_model == "1/N+1/N2":
-        columns.append(1.0 / (ns * ns))
-    elif fit_model != "1/N":
-        raise ValueError(f"unknown fit model {fit_model!r}")
+    powers = [np.ones_like(ns), 1.0 / ns, 1.0 / (ns * ns)]
+    columns = powers[: FIT_MODELS.index(fit_model) + 2]
     design = np.stack(columns, axis=1)
     coef, _, rank, _ = np.linalg.lstsq(design, rs, rcond=None)
     deviation = float(np.max(np.abs(design @ coef - rs)))
@@ -147,15 +154,16 @@ def solve_quasifree_reference(config: SweepConfig) -> fock_ed.HBGround | None:
     """One pair-Hamiltonian solve shared by every record of the sweep."""
     if not config.with_overlap:
         return None
-    template = replace(config.base, N=config.N_values[-1], lam=None)
+    n_max = config.N_values[-1]
+    template = replace(config.base, N=n_max, lam=None)
+    # The overlap needs every excitation count of an n_max-particle state.
+    hb = replace(
+        config.hb,
+        start_cutoff=max(config.hb.start_cutoff, n_max),
+        max_cutoff=max(config.hb.max_cutoff, n_max + 2),
+    )
     return fock_ed.converged_bogoliubov_ground(
-        template.nonzero_modes(),
-        config.base.potential,
-        start_cutoff=config.hb_start_cutoff,
-        max_cutoff=max(config.hb_max_cutoff, config.N_values[-1] + 2),
-        cutoff_delta=config.hb_cutoff_delta,
-        settings=config.ed,
-        min_cutoff=config.N_values[-1],
+        template.nonzero_modes(), config.base.potential, hb, config.ed
     )
 
 

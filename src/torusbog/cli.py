@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict, fields, replace
 
 from .model import ResourceLimitError
 
@@ -174,248 +175,217 @@ def cached_compute(cache_dir, key_payload, compute, verify, version, stats):
 # ---------------------------------------------------------------------------
 
 
-def _require_mapping(doc, path: str) -> dict:
+VERBS = ("eval", "ed", "study", "selfcheck")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# Value kinds of the schema: kind -> (test, what an error says the value must be).
+_KINDS = {
+    "int": (_is_int, "an integer"),
+    "number": (_is_number, "a number"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "ints": (
+        lambda v: isinstance(v, list) and bool(v) and all(map(_is_int, v)),
+        "a non-empty list of integers",
+    ),
+    "sector": (
+        lambda v: v is None or isinstance(v, list) and all(map(_is_int, v)),
+        "a list of integers or null",
+    ),
+}
+
+_ED_SCHEMA = {
+    # Solver settings: the fields of EDSettings.
+    "tol": "number",
+    "max_iter": "int",
+    "seed": "int",
+    "dense_threshold": "int",
+    "k": "int",
+    # The ed verb's job.
+    "momentum_sector": "sector",
+    "hamiltonian": ("particle", "pair"),
+    "excitation_cutoff": "int",
+}
+_HB_SCHEMA = {"start_cutoff": "int", "max_cutoff": "int", "cutoff_delta": "number"}
+
+
+def _read(doc, path: str, schema: dict, required=()) -> dict:
+    """Check one section's key names and value types; return the keys it sets.
+
+    schema maps each allowed key to a kind of _KINDS, to the tuple of strings
+    the key may take, or to None for a value that its own reader checks.
+    Numbers come back as floats.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
-    return doc
-
-
-def _check_keys(doc: dict, allowed: set[str], required: set[str], path: str) -> None:
     prefix = f"{path}." if path else ""
     for key in doc:
-        if key not in allowed:
+        if key not in schema:
             raise ConfigError(f"unknown key: {prefix}{key}")
     for key in required:
         if key not in doc:
             raise ConfigError(f"missing required key: {prefix}{key}")
+    values = {}
+    for key, kind in schema.items():
+        if key not in doc:
+            continue
+        value = doc[key]
+        name = f"{path or 'config'}.{key}"
+        if isinstance(kind, tuple):
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string")
+            if value not in kind:
+                raise ConfigError(f"{name} must be one of {sorted(kind)}")
+        elif kind is not None:
+            test, noun = _KINDS[kind]
+            if not test(value):
+                raise ConfigError(f"{name} must be {noun}")
+            if kind == "number":
+                value = float(value)
+        values[key] = value
+    return values
 
 
-def _as_int(doc: dict, key: str, path: str, default=None):
-    if key not in doc:
-        return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key} must be an integer")
-    return v
+def _settings(cls, path: str, values: dict, **given):
+    """Build the dataclass cls from the section values that name its fields.
+
+    Fields the config leaves out take their defaults from cls, the one place
+    they live. Its range checks come back as a ConfigError naming the key.
+    """
+    names = {f.name for f in fields(cls)}
+    try:
+        return cls(**{k: v for k, v in values.items() if k in names}, **given)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
-def _as_number(doc: dict, key: str, path: str, default=None):
-    if key not in doc:
-        return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number")
-    return float(v)
-
-
-def _as_bool(doc: dict, key: str, path: str, default=None):
-    if key not in doc:
-        return default
-    v = doc[key]
-    if not isinstance(v, bool):
-        raise ConfigError(f"{path}.{key} must be a boolean")
-    return v
-
-
-def _as_str(doc: dict, key: str, path: str, default=None, choices=None):
-    if key not in doc:
-        return default
-    v = doc[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key} must be a string")
-    if choices is not None and v not in choices:
-        raise ConfigError(f"{path}.{key} must be one of {sorted(choices)}")
-    return v
-
-
-def parse_model(doc: dict):
+def parse_model(doc):
     from . import model as model_mod
 
-    _require_mapping(doc, "model")
-    _check_keys(
+    keys = _read(
         doc,
-        allowed={"d", "N", "lambda", "mode_cutoff", "include_zero_mode", "potential"},
-        required={"d", "N", "mode_cutoff", "potential"},
-        path="model",
+        "model",
+        {
+            "d": "int",
+            "N": "int",
+            "lambda": "number",
+            "mode_cutoff": "number",
+            "include_zero_mode": "bool",
+            "potential": "object",
+        },
+        required=("d", "N", "mode_cutoff", "potential"),
     )
-    d = _as_int(doc, "d", "model")
+    d = keys["d"]
     if d < 1:
         raise ConfigError("model.d must be a positive integer")
-    n = _as_int(doc, "N", "model")
-    lam = _as_number(doc, "lambda", "model")
-    cutoff = _as_number(doc, "mode_cutoff", "model")
-    include_zero = _as_bool(doc, "include_zero_mode", "model", default=True)
-    pot_doc = _require_mapping(doc["potential"], "model.potential")
-    _check_keys(
-        pot_doc,
-        allowed={"entries", "support_radius"},
-        required={"entries"},
-        path="model.potential",
+    pot = _read(
+        keys.pop("potential"),
+        "model.potential",
+        {"entries": "list", "support_radius": "number"},
+        required=("entries",),
     )
-    entries_doc = pot_doc["entries"]
-    if not isinstance(entries_doc, list):
-        raise ConfigError("model.potential.entries must be a list")
     entries = []
-    for i, row in enumerate(entries_doc):
+    for i, row in enumerate(pot["entries"]):
         where = f"model.potential.entries[{i}]"
         if not isinstance(row, list) or len(row) != d + 1:
             raise ConfigError(f"{where} must be a list of {d} integer coordinates and a value")
         coords = row[:d]
         value = row[d]
-        if any(isinstance(c, bool) or not isinstance(c, int) for c in coords):
+        if not all(map(_is_int, coords)):
             raise ConfigError(f"{where} coordinates must be integers")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ConfigError(f"{where} value must be a number")
         entries.append((model_mod.Momentum(coords), float(value)))
-    support = _as_number(pot_doc, "support_radius", "model.potential")
+    support = pot.get("support_radius")
     if support is None:
         support = max((p.norm for p, _ in entries), default=0.0)
+    model_fields = {("lam" if k == "lambda" else k): v for k, v in keys.items()}
     try:
         potential = model_mod.PotentialSpec(tuple(entries), support)
-        return model_mod.TorusModel(
-            d=d,
-            N=n,
-            potential=potential,
-            mode_cutoff=cutoff,
-            lam=lam,
-            include_zero_mode=include_zero,
-        )
+        return model_mod.TorusModel(potential=potential, **model_fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def parse_ed(doc: dict | None):
+def load_config(path: str | None, verb: str) -> dict:
+    """Read and check the config file; a selfcheck without one reads like {}."""
+    doc = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
     from . import fock_ed
 
-    ed_doc = _require_mapping(doc, "ed") if doc is not None else {}
-    _check_keys(
-        ed_doc,
-        allowed={
-            "tol",
-            "max_iter",
-            "seed",
-            "dense_threshold",
-            "k",
-            "momentum_sector",
-            "hamiltonian",
-            "excitation_cutoff",
-        },
-        required=set(),
-        path="ed",
-    )
-    # Keys left out take their defaults from EDSettings, the one place they live.
-    solver = {
-        key: parse(ed_doc, key, "ed")
-        for key, parse in (
-            ("tol", _as_number),
-            ("max_iter", _as_int),
-            ("seed", _as_int),
-            ("dense_threshold", _as_int),
-            ("k", _as_int),
-        )
-        if key in ed_doc
-    }
-    try:
-        settings = fock_ed.EDSettings(**solver)
-    except ValueError as exc:
-        raise ConfigError(f"ed.{exc}") from exc
-    sector = None
-    if "momentum_sector" in ed_doc and ed_doc["momentum_sector"] is not None:
-        raw = ed_doc["momentum_sector"]
-        if not isinstance(raw, list) or any(
-            isinstance(c, bool) or not isinstance(c, int) for c in raw
-        ):
-            raise ConfigError("ed.momentum_sector must be a list of integers or null")
-        sector = raw
-    hamiltonian = _as_str(
-        ed_doc, "hamiltonian", "ed", default="particle", choices={"particle", "pair"}
-    )
-    cutoff = _as_int(ed_doc, "excitation_cutoff", "ed")
-    if cutoff is not None and cutoff < 0:
-        raise ConfigError("ed.excitation_cutoff must be nonnegative")
-    return settings, sector, hamiltonian, cutoff
-
-
-def parse_hb(doc: dict | None) -> dict:
-    hb_doc = _require_mapping(doc, "hb") if doc is not None else {}
-    _check_keys(
-        hb_doc,
-        allowed={"start_cutoff", "max_cutoff", "cutoff_delta"},
-        required=set(),
-        path="hb",
-    )
-    knobs = {
-        "start_cutoff": _as_int(hb_doc, "start_cutoff", "hb", default=6),
-        "max_cutoff": _as_int(hb_doc, "max_cutoff", "hb", default=60),
-        "cutoff_delta": _as_number(hb_doc, "cutoff_delta", "hb", default=1e-10),
-    }
-    if knobs["start_cutoff"] < 0:
-        raise ConfigError("hb.start_cutoff must be nonnegative")
-    if knobs["max_cutoff"] < knobs["start_cutoff"]:
-        raise ConfigError("hb.max_cutoff must be at least hb.start_cutoff")
-    return knobs
-
-
-def parse_study(doc: dict | None):
-    if doc is None:
-        raise ConfigError("missing required key: study")
-    study_doc = _require_mapping(doc, "study")
-    _check_keys(
-        study_doc,
-        allowed={"N_values", "coupling_c", "fit_model", "with_overlap", "check_global"},
-        required={"N_values"},
-        path="study",
-    )
-    raw = study_doc["N_values"]
-    if (
-        not isinstance(raw, list)
-        or not raw
-        or any(isinstance(v, bool) or not isinstance(v, int) for v in raw)
-    ):
-        raise ConfigError("study.N_values must be a non-empty list of integers")
-    return {
-        "N_values": tuple(raw),
-        "coupling_c": _as_number(study_doc, "coupling_c", "study", default=1.0),
-        "fit_model": _as_str(
-            study_doc, "fit_model", "study", default="1/N", choices={"1/N", "1/N+1/N2"}
-        ),
-        "with_overlap": _as_bool(study_doc, "with_overlap", "study", default=True),
-        "check_global": _as_bool(study_doc, "check_global", "study", default=True),
-    }
-
-
-def load_config(path: str, verb: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _require_mapping(doc, "")
-    _check_keys(
+    top = _read(
         doc,
-        allowed={"workflow", "model", "ed", "hb", "study", "cache_dir"},
-        required=set(),
-        path="",
+        "",
+        {
+            "workflow": VERBS,
+            "cache_dir": "str",
+            "model": None,
+            "ed": None,
+            "hb": None,
+            "study": None,
+        },
     )
-    workflow = _as_str(doc, "workflow", "config", choices={"eval", "ed", "study", "selfcheck"})
-    if workflow is not None and workflow != verb:
-        raise ConfigError(f"config workflow {workflow!r} does not match the {verb!r} verb")
-    cache_dir = _as_str(doc, "cache_dir", "config")
-    parsed: dict = {"cache_dir": cache_dir}
-    if "model" in doc:
-        parsed["model"] = parse_model(doc["model"])
+    if top.get("workflow", verb) != verb:
+        raise ConfigError(
+            f"config workflow {top['workflow']!r} does not match the {verb!r} verb"
+        )
+    parsed: dict = {"cache_dir": top.get("cache_dir")}
+    if "model" in top:
+        parsed["model"] = parse_model(top["model"])
     elif verb != "selfcheck":
         raise ConfigError("missing required key: model")
-    parsed["ed"], parsed["momentum_sector"], parsed["hamiltonian"], parsed["excitation_cutoff"] = parse_ed(
-        doc.get("ed")
-    )
-    parsed["hb"] = parse_hb(doc.get("hb"))
-    if verb == "study":
-        parsed["study"] = parse_study(doc.get("study"))
-    elif "study" in doc:
-        parsed["study"] = parse_study(doc.get("study"))
+    # A null ed or hb section reads like an absent one.
+    ed_doc, hb_doc = ({} if top.get(key) is None else top[key] for key in ("ed", "hb"))
+    job = _read(ed_doc, "ed", _ED_SCHEMA)
+    if job.get("excitation_cutoff", 0) < 0:
+        raise ConfigError("ed.excitation_cutoff must be nonnegative")
+    parsed["job"] = job
+    parsed["ed"] = _settings(fock_ed.EDSettings, "ed", job)
+    parsed["hb"] = _settings(fock_ed.HBSettings, "hb", _read(hb_doc, "hb", _HB_SCHEMA))
+    if verb == "study" or "study" in top:
+        from . import asymptotics
+
+        if top.get("study") is None:
+            raise ConfigError("missing required key: study")
+        study = _read(
+            top["study"],
+            "study",
+            {
+                "N_values": "ints",
+                "coupling_c": "number",
+                "fit_model": asymptotics.FIT_MODELS,
+                "with_overlap": "bool",
+                "check_global": "bool",
+            },
+            required=("N_values",),
+        )
+        # Only the study verb sweeps, so only it range-checks the sweep.
+        if verb == "study":
+            parsed["study"] = _settings(
+                asymptotics.SweepConfig,
+                "study",
+                study,
+                base=parsed["model"],
+                ed=parsed["ed"],
+                hb=parsed["hb"],
+            )
     return parsed
 
 
@@ -578,36 +548,31 @@ def _verify_ed_payload(payload) -> bool:
 
 
 def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
-    from dataclasses import asdict
-
     from . import fock_ed
     from .model import Momentum
 
     model = parsed["model"]
     settings = parsed["ed"]
+    job = parsed["job"]
     stats = {"hits": 0, "misses": 0}
     version = _version()
 
-    if parsed["hamiltonian"] == "pair":
-        cutoff = parsed["excitation_cutoff"]
+    if job.get("hamiltonian") == "pair":
+        cutoff = job.get("excitation_cutoff")
         if cutoff is None:
             raise ConfigError("missing required key: ed.excitation_cutoff")
+        # Solves at cutoff and cutoff + 2; their difference certifies the
+        # reported cutoff + 2 ground.
+        hb = replace(parsed["hb"], start_cutoff=cutoff, max_cutoff=cutoff + 2)
 
         def compute() -> dict:
-            # Solves at cutoff and cutoff + 2; their difference certifies the
-            # reported cutoff + 2 ground.
-            hb = fock_ed.converged_bogoliubov_ground(
-                model.nonzero_modes(),
-                model.potential,
-                start_cutoff=cutoff,
-                max_cutoff=cutoff + 2,
-                cutoff_delta=parsed["hb"]["cutoff_delta"],
-                settings=settings,
+            ground = fock_ed.converged_bogoliubov_ground(
+                model.nonzero_modes(), model.potential, hb, settings
             )
-            payload = _ed_payload(hb.result, hb.basis, settings.tol)
-            payload["excitation_cutoff"] = hb.cutoff_used
-            payload["cutoff_delta"] = hb.delta_achieved
-            payload["converged"] = hb.converged
+            payload = _ed_payload(ground.result, ground.basis, settings.tol)
+            payload["excitation_cutoff"] = ground.cutoff_used
+            payload["cutoff_delta"] = ground.delta_achieved
+            payload["converged"] = ground.converged
             return payload
 
         key_payload = {
@@ -615,10 +580,10 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "tool_version": version,
             "model": model.to_canonical_dict(),
             "ed": {**asdict(settings), "excitation_cutoff": cutoff},
-            "cutoff_delta": parsed["hb"]["cutoff_delta"],
+            "cutoff_delta": hb.cutoff_delta,
         }
     else:
-        sector_raw = parsed["momentum_sector"]
+        sector_raw = job.get("momentum_sector")
         sector = Momentum(sector_raw) if sector_raw is not None else None
         if sector is not None and sector.d != model.d:
             raise ConfigError("ed.momentum_sector dimension does not match model.d")
@@ -654,29 +619,12 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
 
 
 def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
-    from dataclasses import asdict
-
     from . import asymptotics
 
     version = _version()
-    study = parsed["study"]
-    try:
-        config = asymptotics.SweepConfig(
-            base=parsed["model"],
-            N_values=study["N_values"],
-            coupling_c=study["coupling_c"],
-            fit_model=study["fit_model"],
-            ed=parsed["ed"],
-            hb_start_cutoff=parsed["hb"]["start_cutoff"],
-            hb_max_cutoff=parsed["hb"]["max_cutoff"],
-            hb_cutoff_delta=parsed["hb"]["cutoff_delta"],
-            with_overlap=study["with_overlap"],
-            check_global=study["check_global"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = parsed["study"]
     stats = {"hits": 0, "misses": 0}
-    settings = parsed["ed"]
+    settings = config.ed
 
     def verify_record(payload) -> bool:
         try:
@@ -698,11 +646,7 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "N_max": cfg.N_values[-1] if cfg.with_overlap else None,
             "coupling_c": cfg.coupling_c,
             "ed": asdict(cfg.ed),
-            "hb": {
-                "start_cutoff": cfg.hb_start_cutoff,
-                "max_cutoff": cfg.hb_max_cutoff,
-                "cutoff_delta": cfg.hb_cutoff_delta,
-            },
+            "hb": asdict(cfg.hb),
             "with_overlap": cfg.with_overlap,
             "check_global": cfg.check_global,
         }
@@ -730,7 +674,7 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
     report = {
         "workflow": "study",
         "tool_version": version,
-        "model": parsed["model"].to_canonical_dict(),
+        "model": config.base.to_canonical_dict(),
         "study": {
             "N_values": list(config.N_values),
             "coupling_c": config.coupling_c,
@@ -763,8 +707,6 @@ def default_selfcheck_model():
 
 
 def run_selfcheck(parsed: dict, out_dir: str) -> int:
-    from dataclasses import replace
-
     import numpy as np
 
     from . import bogoliubov, fock_ed
@@ -777,7 +719,6 @@ def run_selfcheck(parsed: dict, out_dir: str) -> int:
 
     model = parsed.get("model") or default_selfcheck_model()
     settings = parsed["ed"]
-    hb_knobs = parsed["hb"]
     checks: list[dict] = []
 
     def record(name: str, ok: bool, detail: str) -> None:
@@ -830,12 +771,7 @@ def run_selfcheck(parsed: dict, out_dir: str) -> int:
     record("eB_summand_bounds", worst_summand, "0 <= s_p <= w^2/(2|p|^2)")
 
     hb = fock_ed.converged_bogoliubov_ground(
-        model.nonzero_modes(),
-        model.potential,
-        start_cutoff=hb_knobs["start_cutoff"],
-        max_cutoff=hb_knobs["max_cutoff"],
-        cutoff_delta=hb_knobs["cutoff_delta"],
-        settings=settings,
+        model.nonzero_modes(), model.potential, parsed["hb"], settings
     )
     record(
         "hb_cutoff_converged",
@@ -980,14 +916,9 @@ def build_parser() -> argparse.ArgumentParser:
         "for bosons on the unit torus",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, needs_config in (
-        ("eval", True),
-        ("ed", True),
-        ("study", True),
-        ("selfcheck", False),
-    ):
+    for verb in VERBS:
         p = sub.add_parser(verb)
-        p.add_argument("--config", required=needs_config, default=None)
+        p.add_argument("--config", required=verb != "selfcheck", default=None)
         p.add_argument("--out", default=".")
         p.add_argument("--cache", default=None)
         p.add_argument("--threads", type=int, default=None)
@@ -1007,21 +938,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _apply_threads(args.threads)
-        if args.config is not None:
-            parsed = load_config(args.config, args.verb)
-        else:
-            parsed = {"cache_dir": None, "ed": None, "hb": parse_hb(None)}
-            if args.verb == "selfcheck":
-                from . import fock_ed
-
-                parsed["ed"] = fock_ed.EDSettings()
-            else:
-                raise ConfigError("missing required key: --config")
-        if parsed.get("ed") is None:
-            from . import fock_ed
-
-            parsed["ed"] = fock_ed.EDSettings()
-        cache_dir = args.cache or os.environ.get("CACHE_DIR") or parsed.get("cache_dir")
+        parsed = load_config(args.config, args.verb)
+        cache_dir = args.cache or os.environ.get("CACHE_DIR") or parsed["cache_dir"]
         if args.verb == "eval":
             return run_eval(parsed, args.out)
         if args.verb == "ed":

@@ -66,6 +66,24 @@ class EDSettings:
             )
 
 
+@dataclass(frozen=True)
+class HBSettings:
+    """Cutoff schedule of the pair-Hamiltonian solve, range-checked on construction."""
+
+    start_cutoff: int = 6
+    max_cutoff: int = 60
+    cutoff_delta: float = 1e-10
+
+    def __post_init__(self) -> None:
+        if self.start_cutoff < 0:
+            raise ValueError(f"start_cutoff must be nonnegative, got {self.start_cutoff}")
+        if self.max_cutoff < self.start_cutoff:
+            raise ValueError(
+                f"max_cutoff must be at least start_cutoff, got {self.max_cutoff}"
+                f" < {self.start_cutoff}"
+            )
+
+
 @dataclass(frozen=True, eq=False)
 class FockBasis:
     """Occupation vectors over a mode set, in lexicographic order.
@@ -812,30 +830,23 @@ class HBGround:
 def converged_bogoliubov_ground(
     modes: Sequence[Momentum],
     potential: PotentialSpec,
-    start_cutoff: int = 6,
-    max_cutoff: int = 60,
-    cutoff_delta: float = 1e-10,
+    hb: HBSettings = HBSettings(),
     settings: EDSettings = EDSettings(),
-    min_cutoff: int | None = None,
 ) -> HBGround:
     """Raise the excitation cutoff in steps of 2 until the ground value settles.
 
     Convergence means two successive converged ground energies differ by less
-    than cutoff_delta. min_cutoff forces the final basis to reach at least that
-    cutoff (the overlap path needs the image space of an N-particle state to be
-    representable).
+    than hb.cutoff_delta.
     """
-    cutoff = start_cutoff
-    if min_cutoff is not None:
-        cutoff = max(cutoff, min_cutoff)
+    cutoff = hb.start_cutoff
     prev: tuple[int, EDResult, FockBasis] | None = None
     last_delta = math.inf
-    while cutoff <= max_cutoff:
+    while cutoff <= hb.max_cutoff:
         basis, ham = build_bogoliubov_hamiltonian(modes, cutoff, potential)
         result = lowest_eigenpairs(ham, settings)
         if prev is not None:
             last_delta = abs(result.ground_energy - prev[1].ground_energy)
-            if last_delta < cutoff_delta and result.converged and prev[1].converged:
+            if last_delta < hb.cutoff_delta and result.converged and prev[1].converged:
                 return HBGround(
                     result=result,
                     basis=basis,

@@ -49,6 +49,7 @@ class TestSweepConfig:
         assert config.coupling_c == 1.0
         assert config.fit_model == "1/N"
         assert config.with_overlap and config.check_global
+        assert config.hb == fock_ed.HBSettings(start_cutoff=6, max_cutoff=60, cutoff_delta=1e-10)
 
 
 class TestConsistentTruncationPrediction:
@@ -112,7 +113,7 @@ class TestQuasifreeOverlap:
         psi = np.zeros(basis_n.size)
         psi[basis_n.find([(0, 8, 0)])[0]] = 1.0
         hb = fock_ed.converged_bogoliubov_ground(
-            model.nonzero_modes(), model.potential, min_cutoff=8
+            model.nonzero_modes(), model.potential, fock_ed.HBSettings(start_cutoff=8)
         )
         assert hb.converged
         overlap = asymptotics.quasifree_overlap(psi, basis_n, hb.result.ground_vector, hb.basis)
@@ -123,13 +124,24 @@ class TestQuasifreeOverlap:
         model = TorusModel(d=1, N=4, potential=spec, mode_cutoff=7.0)
         binding = fock_ed.binding_from_ed(model, check_global=False)
         hb = fock_ed.converged_bogoliubov_ground(
-            model.nonzero_modes(), model.potential, min_cutoff=4
+            model.nonzero_modes(), model.potential, fock_ed.HBSettings(start_cutoff=4)
         )
         overlap = asymptotics.quasifree_overlap(
             binding.result_N.ground_vector, binding.basis_N,
             hb.result.ground_vector, hb.basis,
         )
         assert overlap == pytest.approx(1.0, abs=1e-12)
+
+    def test_reference_reaches_largest_n(self):
+        # The overlap of an N = 12 state needs excitation counts up to 12, above
+        # the configured schedule.
+        config = one_pair_config(
+            (4, 8, 12), hb=fock_ed.HBSettings(start_cutoff=2, max_cutoff=4)
+        )
+        hb = asymptotics.solve_quasifree_reference(config)
+        assert hb.converged
+        assert hb.cutoff_used >= 12
+        assert hb.basis.excitation_cutoff >= 12
 
     def test_mode_mismatch_rejected(self):
         model = make_one_pair_model(N=4)

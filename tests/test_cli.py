@@ -232,6 +232,20 @@ class TestConfigRejection:
         assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "study, key",
+        [
+            ({"N_values": [3, 4, 5], "coupling_c": 0.1}, "study.coupling_c"),
+            ({"N_values": [3, 4, 5], "fit_model": "exp"}, "study.fit_model"),
+            ({"N_values": [3, 5, 4]}, "study.N_values"),
+        ],
+    )
+    def test_out_of_range_study_settings(self, tmp_path, capsys, study, key):
+        doc = {"model": one_pair_model_doc(5), "study": study}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_config_required_for_eval(self):
         with pytest.raises(SystemExit):
             cli.main(["eval"])
@@ -478,6 +492,45 @@ class TestColdWarmReports:
         cold, warm = (read_json(out / "diagnostics.json")["cache"] for out in outs)
         assert cold["hits"] == 0 and warm["misses"] == 0
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+
+
+class TestCacheKeys:
+    """Cache file names are digests of each solve's parameters. A change that
+    alters one orphans every cache entry written before it, so these are
+    pinned; the tool version is part of each digest."""
+
+    @pytest.mark.parametrize(
+        "verb, doc, names",
+        [
+            (
+                "ed",
+                {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
+                ["1378e5c2cc801455634a5c66f5cadcb1"],
+            ),
+            (
+                "ed",
+                {"model": one_pair_model_doc(3),
+                 "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
+                ["d71ff1e251b98257c629cd3e83a72c37"],
+            ),
+            (
+                "study",
+                {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
+                [
+                    "b3028105015efa24a1d213c01bc69d29",
+                    "e95ff9f6b0138e44a30810197ece4f8c",
+                    "f594b6dca0f42f2dff1ed7ba918c57f5",
+                ],
+            ),
+        ],
+    )
+    def test_golden_cache_file_names(self, tmp_path, verb, doc, names):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        cache = tmp_path / "cache"
+        assert cli.main(
+            [verb, "--config", cfg, "--out", str(tmp_path / "out"), "--cache", str(cache)]
+        ) == 0
+        assert sorted(p.stem for p in cache.glob("*.json")) == names
 
 
 class TestSelfcheckWorkflow:

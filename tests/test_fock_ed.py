@@ -316,17 +316,19 @@ class TestPairHamiltonian:
         modes = (Momentum((-1,)), Momentum((1,)))
         potential = PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0})
         hb = fock_ed.converged_bogoliubov_ground(
-            modes, potential, start_cutoff=2, max_cutoff=4, cutoff_delta=1e-14
+            modes,
+            potential,
+            fock_ed.HBSettings(start_cutoff=2, max_cutoff=4, cutoff_delta=1e-14),
         )
         assert not hb.converged
         assert hb.cutoff_used == 4
         assert math.isfinite(hb.delta_achieved)
 
-    def test_min_cutoff_respected(self):
-        modes = (Momentum((-1,)), Momentum((1,)))
-        potential = PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0})
-        hb = fock_ed.converged_bogoliubov_ground(modes, potential, min_cutoff=12)
-        assert hb.basis.excitation_cutoff >= 12
+    def test_settings_range_checked(self):
+        with pytest.raises(ValueError, match="max_cutoff"):
+            fock_ed.HBSettings(start_cutoff=8, max_cutoff=6)
+        with pytest.raises(ValueError, match="start_cutoff"):
+            fock_ed.HBSettings(start_cutoff=-1)
 
 
 class TestLowestEigenpairs:
