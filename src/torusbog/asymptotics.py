@@ -4,18 +4,19 @@ For each N the binding energy deltaE(N) = E(lambda,N) - E(lambda,N-1) is compute
 exactly on the truncated lattice, the leading term lambda*(N-1)*w_hat(0) is
 subtracted, and the residual r(N) = N*(deltaE - leading) is confronted with the
 consistent-truncation prediction e_B - D, both sums running over exactly the mode
-set the diagonalization used.
+set the diagonalization used. The overlap of each exact ground state with the
+quasi-free state is taken in closed form, from the coefficients alpha_p alone.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import bogoliubov, fock_ed
-from .model import TorusModel
+from .model import Momentum, TorusModel
 
 
 # Fit models of the residual: r_inf plus powers of 1/N, lowest order first.
@@ -35,7 +36,6 @@ class SweepConfig:
     coupling_c: float = 1.0
     fit_model: str = FIT_MODELS[0]
     ed: fock_ed.EDSettings = fock_ed.EDSettings()
-    hb: fock_ed.HBSettings = fock_ed.HBSettings()
     with_overlap: bool = True
     check_global: bool = True
 
@@ -95,8 +95,6 @@ class StudyReport:
     e_B_tail_bound: float
     D_tail_bound: float
     fit: FitResult | None
-    hb_cutoff_used: int | None
-    hb_cutoff_delta: float | None
 
 
 def extrapolate_residual(
@@ -128,47 +126,69 @@ def extrapolate_residual(
     )
 
 
-def quasifree_overlap(
-    psi: np.ndarray,
-    basis_n: fock_ed.FockBasis,
-    phi: np.ndarray,
-    basis_exc: fock_ed.FockBasis,
-) -> float:
-    """|<U_N Psi_N, Phi>| with Phi truncated to <= N excitations and renormalized.
+def quasifree_state(
+    modes: Sequence[Momentum],
+    occupations: np.ndarray,
+    alpha: Mapping[Momentum, float],
+    max_excitations: int,
+) -> np.ndarray:
+    """Amplitude of each occupation row over the nonzero modes in the quasi-free state
 
-    The bases may have different excitation cutoffs; states absent from one side
-    contribute nothing to the inner product.
+        prod_{pairs {p, -p}} sqrt(1 - alpha_p^2) sum_n (-alpha_p)^n |n_p = n, n_-p = n>,
+
+    the ground state of the pair Hamiltonian HB (Lewin, Nam, Serfaty and
+    Solovej, CPAM 68, 413 (2015)), truncated to <= max_excitations excitations
+    and renormalized. A row whose pairs are not equally occupied has amplitude
+    zero; every row must lie within the truncation. Pair p holds n pairs with
+    weight (1 - alpha_p^2) alpha_p^(2n), so the squared norm of the truncated
+    state is the convolution of those weights over the pairs.
     """
-    images = fock_ed.strip_zero_mode(basis_n, basis_exc)
-    keep = basis_exc.excitation_counts() <= basis_n.n_particles
-    phi_kept = np.where(keep, phi, 0.0)
-    norm = float(np.linalg.norm(phi_kept))
-    if norm == 0.0:
-        raise ValueError("quasi-free vector vanishes below the excitation cutoff")
-    phi_kept /= norm
-    hit = images >= 0
-    return abs(float(psi[hit] @ phi_kept[images[hit]]))
+    position = {p: i for i, p in enumerate(modes)}
+    first, second = [], []
+    for i, p in enumerate(modes):
+        if p not in alpha:
+            raise ValueError(f"basis mismatch: no quasi-free coefficient for mode {tuple(p)}")
+        if -p not in position:
+            raise ValueError(f"mode set not closed under negation at {tuple(p)}")
+        if i < position[-p]:
+            first.append(i)
+            second.append(position[-p])
+    a = np.array([alpha[modes[i]] for i in first])
+    pairs = np.arange(max_excitations // 2 + 1)
+    weight = (pairs == 0).astype(float)
+    for ap in a:
+        weight = np.convolve(weight, (1.0 - ap * ap) * (ap * ap) ** pairs)[: len(pairs)]
+    n = occupations[:, first]
+    paired = (n == occupations[:, second]).all(axis=1)
+    amplitudes = np.prod(np.sqrt(1.0 - a * a) * (-a) ** n, axis=1)
+    return np.where(paired, amplitudes, 0.0) / math.sqrt(weight.sum())
 
 
-def solve_quasifree_reference(config: SweepConfig) -> fock_ed.HBGround | None:
-    """One pair-Hamiltonian solve shared by every record of the sweep."""
+def quasifree_overlap(
+    psi: np.ndarray, basis_n: fock_ed.FockBasis, alpha: Mapping[Momentum, float]
+) -> float:
+    """|<U_N Psi_N, Phi>| with Phi the quasi-free state truncated to <= N
+    excitations and renormalized, in closed form.
+
+    U_N strips the zero-mode quanta, so each basis_n row maps to one
+    excitation row with at most N excitations.
+    """
+    modes, rows = fock_ed.strip_zero_mode(basis_n)
+    phi = quasifree_state(modes, rows, alpha, basis_n.n_particles)
+    return abs(float(psi @ phi))
+
+
+def solve_quasifree_reference(config: SweepConfig) -> dict[Momentum, float] | None:
+    """The quasi-free coefficient alpha_p of every nonzero mode, shared by every
+    record of the sweep; the overlap needs nothing else."""
     if not config.with_overlap:
         return None
-    n_max = config.N_values[-1]
-    template = replace(config.base, N=n_max, lam=None)
-    # The overlap needs every excitation count of an n_max-particle state.
-    hb = replace(
-        config.hb,
-        start_cutoff=max(config.hb.start_cutoff, n_max),
-        max_cutoff=max(config.hb.max_cutoff, n_max + 2),
-    )
-    return fock_ed.converged_bogoliubov_ground(
-        template.nonzero_modes(), config.base.potential, hb, config.ed
-    )
+    base = config.base
+    return {p: bogoliubov.mode_quantities(p, base.w_hat(p)).alpha_p for p in base.nonzero_modes()}
 
 
 def binding_record(
-    config: SweepConfig, n: int, hb: fock_ed.HBGround | None
+    config: SweepConfig, n: int, alpha: Mapping[Momentum, float] | None
 ) -> StudyRecord:
     """One sweep point: both sector solves, sandwich, residual, overlap."""
     lam = config.coupling_c / n
@@ -179,15 +199,8 @@ def binding_record(
     leading = lam * (n - 1) * w0
     residual = n * (binding.delta_E - leading)
     overlap = None
-    converged = binding.converged
-    if hb is not None:
-        converged = converged and hb.converged
-        overlap = quasifree_overlap(
-            binding.result_N.ground_vector,
-            binding.basis_N,
-            hb.result.ground_vector,
-            hb.basis,
-        )
+    if alpha is not None:
+        overlap = quasifree_overlap(binding.result_N.ground_vector, binding.basis_N, alpha)
     return StudyRecord(
         N=n,
         lam=lam,
@@ -196,7 +209,7 @@ def binding_record(
         delta_E=binding.delta_E,
         leading_term=leading,
         residual_r=residual,
-        converged=converged,
+        converged=binding.converged,
         overlap=overlap,
         nplus=fock_ed.expect_nplus(binding.result_N.ground_vector, binding.basis_N),
         nplus2=fock_ed.expect_nplus2(binding.result_N.ground_vector, binding.basis_N),
@@ -210,15 +223,15 @@ def binding_record(
 def run_binding_study(config: SweepConfig, record_loader=None) -> StudyReport:
     """Solve every (N, N-1) pair, attach overlaps, fit the converged residuals.
 
-    record_loader, when given, is called as (config, n, hb) in place of
+    record_loader, when given, is called as (config, n, alpha) in place of
     binding_record; callers use it to interpose a result cache.
     """
     prediction_model = replace(config.base, N=config.N_values[-1], lam=None)
     solution = bogoliubov.solve(prediction_model)
     prediction = solution.e_B - solution.D
-    hb = solve_quasifree_reference(config)
+    alpha = solve_quasifree_reference(config)
     loader = record_loader if record_loader is not None else binding_record
-    records = [loader(config, n, hb) for n in config.N_values]
+    records = [loader(config, n, alpha) for n in config.N_values]
     usable = [(rec.N, rec.residual_r) for rec in records if rec.converged]
     fit = None
     if len(usable) >= 3:
@@ -231,6 +244,4 @@ def run_binding_study(config: SweepConfig, record_loader=None) -> StudyReport:
         e_B_tail_bound=solution.e_B_tail_bound,
         D_tail_bound=solution.D_tail_bound,
         fit=fit,
-        hb_cutoff_used=hb.cutoff_used if hb is not None else None,
-        hb_cutoff_delta=hb.delta_achieved if hb is not None else None,
     )

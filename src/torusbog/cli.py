@@ -318,7 +318,12 @@ def parse_model(doc):
 
 
 def load_config(path: str | None, verb: str) -> dict:
-    """Read and check the config file; a selfcheck without one reads like {}."""
+    """Read and check the config file; a selfcheck without one reads like {}
+    and runs on the default selfcheck model.
+
+    A section that is present is range-checked under every verb, also where
+    the verb does not read it.
+    """
     doc = {}
     if path is not None:
         try:
@@ -349,7 +354,9 @@ def load_config(path: str | None, verb: str) -> dict:
     parsed: dict = {"cache_dir": top.get("cache_dir")}
     if "model" in top:
         parsed["model"] = parse_model(top["model"])
-    elif verb != "selfcheck":
+    elif verb == "selfcheck":
+        parsed["model"] = default_selfcheck_model()
+    else:
         raise ConfigError("missing required key: model")
     # A null ed or hb section reads like an absent one.
     ed_doc, hb_doc = ({} if top.get(key) is None else top[key] for key in ("ed", "hb"))
@@ -376,16 +383,13 @@ def load_config(path: str | None, verb: str) -> dict:
             },
             required=("N_values",),
         )
-        # Only the study verb sweeps, so only it range-checks the sweep.
-        if verb == "study":
-            parsed["study"] = _settings(
-                asymptotics.SweepConfig,
-                "study",
-                study,
-                base=parsed["model"],
-                ed=parsed["ed"],
-                hb=parsed["hb"],
-            )
+        parsed["study"] = _settings(
+            asymptotics.SweepConfig,
+            "study",
+            study,
+            base=parsed["model"],
+            ed=parsed["ed"],
+        )
     return parsed
 
 
@@ -636,23 +640,20 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
         except (KeyError, TypeError, ValueError):
             return False
 
-    def loader(cfg, n, hb):
+    def loader(cfg, n, alpha):
         key_payload = {
             "op": "study-record",
             "tool_version": version,
             "model": cfg.base.to_canonical_dict(),
             "N": n,
-            # The overlap reads the pair-Hamiltonian solve sized by the largest N.
-            "N_max": cfg.N_values[-1] if cfg.with_overlap else None,
             "coupling_c": cfg.coupling_c,
             "ed": asdict(cfg.ed),
-            "hb": asdict(cfg.hb),
             "with_overlap": cfg.with_overlap,
             "check_global": cfg.check_global,
         }
 
         def compute() -> dict:
-            return asdict(asymptotics.binding_record(cfg, n, hb))
+            return asdict(asymptotics.binding_record(cfg, n, alpha))
 
         payload = cached_compute(
             cache_dir, key_payload, compute, verify_record, version, stats
@@ -661,16 +662,6 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
 
     report_obj = asymptotics.run_binding_study(config, record_loader=loader)
     records = [asdict(rec) for rec in report_obj.records]
-    fit = None
-    if report_obj.fit is not None:
-        fit = {
-            "r_inf": report_obj.fit.r_inf,
-            "coefficients": list(report_obj.fit.coefficients),
-            "max_deviation": report_obj.fit.max_deviation,
-            "model": report_obj.fit.model,
-            "n_used": report_obj.fit.n_used,
-            "ok": report_obj.fit.ok,
-        }
     report = {
         "workflow": "study",
         "tool_version": version,
@@ -685,9 +676,7 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
         "D": report_obj.D,
         "e_B_tail_bound": report_obj.e_B_tail_bound,
         "D_tail_bound": report_obj.D_tail_bound,
-        "fit": fit,
-        "hb_cutoff_used": report_obj.hb_cutoff_used,
-        "hb_cutoff_delta": report_obj.hb_cutoff_delta,
+        "fit": asdict(report_obj.fit) if report_obj.fit is not None else None,
         "records": records,
     }
     write_report(out_dir, report)
@@ -717,7 +706,7 @@ def run_selfcheck(parsed: dict, out_dir: str) -> int:
         zero_momentum,
     )
 
-    model = parsed.get("model") or default_selfcheck_model()
+    model = parsed["model"]
     settings = parsed["ed"]
     checks: list[dict] = []
 

@@ -82,6 +82,8 @@ class HBSettings:
                 f"max_cutoff must be at least start_cutoff, got {self.max_cutoff}"
                 f" < {self.start_cutoff}"
             )
+        if not 0 < self.cutoff_delta < math.inf:
+            raise ValueError(f"cutoff_delta must be positive and finite, got {self.cutoff_delta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,17 +560,15 @@ def expect_pairing(vec: np.ndarray, basis: FockBasis, p: Momentum) -> float:
 # ---------------------------------------------------------------------------
 
 
-def strip_zero_mode(basis_n: FockBasis, basis_exc: FockBasis) -> np.ndarray:
-    """Position in basis_exc of every basis_n state with its zero-mode quanta
-    removed, -1 where that image is absent from basis_exc."""
+def strip_zero_mode(basis_n: FockBasis) -> tuple[tuple[Momentum, ...], np.ndarray]:
+    """The nonzero modes of basis_n, and every state's occupations of them:
+    the state with its zero-mode quanta removed."""
     if basis_n.n_particles is None:
         raise ValueError("source basis must be a fixed-particle-number sector")
     zp = basis_n.zero_position
     if zp is None:
         raise ValueError("basis mismatch: source basis has no zero mode to strip")
-    if basis_exc.modes != basis_n.modes[:zp] + basis_n.modes[zp + 1 :]:
-        raise ValueError("basis mismatch: excitation modes must be the nonzero modes, in order")
-    return basis_exc.find(np.delete(basis_n.states, zp, axis=1))
+    return basis_n.modes[:zp] + basis_n.modes[zp + 1 :], np.delete(basis_n.states, zp, axis=1)
 
 
 def excitation_map(
@@ -580,7 +580,10 @@ def excitation_map(
     coefficient carries over with factor exactly 1, so norms are preserved.
     """
     vec = _check_vector(vec, basis_n)
-    images = strip_zero_mode(basis_n, basis_exc)
+    modes, rows = strip_zero_mode(basis_n)
+    if basis_exc.modes != modes:
+        raise ValueError("basis mismatch: excitation modes must be the nonzero modes, in order")
+    images = basis_exc.find(rows)
     if basis_exc.excitation_cutoff is None or basis_exc.excitation_cutoff < basis_n.n_particles:
         raise ValueError("basis mismatch: excitation cutoff below the particle number")
     norm = float(np.linalg.norm(vec))
@@ -839,27 +842,15 @@ def converged_bogoliubov_ground(
     than hb.cutoff_delta.
     """
     cutoff = hb.start_cutoff
-    prev: tuple[int, EDResult, FockBasis] | None = None
+    prev: tuple[EDResult, FockBasis, int] | None = None
     last_delta = math.inf
     while cutoff <= hb.max_cutoff:
         basis, ham = build_bogoliubov_hamiltonian(modes, cutoff, potential)
         result = lowest_eigenpairs(ham, settings)
         if prev is not None:
-            last_delta = abs(result.ground_energy - prev[1].ground_energy)
-            if last_delta < hb.cutoff_delta and result.converged and prev[1].converged:
-                return HBGround(
-                    result=result,
-                    basis=basis,
-                    cutoff_used=cutoff,
-                    delta_achieved=last_delta,
-                    converged=True,
-                )
-        prev = (cutoff, result, basis)
+            last_delta = abs(result.ground_energy - prev[0].ground_energy)
+            if last_delta < hb.cutoff_delta and result.converged and prev[0].converged:
+                return HBGround(result, basis, cutoff, last_delta, converged=True)
+        prev = (result, basis, cutoff)
         cutoff += 2
-    return HBGround(
-        result=prev[1],
-        basis=prev[2],
-        cutoff_used=prev[0],
-        delta_achieved=last_delta,
-        converged=False,
-    )
+    return HBGround(*prev, last_delta, converged=False)

@@ -29,6 +29,24 @@ def one_pair_config(n_values, **kwargs) -> asymptotics.SweepConfig:
     )
 
 
+def quasifree_alpha(model: TorusModel) -> dict:
+    return {
+        p: bogoliubov.mode_quantities(p, model.w_hat(p)).alpha_p
+        for p in model.nonzero_modes()
+    }
+
+
+def pair_hamiltonian_overlap(psi, basis_n, hb: fock_ed.HBGround) -> float:
+    """The overlap read off the pair-Hamiltonian ground vector: the slow path
+    that the closed form replaces, kept as its oracle."""
+    images = hb.basis.find(fock_ed.strip_zero_mode(basis_n)[1])
+    keep = hb.basis.excitation_counts() <= basis_n.n_particles
+    phi = np.where(keep, hb.result.ground_vector, 0.0)
+    phi /= np.linalg.norm(phi)
+    hit = images >= 0
+    return abs(float(psi[hit] @ phi[images[hit]]))
+
+
 class TestSweepConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="empty"):
@@ -49,7 +67,7 @@ class TestSweepConfig:
         assert config.coupling_c == 1.0
         assert config.fit_model == "1/N"
         assert config.with_overlap and config.check_global
-        assert config.hb == fock_ed.HBSettings(start_cutoff=6, max_cutoff=60, cutoff_delta=1e-10)
+        assert config.ed == fock_ed.EDSettings()
 
 
 class TestConsistentTruncationPrediction:
@@ -112,57 +130,99 @@ class TestQuasifreeOverlap:
         )
         psi = np.zeros(basis_n.size)
         psi[basis_n.find([(0, 8, 0)])[0]] = 1.0
-        hb = fock_ed.converged_bogoliubov_ground(
-            model.nonzero_modes(), model.potential, fock_ed.HBSettings(start_cutoff=8)
-        )
-        assert hb.converged
-        overlap = asymptotics.quasifree_overlap(psi, basis_n, hb.result.ground_vector, hb.basis)
+        overlap = asymptotics.quasifree_overlap(psi, basis_n, quasifree_alpha(model))
         assert overlap == pytest.approx(GOLD_VACUUM_OVERLAP, abs=1e-9)
 
     def test_zero_potential_overlap_is_one(self):
         spec = PotentialSpec((), support_radius=0.0)
         model = TorusModel(d=1, N=4, potential=spec, mode_cutoff=7.0)
         binding = fock_ed.binding_from_ed(model, check_global=False)
-        hb = fock_ed.converged_bogoliubov_ground(
-            model.nonzero_modes(), model.potential, fock_ed.HBSettings(start_cutoff=4)
-        )
         overlap = asymptotics.quasifree_overlap(
-            binding.result_N.ground_vector, binding.basis_N,
-            hb.result.ground_vector, hb.basis,
+            binding.result_N.ground_vector, binding.basis_N, quasifree_alpha(model)
         )
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
-    def test_reference_reaches_largest_n(self):
-        # The overlap of an N = 12 state needs excitation counts up to 12, above
-        # the configured schedule.
-        config = one_pair_config(
-            (4, 8, 12), hb=fock_ed.HBSettings(start_cutoff=2, max_cutoff=4)
+    @pytest.mark.parametrize(
+        "model, start_cutoff",
+        [
+            (make_one_pair_model(N=8), 8),
+            (make_two_band_model(N=8), 8),
+            # d = 2: the zero mode and the eight modes with |p| <= 2*pi*sqrt(2).
+            (
+                TorusModel(
+                    d=2,
+                    N=4,
+                    potential=PotentialSpec.band(d=2, radius=9.0, value=1.0),
+                    mode_cutoff=9.0,
+                ),
+                4,
+            ),
+            # Modes +-2 carry w_hat = 0, so alpha = 0 there.
+            (make_one_pair_model(N=8, cutoff=13.0), 8),
+            # alpha = 0.17: truncating to N = 4 excitations drops 1.3e-5 of the
+            # norm, and the hard cutoff of HB moves its top amplitudes by
+            # about alpha^(cutoff/2), hence the higher cutoff.
+            (
+                TorusModel(
+                    d=1,
+                    N=4,
+                    potential=PotentialSpec.from_table({(1,): 20.0, (-1,): 20.0}),
+                    mode_cutoff=7.0,
+                ),
+                30,
+            ),
+        ],
+        ids=["one-pair", "two-pair", "square-9-mode", "zero-coefficient-pair", "strong-pair"],
+    )
+    def test_closed_form_matches_pair_hamiltonian_ground(self, model, start_cutoff):
+        hb = fock_ed.converged_bogoliubov_ground(
+            model.nonzero_modes(),
+            model.potential,
+            fock_ed.HBSettings(start_cutoff=start_cutoff, max_cutoff=start_cutoff + 4),
         )
-        hb = asymptotics.solve_quasifree_reference(config)
         assert hb.converged
-        assert hb.cutoff_used >= 12
-        assert hb.basis.excitation_cutoff >= 12
+        alpha = quasifree_alpha(model)
+        phi = asymptotics.quasifree_state(
+            hb.basis.modes, hb.basis.states, alpha, hb.basis.excitation_cutoff
+        )
+        np.testing.assert_allclose(phi, hb.result.ground_vector, rtol=0.0, atol=1e-10)
+        binding = fock_ed.binding_from_ed(model, check_global=False)
+        psi = binding.result_N.ground_vector
+        assert asymptotics.quasifree_overlap(psi, binding.basis_N, alpha) == pytest.approx(
+            pair_hamiltonian_overlap(psi, binding.basis_N, hb), rel=0.0, abs=1e-12
+        )
+
+    def test_requires_negation_closed_modes(self):
+        modes = (Momentum((1,)), Momentum((2,)), Momentum((-2,)))
+        alpha = {p: 0.1 for p in modes}
+        with pytest.raises(ValueError, match="negation"):
+            asymptotics.quasifree_state(modes, np.zeros((1, 3), dtype=np.int64), alpha, 2)
+
+    def test_reference_is_alpha_of_every_nonzero_mode(self):
+        config = one_pair_config((4, 8, 12))
+        alpha = asymptotics.solve_quasifree_reference(config)
+        p2 = (2.0 * math.pi) ** 2
+        expected = 1.0 / (p2 + 1.0 + math.sqrt(p2 * p2 + 2.0 * p2))
+        assert set(alpha) == {Momentum((-1,)), Momentum((1,))}
+        for value in alpha.values():
+            assert value == pytest.approx(expected, rel=1e-15)
 
     def test_mode_mismatch_rejected(self):
         model = make_one_pair_model(N=4)
         basis_n = fock_ed.enumerate_basis(model.mode_set(), n_particles=4)
-        wrong_exc = fock_ed.enumerate_basis(
-            tuple(Momentum((n,)) for n in (-2, -1, 1, 2)), excitation_cutoff=4
-        )
+        psi = np.ones(basis_n.size) / math.sqrt(basis_n.size)
+        wrong_alpha = {Momentum((n,)): 0.1 for n in (-2, 2)}
         with pytest.raises(ValueError, match="mismatch"):
-            asymptotics.quasifree_overlap(
-                np.ones(basis_n.size) / math.sqrt(basis_n.size),
-                basis_n,
-                np.ones(wrong_exc.size),
-                wrong_exc,
-            )
+            asymptotics.quasifree_overlap(psi, basis_n, wrong_alpha)
+        with pytest.raises(ValueError):
+            asymptotics.quasifree_overlap(psi[1:], basis_n, quasifree_alpha(model))
 
 
 class TestBindingRecord:
     def test_fields_are_consistent(self):
         config = one_pair_config((4, 6))
-        hb = asymptotics.solve_quasifree_reference(config)
-        rec = asymptotics.binding_record(config, 6, hb)
+        alpha = asymptotics.solve_quasifree_reference(config)
+        rec = asymptotics.binding_record(config, 6, alpha)
         assert rec.N == 6
         assert rec.lam == pytest.approx(1.0 / 6.0, rel=1e-15)
         assert rec.delta_E == pytest.approx(rec.E_N - rec.E_Nm1, abs=1e-15)
@@ -192,8 +252,7 @@ class TestRunBindingStudy:
         assert report.fit is not None and report.fit.ok
         for rec in report.records:
             assert rec.sandwich_lower - 1e-9 <= rec.delta_E <= rec.sandwich_upper + 1e-9
-        assert report.hb_cutoff_used >= 5
-        assert report.hb_cutoff_delta < 1e-10
+        assert all(0.0 < rec.overlap <= 1.0 for rec in report.records)
 
     def test_overlap_monotone_toward_quasifree(self):
         config = one_pair_config((8, 16), with_overlap=True, check_global=False)
@@ -205,9 +264,9 @@ class TestRunBindingStudy:
         config = one_pair_config((3, 4, 5), with_overlap=False)
         calls = []
 
-        def loader(cfg, n, hb):
+        def loader(cfg, n, alpha):
             calls.append(n)
-            return asymptotics.binding_record(cfg, n, hb)
+            return asymptotics.binding_record(cfg, n, alpha)
 
         report = asymptotics.run_binding_study(config, record_loader=loader)
         assert calls == [3, 4, 5]

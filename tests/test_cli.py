@@ -225,6 +225,8 @@ class TestConfigRejection:
             ({"ed": {"hamiltonian": "pair", "excitation_cutoff": -1}}, "ed.excitation_cutoff"),
             ({"hb": {"start_cutoff": -1}}, "hb.start_cutoff"),
             ({"hb": {"start_cutoff": 8, "max_cutoff": 6}}, "hb.max_cutoff"),
+            ({"hb": {"cutoff_delta": 0}}, "hb.cutoff_delta"),
+            ({"hb": {"cutoff_delta": -1.0}}, "hb.cutoff_delta"),
         ],
     )
     def test_out_of_range_solver_settings(self, tmp_path, capsys, section, key):
@@ -244,6 +246,20 @@ class TestConfigRejection:
         doc = {"model": one_pair_model_doc(5), "study": study}
         cfg = write_json(tmp_path / "cfg.json", doc)
         assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["eval", "ed", "selfcheck"])
+    @pytest.mark.parametrize(
+        "study, key",
+        [
+            ({"N_values": [3, 2]}, "study.N_values"),
+            ({"N_values": [3, 4, 5], "coupling_c": 0.1}, "study.coupling_c"),
+        ],
+    )
+    def test_study_section_checked_under_every_verb(self, tmp_path, capsys, verb, study, key):
+        doc = {"model": one_pair_model_doc(5), "study": study}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert cli.main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
 
     def test_config_required_for_eval(self):
@@ -436,11 +452,13 @@ class TestStudyWorkflow:
         assert read_json(out2 / "diagnostics.json")["cache"] == {"hits": 3, "misses": 0}
         assert r1["records"] == r2["records"]
 
-    def test_record_cache_keyed_on_largest_n(self, tmp_path):
-        # The overlap of every record reads the pair solve sized by max(N_values).
-        # Both configs share the model, so only that size tells the records apart.
+    def test_records_shared_across_sweeps(self, tmp_path):
+        # A record depends on its own N only, not on the rest of the sweep.
         cache = tmp_path / "cache"
-        for i, n_values in enumerate(((3, 4, 5), (3, 4, 6))):
+        reports = []
+        for i, (n_values, cache_counts) in enumerate(
+            (((3, 4, 5), {"hits": 0, "misses": 3}), ((3, 4, 6), {"hits": 2, "misses": 1}))
+        ):
             doc = self.study_doc(n_values)
             doc["model"]["N"] = 6
             cfg = write_json(tmp_path / f"cfg{i}.json", doc)
@@ -448,7 +466,25 @@ class TestStudyWorkflow:
             assert cli.main(
                 ["study", "--config", cfg, "--out", str(out), "--cache", str(cache)]
             ) == 0
-            assert read_json(out / "diagnostics.json")["cache"] == {"hits": 0, "misses": 3}
+            assert read_json(out / "diagnostics.json")["cache"] == cache_counts
+            reports.append(read_json(out / "report.json"))
+        assert reports[0]["records"][:2] == reports[1]["records"][:2]
+
+    def test_never_builds_the_pair_hamiltonian(self, tmp_path, monkeypatch):
+        from torusbog import asymptotics, fock_ed
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study built the pair Hamiltonian")
+
+        monkeypatch.setattr(fock_ed, "build_bogoliubov_hamiltonian", refuse)
+        cfg = write_json(tmp_path / "cfg.json", self.study_doc((3, 4, 5)))
+        config = cli.load_config(cfg, "study")["study"]
+        assert config.with_overlap
+        report = asymptotics.run_binding_study(config)
+        assert all(rec.overlap is not None for rec in report.records)
+        assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        records = read_json(tmp_path / "out" / "report.json")["records"]
+        assert all(0.0 < rec["overlap"] <= 1.0 for rec in records)
 
     def test_too_few_points_for_fit_exits_3(self, tmp_path):
         doc = self.study_doc((4, 5))
@@ -517,9 +553,9 @@ class TestCacheKeys:
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "b3028105015efa24a1d213c01bc69d29",
-                    "e95ff9f6b0138e44a30810197ece4f8c",
-                    "f594b6dca0f42f2dff1ed7ba918c57f5",
+                    "3a8b309ef2db64ae7414ba3cc7ec5302",
+                    "752d1bb7669e19506fda6065d2880248",
+                    "90b797dd243ca966040bc6dd44d2f003",
                 ],
             ),
         ],

@@ -329,6 +329,9 @@ class TestPairHamiltonian:
             fock_ed.HBSettings(start_cutoff=8, max_cutoff=6)
         with pytest.raises(ValueError, match="start_cutoff"):
             fock_ed.HBSettings(start_cutoff=-1)
+        for delta in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="cutoff_delta"):
+                fock_ed.HBSettings(cutoff_delta=delta)
 
 
 class TestLowestEigenpairs:
