@@ -126,26 +126,26 @@ def extrapolate_residual(
     )
 
 
-def quasifree_state(
-    modes: Sequence[Momentum],
-    occupations: np.ndarray,
-    alpha: Mapping[Momentum, float],
-    max_excitations: int,
-) -> np.ndarray:
-    """Amplitude of each occupation row over the nonzero modes in the quasi-free state
+def quasifree_state(basis: fock_ed.FockBasis, alpha: Mapping[Momentum, float]) -> np.ndarray:
+    """Amplitude of each basis row in the quasi-free state
 
         prod_{pairs {p, -p}} sqrt(1 - alpha_p^2) sum_n (-alpha_p)^n |n_p = n, n_-p = n>,
 
     the ground state of the pair Hamiltonian HB (Lewin, Nam, Serfaty and
-    Solovej, CPAM 68, 413 (2015)), truncated to <= max_excitations excitations
-    and renormalized. A row whose pairs are not equally occupied has amplitude
-    zero; every row must lie within the truncation. Pair p holds n pairs with
-    weight (1 - alpha_p^2) alpha_p^(2n), so the squared norm of the truncated
-    state is the convolution of those weights over the pairs.
+    Solovej, CPAM 68, 413 (2015)), truncated to <= basis.n_particles
+    excitations and renormalized. A row is read through its nonzero modes:
+    the zero mode holds the particles the excitations leave, as under the
+    excitation map U_N. A row whose pairs are not equally occupied has
+    amplitude zero. Pair p holds n pairs with weight (1 - alpha_p^2)
+    alpha_p^(2n), so the squared norm of the truncated state is the
+    convolution of those weights over the pairs.
     """
+    modes = basis.modes
     position = {p: i for i, p in enumerate(modes)}
     first, second = [], []
     for i, p in enumerate(modes):
+        if p.is_zero:
+            continue
         if p not in alpha:
             raise ValueError(f"basis mismatch: no quasi-free coefficient for mode {tuple(p)}")
         if -p not in position:
@@ -154,12 +154,12 @@ def quasifree_state(
             first.append(i)
             second.append(position[-p])
     a = np.array([alpha[modes[i]] for i in first])
-    pairs = np.arange(max_excitations // 2 + 1)
+    pairs = np.arange(basis.n_particles // 2 + 1)
     weight = (pairs == 0).astype(float)
     for ap in a:
         weight = np.convolve(weight, (1.0 - ap * ap) * (ap * ap) ** pairs)[: len(pairs)]
-    n = occupations[:, first]
-    paired = (n == occupations[:, second]).all(axis=1)
+    n = basis.states[:, first]
+    paired = (n == basis.states[:, second]).all(axis=1)
     amplitudes = np.prod(np.sqrt(1.0 - a * a) * (-a) ** n, axis=1)
     return np.where(paired, amplitudes, 0.0) / math.sqrt(weight.sum())
 
@@ -168,14 +168,8 @@ def quasifree_overlap(
     psi: np.ndarray, basis_n: fock_ed.FockBasis, alpha: Mapping[Momentum, float]
 ) -> float:
     """|<U_N Psi_N, Phi>| with Phi the quasi-free state truncated to <= N
-    excitations and renormalized, in closed form.
-
-    U_N strips the zero-mode quanta, so each basis_n row maps to one
-    excitation row with at most N excitations.
-    """
-    modes, rows = fock_ed.strip_zero_mode(basis_n)
-    phi = quasifree_state(modes, rows, alpha, basis_n.n_particles)
-    return abs(float(psi @ phi))
+    excitations and renormalized, in closed form."""
+    return abs(float(psi @ quasifree_state(basis_n, alpha)))
 
 
 def solve_quasifree_reference(config: SweepConfig) -> dict[Momentum, float] | None:

@@ -358,6 +358,8 @@ def load_config(path: str | None, verb: str) -> dict:
         parsed["model"] = default_selfcheck_model()
     else:
         raise ConfigError("missing required key: model")
+    if verb in ("study", "selfcheck") and not parsed["model"].include_zero_mode:
+        raise ConfigError(f"model.include_zero_mode must be true for {verb}, which needs a_0")
     # A null ed or hb section reads like an absent one.
     ed_doc, hb_doc = ({} if top.get(key) is None else top[key] for key in ("ed", "hb"))
     job = _read(ed_doc, "ed", _ED_SCHEMA)
@@ -570,9 +572,10 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
         hb = replace(parsed["hb"], start_cutoff=cutoff, max_cutoff=cutoff + 2)
 
         def compute() -> dict:
-            ground = fock_ed.converged_bogoliubov_ground(
-                model.nonzero_modes(), model.potential, hb, settings
-            )
+            modes = model.nonzero_modes()
+            if not modes:
+                raise ConfigError("model.mode_cutoff leaves no nonzero mode to pair")
+            ground = fock_ed.converged_bogoliubov_ground(modes, model.potential, hb, settings)
             payload = _ed_payload(ground.result, ground.basis, settings.tol)
             payload["excitation_cutoff"] = ground.cutoff_used
             payload["cutoff_delta"] = ground.delta_achieved
@@ -593,9 +596,14 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             raise ConfigError("ed.momentum_sector dimension does not match model.d")
 
         def compute() -> dict:
-            basis = fock_ed.enumerate_basis(
-                model.mode_set(), n_particles=model.N, momentum_sector=sector
-            )
+            modes = model.mode_set()
+            if not modes:
+                raise ConfigError("model.mode_cutoff leaves an empty mode set")
+            basis = fock_ed.enumerate_basis(modes, n_particles=model.N, momentum_sector=sector)
+            if not basis.size:
+                raise ConfigError(
+                    f"ed.momentum_sector {list(sector)} holds no state of {model.N} particles"
+                )
             ham = fock_ed.build_hamiltonian(model, basis)
             result = fock_ed.lowest_eigenpairs(ham, settings)
             return _ed_payload(result, basis, settings.tol)

@@ -11,10 +11,10 @@ pair Hamiltonian
     HB = sum_{p!=0} (|p|^2 + w_hat(p)) a_p* a_p
        + (1/2) sum_{p!=0} w_hat(p) (a_p* a_{-p}* + a_p a_{-p})
 
-on an excitation-bounded basis, as sparse symmetric operators. Solves lowest
-eigenpairs by dense factorization or Lanczos with full reorthogonalization,
-and evaluates the observables, maps and operator-identity residuals used by
-the binding-energy study.
+on the M-particle sector over the nonzero modes and the zero mode, as sparse
+symmetric operators. Solves lowest eigenpairs by dense factorization or
+Lanczos with full reorthogonalization, and evaluates the observables and
+operator-identity residuals used by the binding-energy study.
 """
 from __future__ import annotations
 
@@ -88,25 +88,20 @@ class HBSettings:
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Occupation vectors over a mode set, in lexicographic order.
+    """Occupation vectors of n_particles bosons over a mode set, in lexicographic order.
 
     states is one read-only (size, len(modes)) int64 array: row r holds the
-    occupation of every mode in state r. Exactly one of n_particles (fixed-N
-    sector) or excitation_cutoff (all states with total occupation <= M) is
-    set; momentum_sector, when set, names the total-momentum block the rows
-    were filtered to.
+    occupation of every mode in state r. momentum_sector, when set, names the
+    total-momentum block the rows were filtered to.
 
     find() locates rows through their combinatorial rank, the row's position
     in the lexicographic enumeration of the unfiltered sector (Streltsov,
-    Alon and Cederbaum, PRA 81, 022124 (2010)). A <= M basis ranks each row
-    with one extra slack slot holding M minus the row total, which turns it
-    into a fixed-sum sector over len(modes) + 1 slots in the same order.
+    Alon and Cederbaum, PRA 81, 022124 (2010)).
     """
 
     modes: tuple[Momentum, ...]
     states: np.ndarray
-    n_particles: int | None
-    excitation_cutoff: int | None
+    n_particles: int
     momentum_sector: Momentum | None
     _binomials: np.ndarray = field(init=False, repr=False)
     _ranks: np.ndarray = field(init=False, repr=False)
@@ -116,13 +111,10 @@ class FockBasis:
         if states.ndim != 2 or states.shape[1] != len(self.modes):
             raise ValueError("states must be one row of occupations per state")
         states.flags.writeable = False
-        exact = self.excitation_cutoff is None
-        budget = self.n_particles if exact else self.excitation_cutoff
-        slots = len(self.modes) + (0 if exact else 1)
-        # binomials[k, r] = C(r + k, k), the number of rows of k + 1 slots
+        # binomials[k, r] = C(r + k, k), the number of rows of k + 1 modes
         # summing to r; each row is the running sum of the one before.
-        binomials = np.ones((slots, budget + 1), dtype=np.int64)
-        for k in range(1, slots):
+        binomials = np.ones((len(self.modes), self.n_particles + 1), dtype=np.int64)
+        for k in range(1, len(self.modes)):
             binomials[k] = np.cumsum(binomials[k - 1])
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "_binomials", binomials)
@@ -145,14 +137,11 @@ class FockBasis:
     def _rank(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which rows lie in the unfiltered sector, and the rank of each that does.
 
-        With r the budget left before a slot and n its occupation, the rows
+        With r the particles left before a mode and n its occupation, the rows
         that share the prefix and put c < n there number C(r + k, k) -
-        C(r - n + k, k) by the hockey-stick identity, k being the slots after it.
+        C(r - n + k, k) by the hockey-stick identity, k being the modes after it.
         """
-        budget = self._binomials.shape[1] - 1
-        if self.excitation_cutoff is not None:
-            rows = np.column_stack([rows, budget - rows.sum(axis=1)])
-        after = budget - np.cumsum(rows, axis=1)
+        after = self.n_particles - np.cumsum(rows, axis=1)
         valid = (rows >= 0).all(axis=1) & (after[:, -1] == 0)
         rows, after = rows[valid], after[valid]
         k = np.arange(rows.shape[1] - 1, -1, -1)
@@ -203,12 +192,11 @@ def _sector_rows(slots: int, budget: int) -> np.ndarray:
 
 def enumerate_basis(
     modes: Sequence[Momentum],
-    n_particles: int | None = None,
-    excitation_cutoff: int | None = None,
+    n_particles: int,
     momentum_sector: Momentum | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> FockBasis:
-    """Enumerate a sector, optionally filtered to one total-momentum value.
+    """Enumerate the n_particles sector, optionally filtered to one total-momentum value.
 
     The unfiltered count is computed in closed form before any materialization;
     exceeding max_states raises ResourceLimitError.
@@ -218,23 +206,12 @@ def enumerate_basis(
         raise ValueError("mode set is empty")
     if len(set(modes)) != len(modes):
         raise ValueError("mode set has duplicates")
-    if (n_particles is None) == (excitation_cutoff is None):
-        raise ValueError("set exactly one of n_particles and excitation_cutoff")
-    m = len(modes)
-    if n_particles is not None:
-        if n_particles < 0:
-            raise ValueError("particle count must be nonnegative")
-        count = math.comb(n_particles + m - 1, m - 1)
-        slots, budget = m, n_particles
-    else:
-        if excitation_cutoff < 0:
-            raise ValueError("excitation cutoff must be nonnegative")
-        count = math.comb(excitation_cutoff + m, m)
-        # A slack slot takes what the modes leave of the cutoff.
-        slots, budget = m + 1, excitation_cutoff
+    if n_particles < 0:
+        raise ValueError("particle count must be nonnegative")
+    count = math.comb(n_particles + len(modes) - 1, len(modes) - 1)
     if count > max_states:
         raise ResourceLimitError(f"sector holds {count} states, budget is {max_states}")
-    states = _sector_rows(slots, budget)[:, :m]
+    states = _sector_rows(len(modes), n_particles)
     if momentum_sector is not None:
         if len(momentum_sector) != modes[0].d:
             raise ValueError("momentum sector dimension mismatch")
@@ -244,7 +221,6 @@ def enumerate_basis(
         modes=modes,
         states=states,
         n_particles=n_particles,
-        excitation_cutoff=excitation_cutoff,
         momentum_sector=momentum_sector,
     )
 
@@ -273,8 +249,6 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
     conservation keeps every generated entry inside the basis, including
     momentum-filtered ones.
     """
-    if basis.n_particles is None:
-        raise ValueError("Hamiltonian assembly needs a fixed-particle-number basis")
     if tuple(basis.modes) != model.mode_set():
         raise ValueError("basis modes do not match the model's mode set")
     modes = basis.modes
@@ -336,11 +310,18 @@ def build_bogoliubov_hamiltonian(
     potential: PotentialSpec,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> tuple[FockBasis, scipy.sparse.csr_matrix]:
-    """Sparse matrix of HB on the <= M excitation basis over nonzero modes.
+    """Sparse matrix of HB on the <= M excitation space over the nonzero modes.
 
-    Pair-creation terms that would exceed the cutoff are dropped (hard cutoff).
+    That space is the image of the M-particle sector under the excitation map
+    U_M (Lewin, Nam, Serfaty and Solovej, CPAM 68, 413 (2015)): the basis is
+    the M sector over modes followed by the zero mode, whose occupation
+    M - N+ is what the excitations leave. A pair is created out of the zero
+    mode and annihilated into it with factor 1, so pair creation on a row
+    holding fewer than 2 zero-mode quanta leaves the basis: the hard cutoff.
     """
     modes = tuple(modes)
+    if not modes:
+        raise ValueError("mode set is empty")
     if any(p.is_zero for p in modes):
         raise ValueError("the pair Hamiltonian lives over nonzero modes only")
     pos = {p: i for i, p in enumerate(modes)}
@@ -348,7 +329,9 @@ def build_bogoliubov_hamiltonian(
         if -p not in pos:
             raise ValueError(f"mode set not closed under negation at {tuple(p)}")
     basis = enumerate_basis(
-        modes, excitation_cutoff=excitation_cutoff, max_states=max_states
+        modes + (zero_momentum(modes[0].d),),
+        n_particles=excitation_cutoff,
+        max_states=max_states,
     )
     states = basis.states
     diag = np.zeros(basis.size)
@@ -361,10 +344,11 @@ def build_bogoliubov_hamiltonian(
         if w == 0.0:
             continue
         im = pos[-p]
-        # a_p* a_{-p}*: the missing target above the cutoff is the hard truncation
+        # a_p* a_{-p}* takes its pair from the zero mode, a_p a_{-p} gives it back.
         up = states.copy()
         up[:, im] += 1
         up[:, i] += 1
+        up[:, -1] -= 2
         target = basis.find(up)
         sel = np.flatnonzero(target >= 0)
         rows.append(target[sel])
@@ -374,6 +358,7 @@ def build_bogoliubov_hamiltonian(
         down = states[sel]
         down[:, im] -= 1
         down[:, i] -= 1
+        down[:, -1] += 2
         rows.append(basis.find(down))
         cols.append(sel)
         vals.append(0.5 * w * np.sqrt(states[sel, i] * states[sel, im]))
@@ -536,7 +521,12 @@ def expect_mode_occupation(vec: np.ndarray, basis: FockBasis, p: Momentum) -> fl
 
 
 def expect_pairing(vec: np.ndarray, basis: FockBasis, p: Momentum) -> float:
-    """<v, a_p a_{-p} v> in the basis; the quasi-free value is m_p."""
+    """<v, a_p a_{-p} v> in the excitation space, the quasi-free value being m_p.
+
+    The pair goes to the zero mode with factor 1, as under the excitation map
+    U_N, so the value is the same on an N sector and on its pair-Hamiltonian
+    image.
+    """
     vec = _check_vector(vec, basis)
     if p not in basis.modes or -p not in basis.modes:
         raise ValueError(f"basis mismatch: mode pair {tuple(p)} not in basis")
@@ -544,11 +534,15 @@ def expect_pairing(vec: np.ndarray, basis: FockBasis, p: Momentum) -> float:
     im = basis.modes.index(-p)
     if ip == im:
         raise ValueError("pairing needs p != -p")
+    zp = basis.zero_position
+    if zp is None:
+        raise ValueError("basis mismatch: pairing needs the zero mode")
     states = basis.states
     sel = np.flatnonzero((states[:, ip] >= 1) & (states[:, im] >= 1))
     lowered = states[sel]
     lowered[:, ip] -= 1
     lowered[:, im] -= 1
+    lowered[:, zp] += 2
     target = basis.find(lowered)
     hit = target >= 0
     sel, target = sel[hit], target[hit]
@@ -556,48 +550,8 @@ def expect_pairing(vec: np.ndarray, basis: FockBasis, p: Momentum) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Excitation map and operator identities
+# Operator identities
 # ---------------------------------------------------------------------------
-
-
-def strip_zero_mode(basis_n: FockBasis) -> tuple[tuple[Momentum, ...], np.ndarray]:
-    """The nonzero modes of basis_n, and every state's occupations of them:
-    the state with its zero-mode quanta removed."""
-    if basis_n.n_particles is None:
-        raise ValueError("source basis must be a fixed-particle-number sector")
-    zp = basis_n.zero_position
-    if zp is None:
-        raise ValueError("basis mismatch: source basis has no zero mode to strip")
-    return basis_n.modes[:zp] + basis_n.modes[zp + 1 :], np.delete(basis_n.states, zp, axis=1)
-
-
-def excitation_map(
-    vec: np.ndarray, basis_n: FockBasis, basis_exc: FockBasis
-) -> np.ndarray:
-    """Unitary re-indexing of an N-particle state onto the excitation basis.
-
-    The component with n excited particles loses its N-n zero-mode quanta; every
-    coefficient carries over with factor exactly 1, so norms are preserved.
-    """
-    vec = _check_vector(vec, basis_n)
-    modes, rows = strip_zero_mode(basis_n)
-    if basis_exc.modes != modes:
-        raise ValueError("basis mismatch: excitation modes must be the nonzero modes, in order")
-    images = basis_exc.find(rows)
-    if basis_exc.excitation_cutoff is None or basis_exc.excitation_cutoff < basis_n.n_particles:
-        raise ValueError("basis mismatch: excitation cutoff below the particle number")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"input vector norm {norm} is not 1 within 1e-12")
-    carried = np.flatnonzero(vec != 0.0)
-    if np.any(images[carried] < 0):
-        raise ValueError("basis mismatch: image state missing from excitation basis")
-    out = np.zeros(basis_exc.size)
-    out[images[carried]] = vec[carried]
-    out_norm = float(np.linalg.norm(out))
-    if abs(out_norm - 1.0) > 1e-12:
-        raise AssertionError(f"excitation map must preserve norms, got {out_norm}")
-    return out
 
 
 def zero_mode_annihilation(
@@ -606,11 +560,7 @@ def zero_mode_annihilation(
     """Matrix of a_0 from an n-particle basis onto the (n-1)-particle basis."""
     if basis_from.modes != basis_to.modes:
         raise ValueError("basis mismatch: mode sets differ")
-    if (
-        basis_from.n_particles is None
-        or basis_to.n_particles is None
-        or basis_from.n_particles != basis_to.n_particles + 1
-    ):
+    if basis_from.n_particles != basis_to.n_particles + 1:
         raise ValueError("a_0 maps the n sector onto the n-1 sector")
     zp = basis_from.zero_position
     if zp is None:

@@ -38,8 +38,12 @@ def quasifree_alpha(model: TorusModel) -> dict:
 
 def pair_hamiltonian_overlap(psi, basis_n, hb: fock_ed.HBGround) -> float:
     """The overlap read off the pair-Hamiltonian ground vector: the slow path
-    that the closed form replaces, kept as its oracle."""
-    images = hb.basis.find(fock_ed.strip_zero_mode(basis_n)[1])
+    that the closed form replaces, kept as its oracle. Its basis is the M
+    sector with the zero mode last, so U_M U_N* only moves the zero-mode
+    occupation by M - N."""
+    rows = basis_n.states[:, [basis_n.modes.index(p) for p in hb.basis.modes]]
+    rows[:, -1] += hb.basis.n_particles - basis_n.n_particles
+    images = hb.basis.find(rows)
     keep = hb.basis.excitation_counts() <= basis_n.n_particles
     phi = np.where(keep, hb.result.ground_vector, 0.0)
     phi /= np.linalg.norm(phi)
@@ -182,9 +186,7 @@ class TestQuasifreeOverlap:
         )
         assert hb.converged
         alpha = quasifree_alpha(model)
-        phi = asymptotics.quasifree_state(
-            hb.basis.modes, hb.basis.states, alpha, hb.basis.excitation_cutoff
-        )
+        phi = asymptotics.quasifree_state(hb.basis, alpha)
         np.testing.assert_allclose(phi, hb.result.ground_vector, rtol=0.0, atol=1e-10)
         binding = fock_ed.binding_from_ed(model, check_global=False)
         psi = binding.result_N.ground_vector
@@ -193,10 +195,11 @@ class TestQuasifreeOverlap:
         )
 
     def test_requires_negation_closed_modes(self):
-        modes = (Momentum((1,)), Momentum((2,)), Momentum((-2,)))
+        modes = (Momentum((1,)), Momentum((2,)), Momentum((-2,)), Momentum((0,)))
         alpha = {p: 0.1 for p in modes}
+        basis = fock_ed.enumerate_basis(modes, n_particles=2)
         with pytest.raises(ValueError, match="negation"):
-            asymptotics.quasifree_state(modes, np.zeros((1, 3), dtype=np.int64), alpha, 2)
+            asymptotics.quasifree_state(basis, alpha)
 
     def test_reference_is_alpha_of_every_nonzero_mode(self):
         config = one_pair_config((4, 8, 12))

@@ -262,6 +262,43 @@ class TestConfigRejection:
         assert cli.main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, ed, key",
+        [
+            (one_pair_model_doc(3), {"momentum_sector": [5]}, "ed.momentum_sector"),
+            (
+                one_pair_model_doc(3, include_zero_mode=False),
+                {"momentum_sector": [0]},
+                "ed.momentum_sector",
+            ),
+            (
+                one_pair_model_doc(3, mode_cutoff=1.0),
+                {"hamiltonian": "pair", "excitation_cutoff": 4},
+                "model.mode_cutoff",
+            ),
+            (
+                one_pair_model_doc(3, mode_cutoff=1.0, include_zero_mode=False),
+                {},
+                "model.mode_cutoff",
+            ),
+        ],
+        ids=["sector-out-of-reach", "odd-n-without-zero-mode", "pair-without-modes", "no-modes"],
+    )
+    def test_empty_ed_space_rejected(self, tmp_path, capsys, model, ed, key):
+        cfg = write_json(tmp_path / "cfg.json", {"model": model, "ed": ed})
+        assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["study", "selfcheck"])
+    def test_zero_mode_required_by_study_and_selfcheck(self, tmp_path, capsys, verb):
+        doc = {
+            "model": one_pair_model_doc(5, include_zero_mode=False),
+            "study": {"N_values": [3, 4, 5]},
+        }
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert cli.main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "model.include_zero_mode" in capsys.readouterr().err
+
     def test_config_required_for_eval(self):
         with pytest.raises(SystemExit):
             cli.main(["eval"])

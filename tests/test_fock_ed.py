@@ -1,5 +1,5 @@
 """Exact diagonalization on truncated Fock spaces: bases, matrices, eigensolver,
-observables, excitation-space maps, operator identities, variational bounds.
+observables, operator identities, variational bounds.
 
 Dense 2x2 and brute-force references here are written directly against the
 second-quantized matrix elements, independent of the assembly code.
@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from torusbog import bogoliubov, fock_ed
 from torusbog.model import (
@@ -52,11 +50,12 @@ class TestEnumerateBasis:
             assert all(sum(s) == n for s in basis.states)
 
     def test_cutoff_count_is_stars_and_bars(self):
-        modes = tuple(Momentum((n,)) for n in (-1, 1))
+        # <= M excitations over two modes: the M sector with the zero mode added.
+        modes = tuple(Momentum((n,)) for n in (-1, 1, 0))
         for m in (0, 1, 2, 4, 7):
-            basis = fock_ed.enumerate_basis(modes, excitation_cutoff=m)
+            basis = fock_ed.enumerate_basis(modes, n_particles=m)
             assert basis.size == math.comb(m + 2, 2)
-            assert all(sum(s) <= m for s in basis.states)
+            assert (basis.excitation_counts() <= m).all()
 
     def test_lexicographic_state_order(self):
         modes = tuple(Momentum((n,)) for n in (-1, 0, 1))
@@ -81,20 +80,25 @@ class TestEnumerateBasis:
         assert basis.find(basis.states).tolist() == list(range(basis.size))
 
     def test_find_agrees_with_a_dict_over_the_rows(self):
-        # Modes -2..2; a full sector, its K = 0 block and a <= M basis, each
-        # asked for every row of a larger set in shuffled order.
+        # Modes -2..2; a full sector, its K = 0 block and a <= M excitation
+        # basis (the nonzero modes and the zero mode last), each asked for
+        # every row of a larger set in shuffled order.
         model = make_two_band_model(N=5)
         full = fock_ed.enumerate_basis(model.mode_set(), n_particles=5)
         block = fock_ed.enumerate_basis(
             model.mode_set(), n_particles=5, momentum_sector=zero_momentum(1)
         )
-        below = fock_ed.enumerate_basis(model.nonzero_modes(), excitation_cutoff=4)
-        wider = fock_ed.enumerate_basis(model.nonzero_modes(), excitation_cutoff=6)
+        excitation_modes = model.nonzero_modes() + (zero_momentum(1),)
+        below = fock_ed.enumerate_basis(excitation_modes, n_particles=4)
+        wider = fock_ed.enumerate_basis(excitation_modes, n_particles=6)
         negative = [[-1, 2, 2, 1, 1], [3, -1, 0, 2, 1]]
+        # The <= 6 rows with 2 fewer zero-mode quanta: those with more than 4
+        # excitations go negative there.
+        shifted = (wider.states - [0, 0, 0, 0, 2]).tolist()
         cases = (
             (full, full.states.tolist() + negative + [[1, 1, 1, 1, 0]]),
             (block, full.states.tolist() + negative),
-            (below, wider.states.tolist() + [[-1, 1, 1, 1], [2, -2, 1, 0]]),
+            (below, shifted + [[-1, 1, 1, 1, 2], [2, -2, 1, 0, 3]]),
         )
         rng = np.random.default_rng(0)
         for basis, queries in cases:
@@ -105,7 +109,7 @@ class TestEnumerateBasis:
             assert sorted(set(expected)) == [-1] + list(range(basis.size))
         assert full.find([[0, 0, 4, 1, 0]])[0] >= 0
         assert block.find([[0, 0, 4, 1, 0]]).tolist() == [-1]  # K = 1
-        assert below.find([[1, 1, 1, 2]]).tolist() == [-1]  # 5 > M
+        assert below.find([[1, 1, 1, 2, -1]]).tolist() == [-1]  # 5 > M
         assert full.find([[-1, 2, 2, 1, 1]]).tolist() == [-1]
         with pytest.raises(ValueError, match="basis mismatch"):
             full.find([[1, 1, 1, 2]])
@@ -114,14 +118,7 @@ class TestEnumerateBasis:
         modes = (Momentum((-1,)), Momentum((1,)))
         for rows in ([[1, 0], [0, 1]], [[0, 1], [0, 1]], [[0, 1], [1, 1]]):
             with pytest.raises(ValueError, match="lexicographic"):
-                fock_ed.FockBasis(modes, np.array(rows), 1, None, None)
-
-    def test_exactly_one_sector_choice(self):
-        modes = (Momentum((1,)), Momentum((-1,)))
-        with pytest.raises(ValueError, match="exactly one"):
-            fock_ed.enumerate_basis(modes)
-        with pytest.raises(ValueError, match="exactly one"):
-            fock_ed.enumerate_basis(modes, n_particles=2, excitation_cutoff=2)
+                fock_ed.FockBasis(modes, np.array(rows), 1, None)
 
     def test_budget_guard_fires_before_materialization(self):
         modes = tuple(Momentum((n,)) for n in range(-6, 7))
@@ -254,10 +251,11 @@ class TestBuildHamiltonian:
         assert np.allclose(np.diag(ham), np.asarray(kinetic) + constant)
 
     def test_rejects_wrong_basis(self, one_pair_model):
-        pair_basis = fock_ed.enumerate_basis(
-            one_pair_model.nonzero_modes(), excitation_cutoff=2
+        # The pair-Hamiltonian basis puts the zero mode last, not in mode-set order.
+        pair_basis, _ = fock_ed.build_bogoliubov_hamiltonian(
+            one_pair_model.nonzero_modes(), 2, one_pair_model.potential
         )
-        with pytest.raises(ValueError, match="fixed-particle-number"):
+        with pytest.raises(ValueError, match="mode set"):
             fock_ed.build_hamiltonian(one_pair_model, pair_basis)
         other = fock_ed.enumerate_basis(
             tuple(Momentum((n,)) for n in (-2, -1, 0, 1, 2)), n_particles=8
@@ -275,10 +273,24 @@ class TestPairHamiltonian:
             assert basis.size == math.comb(m + 2, 2)
             assert ham.shape == (basis.size, basis.size)
 
+    def test_zero_mode_is_the_last_slot(self, two_band_model):
+        # Rows (n_-2, n_-1, n_1, n_2, n_0): the <= M rows over the nonzero
+        # modes in lexicographic order, the zero mode holding M - N+.
+        modes = two_band_model.nonzero_modes()
+        for m in (0, 1, 5):
+            basis, _ = fock_ed.build_bogoliubov_hamiltonian(modes, m, two_band_model.potential)
+            assert basis.modes == modes + (zero_momentum(1),)
+            assert basis.n_particles == m
+            assert basis.states[:, -1].tolist() == (m - basis.excitation_counts()).tolist()
+            excitations = basis.states[:, :-1].tolist()
+            assert excitations == sorted(excitations)
+            assert basis.size == math.comb(m + len(modes), m)
+
     def test_matrix_against_closed_form(self):
-        # Two modes +-p: diagonal (|p|^2 + w)(n_+ + n_-), off-diagonal
-        # w * sqrt((n_+ + 1)(n_- + 1)) on the pair-creation step (summed over
-        # both p and -p, i.e. coefficient w, not w/2).
+        # Two modes +-p and the zero mode: diagonal (|p|^2 + w)(n_+ + n_-),
+        # off-diagonal w * sqrt((n_+ + 1)(n_- + 1)) on the pair-creation step
+        # (summed over both p and -p, i.e. coefficient w, not w/2), which takes
+        # two zero-mode quanta with factor 1.
         modes = (Momentum((-1,)), Momentum((1,)))
         potential = PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0})
         basis, ham = fock_ed.build_bogoliubov_hamiltonian(modes, 4, potential)
@@ -286,8 +298,9 @@ class TestPairHamiltonian:
         p2 = Momentum((1,)).norm2
         index = {tuple(s): i for i, s in enumerate(basis.states.tolist())}
         for j, s in enumerate(basis.states.tolist()):
-            assert dense[j, j] == pytest.approx((p2 + 1.0) * sum(s), rel=1e-15)
-            up = (s[0] + 1, s[1] + 1)
+            assert dense[j, j] == pytest.approx((p2 + 1.0) * (s[0] + s[1]), rel=1e-15)
+            up = (s[0] + 1, s[1] + 1, s[2] - 2)
+            assert (up in index) == (s[2] >= 2)
             if up in index:
                 i = index[up]
                 assert dense[i, j] == pytest.approx(
@@ -488,12 +501,27 @@ class TestObservables:
         modes = (Momentum((-1,)), Momentum((1,)))
         potential = PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0})
         basis, _ = fock_ed.build_bogoliubov_hamiltonian(modes, 2, potential)
-        # <v, a_p a_-p v> couples (n+1, n+1) to (n, n).
+        # <v, a_p a_-p v> couples (n+1, n+1, n_0 - 2) to (n, n, n_0).
         vec = np.zeros(basis.size)
-        vec[basis.find([(0, 0), (1, 1)])] = [0.8, 0.6]
+        vec[basis.find([(0, 0, 2), (1, 1, 0)])] = [0.8, 0.6]
         assert fock_ed.expect_pairing(vec, basis, Momentum((1,))) == pytest.approx(
             0.8 * 0.6 * 1.0
         )
+        no_zero = fock_ed.enumerate_basis(modes, n_particles=2)
+        with pytest.raises(ValueError, match="zero mode"):
+            fock_ed.expect_pairing(np.ones(no_zero.size), no_zero, Momentum((1,)))
+
+    @pytest.mark.parametrize("n", [8, 16, 48])
+    def test_pairing_on_the_particle_sector(self, n):
+        # The K = 0 ground of the N sector approaches the quasi-free pairing
+        # m_p at rate 1/N.
+        model = make_one_pair_model(N=n)
+        basis = one_pair_k0_basis(n)
+        ground = fock_ed.lowest_eigenpairs(fock_ed.build_hamiltonian(model, basis))
+        p = Momentum((1,))
+        m_p = bogoliubov.mode_quantities(p, model.w_hat(p)).m_p
+        pairing = fock_ed.expect_pairing(ground.ground_vector, basis, p)
+        assert abs(pairing - m_p) <= 0.01 / n
 
     def test_vector_shape_mismatch(self):
         basis = one_pair_k0_basis(3)
@@ -504,55 +532,6 @@ class TestObservables:
         basis = one_pair_k0_basis(3)
         with pytest.raises(ValueError, match="basis mismatch"):
             fock_ed.expect_mode_occupation(np.zeros(basis.size), basis, Momentum((9,)))
-
-
-
-class TestExcitationMap:
-    def test_maps_condensate_to_vacuum(self):
-        basis_n = fock_ed.enumerate_basis(
-            tuple(Momentum((n,)) for n in (-1, 0, 1)), n_particles=4
-        )
-        basis_exc = fock_ed.enumerate_basis(
-            (Momentum((-1,)), Momentum((1,))), excitation_cutoff=4
-        )
-        vec = np.zeros(basis_n.size)
-        vec[basis_n.find([(0, 4, 0)])[0]] = 1.0
-        out = fock_ed.excitation_map(vec, basis_n, basis_exc)
-        assert out[basis_exc.find([(0, 0)])[0]] == 1.0
-        assert np.count_nonzero(out) == 1
-
-    @given(st.integers(0, 10))
-    @settings(max_examples=10, deadline=None)
-    def test_unitary_on_random_states(self, seed):
-        basis_n = fock_ed.enumerate_basis(
-            tuple(Momentum((n,)) for n in (-1, 0, 1)), n_particles=5
-        )
-        basis_exc = fock_ed.enumerate_basis(
-            (Momentum((-1,)), Momentum((1,))), excitation_cutoff=5
-        )
-        rng = np.random.default_rng(seed)
-        vec = rng.standard_normal(basis_n.size)
-        vec /= np.linalg.norm(vec)
-        out = fock_ed.excitation_map(vec, basis_n, basis_exc)
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-        # Coefficients carry over unchanged, state by state.
-        zp = basis_n.zero_position
-        index = {tuple(s): i for i, s in enumerate(basis_exc.states.tolist())}
-        for c, s in zip(vec, basis_n.states.tolist()):
-            stripped = tuple(v for i, v in enumerate(s) if i != zp)
-            assert out[index[stripped]] == c
-
-    def test_cutoff_too_small_rejected(self):
-        basis_n = fock_ed.enumerate_basis(
-            tuple(Momentum((n,)) for n in (-1, 0, 1)), n_particles=5
-        )
-        basis_exc = fock_ed.enumerate_basis(
-            (Momentum((-1,)), Momentum((1,))), excitation_cutoff=3
-        )
-        vec = np.zeros(basis_n.size)
-        vec[0] = 1.0
-        with pytest.raises(ValueError, match="cutoff"):
-            fock_ed.excitation_map(vec, basis_n, basis_exc)
 
 
 class TestZeroModeAnnihilation:
@@ -645,6 +624,20 @@ class TestBindingFromED:
         assert with_check.k0_is_global is True
         assert without.k0_is_global is None
         assert with_check.E_N == pytest.approx(without.E_N, abs=1e-12)
+
+    def test_k0_not_global_is_reported(self):
+        # Modes +-1, +-2 and only w_hat(+-2) = 1: at N = 4 the K = 0 block
+        # does not hold the sector minimum, so the binding is not converged.
+        model = TorusModel(
+            d=1,
+            N=4,
+            potential=PotentialSpec.from_table({(2,): 1.0, (-2,): 1.0}),
+            mode_cutoff=2.5 * TWO_PI,
+            include_zero_mode=False,
+        )
+        binding = fock_ed.binding_from_ed(model)
+        assert binding.k0_is_global is False
+        assert binding.converged is False
 
 
 class TestVariationalSandwich:
