@@ -853,13 +853,10 @@ def run_selfcheck(parsed: dict, out_dir: str) -> int:
     )
 
     full = fock_ed.enumerate_basis(model.mode_set(), n_particles=n_check)
-    ham_full = fock_ed.build_hamiltonian(ident_model, full).tocoo()
-    sectors = full.momenta()
-    off_sector = int(
-        np.count_nonzero(
-            (ham_full.data != 0.0)
-            & (sectors[ham_full.row] != sectors[ham_full.col]).any(axis=1)
-        )
+    ham_full = fock_ed.build_hamiltonian(ident_model, full)
+    off_sector = np.count_nonzero(ham_full.data) - sum(
+        np.count_nonzero(ham_full[rows][:, rows].data)
+        for rows in full.momentum_blocks().values()
     )
     record(
         "momentum_block_diagonal",

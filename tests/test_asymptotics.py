@@ -257,6 +257,21 @@ class TestRunBindingStudy:
             assert rec.sandwich_lower - 1e-9 <= rec.delta_E <= rec.sandwich_upper + 1e-9
         assert all(0.0 < rec.overlap <= 1.0 for rec in report.records)
 
+    def test_global_check_solves_momentum_blocks_only(self, monkeypatch):
+        # The one-pair N = 48 sector holds 1,225 states; its largest momentum
+        # block, K = 0, holds 25.
+        dims = []
+        solve = fock_ed.lowest_eigenpairs
+
+        def recording(op, *args, **kwargs):
+            dims.append(op.shape[0])
+            return solve(op, *args, **kwargs)
+
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", recording)
+        report = asymptotics.run_binding_study(one_pair_config((8, 16, 24, 32, 48)))
+        assert all(rec.converged for rec in report.records)
+        assert max(dims) == 25
+
     def test_overlap_monotone_toward_quasifree(self):
         config = one_pair_config((8, 16), with_overlap=True, check_global=False)
         report = asymptotics.run_binding_study(config)

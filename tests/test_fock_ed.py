@@ -120,6 +120,18 @@ class TestEnumerateBasis:
             with pytest.raises(ValueError, match="lexicographic"):
                 fock_ed.FockBasis(modes, np.array(rows), 1, None)
 
+    def test_sector_too_large_to_rank_is_refused(self):
+        # 25 modes: C(48 + 24, 24) fits in int64, C(49 + 24, 24) does not.
+        modes = tuple(Momentum((n,)) for n in range(-12, 13))
+        for n in (49, 60):
+            with pytest.raises(ValueError, match=f"holds {math.comb(n + 24, 24)} states"):
+                fock_ed.FockBasis(modes, np.eye(25, dtype=np.int64)[:1] * n, n, None)
+        # The first and the last row of the largest sector that fits.
+        rows = np.zeros((2, 25), dtype=np.int64)
+        rows[0, -1] = rows[1, 0] = 48
+        basis = fock_ed.FockBasis(modes, rows, 48, None)
+        assert basis.find(rows[::-1]).tolist() == [1, 0]
+
     def test_budget_guard_fires_before_materialization(self):
         modes = tuple(Momentum((n,)) for n in range(-6, 7))
         with pytest.raises(ResourceLimitError):
@@ -134,6 +146,52 @@ class TestEnumerateBasis:
     def test_duplicate_modes_rejected(self):
         with pytest.raises(ValueError, match="duplicates"):
             fock_ed.enumerate_basis((Momentum((1,)), Momentum((1,))), n_particles=1)
+
+
+# Whole N sectors on both solver paths: dense, Lanczos at dim 4,845, and
+# Lanczos at dim 3,003 on the d = 2 modes with |p| <= 2*pi*sqrt(2).
+FULL_SECTORS = pytest.mark.parametrize(
+    "model",
+    [
+        make_one_pair_model(N=48),
+        make_two_band_model(N=16),
+        TorusModel(
+            d=2,
+            N=6,
+            potential=PotentialSpec.band(d=2, radius=9.0, value=1.0),
+            mode_cutoff=9.0,
+        ),
+    ],
+    ids=["one-pair-N48", "two-band-N16", "square-9-modes-N6"],
+)
+
+
+class TestMomentumBlocks:
+    @FULL_SECTORS
+    def test_blocks_partition_the_sector(self, model):
+        full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
+        blocks = full.momentum_blocks()
+        rows = np.concatenate(list(blocks.values()))
+        assert sorted(rows.tolist()) == list(range(full.size))
+        momenta = full.momenta()
+        for k, block in blocks.items():
+            assert (momenta[block] == k).all()
+            assert (np.diff(block) > 0).all()
+        assert list(blocks) == sorted(blocks)
+
+    @FULL_SECTORS
+    def test_least_block_minimum_matches_full_solve(self, model):
+        full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
+        whole = fock_ed.lowest_eigenpairs(fock_ed.build_hamiltonian(model, full))
+        assert whole.converged
+        assert whole.method == ("dense" if full.size <= 2000 else "lanczos")
+        binding = fock_ed.binding_from_ed(model)
+        scale = max(1.0, abs(whole.ground_energy))
+        assert abs(binding.sector_minimum - whole.ground_energy) <= 1e-12 * scale
+        assert binding.sector_minimum <= binding.E_N
+        assert binding.k0_is_global == (
+            abs(binding.sector_minimum - binding.E_N) <= 1e-10 * scale
+        )
 
 
 class TestBuildHamiltonian:
