@@ -599,6 +599,9 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             modes = model.mode_set()
             if not modes:
                 raise ConfigError("model.mode_cutoff leaves an empty mode set")
+            if sector is None:
+                solved = fock_ed.solve_sector(model, settings)
+                return _ed_payload(solved.merged, solved.basis, settings.tol)
             basis = fock_ed.enumerate_basis(modes, n_particles=model.N, momentum_sector=sector)
             if not basis.size:
                 raise ConfigError(
@@ -615,6 +618,11 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "ed": asdict(settings),
             "momentum_sector": list(sector) if sector is not None else None,
         }
+        if sector is None:
+            # The whole sector is solved by momentum blocks; this keeps entries
+            # of the former single whole-sector solve, whose method, iterations
+            # and residual differ, from being served for it.
+            key_payload["solve"] = "momentum-blocks"
 
     payload = cached_compute(
         cache_dir, key_payload, compute, _verify_ed_payload, version, stats

@@ -15,6 +15,12 @@ on the M-particle sector over the nonzero modes and the zero mode, as sparse
 symmetric operators. Solves lowest eigenpairs by dense factorization or
 Lanczos with full reorthogonalization, and evaluates the observables and
 operator-identity residuals used by the binding-energy study.
+
+A whole N sector is solved by total-momentum blocks (solve_sector): it is
+assembled once and each block is solved on its own. The merged result keeps
+the whole sector's dimension; its method is "lanczos" if any block ran
+Lanczos and "dense" otherwise, and its iterations are the sum over the
+blocks.
 """
 from __future__ import annotations
 
@@ -497,6 +503,72 @@ def _lanczos_lowest(
 
 
 # ---------------------------------------------------------------------------
+# Whole N sectors by momentum block
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class SectorSolve:
+    """The whole N sector, solved one total-momentum block at a time.
+
+    rows maps each total momentum, in increasing order, to its rows of basis;
+    results holds each block's lowest max(k, 2) pairs. merged is the
+    whole-sector result built from them.
+    """
+
+    basis: FockBasis
+    rows: dict[Momentum, np.ndarray]
+    results: dict[Momentum, EDResult]
+    merged: EDResult
+
+
+def solve_sector(model: TorusModel, settings: EDSettings = EDSettings()) -> SectorSolve:
+    """Lowest levels of the whole N sector from its momentum blocks.
+
+    H conserves total momentum, so the sector's spectrum is the union of the
+    block spectra (Sandvik, AIP Conf. Proc. 1297, 135 (2010)). The sector is
+    assembled once and permuted once, so that each block is a contiguous
+    slice, and every block goes through lowest_eigenpairs.
+
+    The merged result holds the k lowest of all block eigenvalues, the gap
+    between the two lowest, and the ground-holding block's vector placed in
+    the whole basis, zero on every other row; its residual is measured on the
+    whole operator. It is converged when every block solve is and that
+    residual is <= tol. Its method is "lanczos" if any block ran Lanczos,
+    and its iterations are the sum over the blocks.
+    """
+    basis = enumerate_basis(model.mode_set(), n_particles=model.N)
+    rows = basis.momentum_blocks()
+    ham = build_hamiltonian(model, basis)
+    # Slicing a contiguous block costs about a third of fancy-indexing its rows.
+    order = np.concatenate(list(rows.values()))
+    permuted = ham[order][:, order]
+    block_settings = replace(settings, k=max(settings.k, 2))
+    results = {}
+    stop = 0
+    for momentum, block in rows.items():
+        start, stop = stop, stop + len(block)
+        results[momentum] = lowest_eigenpairs(permuted[start:stop, start:stop], block_settings)
+    levels = sorted(e for r in results.values() for e in r.eigenvalues)
+    ground_at = min(results, key=lambda p: results[p].ground_energy)
+    ground = np.zeros(basis.size)
+    ground[rows[ground_at]] = results[ground_at].ground_vector
+    residual = float(np.linalg.norm(ham @ ground - levels[0] * ground))
+    gap = levels[1] - levels[0] if len(levels) > 1 else math.inf
+    merged = EDResult(
+        eigenvalues=tuple(levels[: settings.k]),
+        ground_vector=ground,
+        residual_norm=residual,
+        iterations=sum(r.iterations for r in results.values()),
+        converged=residual <= settings.tol and all(r.converged for r in results.values()),
+        method="lanczos" if any(r.method == "lanczos" for r in results.values()) else "dense",
+        gap=gap,
+        vector_reliable=gap > DEGENERACY_GAP,
+    )
+    return SectorSolve(basis=basis, rows=rows, results=results, merged=merged)
+
+
+# ---------------------------------------------------------------------------
 # Observables
 # ---------------------------------------------------------------------------
 
@@ -691,9 +763,9 @@ def binding_from_ed(
     """Ground energies of the N and N-1 sectors (K = 0) and their difference.
 
     Both solves share the coupling and mode set. With check_global, the whole
-    N sector is assembled once and each of its momentum blocks other than
-    K = 0 is solved for its lowest level; sector_minimum is the least block
-    minimum, and k0_is_global says whether the K = 0 ground attains it.
+    N sector is solved by momentum blocks (solve_sector); sector_minimum is
+    the least block minimum, and k0_is_global says whether the K = 0 ground
+    attains it.
     """
     if model.N < 2:
         raise ValueError("binding energy needs N >= 2")
@@ -709,20 +781,7 @@ def binding_from_ed(
     sector_minimum: float | None = None
     k0_is_global: bool | None = None
     if check_global:
-        full = enumerate_basis(modes, n_particles=model.N)
-        blocks = full.momentum_blocks()
-        # Permuted once, so that each block is a contiguous slice: slicing
-        # costs about a third of fancy-indexing the rows of each block.
-        order = np.concatenate(list(blocks.values()))
-        ham_full = build_hamiltonian(model, full)[order][:, order]
-        sector_minimum = results[model.N].ground_energy
-        stop = 0
-        for momentum, rows in blocks.items():
-            start, stop = stop, stop + len(rows)
-            if momentum != k0:
-                block = ham_full[start:stop, start:stop]
-                ground = lowest_eigenpairs(block, replace(settings, k=1)).ground_energy
-                sector_minimum = min(sector_minimum, ground)
+        sector_minimum = solve_sector(model, settings).merged.ground_energy
         k0_is_global = (
             abs(sector_minimum - results[model.N].ground_energy)
             <= 1e-10 * max(1.0, abs(sector_minimum))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -409,6 +410,53 @@ class TestEdWorkflow:
         assert code == 3
         assert not cache.exists() or not list(cache.glob("*.json"))
 
+    @pytest.mark.parametrize("n, dimension, largest", [(48, 1225, 25), (56, 1653, 29)])
+    def test_whole_sector_solves_momentum_blocks_only(
+        self, tmp_path, monkeypatch, n, dimension, largest
+    ):
+        from torusbog import fock_ed
+
+        dims = []
+        solve = fock_ed.lowest_eigenpairs
+
+        def recording(op, *args, **kwargs):
+            dims.append(op.shape[0])
+            return solve(op, *args, **kwargs)
+
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", recording)
+        cfg = write_json(tmp_path / "cfg.json", {"model": one_pair_model_doc(n)})
+        assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        result = read_json(tmp_path / "out" / "report.json")["result"]
+        assert result["dimension"] == dimension
+        assert (result["method"], result["iterations"]) == ("dense", 0)
+        assert max(dims) == largest
+
+    def test_unconverged_block_exit_3_and_not_cached(self, tmp_path, monkeypatch):
+        # The first block, K = -8, holds one state and not the ground: its
+        # failure alone must fail the job.
+        from torusbog import fock_ed
+
+        solve = fock_ed.lowest_eigenpairs
+        calls = []
+
+        def failing_first(op, *args, **kwargs):
+            result = solve(op, *args, **kwargs)
+            calls.append(op.shape[0])
+            return replace(result, converged=False) if len(calls) == 1 else result
+
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_first)
+        cfg = write_json(tmp_path / "cfg.json", {"model": one_pair_model_doc(8)})
+        cache = tmp_path / "cache"
+        code = cli.main(
+            ["ed", "--config", cfg, "--out", str(tmp_path / "out"), "--cache", str(cache)]
+        )
+        assert calls[0] == 1 and len(calls) > 1
+        assert code == 3
+        result = read_json(tmp_path / "out" / "report.json")["result"]
+        assert result["converged"] is False
+        assert result["residual_norm"] <= result["tol"]
+        assert not cache.exists() or not list(cache.glob("*.json"))
+
     def test_cache_dir_env_and_flag_precedence(self, tmp_path, monkeypatch):
         doc = {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}}
         cfg = write_json(tmp_path / "cfg.json", doc)
@@ -594,6 +642,13 @@ class TestCacheKeys:
                     "752d1bb7669e19506fda6065d2880248",
                     "90b797dd243ca966040bc6dd44d2f003",
                 ],
+            ),
+            (
+                # Whole sector, solved by momentum blocks; its key differs from
+                # that of the former single whole-sector solve.
+                "ed",
+                {"model": one_pair_model_doc(3)},
+                ["3bfff747aa0013e02c781a66c44d0a0b"],
             ),
         ],
     )

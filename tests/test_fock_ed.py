@@ -181,8 +181,9 @@ class TestMomentumBlocks:
 
     @FULL_SECTORS
     def test_least_block_minimum_matches_full_solve(self, model):
+        settings = fock_ed.EDSettings(k=3)
         full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
-        whole = fock_ed.lowest_eigenpairs(fock_ed.build_hamiltonian(model, full))
+        whole = fock_ed.lowest_eigenpairs(fock_ed.build_hamiltonian(model, full), settings)
         assert whole.converged
         assert whole.method == ("dense" if full.size <= 2000 else "lanczos")
         binding = fock_ed.binding_from_ed(model)
@@ -191,6 +192,27 @@ class TestMomentumBlocks:
         assert binding.sector_minimum <= binding.E_N
         assert binding.k0_is_global == (
             abs(binding.sector_minimum - binding.E_N) <= 1e-10 * scale
+        )
+        # The merged whole-sector result at k = 3 against the full solve.
+        solved = fock_ed.solve_sector(model, settings)
+        merged = solved.merged
+        assert solved.basis.size == full.size
+        assert merged.converged and merged.residual_norm <= settings.tol
+        assert merged.method == "dense"
+        assert len(merged.eigenvalues) == len(whole.eigenvalues) == 3
+        for mine, theirs in zip(merged.eigenvalues, whole.eigenvalues):
+            assert abs(mine - theirs) <= 1e-12 * scale
+        assert abs(merged.gap - whole.gap) <= 1e-12 * scale
+        assert merged.vector_reliable and whole.vector_reliable
+        for observable in (fock_ed.expect_nplus, fock_ed.expect_nplus2):
+            assert abs(
+                observable(merged.ground_vector, full) - observable(whole.ground_vector, full)
+            ) <= 1e-12
+        assert np.allclose(
+            fock_ed.expect_total_momentum(merged.ground_vector, full),
+            fock_ed.expect_total_momentum(whole.ground_vector, full),
+            rtol=0.0,
+            atol=1e-12,
         )
 
 
