@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -244,6 +245,12 @@ class TorusModel:
             raise ValueError(f"potential dimension {pdim} does not match d={self.d}")
 
     def mode_set(self) -> tuple[Momentum, ...]:
+        return self._modes
+
+    @cached_property
+    def _modes(self) -> tuple[Momentum, ...]:
+        # Built on first use and kept, since the model is frozen; a refused
+        # build is not kept, so every call on a too-large set raises.
         return build_mode_set(self.d, self.mode_cutoff, self.include_zero_mode)
 
     def nonzero_modes(self) -> tuple[Momentum, ...]:

@@ -626,21 +626,21 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["1378e5c2cc801455634a5c66f5cadcb1"],
+                ["929886cbe142fc349bb7cafed2f89ceb"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["d71ff1e251b98257c629cd3e83a72c37"],
+                ["b8ec3993c3d3af9aed50a6c665446ff4"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "3a8b309ef2db64ae7414ba3cc7ec5302",
-                    "752d1bb7669e19506fda6065d2880248",
-                    "90b797dd243ca966040bc6dd44d2f003",
+                    "4e39dc0c251557f2813bcf20e86e536a",
+                    "4eced8466c7bf274cf66f683ad76a85f",
+                    "582f39f79f20641c48a0f896feeba4da",
                 ],
             ),
             (
@@ -648,7 +648,7 @@ class TestCacheKeys:
                 # that of the former single whole-sector solve.
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["3bfff747aa0013e02c781a66c44d0a0b"],
+                ["cdda1ace6bba85df860c07be4356d8e8"],
             ),
         ],
     )

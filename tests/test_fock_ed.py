@@ -7,6 +7,7 @@ second-quantized matrix elements, independent of the assembly code.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ def one_pair_k0_basis(n: int) -> fock_ed.FockBasis:
     return fock_ed.enumerate_basis(
         model.mode_set(), n_particles=n, momentum_sector=zero_momentum(1)
     )
+
+
+def k0_hamiltonian(model: TorusModel):
+    basis = fock_ed.enumerate_basis(
+        model.mode_set(), n_particles=model.N, momentum_sector=zero_momentum(model.d)
+    )
+    return fock_ed.build_hamiltonian(model, basis)
+
+
+def one_pair_hb(m: int):
+    """The pair Hamiltonian of the one-pair model on its M = m space."""
+    model = make_one_pair_model(N=8)
+    return fock_ed.build_bogoliubov_hamiltonian(model.nonzero_modes(), m, model.potential)[1]
 
 
 class TestEnumerateBasis:
@@ -150,19 +164,18 @@ class TestEnumerateBasis:
 
 # Whole N sectors on both solver paths: dense, Lanczos at dim 4,845, and
 # Lanczos at dim 3,003 on the d = 2 modes with |p| <= 2*pi*sqrt(2).
+FULL_SECTOR_MODELS = (
+    make_one_pair_model(N=48),
+    make_two_band_model(N=16),
+    TorusModel(
+        d=2,
+        N=6,
+        potential=PotentialSpec.band(d=2, radius=9.0, value=1.0),
+        mode_cutoff=9.0,
+    ),
+)
 FULL_SECTORS = pytest.mark.parametrize(
-    "model",
-    [
-        make_one_pair_model(N=48),
-        make_two_band_model(N=16),
-        TorusModel(
-            d=2,
-            N=6,
-            potential=PotentialSpec.band(d=2, radius=9.0, value=1.0),
-            mode_cutoff=9.0,
-        ),
-    ],
-    ids=["one-pair-N48", "two-band-N16", "square-9-modes-N6"],
+    "model", FULL_SECTOR_MODELS, ids=["one-pair-N48", "two-band-N16", "square-9-modes-N6"]
 )
 
 
@@ -183,7 +196,11 @@ class TestMomentumBlocks:
     def test_least_block_minimum_matches_full_solve(self, model):
         settings = fock_ed.EDSettings(k=3)
         full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
-        whole = fock_ed.lowest_eigenpairs(fock_ed.build_hamiltonian(model, full), settings)
+        # The reference solve pins the solver routing so it does not move
+        # with the dense_threshold default.
+        whole = fock_ed.lowest_eigenpairs(
+            fock_ed.build_hamiltonian(model, full), replace(settings, dense_threshold=2000)
+        )
         assert whole.converged
         assert whole.method == ("dense" if full.size <= 2000 else "lanczos")
         binding = fock_ed.binding_from_ed(model)
@@ -560,6 +577,40 @@ class TestLowestEigenpairs:
         for k in (1, 3):
             fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(k=k))
         assert calls == [[0, 1], [0, 2]]
+
+    @pytest.mark.parametrize(
+        "build, dim",
+        [
+            (lambda: k0_hamiltonian(make_two_band_model(N=34)), 1353),
+            (lambda: one_pair_hb(48), 1225),
+            (lambda: k0_hamiltonian(replace(FULL_SECTOR_MODELS[2], N=10)), 538),
+        ],
+        ids=["two-band-N34-K0", "pair-M48", "square-N10-K0"],
+    )
+    def test_default_lanczos_matches_dense(self, build, dim):
+        # Above the default dense_threshold a ground-plus-gap solve runs
+        # Lanczos; it must match a forced dense solve to the rounding of
+        # either solver, about eps * ||H||.
+        ham = build()
+        fast = fock_ed.lowest_eigenpairs(ham)
+        slow = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=10**9))
+        assert ham.shape[0] == dim
+        assert fast.method == "lanczos" and slow.method == "dense"
+        assert fast.converged
+        bound = 1e-15 * float(abs(ham).sum(axis=1).max())
+        assert abs(fast.ground_energy - slow.ground_energy) <= bound
+        assert abs(fast.gap - slow.gap) <= bound
+
+    def test_degenerate_levels_kept_at_default_settings(self):
+        # One pair, M = 48 (1,225 states): the second level is doubly
+        # degenerate. Lanczos from one start vector would report it once, so
+        # a k >= 3 request of this size stays dense.
+        ham = one_pair_hb(48)
+        result = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(k=4))
+        dense = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(k=4, dense_threshold=10**9))
+        assert result.method == "dense"
+        assert result.eigenvalues == dense.eigenvalues
+        assert abs(result.eigenvalues[1] - result.eigenvalues[2]) <= 1e-9
 
 
 class TestObservables:
