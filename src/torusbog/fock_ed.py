@@ -12,26 +12,30 @@ pair Hamiltonian
        + (1/2) sum_{p!=0} w_hat(p) (a_p* a_{-p}* + a_p a_{-p})
 
 on the M-particle sector over the nonzero modes and the zero mode, as sparse
-symmetric operators. Solves lowest eigenpairs by dense factorization up to
-EDSettings.dense_threshold states (500, the measured crossover, by default;
-up to 2,000 when three or more levels are asked for) and by Lanczos with full
-reorthogonalization above, and evaluates the observables and
-operator-identity residuals used by the binding-energy study.
+symmetric operators. Solves lowest eigenpairs by one direct LAPACK dsyevr
+call for the lowest few pairs up to EDSettings.dense_threshold states (500,
+the measured crossover, by default; up to 2,000 when three or more levels are
+asked for) and by Lanczos with full reorthogonalization above, and evaluates
+the observables and operator-identity residuals used by the binding-energy
+study.
 
 A whole N sector is solved by total-momentum blocks (solve_sector): it is
-assembled once and each block is solved on its own. The merged result keeps
-the whole sector's dimension; its method is "lanczos" if any block ran
-Lanczos and "dense" otherwise, and its iterations are the sum over the
-blocks.
+assembled once and each block is solved on its own, a block bound for the
+dense solve being filled straight from the sector's sparse entries. The
+merged result keeps the whole sector's dimension; its method is "lanczos" if
+any block ran Lanczos and "dense" otherwise, and its iterations are the sum
+over the blocks.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 
 from .model import (
@@ -415,20 +419,38 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0.0 else v
 
 
+def _solves_dense(dim: int, settings: EDSettings) -> bool:
+    """Whether lowest_eigenpairs solves an operator of dim states dense."""
+    return dim <= settings.dense_threshold or (
+        settings.k >= 3 and dim <= MULTI_LEVEL_DENSE_LIMIT
+    )
+
+
+@functools.cache
+def _syevr_workspace(dim: int) -> tuple[int, int]:
+    """Optimal (lwork, liwork) of dsyevr at this dimension, from its query."""
+    work, iwork, info = scipy.linalg.lapack.dsyevr_lwork(dim, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr workspace query failed, info = {info}")
+    return int(work), int(iwork)
+
+
 def lowest_eigenpairs(
-    op: scipy.sparse.spmatrix, settings: EDSettings = EDSettings()
+    op: scipy.sparse.spmatrix | np.ndarray, settings: EDSettings = EDSettings()
 ) -> EDResult:
     """The settings.k smallest eigenvalues and ground vector of a symmetric operator.
 
+    op is a sparse matrix or a dense array; a dense array is only read.
     Dimension <= settings.dense_threshold, or <= MULTI_LEVEL_DENSE_LIMIT when
     settings.k >= 3, goes to a dense solve of only the k_int = min(dim,
-    max(k, 2)) lowest eigenpairs (LAPACK ?syevr through subset_by_index: one
-    tridiagonal reduction, no full eigenvector back-transform); larger
-    problems run Lanczos with full reorthogonalization from a start vector
-    that is a deterministic function of (seed, dimension). The second pair
-    gives the gap above the ground. The residual ||H v - E v|| is always
-    measured post hoc on the returned vector, and convergence means
-    residual_norm <= tol.
+    max(k, 2)) lowest eigenpairs: one direct call of LAPACK dsyevr with
+    range "I" (one tridiagonal reduction, no full eigenvector
+    back-transform), with its workspace queried once per dimension; a
+    failed call raises LinAlgError. Larger problems run Lanczos with full
+    reorthogonalization from a start vector that is a deterministic function
+    of (seed, dimension). The second pair gives the gap above the ground.
+    The residual ||H v - E v|| is always measured post hoc on the returned
+    vector, and convergence means residual_norm <= tol.
 
     The default dense_threshold of 500 is the measured crossover of a k <= 2
     solve: from about 500 states on, Lanczos is faster (8x at 1,353 states).
@@ -444,15 +466,24 @@ def lowest_eigenpairs(
         raise ValueError("empty operator")
     k = min(settings.k, dim)
     k_int = min(dim, max(k, 2))
-    if dim <= settings.dense_threshold or (
-        settings.k >= 3 and dim <= MULTI_LEVEL_DENSE_LIMIT
-    ):
-        theta, eigvecs = scipy.linalg.eigh(
-            op.toarray(),
-            subset_by_index=[0, k_int - 1],
-            overwrite_a=True,
-            check_finite=False,
+    if _solves_dense(dim, settings):
+        # Only a copy made here may be overwritten; the residual reads op.
+        sparse = scipy.sparse.issparse(op)
+        lwork, liwork = _syevr_workspace(dim)
+        theta, eigvecs, found, _, info = scipy.linalg.lapack.dsyevr(
+            op.toarray() if sparse else op,
+            compute_v=1,
+            range="I",
+            il=1,
+            iu=k_int,
+            lower=1,
+            lwork=lwork,
+            liwork=liwork,
+            overwrite_a=int(sparse),
         )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsyevr failed, info = {info}")
+        theta = theta[:found]
         ground = _phase_fixed(np.ascontiguousarray(eigvecs[:, 0]))
         iterations = 0
         method = "dense"
@@ -477,7 +508,7 @@ def lowest_eigenpairs(
 
 
 def _lanczos_lowest(
-    op: scipy.sparse.spmatrix, k: int, tol: float, max_iter: int, seed: int
+    op: scipy.sparse.spmatrix | np.ndarray, k: int, tol: float, max_iter: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     dim = op.shape[0]
     steps_cap = min(max_iter, dim)
@@ -507,9 +538,11 @@ def _lanczos_lowest(
         steps = j + 1
         done = j + 1 == steps_cap or b < breakdown
         if not done and j + 1 >= k:
-            theta, S = scipy.linalg.eigh_tridiagonal(alphas, betas)
+            _, S = scipy.linalg.eigh_tridiagonal(
+                alphas, betas, select="i", select_range=(0, k - 1)
+            )
             # Ritz residual estimate |beta * last component|, per target pair.
-            if all(abs(b * S[-1, i]) <= 0.5 * tol for i in range(min(k, len(theta)))):
+            if all(abs(b * S[-1, i]) <= 0.5 * tol for i in range(k)):
                 done = True
         if done:
             break
@@ -551,8 +584,12 @@ def solve_sector(model: TorusModel, settings: EDSettings = EDSettings()) -> Sect
 
     H conserves total momentum, so the sector's spectrum is the union of the
     block spectra (Sandvik, AIP Conf. Proc. 1297, 135 (2010)). The sector is
-    assembled once and permuted once, so that each block is a contiguous
-    slice, and every block goes through lowest_eigenpairs.
+    assembled once and permuted once, so that each block is a contiguous run
+    of rows, and every block goes through lowest_eigenpairs. A block that
+    lowest_eigenpairs will solve dense is passed as a dense array filled from
+    those rows' stored entries, the same array toarray() gives, which spares
+    a sparse slice per block; a block bound for Lanczos is passed as a sparse
+    slice.
 
     The merged result holds the k lowest of all block eigenvalues, the gap
     between the two lowest, and the ground-holding block's vector placed in
@@ -567,12 +604,26 @@ def solve_sector(model: TorusModel, settings: EDSettings = EDSettings()) -> Sect
     # Slicing a contiguous block costs about a third of fancy-indexing its rows.
     order = np.concatenate(list(rows.values()))
     permuted = ham[order][:, order]
+    # Each stored entry's row-major position in its block's dense array.
+    entry_row = np.repeat(np.arange(basis.size), np.diff(permuted.indptr))
+    sizes = np.array([len(b) for b in rows.values()])
+    row_start = np.repeat(np.cumsum(sizes) - sizes, sizes)[entry_row]
+    row_size = np.repeat(sizes, sizes)[entry_row]
+    flat = (entry_row - row_start) * row_size + permuted.indices - row_start
     block_settings = replace(settings, k=max(settings.k, 2))
     results = {}
     stop = 0
     for momentum, block in rows.items():
         start, stop = stop, stop + len(block)
-        results[momentum] = lowest_eigenpairs(permuted[start:stop, start:stop], block_settings)
+        if _solves_dense(len(block), block_settings):
+            # bincount adds each entry onto zero in stored order, as toarray() does.
+            at = slice(permuted.indptr[start], permuted.indptr[stop])
+            op = np.bincount(
+                flat[at], weights=permuted.data[at], minlength=len(block) ** 2
+            ).reshape(len(block), len(block))
+        else:
+            op = permuted[start:stop, start:stop]
+        results[momentum] = lowest_eigenpairs(op, block_settings)
     levels = sorted(e for r in results.values() for e in r.eigenvalues)
     ground_at = min(results, key=lambda p: results[p].ground_energy)
     ground = np.zeros(basis.size)

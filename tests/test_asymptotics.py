@@ -261,16 +261,34 @@ class TestRunBindingStudy:
         # The one-pair N = 48 sector holds 1,225 states; its largest momentum
         # block, K = 0, holds 25.
         dims = []
+        dense_arrays = 0
+        blocks = 0
         solve = fock_ed.lowest_eigenpairs
+        solve_sector = fock_ed.solve_sector
 
         def recording(op, *args, **kwargs):
+            nonlocal dense_arrays
             dims.append(op.shape[0])
+            dense_arrays += isinstance(op, np.ndarray)
             return solve(op, *args, **kwargs)
 
+        def counting(*args, **kwargs):
+            nonlocal blocks
+            solved = solve_sector(*args, **kwargs)
+            blocks += len(solved.results)
+            return solved
+
         monkeypatch.setattr(fock_ed, "lowest_eigenpairs", recording)
-        report = asymptotics.run_binding_study(one_pair_config((8, 16, 24, 32, 48)))
+        monkeypatch.setattr(fock_ed, "solve_sector", counting)
+        n_values = (8, 16, 24, 32, 48)
+        report = asymptotics.run_binding_study(one_pair_config(n_values))
         assert all(rec.converged for rec in report.records)
         assert max(dims) == 25
+        # Each record's two K = 0 sectors arrive sparse; every block of the
+        # global check is solved dense and arrives as a dense array.
+        assert blocks > 0
+        assert dense_arrays == blocks
+        assert len(dims) == blocks + 2 * len(n_values)
 
     def test_overlap_monotone_toward_quasifree(self):
         config = one_pair_config((8, 16), with_overlap=True, check_global=False)

@@ -417,10 +417,12 @@ class TestEdWorkflow:
         from torusbog import fock_ed
 
         dims = []
+        kinds = set()
         solve = fock_ed.lowest_eigenpairs
 
         def recording(op, *args, **kwargs):
             dims.append(op.shape[0])
+            kinds.add(type(op))
             return solve(op, *args, **kwargs)
 
         monkeypatch.setattr(fock_ed, "lowest_eigenpairs", recording)
@@ -430,6 +432,9 @@ class TestEdWorkflow:
         assert result["dimension"] == dimension
         assert (result["method"], result["iterations"]) == ("dense", 0)
         assert max(dims) == largest
+        # Every block is solved dense, so each arrives as a dense array
+        # filled from the sector's entries, not as a sparse slice.
+        assert kinds == {np.ndarray}
 
     def test_unconverged_block_exit_3_and_not_cached(self, tmp_path, monkeypatch):
         # The first block, K = -8, holds one state and not the ground: its

@@ -232,6 +232,37 @@ class TestMomentumBlocks:
             atol=1e-12,
         )
 
+    @FULL_SECTORS
+    @pytest.mark.parametrize(
+        "k, dense_threshold", [(1, 500), (3, 500), (1, 10)], ids=["k1", "k3", "k1-threshold-10"]
+    )
+    def test_blocks_match_their_sparse_slices(self, model, k, dense_threshold):
+        # Each block is solved from a dense array filled from the sector's
+        # entries; the reference solves the same block as a sparse slice.
+        # Blocks above the threshold keep the sparse route to Lanczos.
+        settings = fock_ed.EDSettings(k=k, dense_threshold=dense_threshold)
+        solved = fock_ed.solve_sector(model, settings)
+        ham = fock_ed.build_hamiltonian(model, solved.basis)
+        scale = float(abs(ham).sum(axis=1).max())
+        methods = set()
+        for momentum, block in solved.rows.items():
+            mine = solved.results[momentum]
+            theirs = fock_ed.lowest_eigenpairs(
+                ham[block][:, block], replace(settings, k=max(k, 2))
+            )
+            methods.add(theirs.method)
+            assert (mine.method, mine.iterations) == (theirs.method, theirs.iterations)
+            assert mine.eigenvalues == theirs.eigenvalues
+            assert mine.gap == theirs.gap
+            assert np.array_equal(mine.ground_vector, theirs.ground_vector)
+            assert (mine.converged, mine.vector_reliable) == (
+                theirs.converged,
+                theirs.vector_reliable,
+            )
+            # A dense product and a sparse one round differently.
+            assert abs(mine.residual_norm - theirs.residual_norm) <= 1e-14 * scale
+        assert methods == ({"dense"} if dense_threshold == 500 else {"dense", "lanczos"})
+
 
 class TestBuildHamiltonian:
     def test_two_particle_block_golden(self):
@@ -562,21 +593,61 @@ class TestLowestEigenpairs:
             assert np.linalg.norm(result.ground_vector - want) <= 1e-12
 
     def test_dense_path_never_solves_the_full_spectrum(self, monkeypatch):
-        import scipy.linalg
+        import scipy.linalg.lapack
 
-        real_eigh = scipy.linalg.eigh
+        real_syevr = scipy.linalg.lapack.dsyevr
         calls = []
 
-        def subset_only(a, *args, **kwargs):
-            assert kwargs.get("subset_by_index") is not None, "full-spectrum eigh"
-            calls.append(kwargs["subset_by_index"])
-            return real_eigh(a, *args, **kwargs)
+        def recording(a, **kwargs):
+            calls.append((kwargs["range"], kwargs["il"], kwargs["iu"]))
+            return real_syevr(a, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", subset_only)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", recording)
         ham = fock_ed.build_hamiltonian(make_one_pair_model(N=10), one_pair_k0_basis(10))
-        for k in (1, 3):
-            fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(k=k))
-        assert calls == [[0, 1], [0, 2]]
+        for op in (ham, ham.toarray()):
+            for k in (1, 3):
+                fock_ed.lowest_eigenpairs(op, fock_ed.EDSettings(k=k))
+        # k_int = max(k, 2) lowest pairs by index, on either kind of operator.
+        assert calls == [("I", 1, 2), ("I", 1, 3)] * 2
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: k0_hamiltonian(make_one_pair_model(N=12)),
+            lambda: k0_hamiltonian(make_two_band_model(N=16)),
+            lambda: one_pair_hb(12),
+        ],
+        ids=["one-pair-N12-K0", "two-band-N16-K0", "pair-M12"],
+    )
+    def test_dense_array_matches_sparse_operator(self, build, k):
+        ham = build()
+        # Fortran order, which LAPACK could overwrite without a copy.
+        array = np.asfortranarray(ham.toarray())
+        settings = fock_ed.EDSettings(k=k)
+        sparse = fock_ed.lowest_eigenpairs(ham, settings)
+        dense = fock_ed.lowest_eigenpairs(array, settings)
+        assert sparse.method == dense.method == "dense"
+        assert dense.eigenvalues == sparse.eigenvalues
+        assert dense.gap == sparse.gap
+        assert np.array_equal(dense.ground_vector, sparse.ground_vector)
+        # The caller's array is only read.
+        assert np.array_equal(array, ham.toarray())
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        import scipy.linalg.lapack
+
+        real_syevr = scipy.linalg.lapack.dsyevr
+
+        def failing(a, **kwargs):
+            *out, _ = real_syevr(a, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
+        ham = k0_hamiltonian(make_one_pair_model(N=8))
+        for op in (ham, ham.toarray()):
+            with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+                fock_ed.lowest_eigenpairs(op)
 
     @pytest.mark.parametrize(
         "build, dim",
