@@ -599,17 +599,13 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             modes = model.mode_set()
             if not modes:
                 raise ConfigError("model.mode_cutoff leaves an empty mode set")
-            if sector is None:
-                solved = fock_ed.solve_sector(model, settings)
-                return _ed_payload(solved.merged, solved.basis, settings.tol)
             basis = fock_ed.enumerate_basis(modes, n_particles=model.N, momentum_sector=sector)
             if not basis.size:
                 raise ConfigError(
                     f"ed.momentum_sector {list(sector)} holds no state of {model.N} particles"
                 )
-            ham = fock_ed.build_hamiltonian(model, basis)
-            result = fock_ed.lowest_eigenpairs(ham, settings)
-            return _ed_payload(result, basis, settings.tol)
+            solved = fock_ed.solve_sector(model, basis, settings)
+            return _ed_payload(solved.merged, basis, settings.tol)
 
         key_payload = {
             "op": "ed-particle",
@@ -666,6 +662,10 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "ed": asdict(cfg.ed),
             "with_overlap": cfg.with_overlap,
             "check_global": cfg.check_global,
+            # The K = 0 results come from the momentum-block solve, so their
+            # residuals differ in the last digits from the former separate
+            # K = 0 solves; this keeps entries of those from being served.
+            "solve": "momentum-blocks",
         }
 
         def compute() -> dict:

@@ -19,12 +19,15 @@ asked for) and by Lanczos with full reorthogonalization above, and evaluates
 the observables and operator-identity residuals used by the binding-energy
 study.
 
-A whole N sector is solved by total-momentum blocks (solve_sector): it is
-assembled once and each block is solved on its own, a block bound for the
-dense solve being filled straight from the sector's sparse entries. The
-merged result keeps the whole sector's dimension; its method is "lanczos" if
-any block ran Lanczos and "dense" otherwise, and its iterations are the sum
-over the blocks.
+Every particle-number basis, a whole N sector or one momentum-filtered
+block, is solved by total-momentum blocks (solve_sector), the one solve
+path of the ed particle job and of study: it is assembled once and each
+block is solved on its own, a block bound for the dense solve being filled
+straight from the sector's sparse entries. The merged result keeps the
+basis's dimension; its method is "lanczos" if any block ran Lanczos and
+"dense" otherwise, and its iterations are the sum over the blocks.
+binding_from_ed takes its K = 0 results and operators from those solves,
+so each record assembles each Hamiltonian once.
 """
 from __future__ import annotations
 
@@ -566,30 +569,50 @@ def _lanczos_lowest(
 
 @dataclass(frozen=True, eq=False)
 class SectorSolve:
-    """The whole N sector, solved one total-momentum block at a time.
+    """A particle-number basis, solved one total-momentum block at a time.
 
-    rows maps each total momentum, in increasing order, to its rows of basis;
-    results holds each block's lowest max(k, 2) pairs. merged is the
-    whole-sector result built from them.
+    ham is the operator assembled once on basis. rows maps each total
+    momentum, in increasing order, to its rows of basis; results holds each
+    block's lowest max(k, 2) pairs. merged is the result on the whole basis
+    built from them.
     """
 
     basis: FockBasis
+    ham: scipy.sparse.csr_matrix
     rows: dict[Momentum, np.ndarray]
     results: dict[Momentum, EDResult]
     merged: EDResult
 
+    def block(self, momentum: Momentum) -> tuple[FockBasis, scipy.sparse.csr_matrix]:
+        """The block's own basis, filtered to momentum, and its operator ham[rows][:, rows].
 
-def solve_sector(model: TorusModel, settings: EDSettings = EDSettings()) -> SectorSolve:
-    """Lowest levels of the whole N sector from its momentum blocks.
+        Its rows keep the lexicographic order of basis, so the pair is the
+        one enumerate_basis and build_hamiltonian give for that block alone.
+        """
+        rows = self.rows[momentum]
+        basis = FockBasis(
+            modes=self.basis.modes,
+            states=self.basis.states[rows],
+            n_particles=self.basis.n_particles,
+            momentum_sector=momentum,
+        )
+        return basis, self.ham[rows][:, rows]
 
-    H conserves total momentum, so the sector's spectrum is the union of the
-    block spectra (Sandvik, AIP Conf. Proc. 1297, 135 (2010)). The sector is
-    assembled once and permuted once, so that each block is a contiguous run
-    of rows, and every block goes through lowest_eigenpairs. A block that
-    lowest_eigenpairs will solve dense is passed as a dense array filled from
-    those rows' stored entries, the same array toarray() gives, which spares
-    a sparse slice per block; a block bound for Lanczos is passed as a sparse
-    slice.
+
+def solve_sector(
+    model: TorusModel, basis: FockBasis, settings: EDSettings = EDSettings()
+) -> SectorSolve:
+    """Lowest levels of a particle-number basis from its momentum blocks.
+
+    basis is a whole N sector or one momentum-filtered block of it; either
+    way it is assembled once. H conserves total momentum, so the spectrum is
+    the union of the block spectra (Sandvik, AIP Conf. Proc. 1297, 135
+    (2010)). The operator is permuted once, so that each block is a
+    contiguous run of rows, and every block goes through lowest_eigenpairs.
+    A block that lowest_eigenpairs will solve dense is passed as a dense
+    array filled from those rows' stored entries, the same array toarray()
+    gives, which spares a sparse slice per block; a block bound for Lanczos
+    is passed as a sparse slice.
 
     The merged result holds the k lowest of all block eigenvalues, the gap
     between the two lowest, and the ground-holding block's vector placed in
@@ -598,7 +621,8 @@ def solve_sector(model: TorusModel, settings: EDSettings = EDSettings()) -> Sect
     residual is <= tol. Its method is "lanczos" if any block ran Lanczos,
     and its iterations are the sum over the blocks.
     """
-    basis = enumerate_basis(model.mode_set(), n_particles=model.N)
+    if not basis.size:
+        raise ValueError("basis holds no state")
     rows = basis.momentum_blocks()
     ham = build_hamiltonian(model, basis)
     # Slicing a contiguous block costs about a third of fancy-indexing its rows.
@@ -640,7 +664,7 @@ def solve_sector(model: TorusModel, settings: EDSettings = EDSettings()) -> Sect
         gap=gap,
         vector_reliable=gap > DEGENERACY_GAP,
     )
-    return SectorSolve(basis=basis, rows=rows, results=results, merged=merged)
+    return SectorSolve(basis=basis, ham=ham, rows=rows, results=results, merged=merged)
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +777,6 @@ class IdentityResiduals:
 
     residual_a: float
     residual_b: float
-    scale_b: float
-    ground_energy: float
 
 
 def operator_identity_residuals(
@@ -799,14 +821,8 @@ def operator_identity_residuals(
     hpsi = hn @ psi
     lhs = float(u @ hu - energy * (u @ u))
     rhs = float(u @ hu - (exc * u) @ hpsi)
-    scale = abs(float(u @ hu))
-    residual_b = abs(lhs - rhs) / max(scale, 1e-30)
-    return IdentityResiduals(
-        residual_a=residual_a,
-        residual_b=residual_b,
-        scale_b=scale,
-        ground_energy=energy,
-    )
+    residual_b = abs(lhs - rhs) / max(abs(float(u @ hu)), 1e-30)
+    return IdentityResiduals(residual_a=residual_a, residual_b=residual_b)
 
 
 # ---------------------------------------------------------------------------
@@ -816,6 +832,14 @@ def operator_identity_residuals(
 
 @dataclass(frozen=True, eq=False)
 class BindingResult:
+    """Ground energies of the K = 0 blocks of the N and N-1 sectors.
+
+    result_N and result_Nm1 are the K = 0 block solves of solve_sector, so
+    each holds the block's lowest max(k, 2) levels and a residual measured on
+    the block. basis_* and ham_* are those blocks' own bases and operators.
+    sector_minimum and k0_is_global are None without the global check.
+    """
+
     E_N: float
     E_Nm1: float
     delta_E: float
@@ -837,45 +861,53 @@ def binding_from_ed(
 ) -> BindingResult:
     """Ground energies of the N and N-1 sectors (K = 0) and their difference.
 
-    Both solves share the coupling and mode set. With check_global, the whole
-    N sector is solved by momentum blocks (solve_sector); sector_minimum is
-    the least block minimum, and k0_is_global says whether the K = 0 ground
-    attains it.
+    Both sectors share the coupling and mode set, and each goes through
+    solve_sector once: the K = 0 block of N-1 particles and, with
+    check_global, the whole N sector, else its K = 0 block. The K = 0 results
+    are that solve's K = 0 block. sector_minimum is the whole N sector's
+    merged ground, the least block minimum, and k0_is_global says whether the
+    K = 0 ground attains it; the binding is then converged only if the merged
+    solve is too. An empty K = 0 sector raises ValueError.
     """
     if model.N < 2:
         raise ValueError("binding energy needs N >= 2")
     modes = model.mode_set()
     k0 = zero_momentum(model.d)
-    results = {}
-    bases = {}
-    hams = {}
+    solves = {}
     for sector in (model.N, model.N - 1):
-        bases[sector] = enumerate_basis(modes, n_particles=sector, momentum_sector=k0)
-        hams[sector] = build_hamiltonian(model, bases[sector])
-        results[sector] = lowest_eigenpairs(hams[sector], settings)
+        whole = check_global and sector == model.N
+        basis = enumerate_basis(
+            modes, n_particles=sector, momentum_sector=None if whole else k0
+        )
+        solved = solve_sector(model, basis, settings) if basis.size else None
+        if solved is None or k0 not in solved.results:
+            raise ValueError(f"the K = 0 sector of {sector} particles holds no state")
+        solves[sector] = solved
+    result_n = solves[model.N].results[k0]
+    result_nm1 = solves[model.N - 1].results[k0]
+    basis_n, ham_n = solves[model.N].block(k0)
+    basis_nm1, ham_nm1 = solves[model.N - 1].block(k0)
+    converged = result_n.converged and result_nm1.converged
     sector_minimum: float | None = None
     k0_is_global: bool | None = None
     if check_global:
-        sector_minimum = solve_sector(model, settings).merged.ground_energy
+        merged = solves[model.N].merged
+        sector_minimum = merged.ground_energy
         k0_is_global = (
-            abs(sector_minimum - results[model.N].ground_energy)
+            abs(sector_minimum - result_n.ground_energy)
             <= 1e-10 * max(1.0, abs(sector_minimum))
         )
-    e_n = results[model.N].ground_energy
-    e_nm1 = results[model.N - 1].ground_energy
-    converged = results[model.N].converged and results[model.N - 1].converged
-    if k0_is_global is False:
-        converged = False
+        converged = converged and merged.converged and k0_is_global
     return BindingResult(
-        E_N=e_n,
-        E_Nm1=e_nm1,
-        delta_E=e_n - e_nm1,
-        result_N=results[model.N],
-        result_Nm1=results[model.N - 1],
-        basis_N=bases[model.N],
-        basis_Nm1=bases[model.N - 1],
-        ham_N=hams[model.N],
-        ham_Nm1=hams[model.N - 1],
+        E_N=result_n.ground_energy,
+        E_Nm1=result_nm1.ground_energy,
+        delta_E=result_n.ground_energy - result_nm1.ground_energy,
+        result_N=result_n,
+        result_Nm1=result_nm1,
+        basis_N=basis_n,
+        basis_Nm1=basis_nm1,
+        ham_N=ham_n,
+        ham_Nm1=ham_nm1,
         sector_minimum=sector_minimum,
         k0_is_global=k0_is_global,
         converged=converged,
@@ -894,8 +926,6 @@ class SandwichResult:
     lower: float
     upper: float
     delta_E: float
-    E_N: float
-    E_Nm1: float
     norm_identity_dev_N: float
     norm_identity_dev_Nm1: float
     converged: bool
@@ -922,8 +952,6 @@ def variational_sandwich(binding: BindingResult) -> SandwichResult:
         lower=lower,
         upper=upper,
         delta_E=binding.delta_E,
-        E_N=binding.E_N,
-        E_Nm1=binding.E_Nm1,
         norm_identity_dev_N=dev_n,
         norm_identity_dev_Nm1=dev_m,
         converged=binding.converged,

@@ -263,8 +263,10 @@ class TestRunBindingStudy:
         dims = []
         dense_arrays = 0
         blocks = 0
+        assembled = 0
         solve = fock_ed.lowest_eigenpairs
         solve_sector = fock_ed.solve_sector
+        build = fock_ed.build_hamiltonian
 
         def recording(op, *args, **kwargs):
             nonlocal dense_arrays
@@ -278,17 +280,23 @@ class TestRunBindingStudy:
             blocks += len(solved.results)
             return solved
 
+        def building(*args, **kwargs):
+            nonlocal assembled
+            assembled += 1
+            return build(*args, **kwargs)
+
         monkeypatch.setattr(fock_ed, "lowest_eigenpairs", recording)
         monkeypatch.setattr(fock_ed, "solve_sector", counting)
+        monkeypatch.setattr(fock_ed, "build_hamiltonian", building)
         n_values = (8, 16, 24, 32, 48)
         report = asymptotics.run_binding_study(one_pair_config(n_values))
         assert all(rec.converged for rec in report.records)
         assert max(dims) == 25
-        # Each record's two K = 0 sectors arrive sparse; every block of the
-        # global check is solved dense and arrives as a dense array.
-        assert blocks > 0
-        assert dense_arrays == blocks
-        assert len(dims) == blocks + 2 * len(n_values)
+        # Every solve is a momentum block of solve_sector, solved dense from a
+        # dense array: the whole N sector's blocks, K = 0 among them, and the
+        # K = 0 block of N - 1. Each record assembles those two operators once.
+        assert len(dims) == blocks == dense_arrays
+        assert assembled == 2 * len(n_values)
 
     def test_overlap_monotone_toward_quasifree(self):
         config = one_pair_config((8, 16), with_overlap=True, check_global=False)

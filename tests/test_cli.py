@@ -542,6 +542,36 @@ class TestStudyWorkflow:
         assert read_json(out2 / "diagnostics.json")["cache"] == {"hits": 3, "misses": 0}
         assert r1["records"] == r2["records"]
 
+    def test_unconverged_global_block_exit_3_and_not_cached(self, tmp_path, monkeypatch):
+        # The first block solved, K = -3 of the whole N = 3 sector, holds one
+        # state and not the ground: its failure alone must fail that record.
+        from torusbog import fock_ed
+
+        solve = fock_ed.lowest_eigenpairs
+        calls = []
+
+        def failing_first(op, *args, **kwargs):
+            result = solve(op, *args, **kwargs)
+            calls.append(op.shape[0])
+            return replace(result, converged=False) if len(calls) == 1 else result
+
+        cfg = write_json(tmp_path / "cfg.json", self.study_doc((3, 4, 5)))
+        cache = tmp_path / "cache"
+        args = ["study", "--config", cfg, "--cache", str(cache), "--out"]
+        with monkeypatch.context() as patch:
+            patch.setattr(fock_ed, "lowest_eigenpairs", failing_first)
+            assert cli.main(args + [str(tmp_path / "o1")]) == 3
+        assert calls[0] == 1
+        records = read_json(tmp_path / "o1" / "report.json")["records"]
+        assert [rec["converged"] for rec in records] == [False, True, True]
+        assert len(list(cache.glob("*.json"))) == 2
+        # Unpatched, only the N = 3 record is computed again.
+        assert cli.main(args + [str(tmp_path / "o2")]) == 0
+        assert read_json(tmp_path / "o2" / "diagnostics.json")["cache"] == {
+            "hits": 2,
+            "misses": 1,
+        }
+
     def test_records_shared_across_sweeps(self, tmp_path):
         # A record depends on its own N only, not on the rest of the sweep.
         cache = tmp_path / "cache"
@@ -642,10 +672,12 @@ class TestCacheKeys:
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
+                # Keyed on the momentum-block solve that the K = 0 results
+                # come from; the former separate K = 0 solves keyed otherwise.
                 [
-                    "4e39dc0c251557f2813bcf20e86e536a",
-                    "4eced8466c7bf274cf66f683ad76a85f",
-                    "582f39f79f20641c48a0f896feeba4da",
+                    "0d84635761e66b9d405cbc1933f69a3a",
+                    "36d4c39b8713e3a21d05b612cc537475",
+                    "e6cddfdc8d88f5cf521a02577a084ce5",
                 ],
             ),
             (

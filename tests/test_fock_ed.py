@@ -211,7 +211,7 @@ class TestMomentumBlocks:
             abs(binding.sector_minimum - binding.E_N) <= 1e-10 * scale
         )
         # The merged whole-sector result at k = 3 against the full solve.
-        solved = fock_ed.solve_sector(model, settings)
+        solved = fock_ed.solve_sector(model, full, settings)
         merged = solved.merged
         assert solved.basis.size == full.size
         assert merged.converged and merged.residual_norm <= settings.tol
@@ -241,8 +241,9 @@ class TestMomentumBlocks:
         # entries; the reference solves the same block as a sparse slice.
         # Blocks above the threshold keep the sparse route to Lanczos.
         settings = fock_ed.EDSettings(k=k, dense_threshold=dense_threshold)
-        solved = fock_ed.solve_sector(model, settings)
-        ham = fock_ed.build_hamiltonian(model, solved.basis)
+        full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
+        solved = fock_ed.solve_sector(model, full, settings)
+        ham = fock_ed.build_hamiltonian(model, full)
         scale = float(abs(ham).sum(axis=1).max())
         methods = set()
         for momentum, block in solved.rows.items():
@@ -840,6 +841,85 @@ class TestBindingFromED:
         binding = fock_ed.binding_from_ed(model)
         assert binding.k0_is_global is False
         assert binding.converged is False
+
+    def test_unconverged_global_block_fails_the_binding(self, monkeypatch):
+        # The first block solved, K = -8 of the whole N = 8 sector, holds one
+        # state and not the ground: the K = 0 ground still attains the sector
+        # minimum, but the global check did not converge.
+        solve = fock_ed.lowest_eigenpairs
+        calls = []
+
+        def failing_first(op, *args, **kwargs):
+            result = solve(op, *args, **kwargs)
+            calls.append(op.shape[0])
+            return replace(result, converged=False) if len(calls) == 1 else result
+
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_first)
+        binding = fock_ed.binding_from_ed(make_one_pair_model(N=8))
+        assert calls[0] == 1
+        assert binding.k0_is_global is True
+        assert binding.result_N.converged and binding.result_Nm1.converged
+        assert binding.converged is False
+
+    @pytest.mark.parametrize("check_global", [True, False])
+    def test_empty_k0_sector_is_named(self, check_global):
+        # Modes +-1 and no zero mode: an odd particle count has no K = 0 state.
+        model = TorusModel(
+            d=1,
+            N=3,
+            potential=PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0}),
+            mode_cutoff=7.0,
+            include_zero_mode=False,
+        )
+        with pytest.raises(ValueError, match="K = 0 sector of 3 particles holds no state"):
+            fock_ed.binding_from_ed(model, check_global=check_global)
+
+    @FULL_SECTORS
+    @pytest.mark.parametrize("check_global", [True, False])
+    @pytest.mark.parametrize("dense_threshold", [500, 10], ids=["dense", "lanczos"])
+    def test_matches_standalone_k0_solves(self, model, check_global, dense_threshold):
+        # The oracle enumerates, assembles and solves each K = 0 sector on
+        # its own; binding_from_ed takes the same block from solve_sector.
+        # A threshold of 10 sends every K = 0 block to Lanczos.
+        settings = fock_ed.EDSettings(dense_threshold=dense_threshold)
+        k0 = zero_momentum(model.d)
+        bases, hams, results = {}, {}, {}
+        for n in (model.N, model.N - 1):
+            bases[n] = fock_ed.enumerate_basis(model.mode_set(), n, momentum_sector=k0)
+            hams[n] = fock_ed.build_hamiltonian(model, bases[n])
+            results[n] = fock_ed.lowest_eigenpairs(hams[n], settings)
+        binding = fock_ed.binding_from_ed(model, settings, check_global)
+        assert binding.E_N == results[model.N].ground_energy
+        assert binding.E_Nm1 == results[model.N - 1].ground_energy
+        mine = {
+            model.N: (binding.result_N, binding.basis_N, binding.ham_N),
+            model.N - 1: (binding.result_Nm1, binding.basis_Nm1, binding.ham_Nm1),
+        }
+        for n, (result, basis, ham) in mine.items():
+            assert np.array_equal(result.ground_vector, results[n].ground_vector)
+            assert np.array_equal(basis.states, bases[n].states)
+            assert basis.momentum_sector == k0
+            assert np.array_equal(ham.toarray(), hams[n].toarray())
+            # The block's residual is measured on a dense array, the oracle's
+            # on the sparse operator; the two products round differently.
+            scale = float(abs(hams[n]).sum(axis=1).max())
+            assert abs(result.residual_norm - results[n].residual_norm) <= 1e-14 * scale
+        oracle = fock_ed.BindingResult(
+            E_N=results[model.N].ground_energy,
+            E_Nm1=results[model.N - 1].ground_energy,
+            delta_E=results[model.N].ground_energy - results[model.N - 1].ground_energy,
+            result_N=results[model.N],
+            result_Nm1=results[model.N - 1],
+            basis_N=bases[model.N],
+            basis_Nm1=bases[model.N - 1],
+            ham_N=hams[model.N],
+            ham_Nm1=hams[model.N - 1],
+            sector_minimum=None,
+            k0_is_global=None,
+            converged=True,
+        )
+        ours, theirs = fock_ed.variational_sandwich(binding), fock_ed.variational_sandwich(oracle)
+        assert (ours.lower, ours.upper) == (theirs.lower, theirs.upper)
 
 
 class TestVariationalSandwich:
