@@ -12,7 +12,13 @@ pair Hamiltonian
        + (1/2) sum_{p!=0} w_hat(p) (a_p* a_{-p}* + a_p a_{-p})
 
 on the M-particle sector over the nonzero modes and the zero mode, as sparse
-symmetric operators. Solves lowest eigenpairs by one direct LAPACK dsyevr
+symmetric operators. Each term moves a fixed occupation change across every
+state it acts on, so assembly finds the moved states by rank arithmetic
+(FockBasis.shifted): the rank of a row is a sum of one term per suffix sum,
+and a move changes only the few suffix sums between its first and last
+changed mode. The two-body terms come from the model's transfer table
+(TorusModel.transfers), built once per model. Solves lowest eigenpairs by
+one direct LAPACK dsyevr
 call for the lowest few pairs up to EDSettings.dense_threshold states (500,
 the measured crossover, by default; up to 2,000 when three or more levels are
 asked for) and by Lanczos with full reorthogonalization above, and evaluates
@@ -114,17 +120,22 @@ class FockBasis:
     occupation of every mode in state r. momentum_sector, when set, names the
     total-momentum block the rows were filtered to.
 
-    find() locates rows through their combinatorial rank, the row's position
-    in the lexicographic enumeration of the unfiltered sector (Streltsov,
-    Alon and Cederbaum, PRA 81, 022124 (2010)). A sector of more than
-    2^63 - 1 rows is refused, since its ranks do not fit in int64.
+    Rows are located by their combinatorial rank, the row's position in the
+    lexicographic enumeration of the unfiltered sector (Streltsov, Alon and
+    Cederbaum, PRA 81, 022124 (2010)). With R_j the particles held by modes
+    j, j + 1, ..., the rank is a sum of one table term per suffix sum,
+    sum_j T_j(R_j). find() ranks arbitrary rows from their suffix sums;
+    shifted() ranks the image of a basis row under a fixed occupation change
+    by rank arithmetic, updating only the terms whose suffix sum the change
+    moves. A sector of more than 2^63 - 1 rows is refused, since its ranks do
+    not fit in int64.
     """
 
     modes: tuple[Momentum, ...]
     states: np.ndarray
     n_particles: int
     momentum_sector: Momentum | None
-    _binomials: np.ndarray = field(init=False, repr=False)
+    _terms: np.ndarray = field(init=False, repr=False)
     _ranks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -140,8 +151,17 @@ class FockBasis:
         binomials = np.ones((len(self.modes), self.n_particles + 1), dtype=np.int64)
         for k in range(1, len(self.modes)):
             binomials[k] = np.cumsum(binomials[k - 1])
+        # With r the particles left before mode j and n its occupation, the
+        # rows that share the prefix and put c < n there number C(r + k, k) -
+        # C(r - n + k, k) by the hockey-stick identity, k = m - 1 - j being the
+        # modes after it. Summed over j and grouped by suffix sum, the rank is
+        # sum_j terms[j, R_j]: terms[0, N] = C(N + m - 1, m - 1) - 1 and
+        # terms[j, r] = C(r + k, k) - C(r + k + 1, k + 1) for j >= 1.
+        terms = np.empty_like(binomials)
+        terms[0] = binomials[-1] - 1
+        terms[1:] = binomials[-2::-1] - binomials[:0:-1]
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "_binomials", binomials)
+        object.__setattr__(self, "_terms", terms)
         valid, ranks = self._rank(states)
         if not valid.all() or np.any(np.diff(ranks) <= 0):
             raise ValueError("states must be distinct sector rows in lexicographic order")
@@ -158,19 +178,27 @@ class FockBasis:
                 return i
         return None
 
-    def _rank(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which rows lie in the unfiltered sector, and the rank of each that does.
+    @functools.cached_property
+    def _suffix(self) -> np.ndarray:
+        """R[j, r], the particles that modes j, j + 1, ... hold in state r,
+        one contiguous row per mode."""
+        return np.ascontiguousarray(np.cumsum(self.states[:, ::-1], axis=1)[:, ::-1].T)
 
-        With r the particles left before a mode and n its occupation, the rows
-        that share the prefix and put c < n there number C(r + k, k) -
-        C(r - n + k, k) by the hockey-stick identity, k being the modes after it.
-        """
-        after = self.n_particles - np.cumsum(rows, axis=1)
-        valid = (rows >= 0).all(axis=1) & (after[:, -1] == 0)
-        rows, after = rows[valid], after[valid]
-        k = np.arange(rows.shape[1] - 1, -1, -1)
-        ranks = (self._binomials[k, after + rows] - self._binomials[k, after]).sum(axis=1)
-        return valid, ranks
+    def _rank(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which rows lie in the unfiltered sector, and the rank of each that does."""
+        suffix = np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
+        valid = (rows >= 0).all(axis=1) & (suffix[:, 0] == self.n_particles)
+        # Every suffix sum of a valid row lies in 0..N, inside the table.
+        modes = np.arange(rows.shape[1])
+        return valid, self._terms[modes, suffix[valid]].sum(axis=1)
+
+    def _locate(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the given ranks in the basis, and which of them it holds."""
+        at = np.searchsorted(self._ranks, ranks)
+        inside = at < self.size
+        hit = np.zeros(len(ranks), dtype=bool)
+        hit[inside] = self._ranks[at[inside]] == ranks[inside]
+        return at, hit
 
     def find(self, occupations) -> np.ndarray:
         """Position of each occupation row in the basis, -1 where it is absent."""
@@ -181,12 +209,48 @@ class FockBasis:
                 f"got shape {rows.shape}"
             )
         valid, ranks = self._rank(rows)
-        at = np.searchsorted(self._ranks, ranks)
-        inside = at < self.size
-        hit = np.zeros(len(ranks), dtype=bool)
-        hit[inside] = self._ranks[at[inside]] == ranks[inside]
+        at, hit = self._locate(ranks)
         out = np.full(len(rows), -1, dtype=np.int64)
         out[np.flatnonzero(valid)[hit]] = at[hit]
+        return out
+
+    def shifted(self, rows, delta) -> np.ndarray:
+        """Position of each given basis row after adding delta to its occupations.
+
+        Equal to find(states[rows] + delta), -1 where an occupation goes
+        negative or the result lies outside the basis, without re-ranking the
+        rows: delta moves the suffix sum R_j by delta_j = sum_{i >= j}
+        delta_i, which is nonzero only between its first and last changed
+        mode, so the rank moves by sum_j T_j(R_j + delta_j) - T_j(R_j) over
+        those j alone.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        delta = np.asarray(delta, dtype=np.int64)
+        if rows.ndim != 1 or delta.shape != (len(self.modes),):
+            raise ValueError(
+                f"basis mismatch: a row list and {len(self.modes)} occupation changes "
+                f"expected, got shapes {rows.shape} and {delta.shape}"
+            )
+        if len(rows) and (rows.min() < 0 or rows.max() >= self.size):
+            raise IndexError(f"rows must be positions in a basis of {self.size} states")
+        out = np.full(len(rows), -1, dtype=np.int64)
+        moves = np.cumsum(delta[::-1])[::-1]
+        if moves[0] != 0:
+            return out  # another particle number
+        # Refuse negative occupations before any table lookup, where a
+        # negative index would wrap.
+        enough = np.ones(len(rows), dtype=bool)
+        for i in np.flatnonzero(delta < 0):
+            enough &= self.states[rows, i] >= -delta[i]
+        kept = np.flatnonzero(enough)
+        rows = rows[kept]
+        ranks = self._ranks[rows]
+        for j in np.flatnonzero(moves):
+            before = self._suffix[j][rows]
+            ranks += self._terms[j][before + moves[j]]
+            ranks -= self._terms[j][before]
+        at, hit = self._locate(ranks)
+        out[kept[hit]] = at[hit]
         return out
 
     def momenta(self) -> np.ndarray:
@@ -281,9 +345,10 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
     """Sparse matrix of H on a fixed-particle-number basis.
 
     The l = 0 interaction is the exact diagonal lambda*w_hat(0)*n(n-1)/2; the
-    l != 0 terms are generated with exact bosonic square-root factors. Momentum
-    conservation keeps every generated entry inside the basis, including
-    momentum-filtered ones.
+    l != 0 terms are generated with exact bosonic square-root factors, one
+    move of model.transfers at a time, and each move's target rows are found
+    by basis.shifted. Momentum conservation keeps every generated entry
+    inside the basis, including momentum-filtered ones.
     """
     if tuple(basis.modes) != model.mode_set():
         raise ValueError("basis modes do not match the model's mode set")
@@ -296,47 +361,27 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
         diag += p.norm2 * states[:, i]
     index = np.arange(basis.size)
     rows, cols, vals = [index], [index], [diag]
-    # Transfer table: for every transfer l, its weight and the positions of
-    # p - l and p + l for every mode p, -1 outside the mode set.
-    pos = {p: i for i, p in enumerate(modes)}
-    table = [
-        (
-            model.w_hat(ell),
-            [pos.get(tuple(a - b for a, b in zip(p, ell)), -1) for p in modes],
-            [pos.get(tuple(a + b for a, b in zip(p, ell)), -1) for p in modes],
-        )
-        for ell in model.potential.nonzero_momenta()
-    ]
-    for iq in range(len(modes)):
-        for ip in range(len(modes)):
-            moves = [
-                (wl, minus[ip], plus[iq])
-                for wl, minus, plus in table
-                if minus[ip] >= 0 and plus[iq] >= 0
-            ]
-            if not moves:
-                continue
-            # a_p a_q on every state holding both quanta.
-            n_p = states[:, ip] - (ip == iq)
-            sel = np.flatnonzero((states[:, iq] > 0) & (n_p > 0))
-            f2 = np.sqrt(states[sel, iq]) * np.sqrt(n_p[sel])
-            s1 = states[sel]
-            s1[:, iq] -= 1
-            s1[:, ip] -= 1
-            for wl, i1, i2 in moves:
-                # a*_{p-l} a*_{q+l}
-                s3 = s1.copy()
-                f3 = f2 * np.sqrt(s3[:, i2] + 1)
-                s3[:, i2] += 1
-                f4 = f3 * np.sqrt(s3[:, i1] + 1)
-                s3[:, i1] += 1
-                target = basis.find(s3)
-                if np.any(target < 0):
-                    # Momentum conservation guarantees membership.
-                    raise RuntimeError("generated state left the basis")
-                rows.append(target)
-                cols.append(sel)
-                vals.append(0.5 * lam * wl * f4)
+    for iq, ip, moves in model.transfers:
+        # a_p a_q on every state holding both quanta.
+        n_p = states[:, ip] - (ip == iq)
+        sel = np.flatnonzero((states[:, iq] > 0) & (n_p > 0))
+        f2 = np.sqrt(states[sel, iq]) * np.sqrt(n_p[sel])
+        for wl, i1, i2 in moves:
+            # a*_{p-l} a*_{q+l}, on the occupations the earlier operators left.
+            delta = np.zeros(len(modes), dtype=np.int64)
+            delta[iq] -= 1
+            delta[ip] -= 1
+            f3 = f2 * np.sqrt(states[sel, i2] + delta[i2] + 1)
+            delta[i2] += 1
+            f4 = f3 * np.sqrt(states[sel, i1] + delta[i1] + 1)
+            delta[i1] += 1
+            target = basis.shifted(sel, delta)
+            if np.any(target < 0):
+                # Momentum conservation guarantees membership.
+                raise RuntimeError("generated state left the basis")
+            rows.append(target)
+            cols.append(sel)
+            vals.append(0.5 * lam * wl * f4)
     return _assemble(rows, cols, vals, basis.size)
 
 
@@ -381,21 +426,17 @@ def build_bogoliubov_hamiltonian(
             continue
         im = pos[-p]
         # a_p* a_{-p}* takes its pair from the zero mode, a_p a_{-p} gives it back.
-        up = states.copy()
-        up[:, im] += 1
-        up[:, i] += 1
-        up[:, -1] -= 2
-        target = basis.find(up)
+        up = np.zeros(len(basis.modes), dtype=np.int64)
+        up[im] += 1
+        up[i] += 1
+        up[-1] -= 2
+        target = basis.shifted(index, up)
         sel = np.flatnonzero(target >= 0)
         rows.append(target[sel])
         cols.append(sel)
         vals.append(0.5 * w * np.sqrt((states[sel, i] + 1) * (states[sel, im] + 1)))
         sel = np.flatnonzero((states[:, i] >= 1) & (states[:, im] >= 1))
-        down = states[sel]
-        down[:, im] -= 1
-        down[:, i] -= 1
-        down[:, -1] += 2
-        rows.append(basis.find(down))
+        rows.append(basis.shifted(sel, -up))
         cols.append(sel)
         vals.append(0.5 * w * np.sqrt(states[sel, i] * states[sel, im]))
     return basis, _assemble(rows, cols, vals, basis.size)
@@ -510,6 +551,31 @@ def lowest_eigenpairs(
     )
 
 
+def _lowest_tridiagonal_vectors(
+    alphas: Sequence[float], betas: Sequence[float], k: int
+) -> np.ndarray:
+    """Eigenvectors of the k lowest pairs of a symmetric tridiagonal of order >= 2,
+    by eigenvalue.
+
+    The pair of LAPACK calls eigh_tridiagonal(select="i") makes, without its
+    argument checks: dstebz bisects for the k lowest eigenvalues, in blocks
+    of the split matrix, and dstein finds their vectors by inverse
+    iteration. A nonzero info from either raises LinAlgError.
+    """
+    d = np.asarray(alphas, dtype=float)
+    e = np.asarray(betas, dtype=float)
+    found, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(
+        d, e, 2, 0.0, 1.0, 1, k, 0.0, "B"
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed, info = {info}")
+    w = w[:found]
+    vectors, info = scipy.linalg.lapack.dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein failed, info = {info}")
+    return vectors[:, np.argsort(w)]
+
+
 def _lanczos_lowest(
     op: scipy.sparse.spmatrix | np.ndarray, k: int, tol: float, max_iter: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -541,9 +607,7 @@ def _lanczos_lowest(
         steps = j + 1
         done = j + 1 == steps_cap or b < breakdown
         if not done and j + 1 >= k:
-            _, S = scipy.linalg.eigh_tridiagonal(
-                alphas, betas, select="i", select_range=(0, k - 1)
-            )
+            S = _lowest_tridiagonal_vectors(alphas, betas, k)
             # Ritz residual estimate |beta * last component|, per target pair.
             if all(abs(b * S[-1, i]) <= 0.5 * tol for i in range(k)):
                 done = True
@@ -726,11 +790,11 @@ def expect_pairing(vec: np.ndarray, basis: FockBasis, p: Momentum) -> float:
         raise ValueError("basis mismatch: pairing needs the zero mode")
     states = basis.states
     sel = np.flatnonzero((states[:, ip] >= 1) & (states[:, im] >= 1))
-    lowered = states[sel]
-    lowered[:, ip] -= 1
-    lowered[:, im] -= 1
-    lowered[:, zp] += 2
-    target = basis.find(lowered)
+    lowered = np.zeros(len(basis.modes), dtype=np.int64)
+    lowered[ip] -= 1
+    lowered[im] -= 1
+    lowered[zp] += 2
+    target = basis.shifted(sel, lowered)
     hit = target >= 0
     sel, target = sel[hit], target[hit]
     return float(np.sum(vec[target] * np.sqrt(states[sel, ip] * states[sel, im]) * vec[sel]))

@@ -253,6 +253,40 @@ class TorusModel:
         # build is not kept, so every call on a too-large set raises.
         return build_mode_set(self.d, self.mode_cutoff, self.include_zero_mode)
 
+    @cached_property
+    def transfers(self) -> tuple[tuple[int, int, tuple[tuple[float, int, int], ...]], ...]:
+        """Every term a*_{p-l} a*_{q+l} a_p a_q, l != 0, that stays inside the mode set.
+
+        One group (iq, ip, moves) per pair of mode-set positions of q and p,
+        q outer and p inner, that some transfer l keeps inside the set; moves
+        holds (w_hat(l), i1, i2), i1 and i2 the positions of p - l and q + l,
+        in the order of potential.nonzero_momenta(). Built on first use and
+        kept, since the model is frozen.
+        """
+        modes = self.mode_set()
+        pos = {p: i for i, p in enumerate(modes)}
+        # For every transfer l, its weight and the positions of p - l and
+        # p + l for every mode p, -1 outside the mode set.
+        table = [
+            (
+                self.w_hat(ell),
+                [pos.get(tuple(a - b for a, b in zip(p, ell)), -1) for p in modes],
+                [pos.get(tuple(a + b for a, b in zip(p, ell)), -1) for p in modes],
+            )
+            for ell in self.potential.nonzero_momenta()
+        ]
+        groups = []
+        for iq in range(len(modes)):
+            for ip in range(len(modes)):
+                moves = tuple(
+                    (wl, minus[ip], plus[iq])
+                    for wl, minus, plus in table
+                    if minus[ip] >= 0 and plus[iq] >= 0
+                )
+                if moves:
+                    groups.append((iq, ip, moves))
+        return tuple(groups)
+
     def nonzero_modes(self) -> tuple[Momentum, ...]:
         return tuple(p for p in self.mode_set() if not p.is_zero)
 

@@ -11,6 +11,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusbog import bogoliubov, fock_ed
 from torusbog.model import (
@@ -18,6 +21,7 @@ from torusbog.model import (
     PotentialSpec,
     ResourceLimitError,
     TorusModel,
+    build_mode_set,
     zero_momentum,
 )
 
@@ -53,6 +57,99 @@ def one_pair_hb(m: int):
     """The pair Hamiltonian of the one-pair model on its M = m space."""
     model = make_one_pair_model(N=8)
     return fock_ed.build_bogoliubov_hamiltonian(model.nonzero_modes(), m, model.potential)[1]
+
+
+def reranked_hamiltonian(model: TorusModel, basis: fock_ed.FockBasis):
+    """H assembled by copying each move's rows, editing their occupations and
+    ranking every edited row again through find(): the assembly that rank
+    arithmetic replaced, kept as its byte-for-byte reference."""
+    modes, states, lam = basis.modes, basis.states, model.lam
+    n_total = states.sum(axis=1)
+    diag = lam * model.potential.w_zero * n_total * (n_total - 1) / 2.0
+    for i, p in enumerate(modes):
+        diag += p.norm2 * states[:, i]
+    index = np.arange(basis.size)
+    rows, cols, vals = [index], [index], [diag]
+    pos = {p: i for i, p in enumerate(modes)}
+    table = [
+        (
+            model.w_hat(ell),
+            [pos.get(tuple(a - b for a, b in zip(p, ell)), -1) for p in modes],
+            [pos.get(tuple(a + b for a, b in zip(p, ell)), -1) for p in modes],
+        )
+        for ell in model.potential.nonzero_momenta()
+    ]
+    for iq in range(len(modes)):
+        for ip in range(len(modes)):
+            moves = [
+                (wl, minus[ip], plus[iq])
+                for wl, minus, plus in table
+                if minus[ip] >= 0 and plus[iq] >= 0
+            ]
+            if not moves:
+                continue
+            n_p = states[:, ip] - (ip == iq)
+            sel = np.flatnonzero((states[:, iq] > 0) & (n_p > 0))
+            f2 = np.sqrt(states[sel, iq]) * np.sqrt(n_p[sel])
+            s1 = states[sel]
+            s1[:, iq] -= 1
+            s1[:, ip] -= 1
+            for wl, i1, i2 in moves:
+                s3 = s1.copy()
+                f3 = f2 * np.sqrt(s3[:, i2] + 1)
+                s3[:, i2] += 1
+                f4 = f3 * np.sqrt(s3[:, i1] + 1)
+                s3[:, i1] += 1
+                target = basis.find(s3)
+                assert (target >= 0).all()
+                rows.append(target)
+                cols.append(sel)
+                vals.append(0.5 * lam * wl * f4)
+    return fock_ed._assemble(rows, cols, vals, basis.size)
+
+
+def reranked_bogoliubov_hamiltonian(modes, excitation_cutoff: int, potential: PotentialSpec):
+    """HB by re-ranking every pair-moved row through find(), as reranked_hamiltonian."""
+    modes = tuple(modes)
+    pos = {p: i for i, p in enumerate(modes)}
+    basis = fock_ed.enumerate_basis(
+        modes + (zero_momentum(modes[0].d),), n_particles=excitation_cutoff
+    )
+    states = basis.states
+    diag = np.zeros(basis.size)
+    for i, p in enumerate(modes):
+        diag += (p.norm2 + potential.w_hat(p)) * states[:, i]
+    index = np.arange(basis.size)
+    rows, cols, vals = [index], [index], [diag]
+    for i, p in enumerate(modes):
+        w = potential.w_hat(p)
+        if w == 0.0:
+            continue
+        im = pos[-p]
+        up = states.copy()
+        up[:, im] += 1
+        up[:, i] += 1
+        up[:, -1] -= 2
+        target = basis.find(up)
+        sel = np.flatnonzero(target >= 0)
+        rows.append(target[sel])
+        cols.append(sel)
+        vals.append(0.5 * w * np.sqrt((states[sel, i] + 1) * (states[sel, im] + 1)))
+        sel = np.flatnonzero((states[:, i] >= 1) & (states[:, im] >= 1))
+        down = states[sel]
+        down[:, im] -= 1
+        down[:, i] -= 1
+        down[:, -1] += 2
+        rows.append(basis.find(down))
+        cols.append(sel)
+        vals.append(0.5 * w * np.sqrt(states[sel, i] * states[sel, im]))
+    return basis, fock_ed._assemble(rows, cols, vals, basis.size)
+
+
+def assert_same_csr(mine, theirs) -> None:
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(mine, name), getattr(theirs, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestEnumerateBasis:
@@ -343,8 +440,11 @@ class TestBuildHamiltonian:
                         state[ipt] += 1; amp *= math.sqrt(state[ipt])
                         i = index[tuple(state)]
                         ref[i, j] += 0.5 * lam * wl * amp
-        ham = fock_ed.build_hamiltonian(model, basis).toarray()
-        assert np.allclose(ham, ref, atol=1e-13)
+        ham = fock_ed.build_hamiltonian(model, basis)
+        assert np.allclose(ham.toarray(), ref, atol=1e-13)
+        # Rank arithmetic emits the same entries in the same order as
+        # re-ranking every moved row.
+        assert_same_csr(ham, reranked_hamiltonian(model, basis))
 
     def test_hermiticity_random_vectors(self, two_band_model):
         basis = fock_ed.enumerate_basis(
@@ -391,6 +491,91 @@ class TestBuildHamiltonian:
         )
         with pytest.raises(ValueError, match="mode set"):
             fock_ed.build_hamiltonian(one_pair_model, other)
+
+
+# Mode sets of the shifted() property test: five modes on a line and the
+# nine square-lattice modes with |n|_inf <= 1.
+SHIFT_MODE_SETS = (
+    tuple(Momentum((n,)) for n in range(-2, 3)),
+    build_mode_set(2, 1.5 * TWO_PI),
+)
+
+
+class TestRankArithmetic:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_shifted_matches_find_of_the_moved_rows(self, data):
+        # A whole sector or a K != 0 block, any rows of it (repeats too) and
+        # any particle-conserving change: the results include rows that go
+        # negative and rows that leave a filtered block, both -1.
+        modes = data.draw(st.sampled_from(SHIFT_MODE_SETS))
+        n = data.draw(st.integers(1, 6 if len(modes) < 9 else 4))
+        sector = data.draw(st.sampled_from([None] + [p for p in modes if not p.is_zero]))
+        basis = fock_ed.enumerate_basis(modes, n_particles=n, momentum_sector=sector)
+        rows = np.array(
+            data.draw(st.lists(st.integers(0, basis.size - 1), max_size=40)), dtype=np.int64
+        )
+        delta = np.array(
+            data.draw(st.lists(st.integers(-2, 2), min_size=len(modes), max_size=len(modes)))
+        )
+        delta[data.draw(st.integers(0, len(modes) - 1))] -= delta.sum()
+        expected = basis.find(basis.states[rows] + delta)
+        assert basis.shifted(rows, delta).tolist() == expected.tolist()
+
+    def test_shifted_edge_cases(self):
+        model = make_two_band_model(N=4)
+        full = fock_ed.enumerate_basis(model.mode_set(), n_particles=4)
+        block = fock_ed.enumerate_basis(
+            model.mode_set(), n_particles=4, momentum_sector=zero_momentum(1)
+        )
+        # Modes -2..2; (0, 1, 2, 1, 0) has K = 0.
+        at = block.find([[0, 1, 2, 1, 0]])
+        assert block.shifted(at, [0, 0, 1, -1, 0]).tolist() == [-1]  # K = -1
+        assert full.shifted(full.find([[0, 1, 2, 1, 0]]), [0, 0, 1, -1, 0]).tolist() == (
+            full.find([[0, 1, 3, 0, 0]]).tolist()
+        )
+        assert block.shifted(at, [1, -2, 0, 0, 1]).tolist() == [-1]  # n_-1 < 0
+        assert block.shifted(at, [0, 0, 0, 0, 0]).tolist() == at.tolist()
+        # Another particle number lies outside the sector.
+        assert full.shifted(np.arange(3), [0, 0, 1, 0, 0]).tolist() == [-1] * 3
+        assert full.shifted([], [0, 1, -1, 0, 0]).tolist() == []
+        with pytest.raises(ValueError, match="basis mismatch"):
+            full.shifted([0], [0, 1, -1, 0])
+        for rows in ([-1], [full.size]):
+            with pytest.raises(IndexError, match="positions"):
+                full.shifted(rows, [0, 1, -1, 0, 0])
+
+    def test_pair_hamiltonian_matches_reranked_rows(self):
+        # The nine square modes with |n|^2 <= 2 at M = 6, the pair
+        # Hamiltonian of the square-pair-M6 job.
+        model = FULL_SECTOR_MODELS[2]
+        basis, ham = fock_ed.build_bogoliubov_hamiltonian(
+            model.nonzero_modes(), 6, model.potential
+        )
+        reference_basis, reference = reranked_bogoliubov_hamiltonian(
+            model.nonzero_modes(), 6, model.potential
+        )
+        assert len(basis.modes) == 9 and basis.size == 3003
+        assert np.array_equal(basis.states, reference_basis.states)
+        assert_same_csr(ham, reference)
+
+    def test_assembly_and_pairing_never_rerank_rows(self, monkeypatch):
+        def refuse(self, occupations):
+            raise AssertionError("FockBasis.find called")
+
+        monkeypatch.setattr(fock_ed.FockBasis, "find", refuse)
+        model = make_two_band_model(N=6)
+        basis = fock_ed.enumerate_basis(
+            model.mode_set(), n_particles=6, momentum_sector=zero_momentum(1)
+        )
+        ground = fock_ed.lowest_eigenpairs(fock_ed.build_hamiltonian(model, basis))
+        p = Momentum((1,))
+        assert abs(fock_ed.expect_pairing(ground.ground_vector, basis, p)) > 0.0
+        pair_basis, hb = fock_ed.build_bogoliubov_hamiltonian(
+            model.nonzero_modes(), 4, model.potential
+        )
+        pair_ground = fock_ed.lowest_eigenpairs(hb)
+        assert abs(fock_ed.expect_pairing(pair_ground.ground_vector, pair_basis, p)) > 0.0
 
 
 class TestPairHamiltonian:
@@ -649,6 +834,36 @@ class TestLowestEigenpairs:
         for op in (ham, ham.toarray()):
             with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
                 fock_ed.lowest_eigenpairs(op)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_tridiagonal_pairs_match_scipy(self, k):
+        # The Lanczos convergence check calls dstebz and dstein directly;
+        # eigh_tridiagonal(select="i") is the reference, bit for bit.
+        rng = np.random.default_rng(k)
+        for n in (max(k, 2), k + 2, 40, 84):
+            alphas = rng.standard_normal(n).tolist()
+            betas = np.abs(rng.standard_normal(n - 1)).tolist()
+            _, reference = scipy.linalg.eigh_tridiagonal(
+                alphas, betas, select="i", select_range=(0, k - 1)
+            )
+            mine = fock_ed._lowest_tridiagonal_vectors(alphas, betas, k)
+            assert mine.shape == reference.shape == (n, k)
+            assert mine.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_tridiagonal_failure_raises(self, monkeypatch, routine):
+        import scipy.linalg.lapack
+
+        real = getattr(scipy.linalg.lapack, routine)
+
+        def failing(*args):
+            *out, _ = real(*args)
+            return (*out, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        ham = k0_hamiltonian(make_one_pair_model(N=16))
+        with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed, info = 1"):
+            fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=0))
 
     @pytest.mark.parametrize(
         "build, dim",
