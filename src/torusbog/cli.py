@@ -355,7 +355,9 @@ def load_config(path: str | None, verb: str) -> dict:
     if "model" in top:
         parsed["model"] = parse_model(top["model"])
     elif verb == "selfcheck":
-        parsed["model"] = default_selfcheck_model()
+        from . import checks
+
+        parsed["model"] = checks.default_selfcheck_model()
     else:
         raise ConfigError("missing required key: model")
     if verb in ("study", "selfcheck") and not parsed["model"].include_zero_mode:
@@ -704,203 +706,20 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
     return EXIT_OK
 
 
-def default_selfcheck_model():
-    from .model import PotentialSpec, TorusModel
-
-    potential = PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0})
-    return TorusModel(d=1, N=6, potential=potential, mode_cutoff=2.0 * math.pi * 1.25)
-
-
 def run_selfcheck(parsed: dict, out_dir: str) -> int:
-    import numpy as np
-
-    from . import bogoliubov, fock_ed
-    from .model import (
-        normalize_zero_mode,
-        real_space_eval,
-        validate_potential,
-        zero_momentum,
-    )
+    from . import checks
 
     model = parsed["model"]
-    settings = parsed["ed"]
-    checks: list[dict] = []
-
-    def record(name: str, ok: bool, detail: str) -> None:
-        checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
-    report_lines = validate_potential(model.potential)
-    record("potential_valid", not report_lines, "; ".join(report_lines) or "valid")
-
-    mode_set = set(model.mode_set())
-    record(
-        "mode_set_negation_closed",
-        all(-p in mode_set for p in mode_set),
-        f"{len(mode_set)} modes",
-    )
-
-    coeff_bound = model.potential.coefficient_sum
-    worst_eval = 0.0
-    for i in range(17):
-        x = [((i * 0.0625) + 0.013 * axis) % 1.0 for axis in range(model.d)]
-        worst_eval = max(worst_eval, abs(real_space_eval(model.potential, x)))
-    record(
-        "real_space_range",
-        worst_eval <= coeff_bound * (1.0 + 1e-12),
-        f"max |w(x)| {worst_eval:.6e} vs bound {coeff_bound:.6e}",
-    )
-
-    solution = bogoliubov.solve(model)
-    worst_quad = 0.0
-    worst_pair = 0.0
-    worst_range = True
-    worst_summand = True
-    for mq in solution.modes:
-        if mq.w_hat == 0.0:
-            continue
-        p2 = mq.p.norm2
-        lhs = mq.w_hat * (1.0 + mq.alpha_p**2)
-        rhs = 2.0 * (p2 + mq.w_hat) * mq.alpha_p
-        worst_quad = max(worst_quad, abs(lhs - rhs) / max(abs(lhs), 1e-300))
-        pair_lhs = 2.0 * mq.eB_summand
-        pair_rhs = mq.alpha_p * mq.w_hat
-        worst_pair = max(
-            worst_pair, abs(pair_lhs - pair_rhs) / max(abs(pair_rhs), 1e-300)
-        )
-        worst_range = worst_range and 0.0 <= mq.alpha_p < 1.0
-        s = mq.eB_summand
-        worst_summand = worst_summand and -1e-15 <= s <= mq.w_hat**2 / (2.0 * p2) * (1 + 1e-12)
-    record("quadratic_relation", worst_quad <= 1e-12, f"max relative residual {worst_quad:.3e}")
-    record("pair_identity", worst_pair <= 1e-12, f"max relative residual {worst_pair:.3e}")
-    record("alpha_range", worst_range, "0 <= alpha < 1")
-    record("eB_summand_bounds", worst_summand, "0 <= s_p <= w^2/(2|p|^2)")
-
-    hb = fock_ed.converged_bogoliubov_ground(
-        model.nonzero_modes(), model.potential, parsed["hb"], settings
-    )
-    record(
-        "hb_cutoff_converged",
-        hb.converged,
-        f"cutoff {hb.cutoff_used}, delta {hb.delta_achieved:.3e}",
-    )
-    hb_dev = abs(hb.result.ground_energy - solution.e_B)
-    record("hb_ground_matches_eB", hb_dev < 1e-8, f"|ground - e_B| = {hb_dev:.3e}")
-    if hb.result.vector_reliable:
-        worst_occ = 0.0
-        worst_pair = 0.0
-        for mq in solution.modes:
-            if mq.w_hat == 0.0:
-                continue
-            occ = fock_ed.expect_mode_occupation(hb.result.ground_vector, hb.basis, mq.p)
-            pair = fock_ed.expect_pairing(hb.result.ground_vector, hb.basis, mq.p)
-            worst_occ = max(worst_occ, abs(occ - mq.n_p))
-            worst_pair = max(worst_pair, abs(pair - mq.m_p))
-        record("quasifree_occupation", worst_occ <= 1e-6, f"max |n_p dev| {worst_occ:.3e}")
-        record("quasifree_pairing", worst_pair <= 1e-6, f"max |m_p dev| {worst_pair:.3e}")
-
-    n_check = min(model.N, 4)
-    ident_model = model
-    if model.N != n_check:
-        ident_model = replace(model, N=n_check, lam=model.lam)
-    residuals = fock_ed.operator_identity_residuals(ident_model)
-    record(
-        "double_commutator_identity",
-        residuals.residual_a <= 1e-10,
-        f"residual {residuals.residual_a:.3e}",
-    )
-    record(
-        "number_identity",
-        residuals.residual_b <= 1e-8,
-        f"relative residual {residuals.residual_b:.3e}",
-    )
-
-    sandwich_model = model
-    if model.N > 6:
-        sandwich_model = replace(model, N=6, lam=model.lam)
-    sandwich = fock_ed.variational_sandwich(
-        fock_ed.binding_from_ed(sandwich_model, settings, check_global=False)
-    )
-    ok_sandwich = (
-        sandwich.lower - 1e-9 <= sandwich.delta_E <= sandwich.upper + 1e-9
-    )
-    record(
-        "variational_sandwich",
-        ok_sandwich,
-        f"lower {sandwich.lower:.6e} <= dE {sandwich.delta_E:.6e} <= upper {sandwich.upper:.6e}",
-    )
-    record(
-        "norm_identities",
-        sandwich.norm_identity_dev_N <= 1e-10 and sandwich.norm_identity_dev_Nm1 <= 1e-10,
-        f"devs {sandwich.norm_identity_dev_N:.3e}, {sandwich.norm_identity_dev_Nm1:.3e}",
-    )
-
-    basis = fock_ed.enumerate_basis(
-        model.mode_set(), n_particles=n_check, momentum_sector=zero_momentum(model.d)
-    )
-    ham = fock_ed.build_hamiltonian(ident_model, basis)
-    rng = np.random.default_rng(settings.seed)
-    worst_sym = 0.0
-    worst_low = 0.0
-    exc = basis.excitation_counts().astype(float)
-    w_total = model.potential.coefficient_sum
-    gap_const = (2.0 * math.pi) ** 2
-    for _ in range(20):
-        u = rng.standard_normal(basis.size)
-        v = rng.standard_normal(basis.size)
-        sym = abs(u @ (ham @ v) - (ham @ u) @ v)
-        worst_sym = max(worst_sym, sym / (np.linalg.norm(u) * np.linalg.norm(v)))
-        w = v / np.linalg.norm(v)
-        energy = float(w @ (ham @ w))
-        bound = gap_const * float((w * w) @ exc) - ident_model.lam * n_check * w_total / 2.0
-        worst_low = max(worst_low, bound - energy)
-    record("hermiticity", worst_sym <= 1e-10, f"max asymmetry {worst_sym:.3e}")
-    record(
-        "condensation_lower_bound",
-        worst_low <= 1e-9,
-        f"max violation {worst_low:.3e}",
-    )
-
-    full = fock_ed.enumerate_basis(model.mode_set(), n_particles=n_check)
-    ham_full = fock_ed.build_hamiltonian(ident_model, full)
-    off_sector = np.count_nonzero(ham_full.data) - sum(
-        np.count_nonzero(ham_full[rows][:, rows].data)
-        for rows in full.momentum_blocks().values()
-    )
-    record(
-        "momentum_block_diagonal",
-        off_sector == 0,
-        f"{off_sector} entries cross momentum sectors",
-    )
-
-    ground_settings = replace(settings, k=1)
-    res_orig = fock_ed.lowest_eigenpairs(ham, ground_settings)
-    w0 = model.potential.w_zero
-    trial_energy = ident_model.lam * w0 * n_check * (n_check - 1) / 2.0
-    record(
-        "condensate_upper_bound",
-        res_orig.ground_energy <= trial_energy + 1e-9,
-        f"E0 {res_orig.ground_energy:.6e} <= trial {trial_energy:.6e}",
-    )
-
-    shifted, offset = normalize_zero_mode(model.potential)
-    if shifted is not model.potential:
-        shifted_model = replace(ident_model, potential=shifted)
-        ham_shift = fock_ed.build_hamiltonian(shifted_model, basis)
-        res_shift = fock_ed.lowest_eigenpairs(ham_shift, ground_settings)
-        lhs = res_shift.ground_energy + offset(ident_model.lam, n_check)
-        dev = abs(lhs - res_orig.ground_energy) / max(1.0, abs(res_orig.ground_energy))
-        record("zero_mode_offset_exact", dev <= 1e-10, f"relative dev {dev:.3e}")
-
-    violations = [c for c in checks if not c["ok"]]
-    for c in checks:
-        status = "ok" if c["ok"] else "VIOLATION"
-        print(f"selfcheck {c['name']}: {status} ({c['detail']})")
+    battery = [asdict(c) for c in checks.battery(model, parsed["ed"], parsed["hb"])]
+    for c in battery:
+        print(f"selfcheck {c['name']}: {'ok' if c['ok'] else 'VIOLATION'} ({c['detail']})")
+    violations = sum(not c["ok"] for c in battery)
     report = {
         "workflow": "selfcheck",
         "tool_version": _version(),
         "model": model.to_canonical_dict(),
-        "checks": checks,
-        "violations": len(violations),
+        "checks": battery,
+        "violations": violations,
     }
     write_report(out_dir, report)
     return EXIT_SELFCHECK_FAILED if violations else EXIT_OK

@@ -451,11 +451,14 @@ class EDResult:
     converged: bool
     method: str
     gap: float
-    vector_reliable: bool
 
     @property
     def ground_energy(self) -> float:
         return self.eigenvalues[0]
+
+    @property
+    def vector_reliable(self) -> bool:
+        return self.gap > DEGENERACY_GAP
 
 
 def _phase_fixed(v: np.ndarray) -> np.ndarray:
@@ -547,7 +550,6 @@ def lowest_eigenpairs(
         converged=residual <= settings.tol,
         method=method,
         gap=gap,
-        vector_reliable=gap > DEGENERACY_GAP,
     )
 
 
@@ -726,7 +728,6 @@ def solve_sector(
         converged=residual <= settings.tol and all(r.converged for r in results.values()),
         method="lanczos" if any(r.method == "lanczos" for r in results.values()) else "dense",
         gap=gap,
-        vector_reliable=gap > DEGENERACY_GAP,
     )
     return SectorSolve(basis=basis, ham=ham, rows=rows, results=results, merged=merged)
 
@@ -844,9 +845,10 @@ class IdentityResiduals:
 
 
 def operator_identity_residuals(
-    model: TorusModel, max_dim: int = 4000
+    model: TorusModel, max_dim: int = 4000, ham_n: scipy.sparse.csr_matrix | None = None
 ) -> IdentityResiduals:
-    """Verify both identities with explicit matrices on the N-1, N, N+1 sectors."""
+    """Verify both identities with explicit matrices on the N-1, N, N+1 sectors,
+    taking H on the whole N sector from ham_n (a SectorSolve's ham) when given."""
     modes = model.mode_set()
     if not any(p.is_zero for p in modes):
         raise ValueError("identities involve a_0; include the zero mode")
@@ -861,7 +863,8 @@ def operator_identity_residuals(
                 f"identity check needs {total} states, budget is {max_dim}"
             )
         bases[sector] = enumerate_basis(modes, n_particles=sector)
-    h = {s: build_hamiltonian(model, b) for s, b in bases.items()}
+    h = {s: build_hamiltonian(model, b) for s, b in bases.items() if s != n or ham_n is None}
+    h.setdefault(n, ham_n)
     a0_np1 = zero_mode_annihilation(bases[n + 1], bases[n])
     a0_n = zero_mode_annihilation(bases[n], bases[n - 1])
     # a_0 [H, a_0*] passes through the N+1 sector, [H, a_0*] a_0 through N-1.

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusbog import bogoliubov
+from torusbog import bogoliubov, checks
 from torusbog.model import Momentum, PotentialSpec, TorusModel
 
 from conftest import make_one_pair_model, make_two_band_model
@@ -71,16 +71,15 @@ class TestModeQuantities:
     def test_algebraic_relations(self, coords, w):
         mq = bogoliubov.mode_quantities(Momentum(coords), w)
         p2 = mq.p.norm2
+        quadratic, pair, alpha_min, alpha_max, s_min, s_ratio = checks.mode_algebra([mq])
         # Dispersion and coefficient ranges.
         assert mq.e_p >= p2
-        assert 0.0 <= mq.alpha_p < 1.0
+        assert 0.0 <= alpha_min and alpha_max < 1.0
         # Quadratic relation defining alpha.
-        lhs = w * (1.0 + mq.alpha_p**2)
-        rhs = 2.0 * (p2 + w) * mq.alpha_p
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+        assert quadratic <= 1e-12
         # Summand bounds and the pair identity 2 s_p = alpha * w.
-        assert 0.0 <= mq.eB_summand <= w * w / (2.0 * p2) * (1.0 + 1e-12)
-        assert 2.0 * mq.eB_summand == pytest.approx(mq.alpha_p * w, rel=1e-12)
+        assert 0.0 <= s_min and s_ratio <= 1.0 + 1e-12
+        assert pair <= 1e-12
         # |p|^2 alpha^2 <= w^2 (alpha <= w / |p|... via alpha <= w/(2|p|^2) would
         # be stronger; this is the coarse invariant).
         assert p2 * mq.alpha_p**2 <= w * w * (1.0 + 1e-12)

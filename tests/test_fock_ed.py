@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusbog import bogoliubov, fock_ed
+from torusbog import bogoliubov, checks, fock_ed
 from torusbog.model import (
     Momentum,
     PotentialSpec,
@@ -451,21 +451,15 @@ class TestBuildHamiltonian:
             two_band_model.mode_set(), n_particles=4, momentum_sector=zero_momentum(1)
         )
         ham = fock_ed.build_hamiltonian(two_band_model, basis)
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            u = rng.standard_normal(basis.size)
-            v = rng.standard_normal(basis.size)
-            lhs = u @ (ham @ v)
-            rhs = (ham @ u) @ v
-            assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(v)
+        asymmetry, _ = checks.random_vector_bounds(
+            two_band_model, basis, ham, seed=3, samples=10
+        )
+        assert asymmetry <= 1e-10
 
     def test_momentum_block_diagonal(self, two_band_model):
         basis = fock_ed.enumerate_basis(two_band_model.mode_set(), n_particles=3)
-        ham = fock_ed.build_hamiltonian(two_band_model, basis).tocoo()
-        sectors = basis.momenta().tolist()
-        for i, j, v in zip(ham.row, ham.col, ham.data):
-            if v != 0.0:
-                assert sectors[i] == sectors[j]
+        ham = fock_ed.build_hamiltonian(two_band_model, basis)
+        assert checks.off_block_entries(ham, basis.momentum_blocks()) == 0
 
     def test_zero_mode_only_potential_is_diagonal(self):
         spec = PotentialSpec.from_table({(0,): 2.0})
@@ -1018,6 +1012,22 @@ class TestOperatorIdentities:
         model = make_two_band_model(N=8)
         with pytest.raises(ResourceLimitError):
             fock_ed.operator_identity_residuals(model, max_dim=50)
+
+    def test_given_n_sector_operator_is_used_as_built(self, monkeypatch):
+        model = make_two_band_model(N=3)
+        fresh = fock_ed.operator_identity_residuals(model)
+        full = fock_ed.enumerate_basis(model.mode_set(), n_particles=3)
+        ham = fock_ed.build_hamiltonian(model, full)
+        build = fock_ed.build_hamiltonian
+        built = []
+
+        def counting(model, basis):
+            built.append(basis.n_particles)
+            return build(model, basis)
+
+        monkeypatch.setattr(fock_ed, "build_hamiltonian", counting)
+        assert fock_ed.operator_identity_residuals(model, ham_n=ham) == fresh
+        assert sorted(built) == [2, 4]
 
 
 class TestBindingFromED:
