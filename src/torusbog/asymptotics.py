@@ -172,13 +172,15 @@ def quasifree_overlap(
     return abs(float(psi @ quasifree_state(basis_n, alpha)))
 
 
-def solve_quasifree_reference(config: SweepConfig) -> dict[Momentum, float] | None:
+def solve_quasifree_reference(
+    config: SweepConfig, solution: bogoliubov.BogoliubovSolution
+) -> dict[Momentum, float] | None:
     """The quasi-free coefficient alpha_p of every nonzero mode, shared by every
-    record of the sweep; the overlap needs nothing else."""
+    record of the sweep and read from solution, the sweep's prediction solve
+    over the same modes and w_hat; the overlap needs nothing else."""
     if not config.with_overlap:
         return None
-    base = config.base
-    return {p: bogoliubov.mode_quantities(p, base.w_hat(p)).alpha_p for p in base.nonzero_modes()}
+    return {mq.p: mq.alpha_p for mq in solution.modes}
 
 
 def binding_record(
@@ -223,7 +225,7 @@ def run_binding_study(config: SweepConfig, record_loader=None) -> StudyReport:
     prediction_model = replace(config.base, N=config.N_values[-1], lam=None)
     solution = bogoliubov.solve(prediction_model)
     prediction = solution.e_B - solution.D
-    alpha = solve_quasifree_reference(config)
+    alpha = solve_quasifree_reference(config, solution)
     loader = record_loader if record_loader is not None else binding_record
     records = [loader(config, n, alpha) for n in config.N_values]
     usable = [(rec.N, rec.residual_r) for rec in records if rec.converged]

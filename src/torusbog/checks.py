@@ -137,7 +137,8 @@ def battery(
 
     The operator checks run on n = min(N, 4) particles and the variational
     sandwich on min(N, 6). The whole n sector is assembled and solved once:
-    the identities and sector_checks read its operator and K = 0 block.
+    the identities read its operator and ground, sector_checks its operator
+    and K = 0 block.
     """
     problems = validate_potential(model.potential)
     modes = set(model.mode_set())
@@ -177,7 +178,7 @@ def battery(
     sector = fock_ed.solve_sector(
         small, fock_ed.enumerate_basis(model.mode_set(), n_particles=small.N), ed_settings
     )
-    residuals = fock_ed.operator_identity_residuals(small, ham_n=sector.ham)
+    residuals = fock_ed.operator_identity_residuals(small, sector=sector)
     out += [
         _at_most("double_commutator_identity", residuals.residual_a, 1e-10, "residual"),
         _at_most("number_identity", residuals.residual_b, 1e-8, "relative residual"),

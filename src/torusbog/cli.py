@@ -616,11 +616,6 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "ed": asdict(settings),
             "momentum_sector": list(sector) if sector is not None else None,
         }
-        if sector is None:
-            # The whole sector is solved by momentum blocks; this keeps entries
-            # of the former single whole-sector solve, whose method, iterations
-            # and residual differ, from being served for it.
-            key_payload["solve"] = "momentum-blocks"
 
     payload = cached_compute(
         cache_dir, key_payload, compute, _verify_ed_payload, version, stats
@@ -664,10 +659,6 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "ed": asdict(cfg.ed),
             "with_overlap": cfg.with_overlap,
             "check_global": cfg.check_global,
-            # The K = 0 results come from the momentum-block solve, so their
-            # residuals differ in the last digits from the former separate
-            # K = 0 solves; this keeps entries of those from being served.
-            "solve": "momentum-blocks",
         }
 
         def compute() -> dict:

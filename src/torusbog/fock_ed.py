@@ -18,19 +18,19 @@ state it acts on, so assembly finds the moved states by rank arithmetic
 and a move changes only the few suffix sums between its first and last
 changed mode. The two-body terms come from the model's transfer table
 (TorusModel.transfers), built once per model. Solves lowest eigenpairs by
-one direct LAPACK dsyevr
-call for the lowest few pairs up to EDSettings.dense_threshold states (500,
-the measured crossover, by default; up to 2,000 when three or more levels are
-asked for) and by Lanczos with full reorthogonalization above, and evaluates
-the observables and operator-identity residuals used by the binding-energy
-study.
+one direct LAPACK dsyevr call for the lowest few pairs up to
+EDSettings.dense_threshold states (500, the measured crossover, by default;
+up to 2,000 when three or more levels are asked for) and by ARPACK's
+implicitly restarted Lanczos (scipy.sparse.linalg.eigsh) above, and
+evaluates the observables and operator-identity residuals used by the
+binding-energy study.
 
 Every particle-number basis, a whole N sector or one momentum-filtered
 block, is solved by total-momentum blocks (solve_sector), the one solve
 path of the ed particle job and of study: it is assembled once and each
 block is solved on its own, a block bound for the dense solve being filled
 straight from the sector's sparse entries. The merged result keeps the
-basis's dimension; its method is "lanczos" if any block ran Lanczos and
+basis's dimension; its method is "lanczos" if any block ran ARPACK and
 "dense" otherwise, and its iterations are the sum over the blocks.
 binding_from_ed takes its K = 0 results and operators from those solves,
 so each record assembles each Hamiltonian once.
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse
 
@@ -468,7 +467,7 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
 
 def _solves_dense(dim: int, settings: EDSettings) -> bool:
     """Whether lowest_eigenpairs solves an operator of dim states dense."""
-    return dim <= settings.dense_threshold or (
+    return dim <= max(settings.dense_threshold, settings.k, 2) or (
         settings.k >= 3 and dim <= MULTI_LEVEL_DENSE_LIMIT
     )
 
@@ -489,24 +488,29 @@ def lowest_eigenpairs(
 
     op is a sparse matrix or a dense array; a dense array is only read.
     Dimension <= settings.dense_threshold, or <= MULTI_LEVEL_DENSE_LIMIT when
-    settings.k >= 3, goes to a dense solve of only the k_int = min(dim,
-    max(k, 2)) lowest eigenpairs: one direct call of LAPACK dsyevr with
-    range "I" (one tridiagonal reduction, no full eigenvector
+    settings.k >= 3, or <= max(k, 2), goes to a dense solve of only the
+    k_int = min(dim, max(k, 2)) lowest eigenpairs: one direct call of LAPACK
+    dsyevr with range "I" (one tridiagonal reduction, no full eigenvector
     back-transform), with its workspace queried once per dimension; a
-    failed call raises LinAlgError. Larger problems run Lanczos with full
-    reorthogonalization from a start vector that is a deterministic function
-    of (seed, dimension). The second pair gives the gap above the ground.
-    The residual ||H v - E v|| is always measured post hoc on the returned
-    vector, and convergence means residual_norm <= tol.
+    failed call raises LinAlgError. Larger problems run ARPACK's implicitly
+    restarted Lanczos (eigsh, which="SA"; Lehoucq, Sorensen and Yang,
+    ARPACK Users' Guide, SIAM (1998)) in a basis of 20 vectors, at most
+    settings.max_iter restarts, and report the Rayleigh quotients of the
+    returned vectors; iterations counts its operator applications. The
+    second pair gives the gap above the ground. The residual ||H v - E v||
+    is always measured post hoc on the returned vector, and convergence
+    means residual_norm <= tol; a solve that ARPACK stops early, keeping the
+    vectors it did converge, is reported unconverged, never raised.
 
-    The default dense_threshold of 500 is the measured crossover of a k <= 2
-    solve: from about 500 states on, Lanczos is faster (8x at 1,353 states).
-    Lanczos from one start vector reports each distinct level only once, so a
-    degenerate level appears once among the k lowest, and a degenerate ground
-    reports the next distinct level as the gap. Requests for k >= 3 therefore
-    stay dense up to MULTI_LEVEL_DENSE_LIMIT states; above it they run this
-    same Lanczos, which needs block or thick-restart Lanczos (Wu and Simon,
-    SIAM J. Matrix Anal. Appl. 22, 602 (2000)) to count multiplicities.
+    The default dense_threshold of 500 is the crossover of a k <= 2 solve
+    measured against a former hand-written Lanczos; against ARPACK, with one
+    BLAS thread, it lies near 330 states. Lanczos from one start vector
+    reports each distinct level only once, so a degenerate level appears once
+    among the k lowest, and a degenerate ground reports the next distinct
+    level as the gap. Requests for k >= 3 therefore stay dense up to
+    MULTI_LEVEL_DENSE_LIMIT states; above it they run this same solver, which
+    needs a block method (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602
+    (2000)) to count multiplicities.
     """
     dim = op.shape[0]
     if dim == 0:
@@ -533,11 +537,10 @@ def lowest_eigenpairs(
         theta = theta[:found]
         ground = _phase_fixed(np.ascontiguousarray(eigvecs[:, 0]))
         iterations = 0
+        finished = True
         method = "dense"
     else:
-        theta, ground, iterations = _lanczos_lowest(
-            op, k_int, settings.tol, settings.max_iter, settings.seed
-        )
+        theta, ground, iterations, finished = _lanczos_lowest(op, k_int, settings)
         method = "lanczos"
     ground = ground / float(np.linalg.norm(ground))
     residual = float(np.linalg.norm(op @ ground - theta[0] * ground))
@@ -547,85 +550,55 @@ def lowest_eigenpairs(
         ground_vector=ground,
         residual_norm=residual,
         iterations=iterations,
-        converged=residual <= settings.tol,
+        converged=finished and residual <= settings.tol,
         method=method,
         gap=gap,
     )
 
 
-def _lowest_tridiagonal_vectors(
-    alphas: Sequence[float], betas: Sequence[float], k: int
-) -> np.ndarray:
-    """Eigenvectors of the k lowest pairs of a symmetric tridiagonal of order >= 2,
-    by eigenvalue.
-
-    The pair of LAPACK calls eigh_tridiagonal(select="i") makes, without its
-    argument checks: dstebz bisects for the k lowest eigenvalues, in blocks
-    of the split matrix, and dstein finds their vectors by inverse
-    iteration. A nonzero info from either raises LinAlgError.
-    """
-    d = np.asarray(alphas, dtype=float)
-    e = np.asarray(betas, dtype=float)
-    found, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(
-        d, e, 2, 0.0, 1.0, 1, k, 0.0, "B"
-    )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz failed, info = {info}")
-    w = w[:found]
-    vectors, info = scipy.linalg.lapack.dstein(d, e, w, iblock, isplit)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstein failed, info = {info}")
-    return vectors[:, np.argsort(w)]
-
-
 def _lanczos_lowest(
-    op: scipy.sparse.spmatrix | np.ndarray, k: int, tol: float, max_iter: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+    op: scipy.sparse.spmatrix | np.ndarray, k: int, settings: EDSettings
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """The k lowest Rayleigh quotients by ARPACK's implicitly restarted Lanczos
+    (eigsh, which="SA"), the ground vector, the operator applications, and
+    whether ARPACK finished within settings.max_iter restarts.
+
+    ARPACK runs at tolerance 0 (machine precision) from a start vector that is
+    a deterministic function of (seed, dimension). When it stops early, the
+    vectors it did converge are kept, or the start vector if none.
+    """
+    # Imported here, so that only a process that solves iteratively pays for
+    # loading scipy.sparse.linalg.
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     dim = op.shape[0]
-    steps_cap = min(max_iter, dim)
-    rng = np.random.default_rng([seed, dim])
-    q = rng.standard_normal(dim)
-    q /= np.linalg.norm(q)
-    # One Lanczos vector per row, so each vector and each reorthogonalization
-    # product reads contiguous memory.
-    Q = np.zeros((steps_cap, dim))
-    Q[0] = q
-    alphas: list[float] = []
-    betas: list[float] = []
-    breakdown = 1e-14
-    steps = 0
-    for j in range(steps_cap):
-        w = op @ Q[j]
-        a = float(Q[j] @ w)
-        alphas.append(a)
-        w -= a * Q[j]
-        if j > 0:
-            w -= betas[-1] * Q[j - 1]
-        # Full reorthogonalization, applied twice for orthogonality to ~1 ulp.
-        active = Q[: j + 1]
-        w -= active.T @ (active @ w)
-        w -= active.T @ (active @ w)
-        b = float(np.linalg.norm(w))
-        steps = j + 1
-        done = j + 1 == steps_cap or b < breakdown
-        if not done and j + 1 >= k:
-            S = _lowest_tridiagonal_vectors(alphas, betas, k)
-            # Ritz residual estimate |beta * last component|, per target pair.
-            if all(abs(b * S[-1, i]) <= 0.5 * tol for i in range(k)):
-                done = True
-        if done:
-            break
-        betas.append(b)
-        Q[j + 1] = w / b
-    theta, S = scipy.linalg.eigh_tridiagonal(alphas, betas)
-    n_out = min(k, len(theta))
-    # Report the Rayleigh quotients of the Ritz vectors, not the Ritz values:
-    # the tridiagonal's eigenvalues carry a few eps * ||H|| of rounding from
-    # the recurrence, the quotients about what a dense solve carries.
-    ritz = S[:, :n_out].T @ Q[:steps]
-    ritz /= np.linalg.norm(ritz, axis=1)[:, None]
-    theta = np.einsum("ij,ji->i", ritz, op @ ritz.T)
-    return theta, _phase_fixed(ritz[0]), steps
+    applied = 0
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        nonlocal applied
+        applied += 1
+        return op @ v
+
+    start = np.random.default_rng([settings.seed, dim]).standard_normal(dim)
+    finished = True
+    try:
+        _, vectors = eigsh(
+            LinearOperator((dim, dim), matvec=apply, dtype=float),
+            k=k,
+            which="SA",
+            v0=start,
+            tol=0,
+            maxiter=settings.max_iter,
+        )
+    except ArpackNoConvergence as stop:
+        finished = False
+        vectors = stop.eigenvectors if stop.eigenvectors.shape[1] else start[:, None]
+    # Report the Rayleigh quotients of the returned vectors, about what a
+    # dense solve carries, rather than ARPACK's Ritz values.
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    theta = np.einsum("ij,ij->j", vectors, op @ vectors)
+    order = np.argsort(theta)
+    return theta[order], _phase_fixed(vectors[:, order[0]]), applied, finished
 
 
 # ---------------------------------------------------------------------------
@@ -845,26 +818,34 @@ class IdentityResiduals:
 
 
 def operator_identity_residuals(
-    model: TorusModel, max_dim: int = 4000, ham_n: scipy.sparse.csr_matrix | None = None
+    model: TorusModel, max_dim: int = 4000, sector: SectorSolve | None = None
 ) -> IdentityResiduals:
-    """Verify both identities with explicit matrices on the N-1, N, N+1 sectors,
-    taking H on the whole N sector from ham_n (a SectorSolve's ham) when given."""
+    """Verify both identities with explicit matrices on the N-1, N, N+1 sectors.
+
+    H on the whole N sector, its basis and its ground (merged, an eigenvector
+    of H) come from sector, a solve_sector result on the whole N sector, when
+    given; else that sector is solved here at default settings. A
+    momentum-filtered sector raises ValueError.
+    """
     modes = model.mode_set()
     if not any(p.is_zero for p in modes):
         raise ValueError("identities involve a_0; include the zero mode")
     n = model.N
-    bases = {}
+    if sector is not None and sector.basis.momentum_sector is not None:
+        raise ValueError("the identities need the whole N sector, not one momentum block")
     total = 0
-    for sector in (n - 1, n, n + 1):
-        count = math.comb(sector + len(modes) - 1, len(modes) - 1)
-        total += count
+    for particles in (n - 1, n, n + 1):
+        total += math.comb(particles + len(modes) - 1, len(modes) - 1)
         if total > max_dim:
             raise ResourceLimitError(
                 f"identity check needs {total} states, budget is {max_dim}"
             )
-        bases[sector] = enumerate_basis(modes, n_particles=sector)
-    h = {s: build_hamiltonian(model, b) for s, b in bases.items() if s != n or ham_n is None}
-    h.setdefault(n, ham_n)
+    if sector is None:
+        sector = solve_sector(model, enumerate_basis(modes, n_particles=n))
+    bases = {s: enumerate_basis(modes, n_particles=s) for s in (n - 1, n + 1)}
+    bases[n] = sector.basis
+    h = {s: build_hamiltonian(model, b) for s, b in bases.items() if s != n}
+    h[n] = sector.ham
     a0_np1 = zero_mode_annihilation(bases[n + 1], bases[n])
     a0_n = zero_mode_annihilation(bases[n], bases[n - 1])
     # a_0 [H, a_0*] passes through the N+1 sector, [H, a_0*] a_0 through N-1.
@@ -879,9 +860,8 @@ def operator_identity_residuals(
     residual_a = float(np.max(np.abs((x - y).toarray() - np.diag(closed))))
 
     hn = h[n]
-    ground = lowest_eigenpairs(hn, EDSettings())
-    energy = ground.ground_energy
-    psi = ground.ground_vector
+    energy = sector.merged.ground_energy
+    psi = sector.merged.ground_vector
     exc = bases[n].excitation_counts().astype(float)
     u = exc * psi
     hu = hn @ u

@@ -203,7 +203,7 @@ class TestQuasifreeOverlap:
 
     def test_reference_is_alpha_of_every_nonzero_mode(self):
         config = one_pair_config((4, 8, 12))
-        alpha = asymptotics.solve_quasifree_reference(config)
+        alpha = asymptotics.solve_quasifree_reference(config, bogoliubov.solve(config.base))
         p2 = (2.0 * math.pi) ** 2
         expected = 1.0 / (p2 + 1.0 + math.sqrt(p2 * p2 + 2.0 * p2))
         assert set(alpha) == {Momentum((-1,)), Momentum((1,))}
@@ -224,7 +224,7 @@ class TestQuasifreeOverlap:
 class TestBindingRecord:
     def test_fields_are_consistent(self):
         config = one_pair_config((4, 6))
-        alpha = asymptotics.solve_quasifree_reference(config)
+        alpha = asymptotics.solve_quasifree_reference(config, bogoliubov.solve(config.base))
         rec = asymptotics.binding_record(config, 6, alpha)
         assert rec.N == 6
         assert rec.lam == pytest.approx(1.0 / 6.0, rel=1e-15)
@@ -240,7 +240,8 @@ class TestBindingRecord:
 
     def test_overlap_skipped_when_disabled(self):
         config = one_pair_config((4, 6), with_overlap=False)
-        assert asymptotics.solve_quasifree_reference(config) is None
+        solution = bogoliubov.solve(config.base)
+        assert asymptotics.solve_quasifree_reference(config, solution) is None
         rec = asymptotics.binding_record(config, 4, None)
         assert rec.overlap is None
 
@@ -256,6 +257,22 @@ class TestRunBindingStudy:
         for rec in report.records:
             assert rec.sandwich_lower - 1e-9 <= rec.delta_E <= rec.sandwich_upper + 1e-9
         assert all(0.0 < rec.overlap <= 1.0 for rec in report.records)
+
+    def test_mode_quantities_computed_once_per_sweep(self, monkeypatch):
+        # The overlap's alpha_p come from the prediction solve, not from a
+        # second evaluation of every mode.
+        quantities = bogoliubov.mode_quantities
+        calls = []
+
+        def counting(p, w_hat):
+            calls.append(p)
+            return quantities(p, w_hat)
+
+        monkeypatch.setattr(bogoliubov, "mode_quantities", counting)
+        config = one_pair_config((3, 4, 5))
+        report = asymptotics.run_binding_study(config)
+        assert all(0.0 < rec.overlap <= 1.0 for rec in report.records)
+        assert sorted(calls) == sorted(config.base.nonzero_modes())
 
     def test_global_check_solves_momentum_blocks_only(self, monkeypatch):
         # The one-pair N = 48 sector holds 1,225 states; its largest momentum

@@ -114,6 +114,24 @@ class TestBattery:
             [(3, None), (4, None), (5, None), (6, k0), (5, k0)], key=str
         )
 
+    def test_default_model_solves_its_particle_sector_once(self, monkeypatch):
+        # The whole 4-particle sector of the default model holds 15 states;
+        # the identities take its ground from the battery's block solve, so
+        # no 15-state operator is ever solved whole.
+        solve = fock_ed.lowest_eigenpairs
+        dims = []
+
+        def recording(op, *args, **kwargs):
+            dims.append(op.shape[0])
+            return solve(op, *args, **kwargs)
+
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", recording)
+        model = checks.default_selfcheck_model()
+        battery = checks.battery(model, SETTINGS, fock_ed.HBSettings())
+        assert all(c.ok for c in battery)
+        assert fock_ed.enumerate_basis(model.mode_set(), n_particles=4).size == 15
+        assert 15 not in dims
+
     def test_cli_imports_checks_lazily(self):
         code = "import sys, torusbog.cli; print('torusbog.checks' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(checks.__file__).parents[1])}

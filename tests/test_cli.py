@@ -616,8 +616,10 @@ class TestStudyWorkflow:
         assert all(rec["converged"] for rec in report["records"])
 
     def test_non_converged_records_exit_3(self, tmp_path):
-        doc = self.study_doc((8, 10, 12))
-        doc["ed"] = {"max_iter": 3, "dense_threshold": 0}
+        # K = 0 sectors of 22 to 25 states, more than ARPACK's 20-vector
+        # basis, so one restart cannot solve them exactly.
+        doc = self.study_doc((44, 46, 48))
+        doc["ed"] = {"max_iter": 1, "dense_threshold": 0}
         doc["study"]["with_overlap"] = False
         doc["study"]["check_global"] = False
         cfg = write_json(tmp_path / "cfg.json", doc)
@@ -661,31 +663,27 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["929886cbe142fc349bb7cafed2f89ceb"],
+                ["c64ce5e0c23362f56ef5243d212bfe55"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["b8ec3993c3d3af9aed50a6c665446ff4"],
+                ["eb181edacb8d9fca6fde17b2bb05c693"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
-                # Keyed on the momentum-block solve that the K = 0 results
-                # come from; the former separate K = 0 solves keyed otherwise.
                 [
-                    "0d84635761e66b9d405cbc1933f69a3a",
-                    "36d4c39b8713e3a21d05b612cc537475",
-                    "e6cddfdc8d88f5cf521a02577a084ce5",
+                    "838c933c51e628c4be5ed7d18258bb9b",
+                    "b2a5f4d42872bc406173daaf9f0a4ffa",
+                    "c63187146c326a708e3d0333547339a5",
                 ],
             ),
             (
-                # Whole sector, solved by momentum blocks; its key differs from
-                # that of the former single whole-sector solve.
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["cdda1ace6bba85df860c07be4356d8e8"],
+                ["6d60ae10508db87a81c0486a71c61789"],
             ),
         ],
     )

@@ -7,11 +7,11 @@ second-quantized matrix elements, independent of the assembly code.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -687,13 +687,39 @@ class TestLowestEigenpairs:
         assert np.array_equal(a.ground_vector, b.ground_vector)
 
     def test_non_convergence_flagged(self):
-        basis = one_pair_k0_basis(24)
-        ham = fock_ed.build_hamiltonian(make_one_pair_model(N=24), basis)
+        # 25 states, more than ARPACK's 20-vector basis, so one restart
+        # cannot solve the operator exactly.
+        basis = one_pair_k0_basis(48)
+        ham = fock_ed.build_hamiltonian(make_one_pair_model(N=48), basis)
         result = fock_ed.lowest_eigenpairs(
-            ham, fock_ed.EDSettings(dense_threshold=0, max_iter=3)
+            ham, fock_ed.EDSettings(dense_threshold=0, max_iter=1)
         )
+        assert ham.shape[0] == 25
+        assert result.method == "lanczos"
         assert not result.converged
         assert result.residual_norm > 1e-9
+
+    def test_arpack_stopping_early_keeps_its_converged_vectors(self, monkeypatch):
+        # When ARPACK runs out of restarts with only the ground converged, that
+        # vector is reported, and the solve is flagged unconverged even though
+        # its residual meets tol.
+        import scipy.sparse.linalg
+
+        ham = fock_ed.build_hamiltonian(make_one_pair_model(N=48), one_pair_k0_basis(48))
+        exact = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=10**9))
+
+        def stopping(*args, **kwargs):
+            vectors = exact.ground_vector[:, None]
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "stopped", np.array([exact.ground_energy]), vectors
+            )
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stopping)
+        result = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=0))
+        assert result.method == "lanczos"
+        assert result.eigenvalues == pytest.approx([exact.ground_energy], abs=1e-12)
+        assert result.residual_norm <= 1e-9
+        assert not result.converged
 
     def test_eigenvalues_sorted_and_k_honored(self):
         basis = one_pair_k0_basis(8)
@@ -829,36 +855,6 @@ class TestLowestEigenpairs:
             with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
                 fock_ed.lowest_eigenpairs(op)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    def test_tridiagonal_pairs_match_scipy(self, k):
-        # The Lanczos convergence check calls dstebz and dstein directly;
-        # eigh_tridiagonal(select="i") is the reference, bit for bit.
-        rng = np.random.default_rng(k)
-        for n in (max(k, 2), k + 2, 40, 84):
-            alphas = rng.standard_normal(n).tolist()
-            betas = np.abs(rng.standard_normal(n - 1)).tolist()
-            _, reference = scipy.linalg.eigh_tridiagonal(
-                alphas, betas, select="i", select_range=(0, k - 1)
-            )
-            mine = fock_ed._lowest_tridiagonal_vectors(alphas, betas, k)
-            assert mine.shape == reference.shape == (n, k)
-            assert mine.tobytes() == reference.tobytes()
-
-    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
-    def test_tridiagonal_failure_raises(self, monkeypatch, routine):
-        import scipy.linalg.lapack
-
-        real = getattr(scipy.linalg.lapack, routine)
-
-        def failing(*args):
-            *out, _ = real(*args)
-            return (*out, 1)
-
-        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
-        ham = k0_hamiltonian(make_one_pair_model(N=16))
-        with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed, info = 1"):
-            fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=0))
-
     @pytest.mark.parametrize(
         "build, dim",
         [
@@ -881,6 +877,36 @@ class TestLowestEigenpairs:
         bound = 1e-15 * float(abs(ham).sum(axis=1).max())
         assert abs(fast.ground_energy - slow.ground_energy) <= bound
         assert abs(fast.gap - slow.gap) <= bound
+
+    def test_default_iterative_solve_memory_is_bounded(self):
+        # ARPACK keeps a fixed basis of 20 vectors, so a default iterative
+        # solve allocates a few tens of vectors whatever max_iter allows.
+        ham = k0_hamiltonian(make_two_band_model(N=34))
+        dim = ham.shape[0]
+        tracemalloc.start()
+        try:
+            result = fock_ed.lowest_eigenpairs(ham)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (dim, result.method) == (1353, "lanczos")
+        assert result.converged
+        assert peak < 50 * dim * 8
+
+    @pytest.mark.parametrize(
+        "matrix", [[[-0.75]], [[1.0, 0.5], [0.5, -2.0]]], ids=["dim1", "dim2"]
+    )
+    def test_tiny_operators_go_dense_at_any_threshold(self, matrix):
+        # ARPACK needs fewer wanted pairs than states; a 1- or 2-state
+        # operator is solved dense, without eigsh's k >= N warning.
+        import scipy.sparse as sp
+
+        op = sp.csr_matrix(np.array(matrix))
+        result = fock_ed.lowest_eigenpairs(op, fock_ed.EDSettings(dense_threshold=0))
+        want = np.linalg.eigvalsh(np.array(matrix))
+        assert result.method == "dense"
+        assert result.converged
+        assert result.ground_energy == pytest.approx(want[0], abs=1e-15)
 
     def test_degenerate_levels_kept_at_default_settings(self):
         # One pair, M = 48 (1,225 states): the second level is doubly
@@ -1017,7 +1043,7 @@ class TestOperatorIdentities:
         model = make_two_band_model(N=3)
         fresh = fock_ed.operator_identity_residuals(model)
         full = fock_ed.enumerate_basis(model.mode_set(), n_particles=3)
-        ham = fock_ed.build_hamiltonian(model, full)
+        sector = fock_ed.solve_sector(model, full)
         build = fock_ed.build_hamiltonian
         built = []
 
@@ -1025,9 +1051,21 @@ class TestOperatorIdentities:
             built.append(basis.n_particles)
             return build(model, basis)
 
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the given sector is solved already")
+
         monkeypatch.setattr(fock_ed, "build_hamiltonian", counting)
-        assert fock_ed.operator_identity_residuals(model, ham_n=ham) == fresh
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", no_solve)
+        assert fock_ed.operator_identity_residuals(model, sector=sector) == fresh
         assert sorted(built) == [2, 4]
+
+    def test_momentum_block_sector_refused(self):
+        model = make_two_band_model(N=3)
+        block = fock_ed.enumerate_basis(
+            model.mode_set(), n_particles=3, momentum_sector=zero_momentum(1)
+        )
+        with pytest.raises(ValueError, match="whole N sector"):
+            fock_ed.operator_identity_residuals(model, sector=fock_ed.solve_sector(model, block))
 
 
 class TestBindingFromED:
