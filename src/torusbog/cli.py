@@ -569,8 +569,8 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
         cutoff = job.get("excitation_cutoff")
         if cutoff is None:
             raise ConfigError("missing required key: ed.excitation_cutoff")
-        # Solves at cutoff and cutoff + 2; their difference certifies the
-        # reported cutoff + 2 ground.
+        # The K = 0 grounds at cutoff and cutoff + 2 certify the cutoff + 2
+        # space, which is reported merged over its momentum blocks.
         hb = replace(parsed["hb"], start_cutoff=cutoff, max_cutoff=cutoff + 2)
 
         def compute() -> dict:
@@ -606,7 +606,7 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
                 raise ConfigError(
                     f"ed.momentum_sector {list(sector)} holds no state of {model.N} particles"
                 )
-            solved = fock_ed.solve_sector(model, basis, settings)
+            solved = fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis), settings)
             return _ed_payload(solved.merged, basis, settings.tol)
 
         key_payload = {

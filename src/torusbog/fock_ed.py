@@ -12,28 +12,20 @@ pair Hamiltonian
        + (1/2) sum_{p!=0} w_hat(p) (a_p* a_{-p}* + a_p a_{-p})
 
 on the M-particle sector over the nonzero modes and the zero mode, as sparse
-symmetric operators. Each term moves a fixed occupation change across every
-state it acts on, so assembly finds the moved states by rank arithmetic
-(FockBasis.shifted): the rank of a row is a sum of one term per suffix sum,
-and a move changes only the few suffix sums between its first and last
-changed mode. The two-body terms come from the model's transfer table
-(TorusModel.transfers), built once per model. Solves lowest eigenpairs by
-one direct LAPACK dsyevr call for the lowest few pairs up to
-EDSettings.dense_threshold states (500, the measured crossover, by default;
-up to 2,000 when three or more levels are asked for) and by ARPACK's
-implicitly restarted Lanczos (scipy.sparse.linalg.eigsh) above, and
-evaluates the observables and operator-identity residuals used by the
-binding-energy study.
+symmetric operators, on a whole sector or one total-momentum block of it.
+Each term moves a fixed occupation change across every state it acts on, so
+assembly finds the moved states by rank arithmetic (FockBasis.shifted): the
+rank of a row is a sum of one term per suffix sum, and a move changes only
+the few suffix sums between its first and last changed mode. The two-body
+terms come from the model's transfer table (TorusModel.transfers), built
+once per model. lowest_eigenpairs solves dense by one LAPACK dsyevr call or
+by ARPACK (scipy.sparse.linalg.eigsh); the observables and operator-identity
+residuals of the binding-energy study are evaluated here too.
 
-Every particle-number basis, a whole N sector or one momentum-filtered
-block, is solved by total-momentum blocks (solve_sector), the one solve
-path of the ed particle job and of study: it is assembled once and each
-block is solved on its own, a block bound for the dense solve being filled
-straight from the sector's sparse entries. The merged result keeps the
-basis's dimension; its method is "lanczos" if any block ran ARPACK and
-"dense" otherwise, and its iterations are the sum over the blocks.
-binding_from_ed takes its K = 0 results and operators from those solves,
-so each record assembles each Hamiltonian once.
+Both operators conserve total momentum, and every solve goes through one
+block loop, solve_sector(basis, ham, settings), on the operator its caller
+assembled once: binding_from_ed takes its K = 0 results and operators from
+it, and the pair Hamiltonian's cutoff ladder solves only K = 0 blocks.
 """
 from __future__ import annotations
 
@@ -72,7 +64,7 @@ class EDSettings:
     tol: float = 1e-9
     max_iter: int = 1000
     seed: int = 0
-    # Measured dense/Lanczos crossover of a ground-plus-gap (k <= 2) solve.
+    # Largest k <= 2 solve sent dense; ARPACK's measured crossover is near 330.
     dense_threshold: int = 500
     k: int = 1
 
@@ -388,9 +380,11 @@ def build_bogoliubov_hamiltonian(
     modes: Sequence[Momentum],
     excitation_cutoff: int,
     potential: PotentialSpec,
+    momentum_sector: Momentum | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> tuple[FockBasis, scipy.sparse.csr_matrix]:
-    """Sparse matrix of HB on the <= M excitation space over the nonzero modes.
+    """Sparse matrix of HB on the <= M excitation space over the nonzero modes,
+    or on its momentum_sector block.
 
     That space is the image of the M-particle sector under the excitation map
     U_M (Lewin, Nam, Serfaty and Solovej, CPAM 68, 413 (2015)): the basis is
@@ -398,6 +392,7 @@ def build_bogoliubov_hamiltonian(
     M - N+ is what the excitations leave. A pair is created out of the zero
     mode and annihilated into it with factor 1, so pair creation on a row
     holding fewer than 2 zero-mode quanta leaves the basis: the hard cutoff.
+    A pair carries no momentum, so no other move leaves a block.
     """
     modes = tuple(modes)
     if not modes:
@@ -411,6 +406,7 @@ def build_bogoliubov_hamiltonian(
     basis = enumerate_basis(
         modes + (zero_momentum(modes[0].d),),
         n_particles=excitation_cutoff,
+        momentum_sector=momentum_sector,
         max_states=max_states,
     )
     states = basis.states
@@ -435,7 +431,10 @@ def build_bogoliubov_hamiltonian(
         cols.append(sel)
         vals.append(0.5 * w * np.sqrt((states[sel, i] + 1) * (states[sel, im] + 1)))
         sel = np.flatnonzero((states[:, i] >= 1) & (states[:, im] >= 1))
-        rows.append(basis.shifted(sel, -up))
+        target = basis.shifted(sel, -up)
+        if np.any(target < 0):
+            raise RuntimeError("generated state left the basis")
+        rows.append(target)
         cols.append(sel)
         vals.append(0.5 * w * np.sqrt(states[sel, i] * states[sel, im]))
     return basis, _assemble(rows, cols, vals, basis.size)
@@ -486,31 +485,27 @@ def lowest_eigenpairs(
 ) -> EDResult:
     """The settings.k smallest eigenvalues and ground vector of a symmetric operator.
 
-    op is a sparse matrix or a dense array; a dense array is only read.
-    Dimension <= settings.dense_threshold, or <= MULTI_LEVEL_DENSE_LIMIT when
-    settings.k >= 3, or <= max(k, 2), goes to a dense solve of only the
-    k_int = min(dim, max(k, 2)) lowest eigenpairs: one direct call of LAPACK
-    dsyevr with range "I" (one tridiagonal reduction, no full eigenvector
-    back-transform), with its workspace queried once per dimension; a
-    failed call raises LinAlgError. Larger problems run ARPACK's implicitly
-    restarted Lanczos (eigsh, which="SA"; Lehoucq, Sorensen and Yang,
-    ARPACK Users' Guide, SIAM (1998)) in a basis of 20 vectors, at most
-    settings.max_iter restarts, and report the Rayleigh quotients of the
-    returned vectors; iterations counts its operator applications. The
-    second pair gives the gap above the ground. The residual ||H v - E v||
-    is always measured post hoc on the returned vector, and convergence
-    means residual_norm <= tol; a solve that ARPACK stops early, keeping the
-    vectors it did converge, is reported unconverged, never raised.
+    op is a sparse matrix or a dense array; a dense array is only read. Up to
+    settings.dense_threshold states (MULTI_LEVEL_DENSE_LIMIT when k >= 3, and
+    at least max(k, 2)) the k_int = min(dim, max(k, 2)) lowest pairs come
+    from one LAPACK dsyevr call with range "I", its workspace queried once
+    per dimension; a failed call raises LinAlgError. Larger problems run
+    ARPACK's implicitly restarted Lanczos (eigsh, which="SA"; Lehoucq,
+    Sorensen and Yang, ARPACK Users' Guide, SIAM (1998)) in a basis of 20
+    vectors, at most settings.max_iter restarts, and report the Rayleigh
+    quotients of the returned vectors; iterations counts its operator
+    applications. The second pair gives the gap above the ground. The
+    residual ||H v - E v|| is always measured post hoc on the returned
+    vector, and convergence means residual_norm <= tol; a solve that ARPACK
+    stops early, keeping the vectors it did converge, is reported
+    unconverged, never raised.
 
-    The default dense_threshold of 500 is the crossover of a k <= 2 solve
-    measured against a former hand-written Lanczos; against ARPACK, with one
-    BLAS thread, it lies near 330 states. Lanczos from one start vector
-    reports each distinct level only once, so a degenerate level appears once
-    among the k lowest, and a degenerate ground reports the next distinct
-    level as the gap. Requests for k >= 3 therefore stay dense up to
-    MULTI_LEVEL_DENSE_LIMIT states; above it they run this same solver, which
-    needs a block method (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602
-    (2000)) to count multiplicities.
+    Lanczos from one start vector reports each distinct level only once, so
+    a degenerate level appears once among the k lowest, and a degenerate
+    ground reports the next level as the gap. Requests for k >= 3 therefore
+    stay dense up to MULTI_LEVEL_DENSE_LIMIT states; above it, counting
+    multiplicities needs a block method (Wu and Simon, SIAM J. Matrix Anal.
+    Appl. 22, 602 (2000)).
     """
     dim = op.shape[0]
     if dim == 0:
@@ -608,7 +603,7 @@ def _lanczos_lowest(
 
 @dataclass(frozen=True, eq=False)
 class SectorSolve:
-    """A particle-number basis, solved one total-momentum block at a time.
+    """A basis and its operator, solved one total-momentum block at a time.
 
     ham is the operator assembled once on basis. rows maps each total
     momentum, in increasing order, to its rows of basis; results holds each
@@ -626,7 +621,7 @@ class SectorSolve:
         """The block's own basis, filtered to momentum, and its operator ham[rows][:, rows].
 
         Its rows keep the lexicographic order of basis, so the pair is the
-        one enumerate_basis and build_hamiltonian give for that block alone.
+        one the operator's builder gives for that block alone.
         """
         rows = self.rows[momentum]
         basis = FockBasis(
@@ -639,19 +634,18 @@ class SectorSolve:
 
 
 def solve_sector(
-    model: TorusModel, basis: FockBasis, settings: EDSettings = EDSettings()
+    basis: FockBasis, ham: scipy.sparse.csr_matrix, settings: EDSettings = EDSettings()
 ) -> SectorSolve:
-    """Lowest levels of a particle-number basis from its momentum blocks.
+    """Lowest levels of an operator that conserves total momentum, by blocks.
 
-    basis is a whole N sector or one momentum-filtered block of it; either
-    way it is assembled once. H conserves total momentum, so the spectrum is
-    the union of the block spectra (Sandvik, AIP Conf. Proc. 1297, 135
-    (2010)). The operator is permuted once, so that each block is a
-    contiguous run of rows, and every block goes through lowest_eigenpairs.
-    A block that lowest_eigenpairs will solve dense is passed as a dense
-    array filled from those rows' stored entries, the same array toarray()
-    gives, which spares a sparse slice per block; a block bound for Lanczos
-    is passed as a sparse slice.
+    ham is the operator the caller assembled on basis, a whole sector or one
+    momentum block of it: H (build_hamiltonian) or HB
+    (build_bogoliubov_hamiltonian). Its spectrum is the union of the block
+    spectra (Sandvik, AIP Conf. Proc. 1297, 135 (2010)). The operator is
+    permuted once, so that each block is a contiguous run of rows, and every
+    block goes through lowest_eigenpairs: as a dense array filled from its
+    rows' stored entries (the array toarray() gives) if it will be solved
+    dense, else as a sparse slice.
 
     The merged result holds the k lowest of all block eigenvalues, the gap
     between the two lowest, and the ground-holding block's vector placed in
@@ -662,8 +656,9 @@ def solve_sector(
     """
     if not basis.size:
         raise ValueError("basis holds no state")
+    if ham.shape != (basis.size, basis.size):
+        raise ValueError(f"basis mismatch: operator of shape {ham.shape} on {basis.size} states")
     rows = basis.momentum_blocks()
-    ham = build_hamiltonian(model, basis)
     # Slicing a contiguous block costs about a third of fancy-indexing its rows.
     order = np.concatenate(list(rows.values()))
     permuted = ham[order][:, order]
@@ -840,12 +835,12 @@ def operator_identity_residuals(
             raise ResourceLimitError(
                 f"identity check needs {total} states, budget is {max_dim}"
             )
-    if sector is None:
-        sector = solve_sector(model, enumerate_basis(modes, n_particles=n))
     bases = {s: enumerate_basis(modes, n_particles=s) for s in (n - 1, n + 1)}
-    bases[n] = sector.basis
-    h = {s: build_hamiltonian(model, b) for s, b in bases.items() if s != n}
-    h[n] = sector.ham
+    h = {s: build_hamiltonian(model, b) for s, b in bases.items()}
+    if sector is None:
+        bases[n] = enumerate_basis(modes, n_particles=n)
+        sector = solve_sector(bases[n], build_hamiltonian(model, bases[n]))
+    bases[n], h[n] = sector.basis, sector.ham
     a0_np1 = zero_mode_annihilation(bases[n + 1], bases[n])
     a0_n = zero_mode_annihilation(bases[n], bases[n - 1])
     # a_0 [H, a_0*] passes through the N+1 sector, [H, a_0*] a_0 through N-1.
@@ -926,7 +921,9 @@ def binding_from_ed(
         basis = enumerate_basis(
             modes, n_particles=sector, momentum_sector=None if whole else k0
         )
-        solved = solve_sector(model, basis, settings) if basis.size else None
+        solved = None
+        if basis.size:
+            solved = solve_sector(basis, build_hamiltonian(model, basis), settings)
         if solved is None or k0 not in solved.results:
             raise ValueError(f"the K = 0 sector of {sector} particles holds no state")
         solves[sector] = solved
@@ -1025,21 +1022,28 @@ def converged_bogoliubov_ground(
     hb: HBSettings = HBSettings(),
     settings: EDSettings = EDSettings(),
 ) -> HBGround:
-    """Raise the excitation cutoff in steps of 2 until the ground value settles.
+    """Raise the excitation cutoff in steps of 2 until the K = 0 ground settles.
 
-    Convergence means two successive converged ground energies differ by less
-    than hb.cutoff_delta.
+    HB's ground lies in its K = 0 block, so each rung assembles and solves
+    that block alone. Convergence means two successive converged K = 0
+    grounds differ by less than hb.cutoff_delta. At the accepted (or last)
+    cutoff the whole <= M space is assembled once and solved by solve_sector
+    at settings; result is its merged result on basis.
     """
-    cutoff = hb.start_cutoff
-    prev: tuple[EDResult, FockBasis, int] | None = None
+    modes = tuple(modes)
+    k0 = zero_momentum(modes[0].d) if modes else None  # no modes: the builder raises
+    prev: EDResult | None = None
     last_delta = math.inf
-    while cutoff <= hb.max_cutoff:
-        basis, ham = build_bogoliubov_hamiltonian(modes, cutoff, potential)
-        result = lowest_eigenpairs(ham, settings)
+    settled = False
+    for cutoff in range(hb.start_cutoff, hb.max_cutoff + 1, 2):
+        block = build_bogoliubov_hamiltonian(modes, cutoff, potential, momentum_sector=k0)
+        result = solve_sector(*block, replace(settings, k=1)).merged
         if prev is not None:
-            last_delta = abs(result.ground_energy - prev[0].ground_energy)
-            if last_delta < hb.cutoff_delta and result.converged and prev[0].converged:
-                return HBGround(result, basis, cutoff, last_delta, converged=True)
-        prev = (result, basis, cutoff)
-        cutoff += 2
-    return HBGround(*prev, last_delta, converged=False)
+            last_delta = abs(result.ground_energy - prev.ground_energy)
+            settled = last_delta < hb.cutoff_delta and result.converged and prev.converged
+            if settled:
+                break
+        prev = result
+    whole = solve_sector(*build_bogoliubov_hamiltonian(modes, cutoff, potential), settings)
+    converged = settled and whole.merged.converged
+    return HBGround(whole.merged, whole.basis, cutoff, last_delta, converged)

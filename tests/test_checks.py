@@ -24,8 +24,6 @@ from torusbog.model import (
 TWO_PI = 2.0 * math.pi
 
 CHECK_NAMES = [
-    "potential_valid",
-    "mode_set_negation_closed",
     "real_space_range",
     "quadratic_relation",
     "pair_identity",
@@ -72,7 +70,7 @@ def k0_operator(model: TorusModel):
 
 def whole_sector(model: TorusModel) -> fock_ed.SectorSolve:
     basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
-    return fock_ed.solve_sector(model, basis, SETTINGS)
+    return fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis), SETTINGS)
 
 
 def single_entry(i: int, j: int, value: float, size: int):

@@ -663,27 +663,27 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["c64ce5e0c23362f56ef5243d212bfe55"],
+                ["a36e3dcb121644484e6b676a46ad9af1"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["eb181edacb8d9fca6fde17b2bb05c693"],
+                ["8550b9f8eb4061ca644bcd86d1c338b2"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "838c933c51e628c4be5ed7d18258bb9b",
-                    "b2a5f4d42872bc406173daaf9f0a4ffa",
-                    "c63187146c326a708e3d0333547339a5",
+                    "0a19c233f228b875fe6ead9bde6974a5",
+                    "8999ad600a62fffdeaaed0b4dd8f1267",
+                    "91feb77791538571b0df01cf9016e2a8",
                 ],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["6d60ae10508db87a81c0486a71c61789"],
+                ["6737784ad6bc968780eb47b5fc498f93"],
             ),
         ],
     )

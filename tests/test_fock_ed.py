@@ -308,7 +308,7 @@ class TestMomentumBlocks:
             abs(binding.sector_minimum - binding.E_N) <= 1e-10 * scale
         )
         # The merged whole-sector result at k = 3 against the full solve.
-        solved = fock_ed.solve_sector(model, full, settings)
+        solved = fock_ed.solve_sector(full, fock_ed.build_hamiltonian(model, full), settings)
         merged = solved.merged
         assert solved.basis.size == full.size
         assert merged.converged and merged.residual_norm <= settings.tol
@@ -339,8 +339,8 @@ class TestMomentumBlocks:
         # Blocks above the threshold keep the sparse route to Lanczos.
         settings = fock_ed.EDSettings(k=k, dense_threshold=dense_threshold)
         full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
-        solved = fock_ed.solve_sector(model, full, settings)
         ham = fock_ed.build_hamiltonian(model, full)
+        solved = fock_ed.solve_sector(full, ham, settings)
         scale = float(abs(ham).sum(axis=1).max())
         methods = set()
         for momentum, block in solved.rows.items():
@@ -644,6 +644,82 @@ class TestPairHamiltonian:
         assert not hb.converged
         assert hb.cutoff_used == 4
         assert math.isfinite(hb.delta_achieved)
+
+    @staticmethod
+    def nearest_neighbour_square() -> TorusModel:
+        """w_hat = 1 on the four nearest neighbours of the zero mode, over the
+        eight modes with |n|^2 <= 2: one quasiparticle of each of four
+        momenta shares the lowest excitation, e_p = 40.47."""
+        table = {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}
+        return TorusModel(d=2, N=4, potential=PotentialSpec.from_table(table), mode_cutoff=9.0)
+
+    def test_degenerate_levels_merged_over_blocks(self, monkeypatch):
+        # The M = 6 space holds 3,003 states; one solve of it at k = 5 drops a
+        # level of the fourfold e_B + e_p and reports the next one, 78.93.
+        dims, built = [], []
+        solve = fock_ed.lowest_eigenpairs
+        build = fock_ed.build_bogoliubov_hamiltonian
+
+        def recording(op, *args, **kwargs):
+            dims.append(op.shape[0])
+            return solve(op, *args, **kwargs)
+
+        def building(modes, excitation_cutoff, potential, momentum_sector=None):
+            built.append((excitation_cutoff, momentum_sector))
+            return build(modes, excitation_cutoff, potential, momentum_sector)
+
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", recording)
+        monkeypatch.setattr(fock_ed, "build_bogoliubov_hamiltonian", building)
+        model = self.nearest_neighbour_square()
+        hb = fock_ed.converged_bogoliubov_ground(
+            model.nonzero_modes(),
+            model.potential,
+            fock_ed.HBSettings(start_cutoff=4, max_cutoff=6),
+            fock_ed.EDSettings(k=5),
+        )
+        assert hb.basis.size == 3003 and hb.cutoff_used == 6
+        excited = hb.result.eigenvalues[1:]
+        assert len(excited) == 4 and max(excited) - min(excited) <= 1e-9
+        assert hb.result.gap == pytest.approx(40.466063466, abs=1e-8)
+        # Each rung assembles its K = 0 block alone; the whole space of the
+        # last rung is assembled once, and every solve is one momentum block.
+        k0 = zero_momentum(2)
+        assert built == [(4, k0), (6, k0), (6, None)]
+        largest = max(len(r) for r in hb.basis.momentum_blocks().values())
+        assert largest == 79 and max(dims) == largest
+
+    @pytest.mark.parametrize("case", ["square-M6", "two-band-M8"])
+    def test_momentum_block_is_the_sliced_operator(self, case):
+        model, m = {
+            "square-M6": (self.nearest_neighbour_square(), 6),
+            "two-band-M8": (make_two_band_model(N=8), 8),
+        }[case]
+        k0 = zero_momentum(model.d)
+        modes = model.nonzero_modes()
+        whole_basis, whole = fock_ed.build_bogoliubov_hamiltonian(modes, m, model.potential)
+        basis, ham = fock_ed.build_bogoliubov_hamiltonian(
+            modes, m, model.potential, momentum_sector=k0
+        )
+        rows = whole_basis.momentum_blocks()[k0]
+        assert basis.momentum_sector == k0 and 1 < basis.size < whole_basis.size
+        assert np.array_equal(basis.states, whole_basis.states[rows])
+        assert_same_csr(ham, whole[rows][:, rows])
+
+    def test_block_target_outside_the_basis_raises(self, monkeypatch):
+        def nowhere(self, rows, delta):
+            return np.full(len(rows), -1, dtype=np.int64)
+
+        monkeypatch.setattr(fock_ed.FockBasis, "shifted", nowhere)
+        potential = PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0})
+        with pytest.raises(RuntimeError, match="left the basis"):
+            fock_ed.build_bogoliubov_hamiltonian(
+                (Momentum((-1,)), Momentum((1,))), 4, potential, momentum_sector=zero_momentum(1)
+            )
+
+    def test_empty_mode_set_refused(self):
+        potential = PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0})
+        with pytest.raises(ValueError, match="empty"):
+            fock_ed.converged_bogoliubov_ground((), potential)
 
     def test_settings_range_checked(self):
         with pytest.raises(ValueError, match="max_cutoff"):
@@ -1043,7 +1119,7 @@ class TestOperatorIdentities:
         model = make_two_band_model(N=3)
         fresh = fock_ed.operator_identity_residuals(model)
         full = fock_ed.enumerate_basis(model.mode_set(), n_particles=3)
-        sector = fock_ed.solve_sector(model, full)
+        sector = fock_ed.solve_sector(full, fock_ed.build_hamiltonian(model, full))
         build = fock_ed.build_hamiltonian
         built = []
 
@@ -1064,8 +1140,9 @@ class TestOperatorIdentities:
         block = fock_ed.enumerate_basis(
             model.mode_set(), n_particles=3, momentum_sector=zero_momentum(1)
         )
+        sector = fock_ed.solve_sector(block, fock_ed.build_hamiltonian(model, block))
         with pytest.raises(ValueError, match="whole N sector"):
-            fock_ed.operator_identity_residuals(model, sector=fock_ed.solve_sector(model, block))
+            fock_ed.operator_identity_residuals(model, sector=sector)
 
 
 class TestBindingFromED:
