@@ -3,28 +3,15 @@
 All formulas are algebraic functions of |p|^2 and w_hat(p). The two headline outputs
 are the ground-state energy correction e_B and the binding-energy prediction
 lambda*(N-1)*w_hat(0) + (e_B - D)/N, where D is the kinetic-depletion sum.
+Every lattice sum is math.fsum over its summands, correctly rounded (Shewchuk,
+Discrete Comput. Geom. 18, 305 (1997)), so no summation order is fixed.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .model import Momentum, PotentialSpec, TorusModel
-
-
-def compensated_sum(values: Iterable[float]) -> float:
-    """Neumaier variant of compensated summation; order-stable to ~1 ulp."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
+from .model import Momentum, TorusModel
 
 
 @dataclass(frozen=True)
@@ -84,20 +71,14 @@ def mode_quantities(p: Momentum, w_hat: float) -> ModeQuantities:
     return ModeQuantities(p, w_hat, e_p, alpha, n_p, m_p)
 
 
-def _descending_order(modes: Sequence[Momentum]) -> list[Momentum]:
-    # Fixed accumulation order: descending |p|^2, lexicographic tie-break.
-    return sorted(modes, key=lambda q: (-q.norm2, tuple(q)))
-
-
 def solve(model: TorusModel) -> BogoliubovSolution:
-    """Evaluate every nonzero mode of the model's mode set and both lattice sums."""
-    ordered = _descending_order([p for p in model.mode_set() if not p.is_zero])
-    quantities = {p: mode_quantities(p, model.w_hat(p)) for p in ordered}
-    e_B = -compensated_sum(quantities[p].eB_summand for p in ordered)
-    D = compensated_sum(quantities[p].d_summand for p in ordered)
+    """Evaluate every nonzero mode of the model's mode set, in its order, and
+    both lattice sums, each correctly rounded by math.fsum."""
+    modes = tuple(mode_quantities(p, model.w_hat(p)) for p in model.nonzero_modes())
+    e_B = -math.fsum(mq.eB_summand for mq in modes)
+    D = math.fsum(mq.d_summand for mq in modes)
     eb_tail, d_tail = tail_bounds(model)
-    by_canonical = tuple(quantities[p] for p in sorted(quantities))
-    return BogoliubovSolution(by_canonical, e_B, eb_tail, D, d_tail)
+    return BogoliubovSolution(modes, e_B, eb_tail, D, d_tail)
 
 
 def tail_bounds(model: TorusModel) -> tuple[float, float]:
@@ -105,15 +86,16 @@ def tail_bounds(model: TorusModel) -> tuple[float, float]:
 
     e_B tail: s_p <= w^2/(2|p|^2). D tail: alpha <= w/(2|p|^2) and
     1/(1-alpha^2) <= (|p|^2+w)/|p|^2 give w^2 (|p|^2+w)/(4|p|^4) per mode.
-    Both are exactly zero once the cutoff covers the (finite) support.
+    Both are exactly zero once the cutoff covers the (finite) support; each
+    sum is correctly rounded by math.fsum.
     """
     omitted = [
         (p, model.w_hat(p))
         for p in model.potential.nonzero_momenta()
         if p.norm > model.mode_cutoff
     ]
-    eb_tail = compensated_sum(w * w / (2.0 * p.norm2) for p, w in omitted)
-    d_tail = compensated_sum(
+    eb_tail = math.fsum(w * w / (2.0 * p.norm2) for p, w in omitted)
+    d_tail = math.fsum(
         w * w * (p.norm2 + w) / (4.0 * p.norm2 * p.norm2) for p, w in omitted
     )
     return eb_tail, d_tail
@@ -127,8 +109,6 @@ class Predictions:
     gse_tail_bound: float
     binding: float
     binding_tail_bound: float
-    e_B: float
-    D: float
     leading_gse: float
     leading_binding: float
 
@@ -146,8 +126,6 @@ def predict_energies(model: TorusModel, solution: BogoliubovSolution) -> Predict
         gse_tail_bound=solution.e_B_tail_bound,
         binding=binding,
         binding_tail_bound=(solution.e_B_tail_bound + solution.D_tail_bound) / model.N,
-        e_B=solution.e_B,
-        D=solution.D,
         leading_gse=leading_gse,
         leading_binding=leading_binding,
     )
@@ -155,16 +133,17 @@ def predict_energies(model: TorusModel, solution: BogoliubovSolution) -> Predict
 
 def hb_lower_bound_constant(model: TorusModel) -> float:
     """C = (1/4) sum_{p!=0} (|p|^2 + 2w - sqrt(|p|^4 + 4|p|^2 w)), via the
-    equivalent cancellation-free form sum w^2/(|p|^2 + 2w + sqrt(|p|^4 + 4|p|^2 w))."""
+    equivalent cancellation-free form sum w^2/(|p|^2 + 2w + sqrt(|p|^4 + 4|p|^2 w)),
+    correctly rounded by math.fsum."""
     terms = []
-    for p in _descending_order([q for q in model.mode_set() if not q.is_zero]):
+    for p in model.nonzero_modes():
         w = model.w_hat(p)
         if w == 0.0:
             continue
         p2 = p.norm2
         root = math.sqrt(p2 * p2 + 4.0 * p2 * w)
         terms.append(w * w / (p2 + 2.0 * w + root))
-    return compensated_sum(terms)
+    return math.fsum(terms)
 
 
 def quasifree_vacuum_overlap(solution: BogoliubovSolution) -> float:

@@ -255,10 +255,17 @@ class FockBasis:
         and its lowest level is the least of the block minima (Sandvik, AIP
         Conf. Proc. 1297, 135 (2010)).
         """
-        values, label = np.unique(self.momenta(), axis=0, return_inverse=True)
-        label = label.reshape(-1)
-        rows = np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
-        return {Momentum(int(x) for x in k): r for k, r in zip(values, rows)}
+        momenta = self.momenta()
+        # Stable sort, first coordinate most significant: each block's rows
+        # stay ascending.
+        order = np.lexsort(momenta.T[::-1])
+        ordered = momenta[order]
+        cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+        return {
+            Momentum(int(x) for x in momenta[r[0]]): r
+            for r in np.split(order, cuts)
+            if len(r)  # an empty basis splits into one empty piece
+        }
 
     def excitation_counts(self) -> np.ndarray:
         """Per-state number of particles outside the zero mode."""
@@ -299,13 +306,13 @@ def enumerate_basis(
         raise ValueError("mode set has duplicates")
     if n_particles < 0:
         raise ValueError("particle count must be nonnegative")
+    if momentum_sector is not None and len(momentum_sector) != modes[0].d:
+        raise ValueError("momentum sector dimension mismatch")
     count = math.comb(n_particles + len(modes) - 1, len(modes) - 1)
     if count > max_states:
         raise ResourceLimitError(f"sector holds {count} states, budget is {max_states}")
     states = _sector_rows(len(modes), n_particles)
     if momentum_sector is not None:
-        if len(momentum_sector) != modes[0].d:
-            raise ValueError("momentum sector dimension mismatch")
         momenta = states @ np.array(modes, dtype=np.int64)
         states = states[(momenta == np.array(momentum_sector)).all(axis=1)]
     return FockBasis(

@@ -53,9 +53,6 @@ class Momentum(tuple):
     def norm(self) -> float:
         return math.sqrt(self.norm2)
 
-    def physical(self) -> tuple[float, ...]:
-        return tuple(TWO_PI * v for v in self)
-
 
 def zero_momentum(d: int) -> Momentum:
     return Momentum((0,) * d)

@@ -1,8 +1,10 @@
 """The benchmark's per-layer tracer still binds the program's signatures.
 
-bench/tracing.py wraps build_hamiltonian, build_bogoliubov_hamiltonian and
-lowest_eigenpairs by argument name. The benchmark's untraced runs never
-enter it, so these tests drive one ed job of each Hamiltonian through it.
+bench/tracing.py wraps the program's functions and reads their arguments by
+name: build_hamiltonian, build_bogoliubov_hamiltonian, lowest_eigenpairs,
+cache_store(cache_dir, key) and the artifact writers among them. The
+benchmark's untraced runs never enter it, so these tests drive one ed job of
+each Hamiltonian, a cached study cold then warm, and an eval through it.
 """
 from __future__ import annotations
 
@@ -25,22 +27,17 @@ def tracing():
     return module
 
 
-@pytest.mark.parametrize(
-    "ed",
-    [{}, {"hamiltonian": "pair", "excitation_cutoff": 6}],
-    ids=["particle", "pair"],
-)
-def test_ed_job_runs_traced(tmp_path, tracing, ed):
-    doc = {
-        "model": {
-            "d": 1,
-            "N": 8,
-            "mode_cutoff": 7.0,
-            "potential": {"entries": [[-1, 1.0], [1, 1.0]]},
-        },
-        "ed": ed,
-    }
-    cfg = tmp_path / "cfg.json"
+MODEL = {
+    "d": 1,
+    "N": 8,
+    "mode_cutoff": 7.0,
+    "potential": {"entries": [[-1, 1.0], [1, 1.0]]},
+}
+
+
+def run_traced(tracing, tmp_path, verb, doc, out, *extra) -> tuple[int, dict]:
+    """Exit code and per-layer metrics of one cli call inside a Tracer."""
+    cfg = tmp_path / f"{verb}.json"
     cfg.write_text(json.dumps(doc))
     modules = {
         "model": model,
@@ -49,9 +46,41 @@ def test_ed_job_runs_traced(tmp_path, tracing, ed):
         "asymptotics": asymptotics,
         "cli": cli,
     }
+    argv = [verb, "--config", str(cfg), "--out", str(tmp_path / out), *extra]
     with tracing.Tracer(modules) as tracer:
-        code = cli.main(["ed", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        code = cli.main(argv)
+    return code, tracer.metrics(wall=1.0)
+
+
+@pytest.mark.parametrize(
+    "ed",
+    [{}, {"hamiltonian": "pair", "excitation_cutoff": 6}],
+    ids=["particle", "pair"],
+)
+def test_ed_job_runs_traced(tmp_path, tracing, ed):
+    code, metrics = run_traced(tracing, tmp_path, "ed", {"model": MODEL, "ed": ed}, "out")
     assert code == 0
-    metrics = tracer.metrics(wall=1.0)
     assert metrics["fock_ed.assemble_calls"] > 0
     assert metrics["fock_ed.dense_calls"] > 0
+
+
+def test_cached_study_runs_traced(tmp_path, tracing):
+    doc = {"model": MODEL, "study": {"N_values": [4, 6, 8]}}
+    cache = ("--cache", str(tmp_path / "cache"))
+    code, cold = run_traced(tracing, tmp_path, "study", doc, "cold", *cache)
+    assert code == 0
+    assert cold["asymptotics.records_computed"] == 3
+    assert cold["cli.cache_misses"] == 3
+    assert cold["cli.cache_bytes_written"] > 0
+    assert cold["cli.artifact_bytes"] > 0
+    code, warm = run_traced(tracing, tmp_path, "study", doc, "warm", *cache)
+    assert code == 0
+    assert warm["cli.cache_hits"] == 3
+    assert warm["asymptotics.records_computed"] == 0
+
+
+def test_eval_runs_traced(tmp_path, tracing):
+    code, metrics = run_traced(tracing, tmp_path, "eval", {"model": MODEL}, "out")
+    assert code == 0
+    assert metrics["bogoliubov.solve_calls"] == 1
+    assert metrics["cli.artifact_bytes"] > 0

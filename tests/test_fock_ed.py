@@ -243,6 +243,15 @@ class TestEnumerateBasis:
         basis = fock_ed.FockBasis(modes, rows, 48, None)
         assert basis.find(rows[::-1]).tolist() == [1, 0]
 
+    def test_sector_dimension_mismatch_refused_before_materialization(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sector rows built")
+
+        monkeypatch.setattr(fock_ed, "_sector_rows", refuse)
+        modes = tuple(Momentum((n,)) for n in (-1, 0, 1))
+        with pytest.raises(ValueError, match="momentum sector dimension mismatch"):
+            fock_ed.enumerate_basis(modes, n_particles=3, momentum_sector=zero_momentum(2))
+
     def test_budget_guard_fires_before_materialization(self):
         modes = tuple(Momentum((n,)) for n in range(-6, 7))
         with pytest.raises(ResourceLimitError):

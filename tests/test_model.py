@@ -44,7 +44,6 @@ class TestMomentum:
     def test_norm2_matches_physical_components(self, coords):
         p = Momentum(coords)
         assert p.norm2 == (TWO_PI * TWO_PI) * sum(c * c for c in coords)
-        assert p.physical() == tuple(TWO_PI * c for c in coords)
 
     def test_zero_detection(self):
         assert zero_momentum(3).is_zero
