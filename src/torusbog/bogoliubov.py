@@ -103,10 +103,10 @@ def tail_bounds(model: TorusModel) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Predictions:
-    """The two headline numbers with truncation-tail certificates."""
+    """The two headline numbers; the gse prediction is certified by the
+    solution's e_B_tail_bound, the binding prediction by binding_tail_bound."""
 
     gse: float
-    gse_tail_bound: float
     binding: float
     binding_tail_bound: float
     leading_gse: float
@@ -123,7 +123,6 @@ def predict_energies(model: TorusModel, solution: BogoliubovSolution) -> Predict
     binding = leading_binding + (solution.e_B - solution.D) / model.N
     return Predictions(
         gse=gse,
-        gse_tail_bound=solution.e_B_tail_bound,
         binding=binding,
         binding_tail_bound=(solution.e_B_tail_bound + solution.D_tail_bound) / model.N,
         leading_gse=leading_gse,

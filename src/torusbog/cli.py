@@ -504,7 +504,7 @@ def run_eval(parsed: dict, out_dir: str) -> int:
             "D": solution.D,
             "D_tail_bound": solution.D_tail_bound,
             "gse_prediction": predictions.gse,
-            "gse_tail_bound": predictions.gse_tail_bound,
+            "gse_tail_bound": solution.e_B_tail_bound,
             "binding_prediction": predictions.binding,
             "binding_tail_bound": predictions.binding_tail_bound,
             "leading_gse": predictions.leading_gse,

@@ -13,13 +13,14 @@ pair Hamiltonian
 
 on the M-particle sector over the nonzero modes and the zero mode, as sparse
 symmetric operators, on a whole sector or one total-momentum block of it.
-Each term moves a fixed occupation change across every state it acts on, so
-assembly finds the moved states by rank arithmetic (FockBasis.shifted): the
-rank of a row is a sum of one term per suffix sum, and a move changes only
-the few suffix sums between its first and last changed mode. The two-body
-terms come from the model's transfer table (TorusModel.transfers), built
-once per model. lowest_eigenpairs solves dense by one LAPACK dsyevr call or
-by ARPACK (scipy.sparse.linalg.eigsh); the observables and operator-identity
+Each term moves a fixed occupation change across every state it acts on, and
+TorusModel.transfers, built once per model, groups the two-body terms by it.
+Assembly sums the terms of one change row by row, so each matrix entry is
+made once, and finds the moved states once per change by rank arithmetic
+(FockBasis.shifted): the rank of a row is a sum of one term per suffix sum,
+and a change moves only the few suffix sums between its first and last
+changed mode. lowest_eigenpairs solves dense by one LAPACK dsyevr call or by
+ARPACK (scipy.sparse.linalg.eigsh); the observables and operator-identity
 residuals of the binding-energy study are evaluated here too.
 
 Both operators conserve total momentum, and every solve goes through one
@@ -326,60 +327,59 @@ def enumerate_basis(
 def _assemble(
     rows: list[np.ndarray], cols: list[np.ndarray], vals: list[np.ndarray], size: int
 ) -> scipy.sparse.csr_matrix:
-    """Square CSR matrix from blocks of entries, one block per operator term.
-
-    A stable sort by column puts the entries in the order a loop over states,
-    then terms, emits them, which fixes how duplicate entries are summed.
-    """
+    """Square CSR matrix from blocks of entries, each (row, column) given once."""
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    order = np.argsort(cols, kind="stable")
-    mat = scipy.sparse.coo_matrix(
-        (vals[order], (rows[order], cols[order])), shape=(size, size)
-    )
-    return mat.tocsr()
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
 
 def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_matrix:
     """Sparse matrix of H on a fixed-particle-number basis.
 
-    The l = 0 interaction is the exact diagonal lambda*w_hat(0)*n(n-1)/2; the
-    l != 0 terms are generated with exact bosonic square-root factors, one
-    move of model.transfers at a time, and each move's target rows are found
-    by basis.shifted. Momentum conservation keeps every generated entry
-    inside the basis, including momentum-filtered ones.
+    The l = 0 interaction is the exact diagonal lambda*w_hat(0)*n(n-1)/2. The
+    l != 0 terms of model.transfers, with exact bosonic square-root factors,
+    are summed in table order one occupation change at a time, and the rows
+    of the nonzero sums are moved by one basis.shifted call; the exchange
+    terms, which change nothing, add to the diagonal. Momentum conservation
+    keeps every entry inside the basis, including momentum-filtered ones.
     """
     if tuple(basis.modes) != model.mode_set():
         raise ValueError("basis modes do not match the model's mode set")
-    modes = basis.modes
     states = basis.states
-    lam = model.lam
     n_total = states.sum(axis=1)
-    diag = lam * model.potential.w_zero * n_total * (n_total - 1) / 2.0
-    for i, p in enumerate(modes):
+    diag = model.lam * model.potential.w_zero * n_total * (n_total - 1) / 2.0
+    for i, p in enumerate(basis.modes):
         diag += p.norm2 * states[:, i]
     index = np.arange(basis.size)
     rows, cols, vals = [index], [index], [diag]
-    for iq, ip, moves in model.transfers:
-        # a_p a_q on every state holding both quanta.
-        n_p = states[:, ip] - (ip == iq)
-        sel = np.flatnonzero((states[:, iq] > 0) & (n_p > 0))
-        f2 = np.sqrt(states[sel, iq]) * np.sqrt(n_p[sel])
-        for wl, i1, i2 in moves:
-            # a*_{p-l} a*_{q+l}, on the occupations the earlier operators left.
-            delta = np.zeros(len(modes), dtype=np.int64)
-            delta[iq] -= 1
-            delta[ip] -= 1
-            f3 = f2 * np.sqrt(states[sel, i2] + delta[i2] + 1)
-            delta[i2] += 1
-            f4 = f3 * np.sqrt(states[sel, i1] + delta[i1] + 1)
-            delta[i1] += 1
-            target = basis.shifted(sel, delta)
+    holders = [np.flatnonzero(column) for column in states.T]
+    for delta, terms in model.transfers:
+        down = np.flatnonzero(np.less(delta, 0))
+        moving = len(down) > 0
+        # A change that moves a particle needs rows that hold its mode.
+        sel = holders[down[0]] if moving else index
+        sel = sel[(states[sel[:, None], down] >= -np.take(delta, down)).all(axis=1)]
+        # The exchange terms sum onto the diagonal in place.
+        total = np.zeros(len(sel)) if moving else diag
+        for wl, iq, ip, i1, i2 in terms:
+            # a*_{p-l} a*_{q+l} a_p a_q: each root takes its mode's occupation
+            # as the operators to its right left it, clipped at 0, so a term
+            # that does not apply to a row adds exactly 0 there.
+            f = np.sqrt(states[sel, iq])
+            f = f * np.sqrt(np.maximum(states[sel, ip] - (ip == iq), 0))
+            f = f * np.sqrt(np.maximum(states[sel, i2] + (1 - (i2 == iq) - (i2 == ip)), 0))
+            f = f * np.sqrt(
+                np.maximum(states[sel, i1] + (1 - (i1 == iq) - (i1 == ip) + (i1 == i2)), 0)
+            )
+            total += 0.5 * model.lam * wl * f
+        if moving:
+            kept = np.flatnonzero(total)
+            target = basis.shifted(sel[kept], delta)
             if np.any(target < 0):
                 # Momentum conservation guarantees membership.
                 raise RuntimeError("generated state left the basis")
             rows.append(target)
-            cols.append(sel)
-            vals.append(0.5 * lam * wl * f4)
+            cols.append(sel[kept])
+            vals.append(total[kept])
     return _assemble(rows, cols, vals, basis.size)
 
 
@@ -388,7 +388,6 @@ def build_bogoliubov_hamiltonian(
     excitation_cutoff: int,
     potential: PotentialSpec,
     momentum_sector: Momentum | None = None,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> tuple[FockBasis, scipy.sparse.csr_matrix]:
     """Sparse matrix of HB on the <= M excitation space over the nonzero modes,
     or on its momentum_sector block.
@@ -414,7 +413,6 @@ def build_bogoliubov_hamiltonian(
         modes + (zero_momentum(modes[0].d),),
         n_particles=excitation_cutoff,
         momentum_sector=momentum_sector,
-        max_states=max_states,
     )
     states = basis.states
     diag = np.zeros(basis.size)
@@ -424,10 +422,11 @@ def build_bogoliubov_hamiltonian(
     rows, cols, vals = [index], [index], [diag]
     for i, p in enumerate(modes):
         w = potential.w_hat(p)
-        if w == 0.0:
-            continue
         im = pos[-p]
-        # a_p* a_{-p}* takes its pair from the zero mode, a_p a_{-p} gives it back.
+        if w == 0.0 or im < i:
+            continue
+        # Once per pair {p, -p}, at w_hat(p) = w_hat(p)/2 + w_hat(-p)/2: a_p* a_{-p}*
+        # takes its pair from the zero mode, a_p a_{-p} gives it back.
         up = np.zeros(len(basis.modes), dtype=np.int64)
         up[im] += 1
         up[i] += 1
@@ -436,14 +435,14 @@ def build_bogoliubov_hamiltonian(
         sel = np.flatnonzero(target >= 0)
         rows.append(target[sel])
         cols.append(sel)
-        vals.append(0.5 * w * np.sqrt((states[sel, i] + 1) * (states[sel, im] + 1)))
+        vals.append(w * np.sqrt((states[sel, i] + 1) * (states[sel, im] + 1)))
         sel = np.flatnonzero((states[:, i] >= 1) & (states[:, im] >= 1))
         target = basis.shifted(sel, -up)
         if np.any(target < 0):
             raise RuntimeError("generated state left the basis")
         rows.append(target)
         cols.append(sel)
-        vals.append(0.5 * w * np.sqrt(states[sel, i] * states[sel, im]))
+        vals.append(w * np.sqrt(states[sel, i] * states[sel, im]))
     return basis, _assemble(rows, cols, vals, basis.size)
 
 

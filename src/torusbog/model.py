@@ -251,14 +251,16 @@ class TorusModel:
         return build_mode_set(self.d, self.mode_cutoff, self.include_zero_mode)
 
     @cached_property
-    def transfers(self) -> tuple[tuple[int, int, tuple[tuple[float, int, int], ...]], ...]:
-        """Every term a*_{p-l} a*_{q+l} a_p a_q, l != 0, that stays inside the mode set.
-
-        One group (iq, ip, moves) per pair of mode-set positions of q and p,
-        q outer and p inner, that some transfer l keeps inside the set; moves
-        holds (w_hat(l), i1, i2), i1 and i2 the positions of p - l and q + l,
-        in the order of potential.nonzero_momenta(). Built on first use and
-        kept, since the model is frozen.
+    def transfers(
+        self,
+    ) -> tuple[tuple[tuple[int, ...], tuple[tuple[float, int, int, int, int], ...]], ...]:
+        """Every term a*_{p-l} a*_{q+l} a_p a_q, l != 0, inside the mode set,
+        grouped by the occupation change delta it makes (delta = 0 for the
+        exchange terms l = p - q), one group (delta, terms) per change in the
+        order of its first term. terms holds (w_hat(l), iq, ip, i1, i2), the
+        positions of q, p, p - l and q + l, q outer, p inner and l in
+        potential.nonzero_momenta() order. Built on first use and kept, since
+        the model is frozen.
         """
         modes = self.mode_set()
         pos = {p: i for i, p in enumerate(modes)}
@@ -272,17 +274,16 @@ class TorusModel:
             )
             for ell in self.potential.nonzero_momenta()
         ]
-        groups = []
-        for iq in range(len(modes)):
-            for ip in range(len(modes)):
-                moves = tuple(
-                    (wl, minus[ip], plus[iq])
-                    for wl, minus, plus in table
-                    if minus[ip] >= 0 and plus[iq] >= 0
-                )
-                if moves:
-                    groups.append((iq, ip, moves))
-        return tuple(groups)
+        groups: dict[tuple[int, ...], list] = {}
+        for iq, ip in product(range(len(modes)), repeat=2):
+            for wl, minus, plus in table:
+                i1, i2 = minus[ip], plus[iq]
+                if i1 >= 0 and i2 >= 0:
+                    delta = [0] * len(modes)
+                    for i, change in ((iq, -1), (ip, -1), (i1, 1), (i2, 1)):
+                        delta[i] += change
+                    groups.setdefault(tuple(delta), []).append((wl, iq, ip, i1, i2))
+        return tuple((delta, tuple(terms)) for delta, terms in groups.items())
 
     def nonzero_modes(self) -> tuple[Momentum, ...]:
         return tuple(p for p in self.mode_set() if not p.is_zero)

@@ -52,15 +52,18 @@ def run_traced(tracing, tmp_path, verb, doc, out, *extra) -> tuple[int, dict]:
     return code, tracer.metrics(wall=1.0)
 
 
+# The assembly counts are pinned, so that a change to what is assembled or
+# to its sparsity pattern (explicit zeros, say) shows without a benchmark run.
 @pytest.mark.parametrize(
-    "ed",
-    [{}, {"hamiltonian": "pair", "excitation_cutoff": 6}],
+    "ed, calls, nnz",
+    [({}, 1, 101), ({"hamiltonian": "pair", "excitation_cutoff": 6}, 3, 124)],
     ids=["particle", "pair"],
 )
-def test_ed_job_runs_traced(tmp_path, tracing, ed):
+def test_ed_job_runs_traced(tmp_path, tracing, ed, calls, nnz):
     code, metrics = run_traced(tracing, tmp_path, "ed", {"model": MODEL, "ed": ed}, "out")
     assert code == 0
-    assert metrics["fock_ed.assemble_calls"] > 0
+    assert metrics["fock_ed.assemble_calls"] == calls
+    assert metrics["fock_ed.assemble_nnz"] == nnz
     assert metrics["fock_ed.dense_calls"] > 0
 
 
@@ -70,6 +73,8 @@ def test_cached_study_runs_traced(tmp_path, tracing):
     code, cold = run_traced(tracing, tmp_path, "study", doc, "cold", *cache)
     assert code == 0
     assert cold["asymptotics.records_computed"] == 3
+    assert cold["fock_ed.assemble_calls"] == 6
+    assert cold["fock_ed.assemble_nnz"] == 207
     assert cold["cli.cache_misses"] == 3
     assert cold["cli.cache_bytes_written"] > 0
     assert cold["cli.artifact_bytes"] > 0

@@ -208,7 +208,6 @@ class TestPredictions:
         )
         sol = bogoliubov.solve(truncated)
         pred = bogoliubov.predict_energies(truncated, sol)
-        assert pred.gse_tail_bound == sol.e_B_tail_bound
         assert pred.binding_tail_bound == pytest.approx(
             (sol.e_B_tail_bound + sol.D_tail_bound) / truncated.N, rel=1e-15
         )

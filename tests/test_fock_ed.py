@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,10 +60,24 @@ def one_pair_hb(m: int):
     return fock_ed.build_bogoliubov_hamiltonian(model.nonzero_modes(), m, model.potential)[1]
 
 
+def ordered_assemble(rows, cols, vals, size: int):
+    """CSR matrix from blocks of entries that may repeat a (row, column): a
+    stable sort by column puts the entries in the order a loop over states,
+    then terms, emits them, so repeats are summed left to right in term
+    order."""
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    order = np.argsort(cols, kind="stable")
+    mat = scipy.sparse.coo_matrix(
+        (vals[order], (rows[order], cols[order])), shape=(size, size)
+    )
+    return mat.tocsr()
+
+
 def reranked_hamiltonian(model: TorusModel, basis: fock_ed.FockBasis):
-    """H assembled by copying each move's rows, editing their occupations and
-    ranking every edited row again through find(): the assembly that rank
-    arithmetic replaced, kept as its byte-for-byte reference."""
+    """H assembled one term at a time by copying the term's rows, editing
+    their occupations and ranking every edited row again through find(),
+    its repeated entries summed by ordered_assemble: the byte-for-byte
+    reference of the assembly by occupation change."""
     modes, states, lam = basis.modes, basis.states, model.lam
     n_total = states.sum(axis=1)
     diag = lam * model.potential.w_zero * n_total * (n_total - 1) / 2.0
@@ -105,11 +120,12 @@ def reranked_hamiltonian(model: TorusModel, basis: fock_ed.FockBasis):
                 rows.append(target)
                 cols.append(sel)
                 vals.append(0.5 * lam * wl * f4)
-    return fock_ed._assemble(rows, cols, vals, basis.size)
+    return ordered_assemble(rows, cols, vals, basis.size)
 
 
 def reranked_bogoliubov_hamiltonian(modes, excitation_cutoff: int, potential: PotentialSpec):
-    """HB by re-ranking every pair-moved row through find(), as reranked_hamiltonian."""
+    """HB by re-ranking every pair-moved row through find(), each pair {p, -p}
+    visited from both of its modes at w_hat/2, as reranked_hamiltonian."""
     modes = tuple(modes)
     pos = {p: i for i, p in enumerate(modes)}
     basis = fock_ed.enumerate_basis(
@@ -143,7 +159,7 @@ def reranked_bogoliubov_hamiltonian(modes, excitation_cutoff: int, potential: Po
         rows.append(basis.find(down))
         cols.append(sel)
         vals.append(0.5 * w * np.sqrt(states[sel, i] * states[sel, im]))
-    return basis, fock_ed._assemble(rows, cols, vals, basis.size)
+    return basis, ordered_assemble(rows, cols, vals, basis.size)
 
 
 def assert_same_csr(mine, theirs) -> None:
@@ -371,6 +387,40 @@ class TestMomentumBlocks:
         assert methods == ({"dense"} if dense_threshold == 500 else {"dense", "lanczos"})
 
 
+# Mode sets of the property tests: five modes on a line and the
+# nine square-lattice modes with |n|_inf <= 1.
+SHIFT_MODE_SETS = (
+    tuple(Momentum((n,)) for n in range(-2, 3)),
+    build_mode_set(2, 1.5 * TWO_PI),
+)
+
+
+# The brute-force cases: a whole one-pair sector, and the K = 0 blocks of
+# the two-band model and of a d = 2 table with unequal coefficients.
+THREE_MODE_MODELS = (
+    (make_one_pair_model(N=3, lam=0.7), None),
+    (make_two_band_model(N=6), zero_momentum(1)),
+    (
+        TorusModel(
+            d=2,
+            N=4,
+            potential=PotentialSpec.from_table(
+                {
+                    (1, 0): 1.0, (-1, 0): 1.0,
+                    (0, 1): 0.8, (0, -1): 0.8,
+                    (1, 1): 0.5, (-1, -1): 0.5,
+                }
+            ),
+            mode_cutoff=1.5 * TWO_PI,  # 9 modes, |n|_inf <= 1
+        ),
+        zero_momentum(2),
+    ),
+)
+THREE_MODE_CASES = pytest.mark.parametrize(
+    "model, sector", THREE_MODE_MODELS, ids=["one-pair-N3-full", "two-band-N6-K0", "square-N4-K0"]
+)
+
+
 class TestBuildHamiltonian:
     def test_two_particle_block_golden(self):
         # K = 0, N = 2, modes {0, +-2pi}, lambda = 1, basis {(0,2,0), (1,0,1)}:
@@ -388,29 +438,7 @@ class TestBuildHamiltonian:
         result = fock_ed.lowest_eigenpairs(fock_ed.build_hamiltonian(model, basis))
         assert result.ground_energy == pytest.approx(ground, rel=1e-14)
 
-    @pytest.mark.parametrize(
-        "model, sector",
-        [
-            (make_one_pair_model(N=3, lam=0.7), None),
-            (make_two_band_model(N=6), zero_momentum(1)),
-            (
-                TorusModel(
-                    d=2,
-                    N=4,
-                    potential=PotentialSpec.from_table(
-                        {
-                            (1, 0): 1.0, (-1, 0): 1.0,
-                            (0, 1): 0.8, (0, -1): 0.8,
-                            (1, 1): 0.5, (-1, -1): 0.5,
-                        }
-                    ),
-                    mode_cutoff=1.5 * TWO_PI,  # 9 modes, |n|_inf <= 1
-                ),
-                zero_momentum(2),
-            ),
-        ],
-        ids=["one-pair-N3-full", "two-band-N6-K0", "square-N4-K0"],
-    )
+    @THREE_MODE_CASES
     def test_against_brute_force_three_modes(self, model, sector):
         # Independent reference: build H by applying the normal-ordered
         # operator sum to every basis vector with explicit ladder arithmetic.
@@ -451,9 +479,37 @@ class TestBuildHamiltonian:
                         ref[i, j] += 0.5 * lam * wl * amp
         ham = fock_ed.build_hamiltonian(model, basis)
         assert np.allclose(ham.toarray(), ref, atol=1e-13)
-        # Rank arithmetic emits the same entries in the same order as
-        # re-ranking every moved row.
+        # Summing by occupation change gives the bytes of re-ranking every
+        # term and summing repeated entries in term order.
         assert_same_csr(ham, reranked_hamiltonian(model, basis))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_tables_match_reranked_terms(self, data):
+        # An even table with unequal coefficients over the transfers of the
+        # five modes on a line or the nine square-lattice modes, on a whole
+        # sector or a K != 0 block: the sum of each element keeps the order
+        # of its terms.
+        modes = data.draw(st.sampled_from(SHIFT_MODE_SETS))
+        d = modes[0].d
+        coefficient = st.one_of(st.just(0.0), st.floats(0.01, 4.0))
+        table = {(0,) * d: data.draw(coefficient)}
+        for ell in build_mode_set(d, 2.0 * TWO_PI * math.sqrt(d)):
+            if ell > -ell:
+                table[tuple(ell)] = table[tuple(-ell)] = data.draw(coefficient)
+        model = TorusModel(
+            d=d,
+            N=data.draw(st.integers(1, 6 if d == 1 else 4)),
+            potential=PotentialSpec.from_table(table),
+            mode_cutoff=(2.5 if d == 1 else 1.5) * TWO_PI,
+            lam=data.draw(st.floats(0.01, 2.0)),
+        )
+        assert model.mode_set() == modes
+        sector = data.draw(st.sampled_from([None] + [p for p in modes if not p.is_zero]))
+        basis = fock_ed.enumerate_basis(modes, n_particles=model.N, momentum_sector=sector)
+        assert_same_csr(
+            fock_ed.build_hamiltonian(model, basis), reranked_hamiltonian(model, basis)
+        )
 
     def test_hermiticity_random_vectors(self, two_band_model):
         basis = fock_ed.enumerate_basis(
@@ -496,12 +552,90 @@ class TestBuildHamiltonian:
             fock_ed.build_hamiltonian(one_pair_model, other)
 
 
-# Mode sets of the shifted() property test: five modes on a line and the
-# nine square-lattice modes with |n|_inf <= 1.
-SHIFT_MODE_SETS = (
-    tuple(Momentum((n,)) for n in range(-2, 3)),
-    build_mode_set(2, 1.5 * TWO_PI),
-)
+class TestAssemblyByChange:
+    """Each matrix entry is made once, and each occupation change is located
+    by one FockBasis.shifted call."""
+
+    @staticmethod
+    def entries_once(monkeypatch) -> list[int]:
+        """Make _assemble refuse a repeated (row, column); return the entry
+        count of every call."""
+        assemble = fock_ed._assemble
+        counts = []
+
+        def once(rows, cols, vals, size):
+            pairs = np.concatenate(rows) * size + np.concatenate(cols)
+            assert len(np.unique(pairs)) == len(pairs), "an entry made twice"
+            counts.append(len(pairs))
+            return assemble(rows, cols, vals, size)
+
+        monkeypatch.setattr(fock_ed, "_assemble", once)
+        return counts
+
+    @staticmethod
+    def shifted_calls(monkeypatch) -> list[tuple[int, ...]]:
+        """Record the occupation change of every FockBasis.shifted call."""
+        shifted = fock_ed.FockBasis.shifted
+        calls = []
+
+        def counting(self, rows, delta):
+            calls.append(tuple(np.asarray(delta).tolist()))
+            return shifted(self, rows, delta)
+
+        monkeypatch.setattr(fock_ed.FockBasis, "shifted", counting)
+        return calls
+
+    @THREE_MODE_CASES
+    def test_each_entry_made_once(self, model, sector, monkeypatch):
+        counts = self.entries_once(monkeypatch)
+        basis = fock_ed.enumerate_basis(
+            model.mode_set(), n_particles=model.N, momentum_sector=sector
+        )
+        ham = fock_ed.build_hamiltonian(model, basis)
+        assert counts == [ham.nnz]
+
+    def test_each_pair_entry_made_once(self, monkeypatch):
+        counts = self.entries_once(monkeypatch)
+        model = FULL_SECTOR_MODELS[2]
+        basis, ham = fock_ed.build_bogoliubov_hamiltonian(
+            model.nonzero_modes(), 6, model.potential
+        )
+        assert len(basis.modes) == 9 and counts == [ham.nnz]
+
+    def test_each_change_located_once(self, monkeypatch):
+        calls = self.shifted_calls(monkeypatch)
+        model = make_two_band_model(N=6)
+        basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=6)
+        fock_ed.build_hamiltonian(model, basis)
+        # 50 terms make 15 occupation changes, one of them the exchange
+        # terms' empty change.
+        assert sum(len(terms) for _, terms in model.transfers) == 50
+        moving = [delta for delta, _ in model.transfers if any(delta)]
+        assert len(moving) == 14 and calls == moving
+
+    @pytest.mark.parametrize(
+        "model, pairs",
+        [(FULL_SECTOR_MODELS[2], 4), (make_one_pair_model(N=4, cutoff=13.0), 1)],
+        ids=["square-9-modes", "one-pair-5-modes"],
+    )
+    def test_each_pair_located_twice(self, model, pairs, monkeypatch):
+        # One creation and one annihilation change per pair {p, -p} with
+        # w_hat(p) != 0; the one-pair table leaves the pair +-2 at 0.
+        calls = self.shifted_calls(monkeypatch)
+        modes = model.nonzero_modes()
+        assert len({frozenset((p, -p)) for p in modes if model.w_hat(p) != 0.0}) == pairs
+        fock_ed.build_bogoliubov_hamiltonian(modes, 4, model.potential)
+        assert len(calls) == 2 * pairs
+        assert len(set(calls)) == len(calls)
+
+    def test_zero_coupling_stores_the_diagonal_only(self):
+        model = make_two_band_model(N=6, lam=0.0)
+        basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=6)
+        ham = fock_ed.build_hamiltonian(model, basis)
+        assert ham.nnz == basis.size
+        assert np.array_equal(ham.indices, np.arange(basis.size))
+        kinetic = sum(p.norm2 * basis.states[:, i] for i, p in enumerate(basis.modes))
+        assert np.array_equal(ham.diagonal(), kinetic)
 
 
 class TestRankArithmetic:
