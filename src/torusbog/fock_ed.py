@@ -12,7 +12,9 @@ pair Hamiltonian
        + (1/2) sum_{p!=0} w_hat(p) (a_p* a_{-p}* + a_p a_{-p})
 
 on the M-particle sector over the nonzero modes and the zero mode, as sparse
-symmetric operators, on a whole sector or one total-momentum block of it.
+symmetric operators, on a whole sector or one total-momentum block of it. A
+block is enumerated directly, one mode at a time, dropping every prefix that
+cannot reach its momentum, so no row outside it is kept.
 Each term moves a fixed occupation change across every state it acts on, and
 TorusModel.transfers, built once per model, groups the two-body terms by it.
 Assembly sums the terms of one change row by row, so each matrix entry is
@@ -26,7 +28,9 @@ residuals of the binding-energy study are evaluated here too.
 Both operators conserve total momentum, and every solve goes through one
 block loop, solve_sector(basis, ham, settings), on the operator its caller
 assembled once: binding_from_ed takes its K = 0 results and operators from
-it, and the pair Hamiltonian's cutoff ladder solves only K = 0 blocks.
+it, and the pair Hamiltonian's cutoff ladder solves only K = 0 blocks. Both
+are also even under p -> -p, so the loop solves K = 0 and one block of each
+pair {K, -K}, and counts that block's levels for its mirror too.
 """
 from __future__ import annotations
 
@@ -110,7 +114,7 @@ class FockBasis:
 
     states is one read-only (size, len(modes)) int64 array: row r holds the
     occupation of every mode in state r. momentum_sector, when set, names the
-    total-momentum block the rows were filtered to.
+    total-momentum block that holds the rows.
 
     Rows are located by their combinatorial rank, the row's position in the
     lexicographic enumeration of the unfiltered sector (Streltsov, Alon and
@@ -275,18 +279,64 @@ class FockBasis:
         return totals if zp is None else totals - self.states[:, zp]
 
 
-def _sector_rows(slots: int, budget: int) -> np.ndarray:
-    """Every row of slots nonnegative integers summing to budget, in
-    lexicographic order, built one slot at a time."""
-    rows = np.zeros((1, 0), dtype=np.int64)
+def _sector_rows(
+    momenta: np.ndarray, budget: int, target: np.ndarray | None, max_states: int
+) -> np.ndarray:
+    """Every row of len(momenta) nonnegative occupations summing to budget,
+    and with a target only those whose momentum, the sum of occupation times
+    momenta row, is target, in lexicographic order, built one mode at a time.
+
+    A prefix over modes 0..j-1 leaves r particles and a momentum need, target
+    minus its own momentum, to modes j, j + 1, ...; those supply between r
+    times the least and r times the greatest of each coordinate there, so a
+    prefix outside those bounds is dropped. Over the last mode alone the
+    bounds meet, so its check is exact. Without a target nothing is dropped
+    and the rows are the whole sector. A step whose candidate count, the sum
+    of r + 1 over the prefixes, exceeds max_states raises ResourceLimitError
+    before it builds them.
+
+    A step keeps each prefix as its parent prefix and its own occupation, not
+    as a row, and the kept rows are read back from those links at the end.
+    """
+    if target is not None:
+        # low[j] and high[j]: least and greatest coordinates over modes j, j + 1, ...
+        low = np.minimum.accumulate(momenta[::-1])[::-1]
+        high = np.maximum.accumulate(momenta[::-1])[::-1]
+        need = target[None, :]
     remaining = np.array([budget], dtype=np.int64)
-    for _ in range(slots - 1):
+    links: list[tuple[np.ndarray, np.ndarray]] = []  # (parent, value) per mode but the last
+    for j in range(len(momenta)):
+        if target is not None:
+            if links:
+                parent, value = links[-1]
+                need = need[parent] - value[:, None] * momenta[j - 1]
+            r = remaining[:, None]
+            keep = ((r * low[j] <= need) & (need <= r * high[j])).all(axis=1)
+            if not keep.all():
+                remaining, need = remaining[keep], need[keep]
+                if links:
+                    links[-1] = (parent[keep], value[keep])
+        if j == len(momenta) - 1:
+            break
         counts = remaining + 1
-        parent = np.repeat(np.arange(len(rows)), counts)
-        value = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = np.column_stack([rows[parent], value])
+        size = int(counts.sum())
+        if size > max_states:
+            raise ResourceLimitError(
+                f"momentum block enumeration builds {size} candidate rows at mode {j},"
+                f" budget is {max_states}"
+            )
+        parent = np.repeat(np.arange(len(remaining)), counts)
+        value = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+        links.append((parent, value))
         remaining = remaining[parent] - value
-    return np.column_stack([rows, remaining])
+    rows = np.empty((len(remaining), len(momenta)), dtype=np.int64)
+    rows[:, -1] = remaining
+    at = np.arange(len(remaining))
+    for j in range(len(links) - 1, -1, -1):
+        parent, value = links[j]
+        rows[:, j] = value[at]
+        at = parent[at]
+    return rows
 
 
 def enumerate_basis(
@@ -295,10 +345,14 @@ def enumerate_basis(
     momentum_sector: Momentum | None = None,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> FockBasis:
-    """Enumerate the n_particles sector, optionally filtered to one total-momentum value.
+    """Enumerate the n_particles sector, or its momentum_sector block directly.
 
-    The unfiltered count is computed in closed form before any materialization;
-    exceeding max_states raises ResourceLimitError.
+    A block is built by one pass over the modes that drops every prefix whose
+    remaining particles cannot reach the block's momentum (_sector_rows), so
+    only rows near the block are made. max_states bounds what is built: a
+    whole sector's count is computed in closed form, and a block's candidate
+    rows step by step, each before any of it is allocated; exceeding it
+    raises ResourceLimitError.
     """
     modes = tuple(modes)
     if not modes:
@@ -309,13 +363,14 @@ def enumerate_basis(
         raise ValueError("particle count must be nonnegative")
     if momentum_sector is not None and len(momentum_sector) != modes[0].d:
         raise ValueError("momentum sector dimension mismatch")
-    count = math.comb(n_particles + len(modes) - 1, len(modes) - 1)
-    if count > max_states:
-        raise ResourceLimitError(f"sector holds {count} states, budget is {max_states}")
-    states = _sector_rows(len(modes), n_particles)
-    if momentum_sector is not None:
-        momenta = states @ np.array(modes, dtype=np.int64)
-        states = states[(momenta == np.array(momentum_sector)).all(axis=1)]
+    target = None
+    if momentum_sector is None:
+        count = math.comb(n_particles + len(modes) - 1, len(modes) - 1)
+        if count > max_states:
+            raise ResourceLimitError(f"sector holds {count} states, budget is {max_states}")
+    else:
+        target = np.array(momentum_sector, dtype=np.int64)
+    states = _sector_rows(np.array(modes, dtype=np.int64), n_particles, target, max_states)
     return FockBasis(
         modes=modes,
         states=states,
@@ -352,12 +407,13 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
     index = np.arange(basis.size)
     rows, cols, vals = [index], [index], [diag]
     holders = [np.flatnonzero(column) for column in states.T]
-    for delta, terms in model.transfers:
-        down = np.flatnonzero(np.less(delta, 0))
+    for change, terms in model.transfers:
+        down = [(i, -amount) for i, amount in change if amount < 0]
         moving = len(down) > 0
-        # A change that moves a particle needs rows that hold its mode.
-        sel = holders[down[0]] if moving else index
-        sel = sel[(states[sel[:, None], down] >= -np.take(delta, down)).all(axis=1)]
+        # A change that moves a particle needs rows that hold its modes.
+        sel = holders[down[0][0]] if moving else index
+        for i, taken in down:
+            sel = sel[states[sel, i] >= taken]
         # The exchange terms sum onto the diagonal in place.
         total = np.zeros(len(sel)) if moving else diag
         for wl, iq, ip, i1, i2 in terms:
@@ -373,6 +429,9 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
             total += 0.5 * model.lam * wl * f
         if moving:
             kept = np.flatnonzero(total)
+            delta = np.zeros(len(basis.modes), dtype=np.int64)
+            for i, amount in change:
+                delta[i] = amount
             target = basis.shifted(sel[kept], delta)
             if np.any(target < 0):
                 # Momentum conservation guarantees membership.
@@ -612,9 +671,17 @@ class SectorSolve:
     """A basis and its operator, solved one total-momentum block at a time.
 
     ham is the operator assembled once on basis. rows maps each total
-    momentum, in increasing order, to its rows of basis; results holds each
-    block's lowest max(k, 2) pairs. merged is the result on the whole basis
-    built from them.
+    momentum, in increasing order, to its rows of basis. results holds the
+    lowest max(k, 2) pairs of each solved block: K = 0, each block whose
+    mirror -K is absent, and of each pair {K, -K} present the
+    lexicographically greater. merged is the result on the whole basis built
+    from them.
+
+    Block -K needs no solve of its own: the map p -> -p takes the mode set to
+    itself (build_mode_set makes it closed under negation, and the pair
+    Hamiltonian refuses any other set), and w_hat is exactly even
+    (validate_potential), so H and HB on block -K are the block-K operator
+    with its rows permuted, with the same levels.
     """
 
     basis: FockBasis
@@ -647,37 +714,47 @@ def solve_sector(
     ham is the operator the caller assembled on basis, a whole sector or one
     momentum block of it: H (build_hamiltonian) or HB
     (build_bogoliubov_hamiltonian). Its spectrum is the union of the block
-    spectra (Sandvik, AIP Conf. Proc. 1297, 135 (2010)). The operator is
-    permuted once, so that each block is a contiguous run of rows, and every
-    block goes through lowest_eigenpairs: as a dense array filled from its
-    rows' stored entries (the array toarray() gives) if it will be solved
-    dense, else as a sparse slice.
+    spectra (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), and block -K has
+    the levels of block K (see SectorSolve), so only K = 0 and one block of
+    each pair {K, -K} present are solved. The solved rows are permuted once,
+    so that each block is a contiguous run of rows, and every solved block
+    goes through lowest_eigenpairs: as a dense array filled from its rows'
+    stored entries (the array toarray() gives) if it will be solved dense,
+    else as a sparse slice. A basis whose modes are not closed under negation
+    raises ValueError.
 
-    The merged result holds the k lowest of all block eigenvalues, the gap
-    between the two lowest, and the ground-holding block's vector placed in
+    The merged result holds the k lowest of all block eigenvalues, a solved
+    block's levels counted twice when its mirror is present, the gap between
+    the two lowest, and the ground-holding solved block's vector placed in
     the whole basis, zero on every other row; its residual is measured on the
-    whole operator. It is converged when every block solve is and that
-    residual is <= tol. Its method is "lanczos" if any block ran Lanczos,
-    and its iterations are the sum over the blocks.
+    whole operator. It is converged when every solved block is and that
+    residual is <= tol. Its method is "lanczos" if any solved block ran
+    Lanczos, and its iterations are the sum over the solved blocks.
     """
     if not basis.size:
         raise ValueError("basis holds no state")
     if ham.shape != (basis.size, basis.size):
         raise ValueError(f"basis mismatch: operator of shape {ham.shape} on {basis.size} states")
+    # Mirrors as plain tuples, which compare and hash as momenta do.
+    if {tuple(-x for x in p) for p in basis.modes} != set(basis.modes):
+        raise ValueError("mode set not closed under negation: block -K is not block K mirrored")
     rows = basis.momentum_blocks()
+    mirror = {p: tuple(-x for x in p) for p in rows}
+    solved = [p for p in rows if p >= mirror[p] or mirror[p] not in rows]
     # Slicing a contiguous block costs about a third of fancy-indexing its rows.
-    order = np.concatenate(list(rows.values()))
+    order = np.concatenate([rows[p] for p in solved])
     permuted = ham[order][:, order]
     # Each stored entry's row-major position in its block's dense array.
-    entry_row = np.repeat(np.arange(basis.size), np.diff(permuted.indptr))
-    sizes = np.array([len(b) for b in rows.values()])
+    entry_row = np.repeat(np.arange(len(order)), np.diff(permuted.indptr))
+    sizes = np.array([len(rows[p]) for p in solved])
     row_start = np.repeat(np.cumsum(sizes) - sizes, sizes)[entry_row]
     row_size = np.repeat(sizes, sizes)[entry_row]
     flat = (entry_row - row_start) * row_size + permuted.indices - row_start
     block_settings = replace(settings, k=max(settings.k, 2))
     results = {}
     stop = 0
-    for momentum, block in rows.items():
+    for momentum in solved:
+        block = rows[momentum]
         start, stop = stop, stop + len(block)
         if _solves_dense(len(block), block_settings):
             # bincount adds each entry onto zero in stored order, as toarray() does.
@@ -688,7 +765,11 @@ def solve_sector(
         else:
             op = permuted[start:stop, start:stop]
         results[momentum] = lowest_eigenpairs(op, block_settings)
-    levels = sorted(e for r in results.values() for e in r.eigenvalues)
+    levels = sorted(
+        e
+        for p, r in results.items()
+        for e in r.eigenvalues * (2 if p != mirror[p] and mirror[p] in rows else 1)
+    )
     ground_at = min(results, key=lambda p: results[p].ground_energy)
     ground = np.zeros(basis.size)
     ground[rows[ground_at]] = results[ground_at].ground_vector

@@ -253,14 +253,17 @@ class TorusModel:
     @cached_property
     def transfers(
         self,
-    ) -> tuple[tuple[tuple[int, ...], tuple[tuple[float, int, int, int, int], ...]], ...]:
+    ) -> tuple[
+        tuple[tuple[tuple[int, int], ...], tuple[tuple[float, int, int, int, int], ...]], ...
+    ]:
         """Every term a*_{p-l} a*_{q+l} a_p a_q, l != 0, inside the mode set,
-        grouped by the occupation change delta it makes (delta = 0 for the
-        exchange terms l = p - q), one group (delta, terms) per change in the
-        order of its first term. terms holds (w_hat(l), iq, ip, i1, i2), the
-        positions of q, p, p - l and q + l, q outer, p inner and l in
-        potential.nonzero_momenta() order. Built on first use and kept, since
-        the model is frozen.
+        grouped by the occupation change it makes, one group (change, terms)
+        per change in the order of its first term. change lists the
+        (position, amount) pairs of the modes whose occupation the term
+        changes, by position, so it is () for the exchange terms l = p - q.
+        terms holds (w_hat(l), iq, ip, i1, i2), the positions of q, p, p - l
+        and q + l, q outer, p inner and l in potential.nonzero_momenta()
+        order. Built on first use and kept, since the model is frozen.
         """
         modes = self.mode_set()
         pos = {p: i for i, p in enumerate(modes)}
@@ -274,16 +277,20 @@ class TorusModel:
             )
             for ell in self.potential.nonzero_momenta()
         ]
-        groups: dict[tuple[int, ...], list] = {}
+        groups: dict[tuple[tuple[int, int], ...], list] = {}
         for iq, ip in product(range(len(modes)), repeat=2):
             for wl, minus, plus in table:
                 i1, i2 = minus[ip], plus[iq]
-                if i1 >= 0 and i2 >= 0:
-                    delta = [0] * len(modes)
-                    for i, change in ((iq, -1), (ip, -1), (i1, 1), (i2, 1)):
-                        delta[i] += change
-                    groups.setdefault(tuple(delta), []).append((wl, iq, ip, i1, i2))
-        return tuple((delta, tuple(terms)) for delta, terms in groups.items())
+                if i1 < 0 or i2 < 0:
+                    continue
+                change = ()  # i1 == iq: the exchange terms, l = p - q
+                if i1 != iq:
+                    # No mode both loses and gains a particle: that takes
+                    # l = 0 or l = p - q.
+                    down, up = -1 - (ip == iq), 1 + (i2 == i1)
+                    change = tuple(sorted({iq: down, ip: down, i1: up, i2: up}.items()))
+                groups.setdefault(change, []).append((wl, iq, ip, i1, i2))
+        return tuple((change, tuple(terms)) for change, terms in groups.items())
 
     def nonzero_modes(self) -> tuple[Momentum, ...]:
         return tuple(p for p in self.mode_set() if not p.is_zero)

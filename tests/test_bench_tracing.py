@@ -54,17 +54,19 @@ def run_traced(tracing, tmp_path, verb, doc, out, *extra) -> tuple[int, dict]:
 
 # The assembly counts are pinned, so that a change to what is assembled or
 # to its sparsity pattern (explicit zeros, say) shows without a benchmark run.
+# So are the dense solves: only K = 0 and one block of each pair {K, -K} are
+# solved, so solving every block again shows too.
 @pytest.mark.parametrize(
-    "ed, calls, nnz",
-    [({}, 1, 101), ({"hamiltonian": "pair", "excitation_cutoff": 6}, 3, 124)],
+    "ed, calls, nnz, dense",
+    [({}, 1, 101, 9), ({"hamiltonian": "pair", "excitation_cutoff": 6}, 3, 124, 11)],
     ids=["particle", "pair"],
 )
-def test_ed_job_runs_traced(tmp_path, tracing, ed, calls, nnz):
+def test_ed_job_runs_traced(tmp_path, tracing, ed, calls, nnz, dense):
     code, metrics = run_traced(tracing, tmp_path, "ed", {"model": MODEL, "ed": ed}, "out")
     assert code == 0
     assert metrics["fock_ed.assemble_calls"] == calls
     assert metrics["fock_ed.assemble_nnz"] == nnz
-    assert metrics["fock_ed.dense_calls"] > 0
+    assert metrics["fock_ed.dense_calls"] == dense
 
 
 def test_cached_study_runs_traced(tmp_path, tracing):
@@ -75,6 +77,7 @@ def test_cached_study_runs_traced(tmp_path, tracing):
     assert cold["asymptotics.records_computed"] == 3
     assert cold["fock_ed.assemble_calls"] == 6
     assert cold["fock_ed.assemble_nnz"] == 207
+    assert cold["fock_ed.dense_calls"] == 24
     assert cold["cli.cache_misses"] == 3
     assert cold["cli.cache_bytes_written"] > 0
     assert cold["cli.artifact_bytes"] > 0

@@ -370,6 +370,25 @@ class TestEdWorkflow:
             )
             assert report["result"]["observables"]["nplus"] >= 0.0
 
+    def test_small_block_of_a_large_sector_runs(self, tmp_path):
+        # The d = 2, 9-mode K = 0 block at N = 16 holds 4,283 states; its
+        # unfiltered sector, 735,471, is over the budget, which bounds only
+        # the rows the block enumeration builds.
+        doc = {
+            "model": {
+                "d": 2,
+                "N": 16,
+                "mode_cutoff": 1.5 * 2.0 * math.pi,
+                "potential": {"entries": [[-1, 0, 1.0], [0, -1, 1.0], [0, 1, 1.0], [1, 0, 1.0]]},
+            },
+            "ed": {"momentum_sector": [0, 0]},
+        }
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        result = read_json(tmp_path / "out" / "report.json")["result"]
+        assert result["dimension"] == 4283
+        assert result["converged"] is True
+
     def test_pair_hamiltonian_path(self, tmp_path):
         doc = {
             "model": one_pair_model_doc(4),
@@ -437,25 +456,26 @@ class TestEdWorkflow:
         assert kinds == {np.ndarray}
 
     def test_unconverged_block_exit_3_and_not_cached(self, tmp_path, monkeypatch):
-        # The first block, K = -8, holds one state and not the ground: its
-        # failure alone must fail the job.
+        # The blocks solved are K = 0, 1, ..., 8, the last of which, K = +8,
+        # holds one state and not the ground: its failure alone must fail the
+        # job.
         from torusbog import fock_ed
 
         solve = fock_ed.lowest_eigenpairs
         calls = []
 
-        def failing_first(op, *args, **kwargs):
+        def failing_k8(op, *args, **kwargs):
             result = solve(op, *args, **kwargs)
             calls.append(op.shape[0])
-            return replace(result, converged=False) if len(calls) == 1 else result
+            return replace(result, converged=False) if len(calls) == 9 else result
 
-        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_first)
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_k8)
         cfg = write_json(tmp_path / "cfg.json", {"model": one_pair_model_doc(8)})
         cache = tmp_path / "cache"
         code = cli.main(
             ["ed", "--config", cfg, "--out", str(tmp_path / "out"), "--cache", str(cache)]
         )
-        assert calls[0] == 1 and len(calls) > 1
+        assert len(calls) == 9 and calls[-1] == 1
         assert code == 3
         result = read_json(tmp_path / "out" / "report.json")["result"]
         assert result["converged"] is False
@@ -543,25 +563,26 @@ class TestStudyWorkflow:
         assert r1["records"] == r2["records"]
 
     def test_unconverged_global_block_exit_3_and_not_cached(self, tmp_path, monkeypatch):
-        # The first block solved, K = -3 of the whole N = 3 sector, holds one
-        # state and not the ground: its failure alone must fail that record.
+        # The whole N = 3 sector is solved first, by its blocks K = 0, 1, 2, 3;
+        # the last, K = +3, holds one state and not the ground: its failure
+        # alone must fail that record.
         from torusbog import fock_ed
 
         solve = fock_ed.lowest_eigenpairs
         calls = []
 
-        def failing_first(op, *args, **kwargs):
+        def failing_k3(op, *args, **kwargs):
             result = solve(op, *args, **kwargs)
             calls.append(op.shape[0])
-            return replace(result, converged=False) if len(calls) == 1 else result
+            return replace(result, converged=False) if len(calls) == 4 else result
 
         cfg = write_json(tmp_path / "cfg.json", self.study_doc((3, 4, 5)))
         cache = tmp_path / "cache"
         args = ["study", "--config", cfg, "--cache", str(cache), "--out"]
         with monkeypatch.context() as patch:
-            patch.setattr(fock_ed, "lowest_eigenpairs", failing_first)
+            patch.setattr(fock_ed, "lowest_eigenpairs", failing_k3)
             assert cli.main(args + [str(tmp_path / "o1")]) == 3
-        assert calls[0] == 1
+        assert calls[3] == 1
         records = read_json(tmp_path / "o1" / "report.json")["records"]
         assert [rec["converged"] for rec in records] == [False, True, True]
         assert len(list(cache.glob("*.json"))) == 2
@@ -663,27 +684,27 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["a36e3dcb121644484e6b676a46ad9af1"],
+                ["b919674f5536cc965e457f02911bb2ef"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["8550b9f8eb4061ca644bcd86d1c338b2"],
+                ["587d06921b6ba9703c3cc34cfcdc53de"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "0a19c233f228b875fe6ead9bde6974a5",
-                    "8999ad600a62fffdeaaed0b4dd8f1267",
-                    "91feb77791538571b0df01cf9016e2a8",
+                    "a6af34f468e480aee1e3c4b6ea72149b",
+                    "b5fadca1e7dab4794877da47aa9a4877",
+                    "c0207d015a36f06558719b36fb41b8a5",
                 ],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["6737784ad6bc968780eb47b5fc498f93"],
+                ["b762feba6f2781157a40da7577c8770a"],
             ),
         ],
     )

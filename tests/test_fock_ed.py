@@ -6,6 +6,7 @@ second-quantized matrix elements, independent of the assembly code.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -58,6 +59,22 @@ def one_pair_hb(m: int):
     """The pair Hamiltonian of the one-pair model on its M = m space."""
     model = make_one_pair_model(N=8)
     return fock_ed.build_bogoliubov_hamiltonian(model.nonzero_modes(), m, model.potential)[1]
+
+
+def filtered_rows(modes, n: int, sector: Momentum) -> np.ndarray:
+    """The momentum block by enumerating the whole n sector and filtering it:
+    the reference of the direct block enumeration."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    remaining = np.array([n], dtype=np.int64)
+    for _ in range(len(modes) - 1):
+        counts = remaining + 1
+        parent = np.repeat(np.arange(len(rows)), counts)
+        value = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([rows[parent], value])
+        remaining = remaining[parent] - value
+    rows = np.column_stack([rows, remaining])
+    momenta = rows @ np.array(modes, dtype=np.int64)
+    return rows[(momenta == np.array(sector)).all(axis=1)]
 
 
 def ordered_assemble(rows, cols, vals, size: int):
@@ -273,6 +290,54 @@ class TestEnumerateBasis:
         with pytest.raises(ResourceLimitError):
             fock_ed.enumerate_basis(modes, n_particles=40, max_states=10_000)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_block_matches_the_filtered_sector(self, data):
+        # Mode sets in d = 1 and d = 2, in any order and with gaps, and any
+        # target momentum, reachable or not: the block built directly is the
+        # filtered whole sector, row for row.
+        d = data.draw(st.sampled_from([1, 2]))
+        box = [Momentum(p) for p in itertools.product(range(-3, 4), repeat=d)]
+        modes = tuple(
+            data.draw(st.lists(st.sampled_from(box), min_size=1, max_size=6, unique=True))
+        )
+        n = data.draw(st.integers(0, 8 if d == 1 else 5))
+        reach = 3 * n + 1
+        sector = Momentum(data.draw(st.lists(st.integers(-reach, reach), min_size=d, max_size=d)))
+        expected = filtered_rows(modes, n, sector)
+        basis = fock_ed.enumerate_basis(modes, n_particles=n, momentum_sector=sector)
+        assert basis.states.shape == (len(expected), len(modes))
+        assert np.array_equal(basis.states, expected)
+
+    def test_block_with_gaps_and_unreachable_momenta(self):
+        modes = tuple(Momentum((n,)) for n in (-3, -1, 0, 1, 3))
+        for sector in range(-16, 17):
+            k = Momentum((sector,))
+            basis = fock_ed.enumerate_basis(modes, n_particles=5, momentum_sector=k)
+            assert np.array_equal(basis.states, filtered_rows(modes, 5, k))
+            # 14 lies inside the bounds 5 * (-3) .. 5 * 3 but no five of the
+            # modes sum to it; 16 lies outside them.
+            assert (basis.size == 0) == (abs(sector) in (14, 16))
+
+    def test_block_budget_bounds_the_rows_built(self):
+        # The d = 2, 9-mode K = 0 block at N = 16 holds 4,283 states, of an
+        # unfiltered sector of 735,471: the default budget admits it, and a
+        # budget below it is refused at a step's candidate count, before that
+        # step allocates, so the peak stays below what the budget's rows take.
+        modes = build_mode_set(2, 1.5 * TWO_PI)
+        k0 = zero_momentum(2)
+        assert fock_ed.enumerate_basis(modes, n_particles=16, momentum_sector=k0).size == 4283
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="at mode 4, budget is 4000"):
+                fock_ed.enumerate_basis(
+                    modes, n_particles=16, momentum_sector=k0, max_states=4000
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * len(modes) * 8
+
     def test_excitation_counts(self):
         basis = one_pair_k0_basis(3)
         counts = basis.excitation_counts()
@@ -359,21 +424,30 @@ class TestMomentumBlocks:
         "k, dense_threshold", [(1, 500), (3, 500), (1, 10)], ids=["k1", "k3", "k1-threshold-10"]
     )
     def test_blocks_match_their_sparse_slices(self, model, k, dense_threshold):
-        # Each block is solved from a dense array filled from the sector's
-        # entries; the reference solves the same block as a sparse slice.
-        # Blocks above the threshold keep the sparse route to Lanczos.
+        # Each solved block is solved from a dense array filled from the
+        # sector's entries; the reference solves the same block as a sparse
+        # slice. Blocks above the threshold keep the sparse route to Lanczos.
+        # Of each pair {K, -K} only the greater is solved, and a direct solve
+        # of the other gives the levels counted for it.
         settings = fock_ed.EDSettings(k=k, dense_threshold=dense_threshold)
         full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
         ham = fock_ed.build_hamiltonian(model, full)
         solved = fock_ed.solve_sector(full, ham, settings)
         scale = float(abs(ham).sum(axis=1).max())
+        assert set(solved.results) == {p for p in solved.rows if p >= -p}
         methods = set()
         for momentum, block in solved.rows.items():
-            mine = solved.results[momentum]
             theirs = fock_ed.lowest_eigenpairs(
                 ham[block][:, block], replace(settings, k=max(k, 2))
             )
             methods.add(theirs.method)
+            if momentum not in solved.results:
+                counted = solved.results[-momentum].eigenvalues
+                assert len(counted) == len(theirs.eigenvalues)
+                for e, direct in zip(counted, theirs.eigenvalues):
+                    assert abs(e - direct) <= 1e-12 * max(1.0, abs(direct))
+                continue
+            mine = solved.results[momentum]
             assert (mine.method, mine.iterations) == (theirs.method, theirs.iterations)
             assert mine.eigenvalues == theirs.eigenvalues
             assert mine.gap == theirs.gap
@@ -385,6 +459,29 @@ class TestMomentumBlocks:
             # A dense product and a sparse one round differently.
             assert abs(mine.residual_norm - theirs.residual_norm) <= 1e-14 * scale
         assert methods == ({"dense"} if dense_threshold == 500 else {"dense", "lanczos"})
+
+    def test_mode_set_not_closed_under_negation_refused(self):
+        # Over modes 0 and 1 block -K is not the mirror of block K.
+        modes = (Momentum((0,)), Momentum((1,)))
+        basis = fock_ed.enumerate_basis(modes, n_particles=2)
+        with pytest.raises(ValueError, match="not closed under negation"):
+            fock_ed.solve_sector(basis, scipy.sparse.identity(basis.size, format="csr"))
+
+    def test_mirrored_levels_keep_their_multiplicity(self):
+        # Two bands, N = 16: above the K = 0 ground, the lowest level lies in
+        # K = +1 and K = -1 alike, and the merged list holds it twice with
+        # the same bits, as block K = +1 gives it.
+        model = make_two_band_model(N=16)
+        full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
+        solved = fock_ed.solve_sector(
+            full, fock_ed.build_hamiltonian(model, full), fock_ed.EDSettings(k=3)
+        )
+        k1 = Momentum((1,))
+        assert -k1 in solved.rows and -k1 not in solved.results
+        ground, first, second = solved.merged.eigenvalues
+        assert ground == solved.results[zero_momentum(1)].ground_energy
+        assert first == second == solved.results[k1].ground_energy
+        assert solved.merged.gap == first - ground
 
 
 # Mode sets of the property tests: five modes on a line and the
@@ -608,10 +705,21 @@ class TestAssemblyByChange:
         basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=6)
         fock_ed.build_hamiltonian(model, basis)
         # 50 terms make 15 occupation changes, one of them the exchange
-        # terms' empty change.
+        # terms' empty change. Each change is keyed by its (position,
+        # amount) pairs and expanded to a vector only for shifted.
         assert sum(len(terms) for _, terms in model.transfers) == 50
-        moving = [delta for delta, _ in model.transfers if any(delta)]
-        assert len(moving) == 14 and calls == moving
+        moving = [change for change, _ in model.transfers if change]
+        expanded = []
+        for change in moving:
+            positions = [i for i, _ in change]
+            assert positions == sorted(set(positions))
+            assert all(amount for _, amount in change)
+            assert sum(amount for _, amount in change) == 0
+            delta = [0] * len(basis.modes)
+            for i, amount in change:
+                delta[i] = amount
+            expanded.append(tuple(delta))
+        assert len(moving) == 14 and calls == expanded
 
     @pytest.mark.parametrize(
         "model, pairs",
@@ -1326,20 +1434,21 @@ class TestBindingFromED:
         assert binding.converged is False
 
     def test_unconverged_global_block_fails_the_binding(self, monkeypatch):
-        # The first block solved, K = -8 of the whole N = 8 sector, holds one
-        # state and not the ground: the K = 0 ground still attains the sector
-        # minimum, but the global check did not converge.
+        # The whole N = 8 sector is solved first, by its blocks K = 0, 1, ...,
+        # 8; the last, K = +8, holds one state and not the ground: the K = 0
+        # ground still attains the sector minimum, but the global check did
+        # not converge.
         solve = fock_ed.lowest_eigenpairs
         calls = []
 
-        def failing_first(op, *args, **kwargs):
+        def failing_k8(op, *args, **kwargs):
             result = solve(op, *args, **kwargs)
             calls.append(op.shape[0])
-            return replace(result, converged=False) if len(calls) == 1 else result
+            return replace(result, converged=False) if len(calls) == 9 else result
 
-        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_first)
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_k8)
         binding = fock_ed.binding_from_ed(make_one_pair_model(N=8))
-        assert calls[0] == 1
+        assert calls[8] == 1
         assert binding.k0_is_global is True
         assert binding.result_N.converged and binding.result_Nm1.converged
         assert binding.converged is False
