@@ -13,11 +13,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
-import time
 from dataclasses import asdict, fields, replace
 
 from .model import ResourceLimitError
@@ -45,54 +43,21 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _format_float(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    return "%.17g" % value
-
-
-def canonical_json(value) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        inner = ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in items)
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
+def _python_scalar(value):
+    """json.dumps default: a numpy scalar becomes the Python value it holds."""
+    if type(value).__module__ == "numpy" and getattr(value, "shape", None) == ():
+        return value.item()
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def jsonable(value):
-    """Normalize tuples and numpy scalars so round-trips compare equal."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    item = getattr(value, "item", None)
-    if item is not None:
-        return jsonable(item())
-    raise TypeError(f"cannot normalize {type(value).__name__}")
+def canonical_json(value) -> str:
+    """Deterministic JSON: sorted keys, no spaces, shortest round-trip floats."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_python_scalar)
 
 
 def content_digest(key_payload: dict) -> str:
     """16-byte hex digest of the canonical serialization."""
-    text = canonical_json(jsonable(key_payload))
+    text = canonical_json(key_payload)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
 
 
@@ -125,16 +90,10 @@ def cache_lookup(cache_dir: str, key: str, verify) -> dict | None:
         return None
 
 
-def cache_store(cache_dir: str, key: str, payload: dict, version: str) -> None:
+def cache_store(cache_dir: str, key: str, payload: dict) -> None:
     """Atomic write: temp file in the same directory, then rename."""
     os.makedirs(cache_dir, exist_ok=True)
-    entry = {
-        "key": key,
-        "tool_version": version,
-        "created_unix": int(time.time()),
-        "payload": payload,
-    }
-    text = canonical_json(jsonable(entry)) + "\n"
+    text = canonical_json({"key": key, "payload": payload}) + "\n"
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -148,25 +107,36 @@ def cache_store(cache_dir: str, key: str, payload: dict, version: str) -> None:
         raise
 
 
-def cached_compute(cache_dir, key_payload, compute, verify, version, stats):
+def converged_within(tol: float, *residuals: str):
+    """The rule a payload passes to be cached and served: it is converged, and
+    each named residual is at most the run's tol."""
+
+    def verify(payload) -> bool:
+        try:
+            return bool(payload["converged"]) and all(payload[r] <= tol for r in residuals)
+        except (KeyError, TypeError):
+            return False
+
+    return verify
+
+
+def cached_compute(cache_dir, key_payload, compute, verify, stats):
     """Content-addressed lookup around a compute callable.
 
-    Only payloads passing verify are stored, so every cache entry is
-    re-verifiable on load. stats counts hits and misses.
+    A computed payload is returned as json.loads of its canonical text, the
+    objects a later hit returns. Only payloads passing verify are stored, so
+    every cache entry is re-verifiable on load. stats counts hits and misses.
     """
-    if cache_dir is None:
-        payload = compute()
-        stats["misses"] += 1
-        return payload
-    key = content_digest(key_payload)
-    found = cache_lookup(cache_dir, key, verify)
-    if found is not None:
-        stats["hits"] += 1
-        return found
-    payload = jsonable(compute())
+    if cache_dir is not None:
+        key = content_digest(key_payload)
+        found = cache_lookup(cache_dir, key, verify)
+        if found is not None:
+            stats["hits"] += 1
+            return found
+    payload = json.loads(canonical_json(compute()))
     stats["misses"] += 1
-    if verify(payload):
-        cache_store(cache_dir, key, payload, version)
+    if cache_dir is not None and verify(payload):
+        cache_store(cache_dir, key, payload)
     return payload
 
 
@@ -406,7 +376,7 @@ def _write_canonical(out_dir: str, name: str, doc: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(jsonable(doc)) + "\n")
+        fh.write(canonical_json(doc) + "\n")
     return path
 
 
@@ -420,14 +390,6 @@ def write_diagnostics(out_dir: str, stats: dict) -> str:
     return _write_canonical(out_dir, "diagnostics.json", {"cache": stats})
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _format_float(value)
-    return str(value)
-
-
 def write_modes_csv(out_dir: str, solution) -> str:
     path = os.path.join(out_dir, "modes.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -435,7 +397,7 @@ def write_modes_csv(out_dir: str, solution) -> str:
         for mq in solution.modes:
             coords = ";".join(str(c) for c in mq.p)
             row = [coords] + [
-                _csv_cell(v)
+                canonical_json(v)
                 for v in (mq.w_hat, mq.e_p, mq.alpha_p, mq.n_p, mq.eB_summand)
             ]
             fh.write(",".join(row) + "\n")
@@ -473,7 +435,7 @@ def write_study_csv(out_dir: str, records: list[dict], prediction: float) -> str
                 abs(rec["residual_r"] - prediction),
                 rec["converged"],
             )
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+            fh.write(",".join(map(canonical_json, row)) + "\n")
     return path
 
 
@@ -545,16 +507,6 @@ def _ed_payload(result, basis, tol: float) -> dict:
     }
 
 
-def _verify_ed_payload(payload) -> bool:
-    try:
-        return (
-            bool(payload["converged"])
-            and float(payload["residual_norm"]) <= float(payload["tol"])
-        )
-    except (KeyError, TypeError, ValueError):
-        return False
-
-
 def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
     from . import fock_ed
     from .model import Momentum
@@ -592,10 +544,11 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "cutoff_delta": hb.cutoff_delta,
         }
     else:
-        sector_raw = job.get("momentum_sector")
-        sector = Momentum(sector_raw) if sector_raw is not None else None
-        if sector is not None and sector.d != model.d:
-            raise ConfigError("ed.momentum_sector dimension does not match model.d")
+        sector = job.get("momentum_sector")
+        if sector is not None:
+            if len(sector) != model.d:
+                raise ConfigError("ed.momentum_sector dimension does not match model.d")
+            sector = Momentum(sector)
 
         def compute() -> dict:
             modes = model.mode_set()
@@ -617,9 +570,8 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "momentum_sector": list(sector) if sector is not None else None,
         }
 
-    payload = cached_compute(
-        cache_dir, key_payload, compute, _verify_ed_payload, version, stats
-    )
+    verify = converged_within(settings.tol, "residual_norm")
+    payload = cached_compute(cache_dir, key_payload, compute, verify, stats)
     report = {
         "workflow": "ed",
         "tool_version": version,
@@ -637,17 +589,6 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
     version = _version()
     config = parsed["study"]
     stats = {"hits": 0, "misses": 0}
-    settings = config.ed
-
-    def verify_record(payload) -> bool:
-        try:
-            return (
-                bool(payload["converged"])
-                and float(payload["residual_norm_N"]) <= settings.tol
-                and float(payload["residual_norm_Nm1"]) <= settings.tol
-            )
-        except (KeyError, TypeError, ValueError):
-            return False
 
     def loader(cfg, n, alpha):
         key_payload = {
@@ -664,9 +605,8 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
         def compute() -> dict:
             return asdict(asymptotics.binding_record(cfg, n, alpha))
 
-        payload = cached_compute(
-            cache_dir, key_payload, compute, verify_record, version, stats
-        )
+        verify = converged_within(cfg.ed.tol, "residual_norm_N", "residual_norm_Nm1")
+        payload = cached_compute(cache_dir, key_payload, compute, verify, stats)
         return asymptotics.StudyRecord(**payload)
 
     report_obj = asymptotics.run_binding_study(config, record_loader=loader)

@@ -61,6 +61,10 @@ DEGENERACY_GAP = 1e-8
 # Lanczos reports a degenerate level once (see lowest_eigenpairs).
 MULTI_LEVEL_DENSE_LIMIT = 2000
 
+# Largest operator solved dense, whatever the settings ask: at this size its
+# array of dim**2 doubles takes 0.8 GB.
+MAX_DENSE_STATES = 10_000
+
 
 @dataclass(frozen=True)
 class EDSettings:
@@ -530,10 +534,20 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
 
 
 def _solves_dense(dim: int, settings: EDSettings) -> bool:
-    """Whether lowest_eigenpairs solves an operator of dim states dense."""
-    return dim <= max(settings.dense_threshold, settings.k, 2) or (
+    """Whether lowest_eigenpairs solves an operator of dim states dense.
+
+    A dense route above MAX_DENSE_STATES raises ResourceLimitError, before
+    any dense array of that size is made.
+    """
+    dense = dim <= max(settings.dense_threshold, settings.k, 2) or (
         settings.k >= 3 and dim <= MULTI_LEVEL_DENSE_LIMIT
     )
+    if dense and dim > MAX_DENSE_STATES:
+        raise ResourceLimitError(
+            f"dense solve of {dim} states, budget is {MAX_DENSE_STATES}"
+            " (lower dense_threshold or k)"
+        )
+    return dense
 
 
 @functools.cache
@@ -554,8 +568,9 @@ def lowest_eigenpairs(
     settings.dense_threshold states (MULTI_LEVEL_DENSE_LIMIT when k >= 3, and
     at least max(k, 2)) the k_int = min(dim, max(k, 2)) lowest pairs come
     from one LAPACK dsyevr call with range "I", its workspace queried once
-    per dimension; a failed call raises LinAlgError. Larger problems run
-    ARPACK's implicitly restarted Lanczos (eigsh, which="SA"; Lehoucq,
+    per dimension; a failed call raises LinAlgError, and a dense route above
+    MAX_DENSE_STATES raises ResourceLimitError before any array is made.
+    Larger problems run ARPACK's implicitly restarted Lanczos (eigsh, which="SA"; Lehoucq,
     Sorensen and Yang, ARPACK Users' Guide, SIAM (1998)) in a basis of 20
     vectors, at most settings.max_iter restarts, and report the Rayleigh
     quotients of the returned vectors; iterations counts its operator

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -57,10 +58,28 @@ class TestCanonicalJSON:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             cli.canonical_json({"a": object()})
+        with pytest.raises(TypeError):
+            cli.canonical_json({"a": np.zeros(2)})
 
-    def test_jsonable_normalizes_tuples_and_numpy(self):
-        doc = {"t": (1, 2), "f": np.float64(0.5), "i": np.int64(3), "n": [np.bool_(True)]}
-        assert cli.jsonable(doc) == {"t": [1, 2], "f": 0.5, "i": 3, "n": [True]}
+    def test_numpy_tuples_and_non_finite_round_trip(self):
+        doc = {
+            "t": (1, (2.5, np.float64(1 / 3))),
+            "x": {"f": np.float64(7.0), "i": np.int64(3), "n": [np.bool_(True), np.bool_(False)]},
+            "inf": [np.float64(math.inf), -math.inf],
+            "nan": np.float64(math.nan),
+        }
+        loaded = json.loads(cli.canonical_json(doc))
+        assert math.isnan(loaded.pop("nan"))
+        assert loaded == {
+            "t": [1, [2.5, 1 / 3]],
+            "x": {"f": 7.0, "i": 3, "n": [True, False]},
+            "inf": [math.inf, -math.inf],
+        }
+        assert type(loaded["x"]["f"]) is float and type(loaded["x"]["i"]) is int
+        assert type(loaded["x"]["n"][0]) is bool
+
+    def test_shortest_round_trip_floats(self):
+        assert cli.canonical_json([1 / 3, 7.0, 1e-9]) == "[0.3333333333333333,7.0,1e-09]"
 
     def test_digest_is_32_hex_and_key_order_free(self):
         a = cli.content_digest({"x": 1, "y": 2.0})
@@ -77,7 +96,7 @@ class TestCache:
 
     def test_store_and_lookup(self, tmp_path):
         payload = {"converged": True, "value": 1.5}
-        cli.cache_store(str(tmp_path), "k1", payload, "0.0")
+        cli.cache_store(str(tmp_path), "k1", payload)
         assert cli.cache_lookup(str(tmp_path), "k1", self.verify) == payload
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -85,14 +104,14 @@ class TestCache:
         assert cli.cache_lookup(str(tmp_path), "absent", self.verify) is None
 
     def test_corrupt_entry_discarded(self, tmp_path):
-        cli.cache_store(str(tmp_path), "k1", {"converged": True}, "0.0")
+        cli.cache_store(str(tmp_path), "k1", {"converged": True})
         path = tmp_path / "k1.json"
         path.write_text("{ not json")
         assert cli.cache_lookup(str(tmp_path), "k1", self.verify) is None
         assert not path.exists()
 
     def test_failed_verification_discarded(self, tmp_path):
-        cli.cache_store(str(tmp_path), "k1", {"converged": True}, "0.0")
+        cli.cache_store(str(tmp_path), "k1", {"converged": True})
         path = tmp_path / "k1.json"
         entry = json.loads(path.read_text())
         entry["payload"]["converged"] = False
@@ -101,7 +120,7 @@ class TestCache:
         assert not path.exists()
 
     def test_key_mismatch_discarded(self, tmp_path):
-        cli.cache_store(str(tmp_path), "k1", {"converged": True}, "0.0")
+        cli.cache_store(str(tmp_path), "k1", {"converged": True})
         entry = json.loads((tmp_path / "k1.json").read_text())
         (tmp_path / "k2.json").write_text(json.dumps(entry))
         assert cli.cache_lookup(str(tmp_path), "k2", self.verify) is None
@@ -115,18 +134,28 @@ class TestCache:
 
         stats = {"hits": 0, "misses": 0}
         for _ in range(3):
-            out = cli.cached_compute(
-                str(tmp_path), {"op": "t"}, compute, self.verify, "0.0", stats
-            )
-            assert out["value"] == 2.0
+            out = cli.cached_compute(str(tmp_path), {"op": "t"}, compute, self.verify, stats)
+            assert out["value"] == 2.0 and type(out["value"]) is float
         assert len(calls) == 1
         assert stats == {"hits": 2, "misses": 1}
+
+    def test_entry_holds_key_and_payload_only(self, tmp_path):
+        cli.cache_store(str(tmp_path), "k1", {"converged": True, "value": 2.0})
+        text = (tmp_path / "k1.json").read_text()
+        assert text == '{"key":"k1","payload":{"converged":true,"value":2.0}}\n'
+
+    def test_verifier_reads_the_runs_tol(self):
+        verify = cli.converged_within(1e-9, "residual_norm")
+        assert verify({"converged": True, "residual_norm": 1e-10, "tol": 1e-9})
+        assert not verify({"converged": True, "residual_norm": 1e-3, "tol": 1.0})
+        assert not verify({"converged": False, "residual_norm": 0.0})
+        assert not verify({"converged": True})
+        assert not verify({"converged": True, "residual_norm": "0"})
 
     def test_unverified_payload_not_stored(self, tmp_path):
         stats = {"hits": 0, "misses": 0}
         cli.cached_compute(
-            str(tmp_path), {"op": "t"}, lambda: {"converged": False},
-            self.verify, "0.0", stats,
+            str(tmp_path), {"op": "t"}, lambda: {"converged": False}, self.verify, stats
         )
         assert list(tmp_path.glob("*.json")) == []
 
@@ -137,7 +166,7 @@ class TestCache:
             cli.cached_compute(
                 None, {"op": "t"},
                 lambda: calls.append(1) or {"converged": True},
-                self.verify, "0.0", stats,
+                self.verify, stats,
             )
         assert len(calls) == 2
 
@@ -202,6 +231,12 @@ class TestConfigRejection:
         cfg = write_json(tmp_path / "cfg.json", doc)
         assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "momentum_sector" in capsys.readouterr().err
+
+    def test_empty_momentum_sector_rejected(self, tmp_path, capsys):
+        doc = {"model": one_pair_model_doc(), "ed": {"momentum_sector": []}}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "ed.momentum_sector" in capsys.readouterr().err
 
     def test_oversized_enumeration_rejected(self, tmp_path, capsys):
         doc = {
@@ -389,6 +424,22 @@ class TestEdWorkflow:
         assert result["dimension"] == 4283
         assert result["converged"] is True
 
+    def test_oversized_dense_solve_exits_2(self, tmp_path, capsys):
+        # The d = 2, 9-mode K = 0 block at N = 24 holds 30,936 states.
+        doc = {
+            "model": {
+                "d": 2,
+                "N": 24,
+                "mode_cutoff": 1.5 * 2.0 * math.pi,
+                "potential": {"entries": [[-1, 0, 1.0], [0, -1, 1.0], [0, 1, 1.0], [1, 0, 1.0]]},
+            },
+            "ed": {"momentum_sector": [0, 0], "dense_threshold": 100_000},
+        }
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "dense solve of 30936 states" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_pair_hamiltonian_path(self, tmp_path):
         doc = {
             "model": one_pair_model_doc(4),
@@ -498,6 +549,38 @@ class TestEdWorkflow:
             == 0
         )
         assert len(list(flag_cache.glob("*.json"))) == 1
+
+    def test_cold_runs_write_identical_cache_files(self, tmp_path, monkeypatch):
+        doc = {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        entries = []
+        for i, now in enumerate((1.0e9, 2.0e9)):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            cache = tmp_path / f"cache{i}"
+            assert cli.main(
+                ["ed", "--config", cfg, "--out", str(tmp_path / f"o{i}"), "--cache", str(cache)]
+            ) == 0
+            (path,) = cache.glob("*.json")
+            entries.append((path.name, path.read_bytes()))
+        assert entries[0] == entries[1]
+        assert set(json.loads(entries[0][1])) == {"key", "payload"}
+
+    def test_entry_with_raised_tol_not_served(self, tmp_path):
+        # The stored residual is checked against the run's tol, not against
+        # the tol the entry carries.
+        doc = {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        cache = tmp_path / "cache"
+        args = ["ed", "--config", cfg, "--cache", str(cache), "--out"]
+        assert cli.main(args + [str(tmp_path / "o1")]) == 0
+        entry_path = next(cache.glob("*.json"))
+        entry = json.loads(entry_path.read_text())
+        entry["payload"].update(residual_norm=1e-3, tol=1.0)
+        entry_path.write_text(json.dumps(entry))
+        assert cli.main(args + [str(tmp_path / "o2")]) == 0
+        assert read_json(tmp_path / "o2" / "diagnostics.json")["cache"] == {"hits": 0, "misses": 1}
+        result = read_json(tmp_path / "o2" / "report.json")["result"]
+        assert result["residual_norm"] <= result["tol"] == 1e-9
 
     def test_corrupt_cache_recovers(self, tmp_path):
         doc = {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}}
@@ -684,27 +767,27 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["b919674f5536cc965e457f02911bb2ef"],
+                ["a6ebdc0cc4bebde4f5f92c3ef27f0993"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["587d06921b6ba9703c3cc34cfcdc53de"],
+                ["68e0887ac0d72a6dc9dabf8bd7b73bc3"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "a6af34f468e480aee1e3c4b6ea72149b",
-                    "b5fadca1e7dab4794877da47aa9a4877",
-                    "c0207d015a36f06558719b36fb41b8a5",
+                    "1d182381ef72e22179ee6ec9117a5b7b",
+                    "69e14ad45250603e9dbc885aee7b3f95",
+                    "a4bf0642c83c365c2e48dfddd38a9aaa",
                 ],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["b762feba6f2781157a40da7577c8770a"],
+                ["a99ac556fd1abb2c4c738e570885fb62"],
             ),
         ],
     )

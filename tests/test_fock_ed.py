@@ -1221,6 +1221,39 @@ class TestLowestEigenpairs:
         assert peak < 50 * dim * 8
 
     @pytest.mark.parametrize(
+        "settings",
+        [fock_ed.EDSettings(dense_threshold=100_000), fock_ed.EDSettings(k=40_000)],
+        ids=["dense-threshold", "k"],
+    )
+    def test_oversized_dense_solve_refused_before_allocating(self, monkeypatch, settings):
+        # The d = 2, 9-mode K = 0 block at N = 24 holds 30,936 states, whose
+        # dense array would take 7.7 GB. Either entry point refuses the dense
+        # route before such an array exists or a solve starts.
+        import scipy.linalg.lapack
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized dense solve was started")
+
+        modes = build_mode_set(2, 1.5 * TWO_PI)
+        basis = fock_ed.enumerate_basis(modes, n_particles=24, momentum_sector=zero_momentum(2))
+        dim = basis.size
+        op = scipy.sparse.identity(dim, format="csr")
+        solve = fock_ed.lowest_eigenpairs
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", refuse)
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="dense solve of 30936 states"):
+                fock_ed.solve_sector(basis, op, settings)
+            with pytest.raises(ResourceLimitError, match="budget is 10000"):
+                solve(op, settings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dim == 30936 > fock_ed.MAX_DENSE_STATES
+        assert peak < dim**2 * 8 / 1000
+
+    @pytest.mark.parametrize(
         "matrix", [[[-0.75]], [[1.0, 0.5], [0.5, -2.0]]], ids=["dim1", "dim2"]
     )
     def test_tiny_operators_go_dense_at_any_threshold(self, matrix):
