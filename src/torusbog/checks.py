@@ -108,19 +108,25 @@ def sector_checks(
 ) -> list[Check]:
     """The checks on model's whole N sector, solved by momentum blocks: the
     K = 0 block's hermiticity, both energy bounds and, where w_hat(0) != 0, the
-    exact zero-mode offset, and whether the operator is block diagonal."""
+    exact zero-mode offset, whether the operator is block diagonal, and
+    whether the bound that certifies K = 0 in binding_from_ed lies below every
+    solved K != 0 block (vacuously when there is none)."""
     n, k0 = model.N, zero_momentum(model.d)
     basis, ham = sector.block(k0)
     sym, low = random_vector_bounds(model, basis, ham, settings.seed)
     off = off_block_entries(sector.ham, sector.rows)
     ground = sector.results[k0].ground_energy
     trial = model.lam * model.potential.w_zero * n * (n - 1) / 2.0
+    bound = fock_ed.nonzero_momentum_bound(model)
+    least = min((r.ground_energy for k, r in sector.results.items() if k != k0), default=math.inf)
     out = [
         _at_most("hermiticity", sym, 1e-10, "max asymmetry"),
         _at_most("condensation_lower_bound", low, 1e-9, "max violation"),
         Check("momentum_block_diagonal", off == 0, f"{off} entries cross momentum sectors"),
         Check("condensate_upper_bound", ground <= trial + 1e-9,
               f"E0 {ground:.6e} <= trial {trial:.6e}"),
+        Check("global_ground_bound", bound <= least + 1e-9,
+              f"B {bound:.6e} <= least K != 0 level {least:.6e}"),
     ]
     shifted, offset = normalize_zero_mode(model.potential)
     if shifted is not model.potential:

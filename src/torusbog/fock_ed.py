@@ -27,10 +27,16 @@ residuals of the binding-energy study are evaluated here too.
 
 Both operators conserve total momentum, and every solve goes through one
 block loop, solve_sector(basis, ham, settings), on the operator its caller
-assembled once: binding_from_ed takes its K = 0 results and operators from
-it, and the pair Hamiltonian's cutoff ladder solves only K = 0 blocks. Both
-are also even under p -> -p, so the loop solves K = 0 and one block of each
-pair {K, -K}, and counts that block's levels for its mirror too.
+assembled once. binding_from_ed solves the K = 0 blocks of N and N - 1
+alone; that K = 0 holds the ground of the N sector is certified by a lower
+bound on every K != 0 level (nonzero_momentum_bound), and the whole sector
+is solved only when the bound does not settle it. The pair Hamiltonian's
+cutoff ladder solves only K = 0 blocks. Both operators are also even under
+p -> -p, so the loop solves K = 0 and one block of each pair {K, -K}, and
+counts that block's levels for its mirror too.
+
+scipy is imported inside the functions that assemble, solve or build a_0,
+so a process that only reads cached results never loads it.
 """
 from __future__ import annotations
 
@@ -40,8 +46,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg.lapack
-import scipy.sparse
 
 from .model import (
     TWO_PI,
@@ -387,6 +391,8 @@ def _assemble(
     rows: list[np.ndarray], cols: list[np.ndarray], vals: list[np.ndarray], size: int
 ) -> scipy.sparse.csr_matrix:
     """Square CSR matrix from blocks of entries, each (row, column) given once."""
+    import scipy.sparse
+
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
@@ -553,6 +559,8 @@ def _solves_dense(dim: int, settings: EDSettings) -> bool:
 @functools.cache
 def _syevr_workspace(dim: int) -> tuple[int, int]:
     """Optimal (lwork, liwork) of dsyevr at this dimension, from its query."""
+    import scipy.linalg.lapack
+
     work, iwork, info = scipy.linalg.lapack.dsyevr_lwork(dim, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dsyevr workspace query failed, info = {info}")
@@ -593,6 +601,9 @@ def lowest_eigenpairs(
     k = min(settings.k, dim)
     k_int = min(dim, max(k, 2))
     if _solves_dense(dim, settings):
+        import scipy.linalg.lapack
+        import scipy.sparse
+
         # Only a copy made here may be overwritten; the residual reads op.
         sparse = scipy.sparse.issparse(op)
         lwork, liwork = _syevr_workspace(dim)
@@ -880,6 +891,8 @@ def zero_mode_annihilation(
     basis_from: FockBasis, basis_to: FockBasis
 ) -> scipy.sparse.csr_matrix:
     """Matrix of a_0 from an n-particle basis onto the (n-1)-particle basis."""
+    import scipy.sparse
+
     if basis_from.modes != basis_to.modes:
         raise ValueError("basis mismatch: mode sets differ")
     if basis_from.n_particles != basis_to.n_particles + 1:
@@ -974,6 +987,24 @@ def operator_identity_residuals(
 # ---------------------------------------------------------------------------
 
 
+def nonzero_momentum_bound(model: TorusModel) -> float:
+    """A lower bound B on every level of every K != 0 block of model's N sector.
+
+    B = (2 pi)^2 + lambda N (N-1) w_hat(0) / 2 - lambda N sum_{l!=0} w_hat(l) / 2.
+    A state of a block K != 0 holds a particle outside the zero mode, so its
+    kinetic energy is at least (2 pi)^2. The l = 0 interaction is exactly
+    lambda w_hat(0) N (N-1) / 2. On the truncated Fock space each l != 0 term
+    is (lambda/2) w_hat(l) (rho_l rho_l* - sum_q n_q), with rho_l =
+    sum_p a*_{p-l} a_p and q running over the modes with q + l in the set;
+    rho_l rho_l* >= 0 and the sum is at most N, so since lambda >= 0 and
+    w_hat >= 0 (TorusModel, validate_potential) the term is at least
+    -(lambda/2) w_hat(l) N (Seiringer, CMP 306, 565 (2011)).
+    """
+    n = model.N
+    rest = math.fsum(v for p, v in model.potential.entries if not p.is_zero)
+    return TWO_PI * TWO_PI + model.lam * n * ((n - 1) * model.potential.w_zero - rest) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class BindingResult:
     """Ground energies of the K = 0 blocks of the N and N-1 sectors.
@@ -981,7 +1012,8 @@ class BindingResult:
     result_N and result_Nm1 are the K = 0 block solves of solve_sector, so
     each holds the block's lowest max(k, 2) levels and a residual measured on
     the block. basis_* and ham_* are those blocks' own bases and operators.
-    sector_minimum and k0_is_global are None without the global check.
+    ground_bound is nonzero_momentum_bound of the model; it, sector_minimum
+    and k0_is_global are None without the global check.
     """
 
     E_N: float
@@ -996,6 +1028,7 @@ class BindingResult:
     sector_minimum: float | None
     k0_is_global: bool | None
     converged: bool
+    ground_bound: float | None = None
 
 
 def binding_from_ed(
@@ -1005,13 +1038,17 @@ def binding_from_ed(
 ) -> BindingResult:
     """Ground energies of the N and N-1 sectors (K = 0) and their difference.
 
-    Both sectors share the coupling and mode set, and each goes through
-    solve_sector once: the K = 0 block of N-1 particles and, with
-    check_global, the whole N sector, else its K = 0 block. The K = 0 results
-    are that solve's K = 0 block. sector_minimum is the whole N sector's
-    merged ground, the least block minimum, and k0_is_global says whether the
-    K = 0 ground attains it; the binding is then converged only if the merged
-    solve is too. An empty K = 0 sector raises ValueError.
+    Both sectors share the coupling and mode set, and the K = 0 block of each
+    is enumerated, assembled and solved once by solve_sector. With
+    check_global, sector_minimum is the least level of the whole N sector and
+    k0_is_global says whether the K = 0 ground attains it. The reported K = 0
+    ground (a Rayleigh quotient, or a dense eigenvalue) lies above the block's
+    true ground up to rounding, so when it lies below the bound B on every
+    K != 0 level (nonzero_momentum_bound) by 1e-10 max(1, |B|), K = 0 holds
+    the ground: sector_minimum is E_N and nothing more is solved.
+    Otherwise the whole N sector is solved by solve_sector, and the binding
+    is converged only if that solve is too and K = 0 attains its minimum. An
+    empty K = 0 sector raises ValueError.
     """
     if model.N < 2:
         raise ValueError("binding energy needs N >= 2")
@@ -1019,44 +1056,44 @@ def binding_from_ed(
     k0 = zero_momentum(model.d)
     solves = {}
     for sector in (model.N, model.N - 1):
-        whole = check_global and sector == model.N
-        basis = enumerate_basis(
-            modes, n_particles=sector, momentum_sector=None if whole else k0
-        )
-        solved = None
-        if basis.size:
-            solved = solve_sector(basis, build_hamiltonian(model, basis), settings)
-        if solved is None or k0 not in solved.results:
+        basis = enumerate_basis(modes, n_particles=sector, momentum_sector=k0)
+        if not basis.size:
             raise ValueError(f"the K = 0 sector of {sector} particles holds no state")
-        solves[sector] = solved
+        solves[sector] = solve_sector(basis, build_hamiltonian(model, basis), settings)
     result_n = solves[model.N].results[k0]
     result_nm1 = solves[model.N - 1].results[k0]
-    basis_n, ham_n = solves[model.N].block(k0)
-    basis_nm1, ham_nm1 = solves[model.N - 1].block(k0)
     converged = result_n.converged and result_nm1.converged
+    ground_bound: float | None = None
     sector_minimum: float | None = None
     k0_is_global: bool | None = None
     if check_global:
-        merged = solves[model.N].merged
-        sector_minimum = merged.ground_energy
-        k0_is_global = (
-            abs(sector_minimum - result_n.ground_energy)
-            <= 1e-10 * max(1.0, abs(sector_minimum))
-        )
-        converged = converged and merged.converged and k0_is_global
+        ground_bound = nonzero_momentum_bound(model)
+        sector_minimum = result_n.ground_energy
+        # Certified: every K != 0 level lies above the K = 0 ground.
+        k0_is_global = sector_minimum < ground_bound - 1e-10 * max(1.0, abs(ground_bound))
+        if not k0_is_global:
+            whole = enumerate_basis(modes, n_particles=model.N)
+            merged = solve_sector(whole, build_hamiltonian(model, whole), settings).merged
+            sector_minimum = merged.ground_energy
+            k0_is_global = (
+                abs(sector_minimum - result_n.ground_energy)
+                <= 1e-10 * max(1.0, abs(sector_minimum))
+            )
+            converged = converged and merged.converged and k0_is_global
     return BindingResult(
         E_N=result_n.ground_energy,
         E_Nm1=result_nm1.ground_energy,
         delta_E=result_n.ground_energy - result_nm1.ground_energy,
         result_N=result_n,
         result_Nm1=result_nm1,
-        basis_N=basis_n,
-        basis_Nm1=basis_nm1,
-        ham_N=ham_n,
-        ham_Nm1=ham_nm1,
+        basis_N=solves[model.N].basis,
+        basis_Nm1=solves[model.N - 1].basis,
+        ham_N=solves[model.N].ham,
+        ham_Nm1=solves[model.N - 1].ham,
         sector_minimum=sector_minimum,
         k0_is_global=k0_is_global,
         converged=converged,
+        ground_bound=ground_bound,
     )
 
 

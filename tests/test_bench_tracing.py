@@ -55,7 +55,9 @@ def run_traced(tracing, tmp_path, verb, doc, out, *extra) -> tuple[int, dict]:
 # The assembly counts are pinned, so that a change to what is assembled or
 # to its sparsity pattern (explicit zeros, say) shows without a benchmark run.
 # So are the dense solves: only K = 0 and one block of each pair {K, -K} are
-# solved, so solving every block again shows too.
+# solved, so solving every block again shows too. A study record solves only
+# its two K = 0 blocks, since the energy bound certifies that K = 0 holds the
+# ground, so a whole N sector solved again shows as well.
 @pytest.mark.parametrize(
     "ed, calls, nnz, dense",
     [({}, 1, 101, 9), ({"hamiltonian": "pair", "excitation_cutoff": 6}, 3, 124, 11)],
@@ -76,8 +78,8 @@ def test_cached_study_runs_traced(tmp_path, tracing):
     assert code == 0
     assert cold["asymptotics.records_computed"] == 3
     assert cold["fock_ed.assemble_calls"] == 6
-    assert cold["fock_ed.assemble_nnz"] == 207
-    assert cold["fock_ed.dense_calls"] == 24
+    assert cold["fock_ed.assemble_nnz"] == 51
+    assert cold["fock_ed.dense_calls"] == 6
     assert cold["cli.cache_misses"] == 3
     assert cold["cli.cache_bytes_written"] > 0
     assert cold["cli.artifact_bytes"] > 0

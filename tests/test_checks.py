@@ -41,6 +41,7 @@ CHECK_NAMES = [
     "condensation_lower_bound",
     "momentum_block_diagonal",
     "condensate_upper_bound",
+    "global_ground_bound",
 ]
 
 
@@ -169,7 +170,7 @@ class TestViolations:
         model = zero_mode_pair_model()
         sector = whole_sector(model)
         names = [c.name for c in checks.sector_checks(model, sector, SETTINGS)]
-        assert names == CHECK_NAMES[-4:] + ["zero_mode_offset_exact"]
+        assert names == CHECK_NAMES[-5:] + ["zero_mode_offset_exact"]
         assert self.failed(model, sector) == set()
         k0_rows = sector.rows[zero_momentum(1)]
         other_rows = next(r for k, r in sector.rows.items() if not k.is_zero)
@@ -186,6 +187,20 @@ class TestViolations:
         # An operator pushed below the condensation bound.
         lowered = replace(sector, ham=sector.ham - 1e3 * scipy.sparse.identity(size, format="csr"))
         assert "condensation_lower_bound" in self.failed(model, lowered)
+        # A K != 0 block minimum below the bound that certifies K = 0.
+        k = next(k for k in sector.results if not k.is_zero)
+        bound = fock_ed.nonzero_momentum_bound(model)
+        results = {**sector.results, k: replace(sector.results[k], eigenvalues=(bound - 1.0,))}
+        assert self.failed(model, replace(sector, results=results)) == {"global_ground_bound"}
+
+    def test_global_ground_bound_is_vacuous_without_k_nonzero_blocks(self):
+        # Below 2 pi the mode set is the zero mode alone: only K = 0 exists.
+        model = replace(zero_mode_pair_model(), mode_cutoff=1.0)
+        sector = whole_sector(model)
+        assert list(sector.results) == [zero_momentum(1)]
+        check = next(c for c in checks.sector_checks(model, sector, SETTINGS)
+                     if c.name == "global_ground_bound")
+        assert check.ok
 
     def test_zero_mode_offset(self):
         model = zero_mode_pair_model()

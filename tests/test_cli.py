@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -646,9 +649,11 @@ class TestStudyWorkflow:
         assert r1["records"] == r2["records"]
 
     def test_unconverged_global_block_exit_3_and_not_cached(self, tmp_path, monkeypatch):
-        # The whole N = 3 sector is solved first, by its blocks K = 0, 1, 2, 3;
-        # the last, K = +3, holds one state and not the ground: its failure
-        # alone must fail that record.
+        # w_hat(+-1) = 60 puts the bound B = (2 pi)^2 - 60 below every K = 0
+        # ground, so each record solves its two K = 0 blocks and then its
+        # whole N sector, by blocks K = 0, 1, ..., N. The last block of the
+        # N = 3 sector, K = +3, holds one state and not the ground: its
+        # failure alone must fail that record.
         from torusbog import fock_ed
 
         solve = fock_ed.lowest_eigenpairs
@@ -657,15 +662,19 @@ class TestStudyWorkflow:
         def failing_k3(op, *args, **kwargs):
             result = solve(op, *args, **kwargs)
             calls.append(op.shape[0])
-            return replace(result, converged=False) if len(calls) == 4 else result
+            return replace(result, converged=False) if len(calls) == 6 else result
 
-        cfg = write_json(tmp_path / "cfg.json", self.study_doc((3, 4, 5)))
+        doc = self.study_doc((3, 4, 5))
+        doc["model"]["potential"] = {"entries": [[-1, 60.0], [1, 60.0]]}
+        cfg = write_json(tmp_path / "cfg.json", doc)
         cache = tmp_path / "cache"
         args = ["study", "--config", cfg, "--cache", str(cache), "--out"]
         with monkeypatch.context() as patch:
             patch.setattr(fock_ed, "lowest_eigenpairs", failing_k3)
             assert cli.main(args + [str(tmp_path / "o1")]) == 3
-        assert calls[3] == 1
+        # Two K = 0 blocks and N + 1 whole-sector blocks per record.
+        assert len(calls) == (2 + 4) + (2 + 5) + (2 + 6)
+        assert calls[5] == 1
         records = read_json(tmp_path / "o1" / "report.json")["records"]
         assert [rec["converged"] for rec in records] == [False, True, True]
         assert len(list(cache.glob("*.json"))) == 2
@@ -675,6 +684,32 @@ class TestStudyWorkflow:
             "hits": 2,
             "misses": 1,
         }
+
+    def test_warm_run_imports_no_scipy(self, tmp_path):
+        # A warm study reads every record from the cache: nothing is
+        # assembled or solved, so scipy is never loaded, and the outputs are
+        # the cold run's bytes.
+        cfg = write_json(tmp_path / "cfg.json", self.study_doc((3, 4, 5)))
+        script = (
+            "import json, sys; from torusbog import cli; code = cli.main(sys.argv[1:]); "
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        runs = {}
+        for run in ("cold", "warm"):
+            args = ["study", "--config", cfg, "--cache", str(tmp_path / "cache")]
+            out = subprocess.run(
+                [sys.executable, "-c", script, *args, "--out", str(tmp_path / run)],
+                capture_output=True, text=True, check=True, env=env,
+            )
+            runs[run] = json.loads(out.stdout.splitlines()[-1])
+        assert runs["cold"][0] == runs["warm"][0] == 0
+        assert "scipy.sparse" in runs["cold"][1]
+        assert runs["warm"][1] == []
+        for name in ("report.json", "study.csv"):
+            assert (tmp_path / "warm" / name).read_bytes() == (
+                tmp_path / "cold" / name
+            ).read_bytes()
 
     def test_records_shared_across_sweeps(self, tmp_path):
         # A record depends on its own N only, not on the rest of the sweep.

@@ -1450,11 +1450,62 @@ class TestBindingFromED:
         without = fock_ed.binding_from_ed(model, check_global=False)
         assert with_check.k0_is_global is True
         assert without.k0_is_global is None
+        assert without.sector_minimum is None and without.ground_bound is None
         assert with_check.E_N == pytest.approx(without.E_N, abs=1e-12)
+
+    def test_ground_bound_value(self):
+        # B = (2 pi)^2 + lambda N (N-1) w(0)/2 - lambda N sum_{l!=0} w(l)/2.
+        one_pair = make_one_pair_model(N=8)
+        assert fock_ed.nonzero_momentum_bound(one_pair) == pytest.approx(TWO_PI**2 - 1.0)
+        table = {(-1,): 1.0, (0,): 2.0, (1,): 1.0}
+        model = TorusModel(d=1, N=4, potential=PotentialSpec.from_table(table), mode_cutoff=7.0)
+        expected = TWO_PI**2 + 0.25 * 4 * 3 * 2.0 / 2 - 0.25 * 4 * 2.0 / 2
+        assert fock_ed.nonzero_momentum_bound(model) == pytest.approx(expected)
+
+    def test_certified_binding_solves_no_whole_sector(self, monkeypatch):
+        # The bound certifies the one-pair model at N = 8, so only the two
+        # K = 0 blocks are enumerated.
+        enumerate_basis = fock_ed.enumerate_basis
+        sectors = []
+
+        def spy(modes, n_particles, momentum_sector=None, **kwargs):
+            sectors.append(momentum_sector)
+            return enumerate_basis(modes, n_particles, momentum_sector, **kwargs)
+
+        monkeypatch.setattr(fock_ed, "enumerate_basis", spy)
+        model = make_one_pair_model(N=8)
+        binding = fock_ed.binding_from_ed(model)
+        assert binding.ground_bound == fock_ed.nonzero_momentum_bound(model)
+        assert binding.E_N < binding.ground_bound
+        assert sectors == [zero_momentum(1)] * 2
+        assert binding.sector_minimum == binding.E_N
+        assert binding.k0_is_global is True and binding.converged
+
+    def test_uncertified_binding_falls_back_to_the_whole_sector(self):
+        # lambda N = 120 puts B = (2 pi)^2 - 120 below the K = 0 ground: the
+        # whole N sector is solved, and the result is what its solve gives.
+        model = make_one_pair_model(N=8, lam=15.0)
+        binding = fock_ed.binding_from_ed(model)
+        assert binding.ground_bound <= binding.E_N
+        basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
+        whole = fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis))
+        minimum = whole.merged.ground_energy
+        at_minimum = abs(minimum - binding.E_N) <= 1e-10 * max(1.0, abs(minimum))
+        assert binding.sector_minimum == minimum
+        assert binding.k0_is_global is at_minimum
+        assert binding.converged is (
+            binding.result_N.converged
+            and binding.result_Nm1.converged
+            and whole.merged.converged
+            and at_minimum
+        )
+        assert binding.E_N == whole.results[zero_momentum(1)].ground_energy
 
     def test_k0_not_global_is_reported(self):
         # Modes +-1, +-2 and only w_hat(+-2) = 1: at N = 4 the K = 0 block
         # does not hold the sector minimum, so the binding is not converged.
+        # Without a zero mode every level is at least N (2 pi)^2 > B, so the
+        # bound never certifies and the whole sector is solved.
         model = TorusModel(
             d=1,
             N=4,
@@ -1463,28 +1514,78 @@ class TestBindingFromED:
             include_zero_mode=False,
         )
         binding = fock_ed.binding_from_ed(model)
+        assert binding.ground_bound <= binding.E_N
+        assert binding.sector_minimum < binding.E_N
         assert binding.k0_is_global is False
         assert binding.converged is False
 
     def test_unconverged_global_block_fails_the_binding(self, monkeypatch):
-        # The whole N = 8 sector is solved first, by its blocks K = 0, 1, ...,
-        # 8; the last, K = +8, holds one state and not the ground: the K = 0
-        # ground still attains the sector minimum, but the global check did
-        # not converge.
+        # At lambda N = 120 the bound does not certify K = 0, so after the
+        # K = 0 blocks of N = 8 and 7 the whole N = 8 sector is solved, by
+        # its blocks K = 0, 1, ..., 8; the last, K = +8, holds one state and
+        # not the ground: the K = 0 ground still attains the sector minimum,
+        # but the global check did not converge.
         solve = fock_ed.lowest_eigenpairs
         calls = []
 
         def failing_k8(op, *args, **kwargs):
             result = solve(op, *args, **kwargs)
             calls.append(op.shape[0])
-            return replace(result, converged=False) if len(calls) == 9 else result
+            return replace(result, converged=False) if len(calls) == 11 else result
 
         monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_k8)
-        binding = fock_ed.binding_from_ed(make_one_pair_model(N=8))
-        assert calls[8] == 1
+        binding = fock_ed.binding_from_ed(make_one_pair_model(N=8, lam=15.0))
+        assert binding.ground_bound <= binding.E_N
+        assert len(calls) == 11 and calls[10] == 1
         assert binding.k0_is_global is True
         assert binding.result_N.converged and binding.result_Nm1.converged
         assert binding.converged is False
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ground_bound_certificate(self, data):
+        # Random even nonnegative tables on the five modes of a line or the
+        # nine of a square, couplings up to lambda N = 150: B lies below
+        # every K != 0 block minimum of the whole sector; where it certifies
+        # K = 0, the whole sector agrees; and the K = 0 results are the same
+        # bits whether the bound certifies or the whole sector is solved.
+        d = data.draw(st.sampled_from([1, 2]))
+        coefficient = st.one_of(st.just(0.0), st.floats(0.01, 4.0))
+        table = {(0,) * d: data.draw(coefficient)}
+        for ell in build_mode_set(d, 2.0 * TWO_PI * math.sqrt(d)):
+            if ell > -ell:
+                table[tuple(ell)] = table[tuple(-ell)] = data.draw(coefficient)
+        n = data.draw(st.integers(2, 6 if d == 1 else 4))
+        model = TorusModel(
+            d=d,
+            N=n,
+            potential=PotentialSpec.from_table(table),
+            mode_cutoff=(2.5 if d == 1 else 1.5) * TWO_PI,
+            # The study's range of lambda N, or any up to 150.
+            lam=data.draw(st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 150.0))) / n,
+        )
+        binding = fock_ed.binding_from_ed(model)
+        bound = binding.ground_bound
+        basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=n)
+        whole = fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis))
+        for k, result in whole.results.items():
+            if not k.is_zero:
+                energy = result.ground_energy
+                assert bound <= energy + 1e-10 * max(1.0, abs(energy))
+        minimum = whole.merged.ground_energy
+        if binding.E_N < bound - 1e-10 * max(1.0, abs(bound)):
+            assert abs(minimum - binding.E_N) <= 1e-10 * max(1.0, abs(minimum))
+            assert binding.sector_minimum == binding.E_N and binding.k0_is_global
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock_ed, "nonzero_momentum_bound", lambda model: -math.inf)
+            fallback = fock_ed.binding_from_ed(model)
+        assert fallback.sector_minimum == minimum
+        assert (fallback.E_N, fallback.E_Nm1) == (binding.E_N, binding.E_Nm1)
+        for mine, theirs in ((binding.result_N, fallback.result_N),
+                             (binding.result_Nm1, fallback.result_Nm1)):
+            assert np.array_equal(mine.ground_vector, theirs.ground_vector)
+        ours, theirs = fock_ed.variational_sandwich(binding), fock_ed.variational_sandwich(fallback)
+        assert (ours.lower, ours.upper) == (theirs.lower, theirs.upper)
 
     @pytest.mark.parametrize("check_global", [True, False])
     def test_empty_k0_sector_is_named(self, check_global):
