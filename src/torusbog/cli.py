@@ -559,6 +559,8 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
                 raise ConfigError(
                     f"ed.momentum_sector {list(sector)} holds no state of {model.N} particles"
                 )
+            # An oversized dense route is refused before assembly.
+            fock_ed.plan_blocks(basis, settings)
             solved = fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis), settings)
             return _ed_payload(solved.merged, basis, settings.tol)
 

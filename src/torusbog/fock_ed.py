@@ -21,7 +21,9 @@ Assembly sums the terms of one change row by row, so each matrix entry is
 made once, and finds the moved states once per change by rank arithmetic
 (FockBasis.shifted): the rank of a row is a sum of one term per suffix sum,
 and a change moves only the few suffix sums between its first and last
-changed mode. lowest_eigenpairs solves dense by one LAPACK dsyevr call or by
+changed mode. The CSR arrays of H, HB and a_0 are built directly from the
+entries sorted by (row, column), with no COO conversion (_assemble).
+lowest_eigenpairs solves dense by one LAPACK dsyevr call or by
 ARPACK (scipy.sparse.linalg.eigsh); the observables and operator-identity
 residuals of the binding-energy study are evaluated here too.
 
@@ -33,7 +35,10 @@ bound on every K != 0 level (nonzero_momentum_bound), and the whole sector
 is solved only when the bound does not settle it. The pair Hamiltonian's
 cutoff ladder solves only K = 0 blocks. Both operators are also even under
 p -> -p, so the loop solves K = 0 and one block of each pair {K, -K}, and
-counts that block's levels for its mirror too.
+counts that block's levels for its mirror too. A basis filtered to one
+momentum is one block in order, so it is solved on its operator as it is,
+with no permutation. plan_blocks decides every block's route from the basis
+alone, so a caller refuses an oversized dense solve before assembly.
 
 scipy is imported inside the functions that assemble, solve or build a_0,
 so a process that only reads cached results never loads it.
@@ -266,19 +271,32 @@ class FockBasis:
 
         H conserves total momentum, so it is block diagonal over these rows
         and its lowest level is the least of the block minima (Sandvik, AIP
-        Conf. Proc. 1297, 135 (2010)).
+        Conf. Proc. 1297, 135 (2010)). A basis filtered to one momentum is
+        that one block, all its rows in order, or no block when empty; its
+        momenta are not computed. The blocks are found once per basis, so
+        plan_blocks and solve_sector share them; the row arrays are read-only.
         """
-        momenta = self.momenta()
-        # Stable sort, first coordinate most significant: each block's rows
-        # stay ascending.
-        order = np.lexsort(momenta.T[::-1])
-        ordered = momenta[order]
-        cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
-        return {
-            Momentum(int(x) for x in momenta[r[0]]): r
-            for r in np.split(order, cuts)
-            if len(r)  # an empty basis splits into one empty piece
-        }
+        return dict(self._blocks)
+
+    @functools.cached_property
+    def _blocks(self) -> dict[Momentum, np.ndarray]:
+        if self.momentum_sector is not None:
+            blocks = {self.momentum_sector: np.arange(self.size)} if self.size else {}
+        else:
+            momenta = self.momenta()
+            # Stable sort, first coordinate most significant: each block's
+            # rows stay ascending.
+            order = np.lexsort(momenta.T[::-1])
+            ordered = momenta[order]
+            cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+            blocks = {
+                Momentum(int(x) for x in momenta[r[0]]): r
+                for r in np.split(order, cuts)
+                if len(r)  # an empty basis splits into one empty piece
+            }
+        for rows in blocks.values():
+            rows.flags.writeable = False
+        return blocks
 
     def excitation_counts(self) -> np.ndarray:
         """Per-state number of particles outside the zero mode."""
@@ -388,13 +406,34 @@ def enumerate_basis(
 
 
 def _assemble(
-    rows: list[np.ndarray], cols: list[np.ndarray], vals: list[np.ndarray], size: int
+    rows: list[np.ndarray],
+    cols: list[np.ndarray],
+    vals: list[np.ndarray],
+    shape: tuple[int, int],
 ) -> scipy.sparse.csr_matrix:
-    """Square CSR matrix from blocks of entries, each (row, column) given once."""
+    """CSR matrix of the given shape from blocks of entries, each (row, column) given once.
+
+    The CSR arrays are built directly: the entries are sorted by (row,
+    column) and indptr counts them per row. That is the canonical matrix
+    coo_matrix(...).tocsr() gives, with the same int32 indices while they
+    fit, without its conversions.
+    """
     import scipy.sparse
 
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    n_rows, n_cols = shape
+    index = np.int32 if max(len(vals), n_rows, n_cols) <= np.iinfo(np.int32).max else np.int64
+    # Unique (row, column) pairs have distinct row-major keys. The builders'
+    # blocks each ascend by row (adding a fixed occupation change keeps
+    # lexicographic order), and a merge sort takes such runs in near-linear time.
+    order = np.argsort(rows * n_cols + cols, kind="stable")
+    indptr = np.zeros(n_rows + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    matrix = scipy.sparse.csr_matrix(
+        (vals[order], cols[order].astype(index), indptr), shape=shape
+    )
+    matrix.has_canonical_format = True
+    return matrix
 
 
 def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_matrix:
@@ -449,7 +488,7 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
             rows.append(target)
             cols.append(sel[kept])
             vals.append(total[kept])
-    return _assemble(rows, cols, vals, basis.size)
+    return _assemble(rows, cols, vals, (basis.size, basis.size))
 
 
 def build_bogoliubov_hamiltonian(
@@ -512,7 +551,7 @@ def build_bogoliubov_hamiltonian(
         rows.append(target)
         cols.append(sel)
         vals.append(w * np.sqrt(states[sel, i] * states[sel, im]))
-    return basis, _assemble(rows, cols, vals, basis.size)
+    return basis, _assemble(rows, cols, vals, (basis.size, basis.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -732,6 +771,32 @@ class SectorSolve:
         return basis, self.ham[rows][:, rows]
 
 
+def plan_blocks(
+    basis: FockBasis, settings: EDSettings = EDSettings()
+) -> tuple[dict[Momentum, np.ndarray], dict[Momentum, bool]]:
+    """The momentum blocks solve_sector finds on basis, and how it solves them.
+
+    Returns basis.momentum_blocks() and, for each block it solves (K = 0,
+    each block whose mirror -K is absent, and of each pair {K, -K} present
+    the lexicographically greater; see SectorSolve), whether that block is
+    solved dense at max(settings.k, 2) levels. It needs only the basis, so a
+    caller that calls it right after enumeration refuses a dense route above
+    MAX_DENSE_STATES (ResourceLimitError) before anything is assembled. A
+    basis whose modes are not closed under negation raises ValueError.
+    """
+    # Mirrors as plain tuples, which compare and hash as momenta do.
+    if {tuple(-x for x in p) for p in basis.modes} != set(basis.modes):
+        raise ValueError("mode set not closed under negation: block -K is not block K mirrored")
+    rows = basis.momentum_blocks()
+    block_settings = replace(settings, k=max(settings.k, 2))
+    routes = {}
+    for p, block in rows.items():
+        mirror = tuple(-x for x in p)
+        if p >= mirror or mirror not in rows:
+            routes[p] = _solves_dense(len(block), block_settings)
+    return rows, routes
+
+
 def solve_sector(
     basis: FockBasis, ham: scipy.sparse.csr_matrix, settings: EDSettings = EDSettings()
 ) -> SectorSolve:
@@ -742,12 +807,13 @@ def solve_sector(
     (build_bogoliubov_hamiltonian). Its spectrum is the union of the block
     spectra (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), and block -K has
     the levels of block K (see SectorSolve), so only K = 0 and one block of
-    each pair {K, -K} present are solved. The solved rows are permuted once,
-    so that each block is a contiguous run of rows, and every solved block
-    goes through lowest_eigenpairs: as a dense array filled from its rows'
-    stored entries (the array toarray() gives) if it will be solved dense,
-    else as a sparse slice. A basis whose modes are not closed under negation
-    raises ValueError.
+    each pair {K, -K} present are solved; plan_blocks names them and their
+    routes. The solved rows are permuted once, so that each block is a
+    contiguous run of rows; a basis that is one block is already that, and
+    ham is used as it is. Every solved block goes through lowest_eigenpairs:
+    as a dense array filled from its rows' stored entries (the array
+    toarray() gives) if it will be solved dense, else as a sparse slice. A
+    basis whose modes are not closed under negation raises ValueError.
 
     The merged result holds the k lowest of all block eigenvalues, a solved
     block's levels counted twice when its mirror is present, the gap between
@@ -761,33 +827,34 @@ def solve_sector(
         raise ValueError("basis holds no state")
     if ham.shape != (basis.size, basis.size):
         raise ValueError(f"basis mismatch: operator of shape {ham.shape} on {basis.size} states")
-    # Mirrors as plain tuples, which compare and hash as momenta do.
-    if {tuple(-x for x in p) for p in basis.modes} != set(basis.modes):
-        raise ValueError("mode set not closed under negation: block -K is not block K mirrored")
-    rows = basis.momentum_blocks()
+    rows, routes = plan_blocks(basis, settings)
     mirror = {p: tuple(-x for x in p) for p in rows}
-    solved = [p for p in rows if p >= mirror[p] or mirror[p] not in rows]
-    # Slicing a contiguous block costs about a third of fancy-indexing its rows.
-    order = np.concatenate([rows[p] for p in solved])
-    permuted = ham[order][:, order]
+    if len(rows) == 1:
+        permuted = ham
+    else:
+        # Slicing a contiguous block costs about a third of fancy-indexing its rows.
+        order = np.concatenate([rows[p] for p in routes])
+        permuted = ham[order][:, order]
     # Each stored entry's row-major position in its block's dense array.
-    entry_row = np.repeat(np.arange(len(order)), np.diff(permuted.indptr))
-    sizes = np.array([len(rows[p]) for p in solved])
+    entry_row = np.repeat(np.arange(permuted.shape[0]), np.diff(permuted.indptr))
+    sizes = np.array([len(rows[p]) for p in routes])
     row_start = np.repeat(np.cumsum(sizes) - sizes, sizes)[entry_row]
     row_size = np.repeat(sizes, sizes)[entry_row]
     flat = (entry_row - row_start) * row_size + permuted.indices - row_start
     block_settings = replace(settings, k=max(settings.k, 2))
     results = {}
     stop = 0
-    for momentum in solved:
+    for momentum, dense in routes.items():
         block = rows[momentum]
         start, stop = stop, stop + len(block)
-        if _solves_dense(len(block), block_settings):
+        if dense:
             # bincount adds each entry onto zero in stored order, as toarray() does.
             at = slice(permuted.indptr[start], permuted.indptr[stop])
             op = np.bincount(
                 flat[at], weights=permuted.data[at], minlength=len(block) ** 2
             ).reshape(len(block), len(block))
+        elif len(block) == permuted.shape[0]:
+            op = permuted
         else:
             op = permuted[start:stop, start:stop]
         results[momentum] = lowest_eigenpairs(op, block_settings)
@@ -891,8 +958,6 @@ def zero_mode_annihilation(
     basis_from: FockBasis, basis_to: FockBasis
 ) -> scipy.sparse.csr_matrix:
     """Matrix of a_0 from an n-particle basis onto the (n-1)-particle basis."""
-    import scipy.sparse
-
     if basis_from.modes != basis_to.modes:
         raise ValueError("basis mismatch: mode sets differ")
     if basis_from.n_particles != basis_to.n_particles + 1:
@@ -908,9 +973,7 @@ def zero_mode_annihilation(
     kept = rows >= 0
     rows, cols = rows[kept], cols[kept]
     vals = np.sqrt(basis_from.states[cols, zp])
-    return scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(basis_to.size, basis_from.size)
-    ).tocsr()
+    return _assemble([rows], [cols], [vals], (basis_to.size, basis_from.size))
 
 
 @dataclass(frozen=True)
@@ -1059,6 +1122,7 @@ def binding_from_ed(
         basis = enumerate_basis(modes, n_particles=sector, momentum_sector=k0)
         if not basis.size:
             raise ValueError(f"the K = 0 sector of {sector} particles holds no state")
+        plan_blocks(basis, settings)  # an oversized dense route is refused before assembly
         solves[sector] = solve_sector(basis, build_hamiltonian(model, basis), settings)
     result_n = solves[model.N].results[k0]
     result_nm1 = solves[model.N - 1].results[k0]
@@ -1073,6 +1137,7 @@ def binding_from_ed(
         k0_is_global = sector_minimum < ground_bound - 1e-10 * max(1.0, abs(ground_bound))
         if not k0_is_global:
             whole = enumerate_basis(modes, n_particles=model.N)
+            plan_blocks(whole, settings)
             merged = solve_sector(whole, build_hamiltonian(model, whole), settings).merged
             sector_minimum = merged.ground_energy
             k0_is_global = (

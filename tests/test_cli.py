@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusbog import cli
+from torusbog import cli, fock_ed
 
 
 def write_json(path, doc) -> str:
@@ -427,8 +427,9 @@ class TestEdWorkflow:
         assert result["dimension"] == 4283
         assert result["converged"] is True
 
-    def test_oversized_dense_solve_exits_2(self, tmp_path, capsys):
-        # The d = 2, 9-mode K = 0 block at N = 24 holds 30,936 states.
+    def test_oversized_dense_solve_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The d = 2, 9-mode K = 0 block at N = 24 holds 30,936 states; its
+        # dense route is refused right after enumeration, before assembly.
         doc = {
             "model": {
                 "d": 2,
@@ -439,6 +440,11 @@ class TestEdWorkflow:
             "ed": {"momentum_sector": [0, 0], "dense_threshold": 100_000},
         }
         cfg = write_json(tmp_path / "cfg.json", doc)
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("the refused block was assembled")
+
+        monkeypatch.setattr(fock_ed, "build_hamiltonian", no_assembly)
         assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "dense solve of 30936 states" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()

@@ -460,6 +460,85 @@ class TestMomentumBlocks:
             assert abs(mine.residual_norm - theirs.residual_norm) <= 1e-14 * scale
         assert methods == ({"dense"} if dense_threshold == 500 else {"dense", "lanczos"})
 
+    @pytest.mark.parametrize(
+        "model, sector",
+        [
+            (make_one_pair_model(N=48), Momentum((0,))),
+            (FULL_SECTOR_MODELS[2], Momentum((0, 0))),
+            (make_one_pair_model(N=1), Momentum((3,))),
+        ],
+        ids=["one-pair-N48-K0", "square-K0", "empty-block"],
+    )
+    def test_filtered_basis_is_one_block(self, model, sector, monkeypatch):
+        # A filtered basis is its own block without computing its momenta;
+        # the reference groups the same rows by their computed momenta.
+        basis = fock_ed.enumerate_basis(model.mode_set(), model.N, momentum_sector=sector)
+        unfiltered = fock_ed.FockBasis(basis.modes, basis.states, basis.n_particles, None)
+        theirs = unfiltered.momentum_blocks()
+
+        def no_momenta(self):
+            raise AssertionError("a filtered basis computed its momenta")
+
+        monkeypatch.setattr(fock_ed.FockBasis, "momenta", no_momenta)
+        mine = basis.momentum_blocks()
+        assert list(mine) == list(theirs) == ([sector] if basis.size else [])
+        for p in theirs:
+            assert mine[p].dtype == theirs[p].dtype and np.array_equal(mine[p], theirs[p])
+
+    def test_blocks_found_once_per_basis(self, monkeypatch):
+        # plan_blocks and solve_sector both ask for the blocks of a whole
+        # sector: the second call reuses the first's read-only rows, and a
+        # caller that edits its dict does not change the next one's.
+        model = FULL_SECTOR_MODELS[1]
+        full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
+        first = full.momentum_blocks()
+        first.pop(zero_momentum(1))
+
+        def no_momenta(self):
+            raise AssertionError("the blocks were found again")
+
+        monkeypatch.setattr(fock_ed.FockBasis, "momenta", no_momenta)
+        second = full.momentum_blocks()
+        assert zero_momentum(1) in second and len(second) == len(first) + 1
+        for rows in second.values():
+            assert not rows.flags.writeable
+
+    @pytest.mark.parametrize("dense_threshold", [500, 10], ids=["dense", "lanczos"])
+    def test_one_block_solve_uses_ham_as_it_is(self, dense_threshold, monkeypatch):
+        # A K = 0 basis is one block in order: solve_sector neither permutes
+        # nor slices ham, and gives the direct solve of it bit for bit (the
+        # dense array bincount fills is the one toarray() gives).
+        model = make_one_pair_model(N=48)
+        basis = fock_ed.enumerate_basis(model.mode_set(), 48, momentum_sector=Momentum((0,)))
+        ham = fock_ed.build_hamiltonian(model, basis)
+        settings = fock_ed.EDSettings(dense_threshold=dense_threshold)
+        block_settings = replace(settings, k=2)
+        theirs = fock_ed.lowest_eigenpairs(
+            ham.toarray() if dense_threshold == 500 else ham, block_settings
+        )
+        assert theirs.method == ("dense" if dense_threshold == 500 else "lanczos")
+
+        def no_indexing(self, key):
+            raise AssertionError("a one-block basis indexed its operator")
+
+        monkeypatch.setattr(scipy.sparse.csr_matrix, "__getitem__", no_indexing)
+        solved = fock_ed.solve_sector(basis, ham, settings)
+        mine = solved.results[Momentum((0,))]
+        assert (mine.method, mine.iterations, mine.converged) == (
+            theirs.method,
+            theirs.iterations,
+            theirs.converged,
+        )
+        assert mine.eigenvalues == theirs.eigenvalues and mine.gap == theirs.gap
+        assert np.array_equal(mine.ground_vector, theirs.ground_vector)
+        assert mine.residual_norm == theirs.residual_norm
+        merged = solved.merged
+        assert merged.eigenvalues == theirs.eigenvalues[:1]
+        assert np.array_equal(merged.ground_vector, theirs.ground_vector)
+        assert merged.residual_norm == float(
+            np.linalg.norm(ham @ theirs.ground_vector - theirs.ground_energy * theirs.ground_vector)
+        )
+
     def test_mode_set_not_closed_under_negation_refused(self):
         # Over modes 0 and 1 block -K is not the mirror of block K.
         modes = (Momentum((0,)), Momentum((1,)))
@@ -649,6 +728,39 @@ class TestBuildHamiltonian:
             fock_ed.build_hamiltonian(one_pair_model, other)
 
 
+class TestAssemble:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_coo_conversion(self, data):
+        # Unique (row, column) pairs in any order, split into blocks, on a
+        # square or rectangular shape: empty rows, empty blocks, explicit
+        # zero values and no entry at all included.
+        shape = (data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9)))
+        cells = shape[0] * shape[1]
+        flat = np.array(
+            data.draw(st.lists(st.integers(0, max(cells - 1, 0)), unique=True, max_size=cells)),
+            dtype=np.int64,
+        )
+        vals = np.array(
+            data.draw(
+                st.lists(
+                    st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+                    min_size=len(flat),
+                    max_size=len(flat),
+                )
+            )
+        )
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(flat)), max_size=3)))
+        rows, cols = flat // max(shape[1], 1), flat % max(shape[1], 1)
+        mine = fock_ed._assemble(
+            np.split(rows, cuts), np.split(cols, cuts), np.split(vals, cuts), shape
+        )
+        theirs = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        assert mine.shape == theirs.shape
+        assert_same_csr(mine, theirs)
+        assert mine.has_canonical_format and theirs.has_canonical_format
+
+
 class TestAssemblyByChange:
     """Each matrix entry is made once, and each occupation change is located
     by one FockBasis.shifted call."""
@@ -660,11 +772,11 @@ class TestAssemblyByChange:
         assemble = fock_ed._assemble
         counts = []
 
-        def once(rows, cols, vals, size):
-            pairs = np.concatenate(rows) * size + np.concatenate(cols)
+        def once(rows, cols, vals, shape):
+            pairs = np.concatenate(rows) * shape[1] + np.concatenate(cols)
             assert len(np.unique(pairs)) == len(pairs), "an entry made twice"
             counts.append(len(pairs))
-            return assemble(rows, cols, vals, size)
+            return assemble(rows, cols, vals, shape)
 
         monkeypatch.setattr(fock_ed, "_assemble", once)
         return counts
