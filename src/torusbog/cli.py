@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid config, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -663,7 +664,10 @@ def run_selfcheck(parsed: dict, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The torusbog argument parser, built once per process: parse_args
+    leaves it as it is, so every main call parses with the same one."""
     parser = argparse.ArgumentParser(
         prog="torusbog",
         description="Quasi-free predictions and exact-diagonalization checks "

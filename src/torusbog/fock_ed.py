@@ -17,12 +17,18 @@ block is enumerated directly, one mode at a time, dropping every prefix that
 cannot reach its momentum, so no row outside it is kept.
 Each term moves a fixed occupation change across every state it acts on, and
 TorusModel.transfers, built once per model, groups the two-body terms by it.
-Assembly sums the terms of one change row by row, so each matrix entry is
-made once, and finds the moved states once per change by rank arithmetic
-(FockBasis.shifted): the rank of a row is a sum of one term per suffix sum,
-and a change moves only the few suffix sums between its first and last
-changed mode. The CSR arrays of H, HB and a_0 are built directly from the
-entries sorted by (row, column), with no COO conversion (_assemble).
+H is assembled from an array table of those terms, built once per mode set
+and potential (_term_table): every term is evaluated on every row at once,
+each change sums its terms row by row in term order, so each matrix entry is
+made once, and every moved entry of every change is ranked at once by rank
+arithmetic, one pass per mode, and located by one binary search. The rank of
+a row is a sum of one term per suffix sum, and a change moves only the few
+suffix sums between its first and last changed mode; FockBasis.shifted does
+the same for one change, for HB and the pairing observable. The number of
+array passes depends on the modes and the largest group of terms, not on the
+number of terms, and rows go in chunks that keep every temporary within
+ASSEMBLY_CHUNK_ELEMENTS. The CSR arrays of H, HB and a_0 are built directly
+from the entries sorted by (row, column), with no COO conversion (_assemble).
 lowest_eigenpairs solves dense by one LAPACK dsyevr call or by
 ARPACK (scipy.sparse.linalg.eigsh); the observables and operator-identity
 residuals of the binding-energy study are evaluated here too.
@@ -436,18 +442,108 @@ def _assemble(
     return matrix
 
 
+# Largest element count of any (term, row) temporary of build_hamiltonian,
+# which takes the basis in chunks of rows that keep each within it (8 MB of
+# float64). Unchunked, the four root factors of the 144 terms of the
+# nearest-neighbour square model on a 500,000-state block would take 2.3 GB.
+ASSEMBLY_CHUNK_ELEMENTS = 1 << 20
+
+
+@dataclass(frozen=True, eq=False)
+class _TermTable:
+    """The two-body terms of model.transfers as arrays: the exchange group's
+    terms, then each moving change's terms, each group in table order, and
+    last a padding term of weight 0.
+
+    wl[t] is w_hat(l) of term t. factors[k, t] names the k-th square-root
+    factor of term t, in the order q, p, q + l, p - l of a*_{p-l} a*_{q+l}
+    a_p a_q, as 4 i + s: the root of n_i + s - 1, clipped at 0, where n_i is
+    the occupation of mode i. The first n_exchange terms are the exchange
+    group. Row c of slots lists the terms of moving change c, padded with
+    the padding term. moves[j, c] is the move change c makes in the suffix
+    sum R_j, and moved lists the modes j whose suffix sum some change moves.
+    """
+
+    wl: np.ndarray
+    factors: np.ndarray
+    n_exchange: int
+    slots: np.ndarray
+    moves: np.ndarray
+    moved: np.ndarray
+
+
+def _build_term_table(model: TorusModel) -> _TermTable:
+    terms = [t for change, group in model.transfers if not change for t in group]
+    n_exchange = len(terms)
+    moving = [(change, group) for change, group in model.transfers if change]
+    width = max((len(group) for _, group in moving), default=1)
+    pad = n_exchange + sum(len(group) for _, group in moving)
+    slots = []
+    for _, group in moving:
+        slots.append([*range(len(terms), len(terms) + len(group))] + [pad] * (width - len(group)))
+        terms.extend(group)
+    terms.append((0.0, 0, 0, 0, 0))  # weight 0: adds exactly 0 wherever it pads
+    factors = []
+    for _, iq, ip, i1, i2 in terms:
+        # Each root takes its mode's occupation as the operators to its right
+        # left it, clipped at 0, so a term that does not apply to a row adds
+        # exactly 0 there.
+        factors.append(
+            (
+                4 * iq + 1,
+                4 * ip + 1 - (ip == iq),
+                4 * i2 + 2 - (i2 == iq) - (i2 == ip),
+                4 * i1 + 2 - (i1 == iq) - (i1 == ip) + (i1 == i2),
+            )
+        )
+    delta = np.zeros((len(moving), len(model.mode_set())), dtype=np.int64)
+    for c, (change, _) in enumerate(moving):
+        for i, amount in change:
+            delta[c, i] = amount
+    moves = np.ascontiguousarray(np.cumsum(delta[:, ::-1], axis=1)[:, ::-1].T)
+    return _TermTable(
+        wl=np.array([t[0] for t in terms]),
+        factors=np.array(factors, dtype=np.intp).T.copy(),
+        n_exchange=n_exchange,
+        slots=np.array(slots, dtype=np.intp).reshape(len(moving), width),
+        moves=moves,
+        moved=np.flatnonzero(moves.any(axis=1)),
+    )
+
+
+# Term tables by (mode set, potential): a study sweep builds one and every N
+# reuses it. Few models meet in one process, so the cache is cleared, not
+# evicted by age, when it fills.
+_TERM_TABLES: dict[tuple, _TermTable] = {}
+
+
+def _term_table(model: TorusModel) -> _TermTable:
+    key = (model.mode_set(), model.potential)
+    table = _TERM_TABLES.get(key)
+    if table is None:
+        if len(_TERM_TABLES) >= 16:
+            _TERM_TABLES.clear()
+        table = _TERM_TABLES[key] = _build_term_table(model)
+    return table
+
+
 def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_matrix:
     """Sparse matrix of H on a fixed-particle-number basis.
 
     The l = 0 interaction is the exact diagonal lambda*w_hat(0)*n(n-1)/2. The
     l != 0 terms of model.transfers, with exact bosonic square-root factors,
-    are summed in table order one occupation change at a time, and the rows
-    of the nonzero sums are moved by one basis.shifted call; the exchange
-    terms, which change nothing, add to the diagonal. Momentum conservation
+    are evaluated on every row at once from their term table (_term_table),
+    and each occupation change sums its terms in table order by adding one
+    slot column at a time; the exchange terms, which change nothing, add to
+    the diagonal. Every nonzero sum is then moved by rank arithmetic, one
+    loop over the modes whose suffix sum some change moves, and located by
+    one _locate call. Rows go in chunks that keep every (term, row)
+    temporary within ASSEMBLY_CHUNK_ELEMENTS elements. Momentum conservation
     keeps every entry inside the basis, including momentum-filtered ones.
     """
     if tuple(basis.modes) != model.mode_set():
         raise ValueError("basis modes do not match the model's mode set")
+    table = _term_table(model)
     states = basis.states
     n_total = states.sum(axis=1)
     diag = model.lam * model.potential.w_zero * n_total * (n_total - 1) / 2.0
@@ -455,39 +551,38 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
         diag += p.norm2 * states[:, i]
     index = np.arange(basis.size)
     rows, cols, vals = [index], [index], [diag]
-    holders = [np.flatnonzero(column) for column in states.T]
-    for change, terms in model.transfers:
-        down = [(i, -amount) for i, amount in change if amount < 0]
-        moving = len(down) > 0
-        # A change that moves a particle needs rows that hold its modes.
-        sel = holders[down[0][0]] if moving else index
-        for i, taken in down:
-            sel = sel[states[sel, i] >= taken]
-        # The exchange terms sum onto the diagonal in place.
-        total = np.zeros(len(sel)) if moving else diag
-        for wl, iq, ip, i1, i2 in terms:
-            # a*_{p-l} a*_{q+l} a_p a_q: each root takes its mode's occupation
-            # as the operators to its right left it, clipped at 0, so a term
-            # that does not apply to a row adds exactly 0 there.
-            f = np.sqrt(states[sel, iq])
-            f = f * np.sqrt(np.maximum(states[sel, ip] - (ip == iq), 0))
-            f = f * np.sqrt(np.maximum(states[sel, i2] + (1 - (i2 == iq) - (i2 == ip)), 0))
-            f = f * np.sqrt(
-                np.maximum(states[sel, i1] + (1 - (i1 == iq) - (i1 == ip) + (i1 == i2)), 0)
-            )
-            total += 0.5 * model.lam * wl * f
-        if moving:
-            kept = np.flatnonzero(total)
-            delta = np.zeros(len(basis.modes), dtype=np.int64)
-            for i, amount in change:
-                delta[i] = amount
-            target = basis.shifted(sel[kept], delta)
-            if np.any(target < 0):
-                # Momentum conservation guarantees membership.
-                raise RuntimeError("generated state left the basis")
-            rows.append(target)
-            cols.append(sel[kept])
-            vals.append(total[kept])
+    # roots[n + 1] = sqrt(n), and roots[0] = 0 for a root clipped at 0.
+    roots = np.sqrt(np.maximum(np.arange(-1, basis.n_particles + 3), 0))
+    weights = 0.5 * model.lam * table.wl[:, None]
+    chunk = max(1, ASSEMBLY_CHUNK_ELEMENTS // (4 * max(len(table.wl), len(basis.modes))))
+    for start in range(0, basis.size, chunk):
+        stop = min(start + chunk, basis.size)
+        # Row 4 i + s of root_rows is roots[n_i + s] over the chunk, s = 0..3.
+        root_rows = roots[states[start:stop].T[:, None, :] + np.arange(4)[:, None]]
+        factors = root_rows.reshape(-1, stop - start)[table.factors]
+        value = factors[0] * factors[1]
+        value *= factors[2]
+        value *= factors[3]
+        value *= weights
+        for t in range(table.n_exchange):
+            diag[start:stop] += value[t]
+        total = value[table.slots[:, 0]]
+        for k in range(1, table.slots.shape[1]):
+            total += value[table.slots[:, k]]
+        change, at = np.nonzero(total)
+        source = at + start
+        ranks = basis._ranks[source]
+        for j in table.moved:
+            before = basis._suffix[j][source]
+            ranks += basis._terms[j][before + table.moves[j][change]]
+            ranks -= basis._terms[j][before]
+        target, hit = basis._locate(ranks)
+        if not hit.all():
+            # Momentum conservation guarantees membership.
+            raise RuntimeError("generated state left the basis")
+        rows.append(target)
+        cols.append(source)
+        vals.append(total[change, at])
     return _assemble(rows, cols, vals, (basis.size, basis.size))
 
 

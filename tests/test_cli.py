@@ -559,6 +559,25 @@ class TestEdWorkflow:
         )
         assert len(list(flag_cache.glob("*.json"))) == 1
 
+    def test_successive_calls_parse_their_own_flags(self, tmp_path, monkeypatch):
+        # The parser is built once per process; a --cache given to one call
+        # must not carry over to the next call, which omits it.
+        monkeypatch.delenv("CACHE_DIR", raising=False)
+        doc = {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        cache = tmp_path / "cache"
+        assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "o1"),
+                         "--cache", str(cache)]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "o2")]) == 0
+        assert read_json(tmp_path / "o2" / "diagnostics.json") == {
+            "cache": {"hits": 0, "misses": 1}
+        }
+        assert len(list(cache.glob("*.json"))) == 1
+        assert read_json(tmp_path / "o2" / "report.json") == read_json(
+            tmp_path / "o1" / "report.json"
+        )
+
     def test_cold_runs_write_identical_cache_files(self, tmp_path, monkeypatch):
         doc = {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}}
         cfg = write_json(tmp_path / "cfg.json", doc)

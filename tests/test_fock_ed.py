@@ -6,6 +6,7 @@ second-quantized matrix elements, independent of the assembly code.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -138,6 +139,49 @@ def reranked_hamiltonian(model: TorusModel, basis: fock_ed.FockBasis):
                 cols.append(sel)
                 vals.append(0.5 * lam * wl * f4)
     return ordered_assemble(rows, cols, vals, basis.size)
+
+
+def by_change_hamiltonian(model: TorusModel, basis: fock_ed.FockBasis):
+    """H assembled one occupation change of model.transfers at a time: the
+    rows that hold the change's lowered modes, the change's terms summed on
+    them in table order, and the moved rows of the nonzero sums located by
+    one FockBasis.shifted call. The byte-for-byte reference of
+    build_hamiltonian, which evaluates every term on every row at once."""
+    states = basis.states
+    n_total = states.sum(axis=1)
+    diag = model.lam * model.potential.w_zero * n_total * (n_total - 1) / 2.0
+    for i, p in enumerate(basis.modes):
+        diag += p.norm2 * states[:, i]
+    index = np.arange(basis.size)
+    rows, cols, vals = [index], [index], [diag]
+    holders = [np.flatnonzero(column) for column in states.T]
+    for change, terms in model.transfers:
+        down = [(i, -amount) for i, amount in change if amount < 0]
+        moving = len(down) > 0
+        sel = holders[down[0][0]] if moving else index
+        for i, taken in down:
+            sel = sel[states[sel, i] >= taken]
+        # The exchange terms sum onto the diagonal in place.
+        total = np.zeros(len(sel)) if moving else diag
+        for wl, iq, ip, i1, i2 in terms:
+            f = np.sqrt(states[sel, iq])
+            f = f * np.sqrt(np.maximum(states[sel, ip] - (ip == iq), 0))
+            f = f * np.sqrt(np.maximum(states[sel, i2] + (1 - (i2 == iq) - (i2 == ip)), 0))
+            f = f * np.sqrt(
+                np.maximum(states[sel, i1] + (1 - (i1 == iq) - (i1 == ip) + (i1 == i2)), 0)
+            )
+            total += 0.5 * model.lam * wl * f
+        if moving:
+            kept = np.flatnonzero(total)
+            delta = np.zeros(len(basis.modes), dtype=np.int64)
+            for i, amount in change:
+                delta[i] = amount
+            target = basis.shifted(sel[kept], delta)
+            assert (target >= 0).all()
+            rows.append(target)
+            cols.append(sel[kept])
+            vals.append(total[kept])
+    return fock_ed._assemble(rows, cols, vals, (basis.size, basis.size))
 
 
 def reranked_bogoliubov_hamiltonian(modes, excitation_cutoff: int, potential: PotentialSpec):
@@ -571,6 +615,28 @@ SHIFT_MODE_SETS = (
 )
 
 
+def draw_even_model(data, coupling) -> TorusModel:
+    """A model over one of SHIFT_MODE_SETS with an even table of unequal
+    coefficients, some of them 0, over its transfers, and lambda drawn from
+    coupling."""
+    modes = data.draw(st.sampled_from(SHIFT_MODE_SETS))
+    d = modes[0].d
+    coefficient = st.one_of(st.just(0.0), st.floats(0.01, 4.0))
+    table = {(0,) * d: data.draw(coefficient)}
+    for ell in build_mode_set(d, 2.0 * TWO_PI * math.sqrt(d)):
+        if ell > -ell:
+            table[tuple(ell)] = table[tuple(-ell)] = data.draw(coefficient)
+    model = TorusModel(
+        d=d,
+        N=data.draw(st.integers(1, 6 if d == 1 else 4)),
+        potential=PotentialSpec.from_table(table),
+        mode_cutoff=(2.5 if d == 1 else 1.5) * TWO_PI,
+        lam=data.draw(coupling),
+    )
+    assert model.mode_set() == modes
+    return model
+
+
 # The brute-force cases: a whole one-pair sector, and the K = 0 blocks of
 # the two-band model and of a d = 2 table with unequal coefficients.
 THREE_MODE_MODELS = (
@@ -662,30 +728,60 @@ class TestBuildHamiltonian:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_tables_match_reranked_terms(self, data):
-        # An even table with unequal coefficients over the transfers of the
-        # five modes on a line or the nine square-lattice modes, on a whole
-        # sector or a K != 0 block: the sum of each element keeps the order
-        # of its terms.
-        modes = data.draw(st.sampled_from(SHIFT_MODE_SETS))
-        d = modes[0].d
-        coefficient = st.one_of(st.just(0.0), st.floats(0.01, 4.0))
-        table = {(0,) * d: data.draw(coefficient)}
-        for ell in build_mode_set(d, 2.0 * TWO_PI * math.sqrt(d)):
-            if ell > -ell:
-                table[tuple(ell)] = table[tuple(-ell)] = data.draw(coefficient)
-        model = TorusModel(
-            d=d,
-            N=data.draw(st.integers(1, 6 if d == 1 else 4)),
-            potential=PotentialSpec.from_table(table),
-            mode_cutoff=(2.5 if d == 1 else 1.5) * TWO_PI,
-            lam=data.draw(st.floats(0.01, 2.0)),
-        )
-        assert model.mode_set() == modes
+        # On a whole sector or a K != 0 block: the sum of each element keeps
+        # the order of its terms.
+        model = draw_even_model(data, st.floats(0.01, 2.0))
+        modes = model.mode_set()
         sector = data.draw(st.sampled_from([None] + [p for p in modes if not p.is_zero]))
         basis = fock_ed.enumerate_basis(modes, n_particles=model.N, momentum_sector=sector)
         assert_same_csr(
             fock_ed.build_hamiltonian(model, basis), reranked_hamiltonian(model, basis)
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_tables_match_the_change_by_change_builder(self, data):
+        # On a whole sector or any momentum block, at lambda = 0 or lambda >
+        # 0, with the rows in one chunk or in chunks of one or a few rows.
+        model = draw_even_model(data, st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
+        modes = model.mode_set()
+        sector = data.draw(st.sampled_from([None, *modes]))
+        basis = fock_ed.enumerate_basis(modes, n_particles=model.N, momentum_sector=sector)
+        budget = data.draw(st.sampled_from([fock_ed.ASSEMBLY_CHUNK_ELEMENTS, 1, 1000]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock_ed, "ASSEMBLY_CHUNK_ELEMENTS", budget)
+            ham = fock_ed.build_hamiltonian(model, basis)
+        assert_same_csr(ham, by_change_hamiltonian(model, basis))
+
+    @pytest.mark.parametrize(
+        "model, sector",
+        [
+            (FULL_SECTOR_MODELS[2], Momentum((1, 0))),
+            # Unequal coefficients on which the diagonal's bytes depend on
+            # the order in which the exchange terms are added.
+            (
+                TorusModel(
+                    d=1,
+                    N=6,
+                    potential=PotentialSpec.from_table(
+                        {(1,): 3.0, (-1,): 3.0, (2,): 1.5, (-2,): 1.5}
+                    ),
+                    mode_cutoff=2.5 * TWO_PI,
+                    lam=0.7,
+                ),
+                None,
+            ),
+        ],
+        ids=["square-9-modes-K10", "two-band-unequal-N6"],
+    )
+    def test_one_row_chunks_give_the_same_bytes(self, model, sector, monkeypatch):
+        basis = fock_ed.enumerate_basis(model.mode_set(), model.N, momentum_sector=sector)
+        whole = fock_ed.build_hamiltonian(model, basis)
+        monkeypatch.setattr(fock_ed, "ASSEMBLY_CHUNK_ELEMENTS", 1)
+        chunked = fock_ed.build_hamiltonian(model, basis)
+        assert basis.size > 1 and whole.nnz > basis.size
+        assert_same_csr(chunked, whole)
+        assert_same_csr(chunked, by_change_hamiltonian(model, basis))
 
     def test_hermiticity_random_vectors(self, two_band_model):
         basis = fock_ed.enumerate_basis(
@@ -713,6 +809,14 @@ class TestBuildHamiltonian:
             sum(p.norm2 * c for p, c in zip(basis.modes, s)) for s in basis.states
         ]
         assert np.allclose(np.diag(ham), np.asarray(kinetic) + constant)
+
+    def test_target_outside_the_basis_raises(self, monkeypatch):
+        def nowhere(self, ranks):
+            return np.zeros(len(ranks), dtype=np.int64), np.zeros(len(ranks), dtype=bool)
+
+        monkeypatch.setattr(fock_ed.FockBasis, "_locate", nowhere)
+        with pytest.raises(RuntimeError, match="left the basis"):
+            fock_ed.build_hamiltonian(make_one_pair_model(N=2), one_pair_k0_basis(2))
 
     def test_rejects_wrong_basis(self, one_pair_model):
         # The pair-Hamiltonian basis puts the zero mode last, not in mode-set order.
@@ -762,8 +866,8 @@ class TestAssemble:
 
 
 class TestAssemblyByChange:
-    """Each matrix entry is made once, and each occupation change is located
-    by one FockBasis.shifted call."""
+    """Each matrix entry is made once. H locates the entries it moves in one
+    _locate pass; HB locates each pair change by one FockBasis.shifted call."""
 
     @staticmethod
     def entries_once(monkeypatch) -> list[int]:
@@ -811,27 +915,39 @@ class TestAssemblyByChange:
         )
         assert len(basis.modes) == 9 and counts == [ham.nnz]
 
-    def test_each_change_located_once(self, monkeypatch):
-        calls = self.shifted_calls(monkeypatch)
+    def test_moved_entries_located_in_one_pass(self, monkeypatch):
         model = make_two_band_model(N=6)
         basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=6)
-        fock_ed.build_hamiltonian(model, basis)
         # 50 terms make 15 occupation changes, one of them the exchange
         # terms' empty change. Each change is keyed by its (position,
-        # amount) pairs and expanded to a vector only for shifted.
+        # amount) pairs.
         assert sum(len(terms) for _, terms in model.transfers) == 50
         moving = [change for change, _ in model.transfers if change]
-        expanded = []
+        assert len(moving) == 14
         for change in moving:
             positions = [i for i, _ in change]
             assert positions == sorted(set(positions))
             assert all(amount for _, amount in change)
             assert sum(amount for _, amount in change) == 0
-            delta = [0] * len(basis.modes)
-            for i, amount in change:
-                delta[i] = amount
-            expanded.append(tuple(delta))
-        assert len(moving) == 14 and calls == expanded
+        # Every entry the 14 changes move is ranked by rank arithmetic and
+        # located by one _locate call, with no shifted call per change.
+        calls = self.shifted_calls(monkeypatch)
+        locate = fock_ed.FockBasis._locate
+        located = []
+
+        def recording(self, ranks):
+            located.append(len(ranks))
+            return locate(self, ranks)
+
+        monkeypatch.setattr(fock_ed.FockBasis, "_locate", recording)
+        ham = fock_ed.build_hamiltonian(model, basis)
+        assert calls == [] and located == [ham.nnz - basis.size]
+        # Rows taken in chunks: one _locate call per chunk, each moved entry
+        # located once.
+        monkeypatch.setattr(fock_ed, "ASSEMBLY_CHUNK_ELEMENTS", 4000)
+        located.clear()
+        fock_ed.build_hamiltonian(model, basis)
+        assert len(located) > 1 and sum(located) == ham.nnz - basis.size
 
     @pytest.mark.parametrize(
         "model, pairs",
@@ -856,6 +972,58 @@ class TestAssemblyByChange:
         assert np.array_equal(ham.indices, np.arange(basis.size))
         kinetic = sum(p.norm2 * basis.states[:, i] for i, p in enumerate(basis.modes))
         assert np.array_equal(ham.diagonal(), kinetic)
+
+
+# sha256 of the CSR arrays (dtype and bytes of indptr, indices, data) of every
+# H that the study-sweep and ed-dense benchmark workloads assemble at seed 0,
+# where every coefficient is 1, as the change-by-change builder made them.
+OPERATOR_DIGESTS = {
+    "study-N8-K0": "b6a535649ec5b9279403fb4cbcf4f374ca1232f7cff99088a47476c37ac8653b",
+    "study-N8-K0-minus-1": "b60996df48b4a39a85e1952aa5ab86bcffea34237f5599ef6b7b1ec8e8e3e15e",
+    "study-N16-K0": "859e74ce30ab4beded288dfb49027ed5847e2fbe4469f3aced09c985b276025c",
+    "study-N16-K0-minus-1": "cca59b40f4f3e919698227c29929d04ab6c5db8a0d05f2b57289ef05147622fd",
+    "study-N24-K0": "355ad84541ef12932a4cea2f58561d9f7207af81e5c0af191916134fa7c81d02",
+    "study-N24-K0-minus-1": "e689b6ebf25939c6eb33063f55b55dc3a6092aaca9a1d3ca1519d90358d0987b",
+    "study-N32-K0": "1d7967335b26d461bf7e4a9fb7b9e245999c0c06477030de42ace481e5d5c2ee",
+    "study-N32-K0-minus-1": "4c3fb8da89f8d4bdbefb01a24f00e67d5a90b7a819ae97292c982db3c997d324",
+    "study-N48-K0": "5ad14f3c21039baa5f20bc908cbcdf81ddfc8775de90d67e6ed01a62cbdab3a5",
+    "study-N48-K0-minus-1": "7d7be3726252b7260c0a08d83dc2018a818c3435c9720c49eda3e92f4991f775",
+    "two-band-N34-K0": "bbfd5fca3029fe445d5f4477f99ce7cbc2de30445517a8a12e6ec50ad1ac7fc4",
+    "three-mode-N56": "f174280ad18ad63cb6f51a3e9e72e68d922ee05542c9ce072b93031132089e9b",
+}
+
+
+def benchmark_operators():
+    """(model, particles, momentum sector) of each H in OPERATOR_DIGESTS, by
+    name: the K = 0 blocks of N and N - 1 of each study record (lambda =
+    1/N), the two-band N = 34 K = 0 block and the whole three-mode N = 56
+    sector."""
+    pair = PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0})
+    band = PotentialSpec.from_table({(n,): 1.0 for n in (-2, -1, 1, 2)})
+    k0 = zero_momentum(1)
+    cases = {}
+    for n in (8, 16, 24, 32, 48):
+        model = TorusModel(d=1, N=n, potential=pair, mode_cutoff=7.0, lam=1.0 / n)
+        cases[f"study-N{n}-K0"] = (model, n, k0)
+        cases[f"study-N{n}-K0-minus-1"] = (model, n - 1, k0)
+    model = TorusModel(d=1, N=34, potential=band, mode_cutoff=2.5 * TWO_PI)
+    cases["two-band-N34-K0"] = (model, 34, k0)
+    model = TorusModel(d=1, N=56, potential=pair, mode_cutoff=1.5 * TWO_PI)
+    cases["three-mode-N56"] = (model, 56, None)
+    return cases
+
+
+class TestOperatorDigests:
+    @pytest.mark.parametrize("name", OPERATOR_DIGESTS)
+    def test_benchmark_operators_keep_their_bytes(self, name):
+        model, particles, sector = benchmark_operators()[name]
+        basis = fock_ed.enumerate_basis(model.mode_set(), particles, momentum_sector=sector)
+        ham = fock_ed.build_hamiltonian(model, basis)
+        digest = hashlib.sha256()
+        for array in (ham.indptr, ham.indices, ham.data):
+            digest.update(array.dtype.str.encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == OPERATOR_DIGESTS[name]
 
 
 class TestRankArithmetic:
