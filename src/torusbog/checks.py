@@ -2,8 +2,9 @@
 
 battery() runs every check on one model and returns one Check per relation,
 in report order. The measurements behind the checks (mode_algebra,
-random_vector_bounds, off_block_entries) are plain functions, so the unit
-tests call the same code and assert their own bounds on its numbers.
+random_vector_bounds, off_block_entries, block_minima) are plain functions,
+so the unit tests call the same code and assert their own bounds on its
+numbers.
 """
 from __future__ import annotations
 
@@ -97,6 +98,24 @@ def off_block_entries(ham, rows: dict) -> int:
     return int(np.count_nonzero(ham.data) - inside)
 
 
+def block_minima(sector: fock_ed.SectorSolve, settings: fock_ed.EDSettings) -> dict:
+    """The lowest level of each block fock_ed.plan_blocks names on sector's
+    basis (K = 0 and one block of each pair {K, -K}): from sector.results
+    where solve_sector solved it, else from lowest_eigenpairs on the block's
+    own operator, sector.block(K), at the settings solve_sector gives its
+    blocks. The blocks that the Gershgorin bounds skipped are solved here,
+    so a check against every block minimum keeps its strength."""
+    _, routes = fock_ed.plan_blocks(sector.basis, settings)
+    block_settings = replace(settings, k=max(settings.k, 2))
+    minima = {}
+    for k in routes:
+        result = sector.results.get(k)
+        if result is None:
+            result = fock_ed.lowest_eigenpairs(sector.block(k)[1], block_settings)
+        minima[k] = result.ground_energy
+    return minima
+
+
 def zero_mode_offset(ground: float, shifted_ground: float, offset: float) -> Check:
     """Whether the ground with w_hat(0) zeroed, plus the exact offset, is the ground."""
     dev = abs(shifted_ground + offset - ground) / max(1.0, abs(ground))
@@ -109,16 +128,18 @@ def sector_checks(
     """The checks on model's whole N sector, solved by momentum blocks: the
     K = 0 block's hermiticity, both energy bounds and, where w_hat(0) != 0, the
     exact zero-mode offset, whether the operator is block diagonal, and
-    whether the bound that certifies K = 0 in binding_from_ed lies below every
-    solved K != 0 block (vacuously when there is none)."""
+    whether the bound that certifies K = 0 in binding_from_ed lies below the
+    minimum of every K != 0 block, those solve_sector skipped included
+    (block_minima; vacuously when there is none)."""
     n, k0 = model.N, zero_momentum(model.d)
     basis, ham = sector.block(k0)
     sym, low = random_vector_bounds(model, basis, ham, settings.seed)
     off = off_block_entries(sector.ham, sector.rows)
-    ground = sector.results[k0].ground_energy
     trial = model.lam * model.potential.w_zero * n * (n - 1) / 2.0
     bound = fock_ed.nonzero_momentum_bound(model)
-    least = min((r.ground_energy for k, r in sector.results.items() if k != k0), default=math.inf)
+    minima = block_minima(sector, settings)
+    ground = minima[k0]
+    least = min((e for k, e in minima.items() if k != k0), default=math.inf)
     out = [
         _at_most("hermiticity", sym, 1e-10, "max asymmetry"),
         _at_most("condensation_lower_bound", low, 1e-9, "max violation"),

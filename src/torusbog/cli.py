@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 from .model import ResourceLimitError
 
@@ -54,6 +54,14 @@ def _python_scalar(value):
 def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, no spaces, shortest round-trip floats."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_python_scalar)
+
+
+def _field_dict(obj) -> dict:
+    """A dataclass instance's fields by name, in declaration order, values as
+    they are. Every dataclass written here holds scalars and tuples of
+    scalars, so canonical_json writes this as it writes the deep copy
+    dataclasses.asdict makes, without its recursion."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def content_digest(key_payload: dict) -> str:
@@ -541,7 +549,7 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "op": "ed-pair",
             "tool_version": version,
             "model": model.to_canonical_dict(),
-            "ed": {**asdict(settings), "excitation_cutoff": cutoff},
+            "ed": {**_field_dict(settings), "excitation_cutoff": cutoff},
             "cutoff_delta": hb.cutoff_delta,
         }
     else:
@@ -569,7 +577,7 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "op": "ed-particle",
             "tool_version": version,
             "model": model.to_canonical_dict(),
-            "ed": asdict(settings),
+            "ed": _field_dict(settings),
             "momentum_sector": list(sector) if sector is not None else None,
         }
 
@@ -600,20 +608,20 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "model": cfg.base.to_canonical_dict(),
             "N": n,
             "coupling_c": cfg.coupling_c,
-            "ed": asdict(cfg.ed),
+            "ed": _field_dict(cfg.ed),
             "with_overlap": cfg.with_overlap,
             "check_global": cfg.check_global,
         }
 
         def compute() -> dict:
-            return asdict(asymptotics.binding_record(cfg, n, alpha))
+            return _field_dict(asymptotics.binding_record(cfg, n, alpha))
 
         verify = converged_within(cfg.ed.tol, "residual_norm_N", "residual_norm_Nm1")
         payload = cached_compute(cache_dir, key_payload, compute, verify, stats)
         return asymptotics.StudyRecord(**payload)
 
     report_obj = asymptotics.run_binding_study(config, record_loader=loader)
-    records = [asdict(rec) for rec in report_obj.records]
+    records = [_field_dict(rec) for rec in report_obj.records]
     report = {
         "workflow": "study",
         "tool_version": version,
@@ -628,7 +636,7 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
         "D": report_obj.D,
         "e_B_tail_bound": report_obj.e_B_tail_bound,
         "D_tail_bound": report_obj.D_tail_bound,
-        "fit": asdict(report_obj.fit) if report_obj.fit is not None else None,
+        "fit": _field_dict(report_obj.fit) if report_obj.fit is not None else None,
         "records": records,
     }
     write_report(out_dir, report)
@@ -644,7 +652,7 @@ def run_selfcheck(parsed: dict, out_dir: str) -> int:
     from . import checks
 
     model = parsed["model"]
-    battery = [asdict(c) for c in checks.battery(model, parsed["ed"], parsed["hb"])]
+    battery = [_field_dict(c) for c in checks.battery(model, parsed["ed"], parsed["hb"])]
     for c in battery:
         print(f"selfcheck {c['name']}: {'ok' if c['ok'] else 'VIOLATION'} ({c['detail']})")
     violations = sum(not c["ok"] for c in battery)

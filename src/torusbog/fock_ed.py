@@ -40,11 +40,15 @@ alone; that K = 0 holds the ground of the N sector is certified by a lower
 bound on every K != 0 level (nonzero_momentum_bound), and the whole sector
 is solved only when the bound does not settle it. The pair Hamiltonian's
 cutoff ladder solves only K = 0 blocks. Both operators are also even under
-p -> -p, so the loop solves K = 0 and one block of each pair {K, -K}, and
-counts that block's levels for its mirror too. A basis filtered to one
+p -> -p, so the loop solves at most K = 0 and one block of each pair
+{K, -K}, and counts that block's levels for its mirror too. Of those, it
+solves only the blocks whose Gershgorin bound, read from the operator's
+diagonal and row sums, lies below the levels it reports. ARPACK starts from
+a vector weighted towards the rows of low diagonal. A basis filtered to one
 momentum is one block in order, so it is solved on its operator as it is,
-with no permutation. plan_blocks decides every block's route from the basis
-alone, so a caller refuses an oversized dense solve before assembly.
+with no permutation and no bound. plan_blocks decides every block's route
+from the basis alone, so a caller refuses an oversized dense solve before
+assembly.
 
 scipy is imported inside the functions that assemble, solve or build a_0,
 so a process that only reads cached results never loads it.
@@ -88,7 +92,7 @@ class EDSettings:
     tol: float = 1e-9
     max_iter: int = 1000
     seed: int = 0
-    # Largest k <= 2 solve sent dense; ARPACK's measured crossover is near 330.
+    # Largest k <= 2 solve sent dense; ARPACK's measured crossover is near 200-240.
     dense_threshold: int = 500
     k: int = 1
 
@@ -714,9 +718,11 @@ def lowest_eigenpairs(
     MAX_DENSE_STATES raises ResourceLimitError before any array is made.
     Larger problems run ARPACK's implicitly restarted Lanczos (eigsh, which="SA"; Lehoucq,
     Sorensen and Yang, ARPACK Users' Guide, SIAM (1998)) in a basis of 20
-    vectors, at most settings.max_iter restarts, and report the Rayleigh
-    quotients of the returned vectors; iterations counts its operator
-    applications. The second pair gives the gap above the ground. The
+    vectors, at most settings.max_iter restarts, on op shifted below its
+    Gershgorin bound and from a start vector weighted by op's diagonal
+    (_lanczos_lowest), and report the Rayleigh quotients of op at the
+    returned vectors; iterations counts its operator applications. The
+    second pair gives the gap above the ground. The
     residual ||H v - E v|| is always measured post hoc on the returned
     vector, and convergence means residual_norm <= tol; a solve that ARPACK
     stops early, keeping the vectors it did converge, is reported
@@ -776,6 +782,28 @@ def lowest_eigenpairs(
     )
 
 
+def _gershgorin(op: scipy.sparse.spmatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal d_i of a sparse matrix or dense array, and each row's
+    Gershgorin radius r_i = sum_{j != i} |op_ij|.
+
+    Every eigenvalue of a symmetric op lies in the union of the intervals
+    [d_i - r_i, d_i + r_i], so min(d - r) bounds its spectrum from below
+    (Gershgorin circle theorem). A CSR op is read in one pass over its
+    stored values, with no copy of its index arrays.
+    """
+    if isinstance(op, np.ndarray):
+        diagonal = op.diagonal().copy()
+        return diagonal, np.abs(op).sum(axis=1) - np.abs(diagonal)
+    op = op.tocsr()
+    starts = op.indptr[:-1]
+    held = starts < op.indptr[1:]
+    sums = np.zeros(op.shape[0])
+    # A row's stored values run from its start to the next held row's start.
+    sums[held] = np.add.reduceat(np.abs(op.data), starts[held])
+    diagonal = op.diagonal()
+    return diagonal, sums - np.abs(diagonal)
+
+
 def _lanczos_lowest(
     op: scipy.sparse.spmatrix | np.ndarray, k: int, settings: EDSettings
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
@@ -783,9 +811,19 @@ def _lanczos_lowest(
     (eigsh, which="SA"), the ground vector, the operator applications, and
     whether ARPACK finished within settings.max_iter restarts.
 
-    ARPACK runs at tolerance 0 (machine precision) from a start vector that is
-    a deterministic function of (seed, dimension). When it stops early, the
-    vectors it did converge are kept, or the start vector if none.
+    ARPACK runs at tolerance 0 (machine precision) on op - sigma I, where
+    sigma is op's Gershgorin bound min(d - r) less 1 (_gershgorin), so every
+    level it sees is at least 1: from 0 or near it, which="SA" can miss a
+    level (it misses the 0 of diag(0, 1, ..., 1352)). The Krylov spaces are
+    those of op, and the levels reported are Rayleigh quotients of op. The
+    start vector is a deterministic function of (seed, dimension): a
+    Gaussian vector, each entry scaled by exp(-(d_i - min d) / r_max), with
+    r_max the largest radius, unless r_max is 0. Where the diagonal climbs in
+    steps much larger than the radii, as a kinetic-dominated H does, the low
+    levels live on the rows of low diagonal, and this start holds little of
+    the rest. The exponent is capped at 600, so no entry becomes 0. When
+    ARPACK stops early, the vectors it did converge are kept, or the start
+    vector if none.
     """
     # Imported here, so that only a process that solves iteratively pays for
     # loading scipy.sparse.linalg.
@@ -793,13 +831,18 @@ def _lanczos_lowest(
 
     dim = op.shape[0]
     applied = 0
+    diagonal, radii = _gershgorin(op)
+    sigma = float(np.min(diagonal - radii)) - 1.0
 
     def apply(v: np.ndarray) -> np.ndarray:
         nonlocal applied
         applied += 1
-        return op @ v
+        return op @ v - sigma * v
 
     start = np.random.default_rng([settings.seed, dim]).standard_normal(dim)
+    spread = float(radii.max())
+    if spread > 0.0:
+        start *= np.exp(-np.minimum((diagonal - diagonal.min()) / spread, 600.0))
     finished = True
     try:
         _, vectors = eigsh(
@@ -831,11 +874,14 @@ class SectorSolve:
     """A basis and its operator, solved one total-momentum block at a time.
 
     ham is the operator assembled once on basis. rows maps each total
-    momentum, in increasing order, to its rows of basis. results holds the
-    lowest max(k, 2) pairs of each solved block: K = 0, each block whose
-    mirror -K is absent, and of each pair {K, -K} present the
-    lexicographically greater. merged is the result on the whole basis built
-    from them.
+    momentum, in increasing order, to its rows of basis. results holds, in
+    increasing momentum order, the lowest max(k, 2) pairs of each block
+    solve_sector solved. Those are among the blocks plan_blocks names (K = 0,
+    each block whose mirror -K is absent, and of each pair {K, -K} present
+    the lexicographically greater): the ones whose Gershgorin bound did not
+    rule them out, always the block of a one-block basis, and not always
+    K = 0. merged is the result on the whole basis built from them, the one
+    solving every named block would give.
 
     Block -K needs no solve of its own: the map p -> -p takes the mode set to
     itself (build_mode_set makes it closed under negation, and the pair
@@ -871,7 +917,7 @@ def plan_blocks(
 ) -> tuple[dict[Momentum, np.ndarray], dict[Momentum, bool]]:
     """The momentum blocks solve_sector finds on basis, and how it solves them.
 
-    Returns basis.momentum_blocks() and, for each block it solves (K = 0,
+    Returns basis.momentum_blocks() and, for each block it may solve (K = 0,
     each block whose mirror -K is absent, and of each pair {K, -K} present
     the lexicographically greater; see SectorSolve), whether that block is
     solved dense at max(settings.k, 2) levels. It needs only the basis, so a
@@ -901,63 +947,61 @@ def solve_sector(
     momentum block of it: H (build_hamiltonian) or HB
     (build_bogoliubov_hamiltonian). Its spectrum is the union of the block
     spectra (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), and block -K has
-    the levels of block K (see SectorSolve), so only K = 0 and one block of
-    each pair {K, -K} present are solved; plan_blocks names them and their
-    routes. The solved rows are permuted once, so that each block is a
-    contiguous run of rows; a basis that is one block is already that, and
-    ham is used as it is. Every solved block goes through lowest_eigenpairs:
-    as a dense array filled from its rows' stored entries (the array
-    toarray() gives) if it will be solved dense, else as a sparse slice. A
-    basis whose modes are not closed under negation raises ValueError.
+    the levels of block K (see SectorSolve), so at most K = 0 and one block
+    of each pair {K, -K} present are solved; plan_blocks names them and their
+    routes. A basis that is one block is solved on ham as it is. Otherwise
+    one pass over ham gives each row's diagonal d_i and Gershgorin radius r_i
+    (_gershgorin), and each block's levels are at least its bound, min(d_i -
+    r_i) over its rows. The blocks are solved in increasing bound order (ties
+    by momentum), and the solve stops once the next block's bound exceeds the
+    max(k, 2)-th lowest level found so far by 1e-10 max(1, |level|), a
+    mirrored block's levels counted twice: no level of that block or of any
+    after it can be among the levels reported. In the kinetic-dominated
+    regime only a few blocks are solved (K = 0 and K = 1 of the three-mode
+    N = 56 sector's 57). Each solved block is sliced out of ham and goes
+    through lowest_eigenpairs, as a dense array (the one toarray() gives) if
+    it will be solved dense, else as a sparse matrix. A basis whose modes
+    are not closed under negation raises ValueError.
 
     The merged result holds the k lowest of all block eigenvalues, a solved
     block's levels counted twice when its mirror is present, the gap between
     the two lowest, and the ground-holding solved block's vector placed in
     the whole basis, zero on every other row; its residual is measured on the
-    whole operator. It is converged when every solved block is and that
-    residual is <= tol. Its method is "lanczos" if any solved block ran
-    Lanczos, and its iterations are the sum over the solved blocks.
+    whole operator. These are the values solving every block would give. It
+    is converged when every solved block is and that residual is <= tol. Its
+    method is "lanczos" if any solved block ran Lanczos, and its iterations
+    are the sum over the solved blocks.
     """
     if not basis.size:
         raise ValueError("basis holds no state")
     if ham.shape != (basis.size, basis.size):
         raise ValueError(f"basis mismatch: operator of shape {ham.shape} on {basis.size} states")
     rows, routes = plan_blocks(basis, settings)
-    mirror = {p: tuple(-x for x in p) for p in rows}
-    if len(rows) == 1:
-        permuted = ham
-    else:
-        # Slicing a contiguous block costs about a third of fancy-indexing its rows.
-        order = np.concatenate([rows[p] for p in routes])
-        permuted = ham[order][:, order]
-    # Each stored entry's row-major position in its block's dense array.
-    entry_row = np.repeat(np.arange(permuted.shape[0]), np.diff(permuted.indptr))
-    sizes = np.array([len(rows[p]) for p in routes])
-    row_start = np.repeat(np.cumsum(sizes) - sizes, sizes)[entry_row]
-    row_size = np.repeat(sizes, sizes)[entry_row]
-    flat = (entry_row - row_start) * row_size + permuted.indices - row_start
-    block_settings = replace(settings, k=max(settings.k, 2))
-    results = {}
-    stop = 0
-    for momentum, dense in routes.items():
+    mirror = {p: tuple(-x for x in p) for p in routes}
+    copies = {p: 2 if p != mirror[p] and mirror[p] in rows else 1 for p in routes}
+    bound = dict.fromkeys(routes, -math.inf)
+    if len(routes) > 1:
+        diagonal, radii = _gershgorin(ham)
+        low = diagonal - radii
+        bound = {p: float(low[rows[p]].min()) for p in routes}
+    wanted = max(settings.k, 2)
+    block_settings = replace(settings, k=wanted)
+    solved: dict[Momentum, EDResult] = {}
+    levels: list[float] = []
+    # sorted is stable: equal bounds keep increasing momentum order.
+    for momentum in sorted(routes, key=bound.get):
+        if len(levels) >= wanted:
+            last = levels[wanted - 1]
+            if bound[momentum] > last + 1e-10 * max(1.0, abs(last)):
+                break
         block = rows[momentum]
-        start, stop = stop, stop + len(block)
-        if dense:
-            # bincount adds each entry onto zero in stored order, as toarray() does.
-            at = slice(permuted.indptr[start], permuted.indptr[stop])
-            op = np.bincount(
-                flat[at], weights=permuted.data[at], minlength=len(block) ** 2
-            ).reshape(len(block), len(block))
-        elif len(block) == permuted.shape[0]:
-            op = permuted
-        else:
-            op = permuted[start:stop, start:stop]
-        results[momentum] = lowest_eigenpairs(op, block_settings)
-    levels = sorted(
-        e
-        for p, r in results.items()
-        for e in r.eigenvalues * (2 if p != mirror[p] and mirror[p] in rows else 1)
-    )
+        op = ham if len(block) == basis.size else ham[block][:, block]
+        if routes[momentum]:
+            op = op.toarray()
+        solved[momentum] = lowest_eigenpairs(op, block_settings)
+        levels = sorted(levels + list(solved[momentum].eigenvalues) * copies[momentum])
+    # In increasing momentum order, so ties resolve as when every block is solved.
+    results = {p: solved[p] for p in routes if p in solved}
     ground_at = min(results, key=lambda p: results[p].ground_energy)
     ground = np.zeros(basis.size)
     ground[rows[ground_at]] = results[ground_at].ground_vector
@@ -1263,7 +1307,10 @@ class SandwichResult:
 
     lower = E_N - <a_0 Psi_N, H a_0 Psi_N>/||a_0 Psi_N||^2 and
     upper = <a_0* Psi_{N-1}, H a_0* Psi_{N-1}>/||a_0* Psi_{N-1}||^2 - E_{N-1};
-    the variational principle forces lower <= delta_E <= upper.
+    the variational principle forces lower <= delta_E <= upper. Where
+    a_0 Psi_N = 0 (a ground with no zero-mode particle) there is no trial
+    state, and lower is -inf, the vacuous bound. ||a_0* Psi_{N-1}||^2 =
+    <Psi_{N-1}, (n_0 + 1) Psi_{N-1}> is at least 1, so upper always has one.
     """
 
     lower: float
@@ -1284,7 +1331,7 @@ def variational_sandwich(binding: BindingResult) -> SandwichResult:
     psi_m = binding.result_Nm1.ground_vector
     v = a0 @ psi_n
     vv = float(v @ v)
-    lower = binding.E_N - float(v @ (binding.ham_Nm1 @ v)) / vv
+    lower = binding.E_N - float(v @ (binding.ham_Nm1 @ v)) / vv if vv else -math.inf
     u = a0.T @ psi_m
     uu = float(u @ u)
     upper = float(u @ (binding.ham_N @ u)) / uu - binding.E_Nm1

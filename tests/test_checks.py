@@ -59,6 +59,15 @@ def square_model() -> TorusModel:
     return TorusModel(d=2, N=4, potential=potential, mode_cutoff=1.5 * TWO_PI)
 
 
+def far_pair_model() -> TorusModel:
+    """w_hat(+-(2, 1)) = 224 at N = 2 over the nine square modes with
+    |n|_inf <= 1, lambda = 1/2: the K = 0 ground holds no zero-mode particle
+    (a_0 Psi_N = 0), and the Gershgorin bounds of the whole sector leave
+    K = 0 the only block to solve."""
+    potential = PotentialSpec.from_table({(2, 1): 224.0, (-2, -1): 224.0})
+    return TorusModel(d=2, N=2, potential=potential, mode_cutoff=1.5 * TWO_PI)
+
+
 SETTINGS = fock_ed.EDSettings()
 
 
@@ -85,8 +94,9 @@ class TestBattery:
             (checks.default_selfcheck_model(), CHECK_NAMES),
             (zero_mode_pair_model(), CHECK_NAMES + ["zero_mode_offset_exact"]),
             (square_model(), CHECK_NAMES),
+            (far_pair_model(), CHECK_NAMES),
         ],
-        ids=["default", "one-pair-w0-2", "square-9-modes"],
+        ids=["default", "one-pair-w0-2", "square-9-modes", "far-pair-no-condensate"],
     )
     def test_every_check_passes(self, model, names):
         battery = checks.battery(model, SETTINGS, fock_ed.HBSettings())
@@ -201,6 +211,24 @@ class TestViolations:
         check = next(c for c in checks.sector_checks(model, sector, SETTINGS)
                      if c.name == "global_ground_bound")
         assert check.ok
+
+    def test_global_ground_bound_reads_the_blocks_the_solve_skipped(self, monkeypatch):
+        # Only K = 0 is solved, so the least K != 0 level, (2 pi)^2, comes
+        # from the blocks the solve skipped: a bound B above it fails.
+        model = far_pair_model()
+        sector = whole_sector(model)
+        assert list(sector.results) == [zero_momentum(2)]
+        minima = checks.block_minima(sector, SETTINGS)
+        _, routes = fock_ed.plan_blocks(sector.basis, SETTINGS)
+        assert list(minima) == list(routes) and len(minima) > 1
+        for k, energy in minima.items():
+            direct = fock_ed.lowest_eigenpairs(sector.block(k)[1]).ground_energy
+            assert energy == direct
+        least = min(e for k, e in minima.items() if not k.is_zero)
+        assert least == pytest.approx(TWO_PI**2, abs=1e-9)
+        assert self.failed(model, sector) == set()
+        monkeypatch.setattr(fock_ed, "nonzero_momentum_bound", lambda model: least + 0.5)
+        assert self.failed(model, sector) == {"global_ground_bound"}
 
     def test_zero_mode_offset(self):
         model = zero_mode_pair_model()

@@ -515,27 +515,45 @@ class TestEdWorkflow:
         # filled from the sector's entries, not as a sparse slice.
         assert kinds == {np.ndarray}
 
+    def test_free_condensate_ground_is_reported(self, tmp_path):
+        # w_hat = 0 on the two-band K = 0 block of N = 34 (1,353 states,
+        # ARPACK at default settings): the ground is the condensate at 0 and
+        # the next level holds a pair at +-1, 2 (2 pi)^2 above it.
+        potential = {"entries": [[-2, 0.0], [-1, 0.0], [1, 0.0], [2, 0.0]]}
+        doc = {
+            "model": one_pair_model_doc(34, mode_cutoff=4.0 * math.pi + 0.1, potential=potential),
+            "ed": {"momentum_sector": [0]},
+        }
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        result = read_json(tmp_path / "out" / "report.json")["result"]
+        assert (result["dimension"], result["method"]) == (1353, "lanczos")
+        assert result["converged"]
+        assert abs(result["eigenvalues"][0]) <= 1e-12
+        assert result["gap"] == pytest.approx(8.0 * math.pi**2, abs=1e-9)
+
     def test_unconverged_block_exit_3_and_not_cached(self, tmp_path, monkeypatch):
-        # The blocks solved are K = 0, 1, ..., 8, the last of which, K = +8,
-        # holds one state and not the ground: its failure alone must fail the
-        # job.
+        # The blocks solved are K = 0 (5 states) and K = +1 (4 states): the
+        # Gershgorin bounds of K = 2, ..., 8 lie above the two lowest levels
+        # found in them. K = +1 does not hold the ground: its failure alone
+        # must fail the job.
         from torusbog import fock_ed
 
         solve = fock_ed.lowest_eigenpairs
         calls = []
 
-        def failing_k8(op, *args, **kwargs):
+        def failing_k1(op, *args, **kwargs):
             result = solve(op, *args, **kwargs)
             calls.append(op.shape[0])
-            return replace(result, converged=False) if len(calls) == 9 else result
+            return replace(result, converged=False) if len(calls) == 2 else result
 
-        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_k8)
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_k1)
         cfg = write_json(tmp_path / "cfg.json", {"model": one_pair_model_doc(8)})
         cache = tmp_path / "cache"
         code = cli.main(
             ["ed", "--config", cfg, "--out", str(tmp_path / "out"), "--cache", str(cache)]
         )
-        assert len(calls) == 9 and calls[-1] == 1
+        assert calls == [5, 4]
         assert code == 3
         result = read_json(tmp_path / "out" / "report.json")["result"]
         assert result["converged"] is False
@@ -676,18 +694,18 @@ class TestStudyWorkflow:
     def test_unconverged_global_block_exit_3_and_not_cached(self, tmp_path, monkeypatch):
         # w_hat(+-1) = 60 puts the bound B = (2 pi)^2 - 60 below every K = 0
         # ground, so each record solves its two K = 0 blocks and then its
-        # whole N sector, by blocks K = 0, 1, ..., N. The last block of the
-        # N = 3 sector, K = +3, holds one state and not the ground: its
-        # failure alone must fail that record.
+        # whole N sector, whose Gershgorin bounds leave its blocks K = 0 and
+        # K = +1 to solve. Block K = +1 of the N = 3 sector holds two states
+        # and not the ground: its failure alone must fail that record.
         from torusbog import fock_ed
 
         solve = fock_ed.lowest_eigenpairs
         calls = []
 
-        def failing_k3(op, *args, **kwargs):
+        def failing_k1(op, *args, **kwargs):
             result = solve(op, *args, **kwargs)
             calls.append(op.shape[0])
-            return replace(result, converged=False) if len(calls) == 6 else result
+            return replace(result, converged=False) if len(calls) == 4 else result
 
         doc = self.study_doc((3, 4, 5))
         doc["model"]["potential"] = {"entries": [[-1, 60.0], [1, 60.0]]}
@@ -695,11 +713,11 @@ class TestStudyWorkflow:
         cache = tmp_path / "cache"
         args = ["study", "--config", cfg, "--cache", str(cache), "--out"]
         with monkeypatch.context() as patch:
-            patch.setattr(fock_ed, "lowest_eigenpairs", failing_k3)
+            patch.setattr(fock_ed, "lowest_eigenpairs", failing_k1)
             assert cli.main(args + [str(tmp_path / "o1")]) == 3
-        # Two K = 0 blocks and N + 1 whole-sector blocks per record.
-        assert len(calls) == (2 + 4) + (2 + 5) + (2 + 6)
-        assert calls[5] == 1
+        # Two K = 0 blocks and two whole-sector blocks per record.
+        assert len(calls) == 3 * (2 + 2)
+        assert calls[3] == 2
         records = read_json(tmp_path / "o1" / "report.json")["records"]
         assert [rec["converged"] for rec in records] == [False, True, True]
         assert len(list(cache.glob("*.json"))) == 2
@@ -780,9 +798,14 @@ class TestStudyWorkflow:
         assert all(rec["converged"] for rec in report["records"])
 
     def test_non_converged_records_exit_3(self, tmp_path):
-        # K = 0 sectors of 22 to 25 states, more than ARPACK's 20-vector
-        # basis, so one restart cannot solve them exactly.
-        doc = self.study_doc((44, 46, 48))
+        # Two-band K = 0 sectors of 104 to 177 states, so one restart of
+        # ARPACK's 20-vector basis cannot solve them exactly, even from the
+        # start vector weighted by the diagonal.
+        doc = self.study_doc((14, 15, 16))
+        doc["model"]["mode_cutoff"] = 4.0 * math.pi + 0.1
+        doc["model"]["potential"] = {
+            "entries": [[-2, 1.0], [-1, 1.0], [1, 1.0], [2, 1.0]]
+        }
         doc["ed"] = {"max_iter": 1, "dense_threshold": 0}
         doc["study"]["with_overlap"] = False
         doc["study"]["check_global"] = False
@@ -827,27 +850,27 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["a6ebdc0cc4bebde4f5f92c3ef27f0993"],
+                ["00fe9d4797a19e266ed55c613b7b67ac"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["68e0887ac0d72a6dc9dabf8bd7b73bc3"],
+                ["9b2a1ca9acda2b7ccc9e78a5c3bc1347"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "1d182381ef72e22179ee6ec9117a5b7b",
-                    "69e14ad45250603e9dbc885aee7b3f95",
-                    "a4bf0642c83c365c2e48dfddd38a9aaa",
+                    "ad72ee7dd5312e512a8d34c57e7a352c",
+                    "d85460c087ed336aaf0c43ffa05ec649",
+                    "ebe5c5ab6dbc28819ea9e7066056810e",
                 ],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["a99ac556fd1abb2c4c738e570885fb62"],
+                ["3cff6062f1431503881d9b5e3dab0716"],
             ),
         ],
     )
@@ -859,6 +882,16 @@ class TestCacheKeys:
         ) == 0
         assert sorted(p.stem for p in cache.glob("*.json")) == names
 
+
+    def test_tool_version_is_the_package_version(self):
+        # The version in every report and cache key is the one pyproject.toml
+        # packages.
+        import re
+
+        import torusbog
+
+        pyproject = (Path(cli.__file__).parents[2] / "pyproject.toml").read_text()
+        assert re.findall(r'^version = "([^"]+)"$', pyproject, re.M) == [torusbog.__version__]
 
 class TestSelfcheckWorkflow:
     def test_default_model_passes(self, tmp_path, capsys):
@@ -882,6 +915,24 @@ class TestSelfcheckWorkflow:
         report = json.loads((tmp_path / "report.json").read_text())
         names = {c["name"] for c in report["checks"]}
         assert "zero_mode_offset_exact" in names
+
+    def test_ground_without_condensate_passes(self, tmp_path, capsys):
+        # w_hat(+-(2, 1)) = 224 at N = 2 over the nine square modes: the
+        # K = 0 ground holds no zero-mode particle, so the sandwich has no
+        # trial state for its lower bound, which is -inf, not a crash.
+        doc = {
+            "model": {
+                "d": 2,
+                "N": 2,
+                "mode_cutoff": 3.0 * math.pi,
+                "potential": {"entries": [[2, 1, 224.0], [-2, -1, 224.0]]},
+            }
+        }
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert cli.main(["selfcheck", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "selfcheck variational_sandwich: ok (lower -inf" in capsys.readouterr().out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["violations"] == 0
 
     def test_violation_exits_4(self, tmp_path, capsys):
         doc = {

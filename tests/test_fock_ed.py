@@ -56,6 +56,15 @@ def k0_hamiltonian(model: TorusModel):
     return fock_ed.build_hamiltonian(model, basis)
 
 
+def free_two_band_model(n: int) -> TorusModel:
+    """The two-band mode set with w_hat = 0: H is the kinetic diagonal, and
+    its ground is the condensate, at energy 0."""
+    table = {(1,): 0.0, (-1,): 0.0, (2,): 0.0, (-2,): 0.0}
+    return TorusModel(
+        d=1, N=n, potential=PotentialSpec.from_table(table), mode_cutoff=2.0 * TWO_PI + 0.1
+    )
+
+
 def one_pair_hb(m: int):
     """The pair Hamiltonian of the one-pair model on its M = m space."""
     model = make_one_pair_model(N=8)
@@ -405,6 +414,28 @@ FULL_SECTOR_MODELS = (
         mode_cutoff=9.0,
     ),
 )
+def all_blocks_merged(basis: fock_ed.FockBasis, ham, ed: fock_ed.EDSettings):
+    """The eigenvalues, gap, ground vector and residual that solve_sector
+    merges when it solves every block plan_blocks names, none skipped by a
+    Gershgorin bound: the oracle of the pruned solve."""
+    rows, routes = fock_ed.plan_blocks(basis, ed)
+    results, levels = {}, []
+    for p, dense in routes.items():
+        op = ham[rows[p]][:, rows[p]]
+        results[p] = fock_ed.lowest_eigenpairs(
+            op.toarray() if dense else op, replace(ed, k=max(ed.k, 2))
+        )
+        mirrored = -p != p and -p in rows
+        levels += list(results[p].eigenvalues) * (2 if mirrored else 1)
+    levels.sort()
+    ground_at = min(results, key=lambda p: results[p].ground_energy)
+    ground = np.zeros(basis.size)
+    ground[rows[ground_at]] = results[ground_at].ground_vector
+    residual = float(np.linalg.norm(ham @ ground - levels[0] * ground))
+    gap = levels[1] - levels[0] if len(levels) > 1 else math.inf
+    return tuple(levels[: ed.k]), gap, ground, residual
+
+
 FULL_SECTORS = pytest.mark.parametrize(
     "model", FULL_SECTOR_MODELS, ids=["one-pair-N48", "two-band-N16", "square-9-modes-N6"]
 )
@@ -468,23 +499,32 @@ class TestMomentumBlocks:
         "k, dense_threshold", [(1, 500), (3, 500), (1, 10)], ids=["k1", "k3", "k1-threshold-10"]
     )
     def test_blocks_match_their_sparse_slices(self, model, k, dense_threshold):
-        # Each solved block is solved from a dense array filled from the
-        # sector's entries; the reference solves the same block as a sparse
+        # Each solved block is solved from a dense array of its slice of the
+        # sector's operator; the reference solves the same block as a sparse
         # slice. Blocks above the threshold keep the sparse route to Lanczos.
-        # Of each pair {K, -K} only the greater is solved, and a direct solve
-        # of the other gives the levels counted for it.
+        # Of each pair {K, -K} at most the greater is solved, and a direct
+        # solve of the other gives the levels counted for it. A block whose
+        # Gershgorin bound skipped it has no level below the max(k, 2)-th
+        # level reported.
         settings = fock_ed.EDSettings(k=k, dense_threshold=dense_threshold)
         full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
         ham = fock_ed.build_hamiltonian(model, full)
         solved = fock_ed.solve_sector(full, ham, settings)
         scale = float(abs(ham).sum(axis=1).max())
-        assert set(solved.results) == {p for p in solved.rows if p >= -p}
+        assert zero_momentum(model.d) in solved.results
+        assert set(solved.results) < {p for p in solved.rows if p >= -p}
+        assert list(solved.results) == sorted(solved.results)
+        merged = solved.merged
+        last = merged.eigenvalues[-1] if k > 1 else merged.ground_energy + merged.gap
         methods = set()
         for momentum, block in solved.rows.items():
             theirs = fock_ed.lowest_eigenpairs(
                 ham[block][:, block], replace(settings, k=max(k, 2))
             )
             methods.add(theirs.method)
+            if momentum not in solved.results and -momentum not in solved.results:
+                assert theirs.ground_energy >= last
+                continue
             if momentum not in solved.results:
                 counted = solved.results[-momentum].eigenvalues
                 assert len(counted) == len(theirs.eigenvalues)
@@ -582,6 +622,29 @@ class TestMomentumBlocks:
         assert merged.residual_norm == float(
             np.linalg.norm(ham @ theirs.ground_vector - theirs.ground_energy * theirs.ground_vector)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pruned_solve_matches_every_block_solved(self, data):
+        # Random even tables on the five modes of a line or the nine of a
+        # square, lambda N up to 150 or lambda = 0 (exact ties between
+        # blocks), k = 1 or 3, both routes: the blocks the Gershgorin bounds
+        # skip change none of the merged bits.
+        model = draw_even_model(data, st.just(0.0))
+        lam_n = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 150.0)))
+        model = replace(model, lam=lam_n / model.N)
+        ed = fock_ed.EDSettings(
+            k=data.draw(st.sampled_from([1, 3])),
+            dense_threshold=data.draw(st.sampled_from([0, 10, 500])),
+        )
+        basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
+        ham = fock_ed.build_hamiltonian(model, basis)
+        merged = fock_ed.solve_sector(basis, ham, ed).merged
+        eigenvalues, gap, ground, residual = all_blocks_merged(basis, ham, ed)
+        assert merged.eigenvalues == eigenvalues
+        assert merged.gap == gap
+        assert np.array_equal(merged.ground_vector, ground)
+        assert merged.residual_norm == residual
 
     def test_mode_set_not_closed_under_negation_refused(self):
         # Over modes 0 and 1 block -K is not the mirror of block K.
@@ -1294,14 +1357,14 @@ class TestLowestEigenpairs:
         assert np.array_equal(a.ground_vector, b.ground_vector)
 
     def test_non_convergence_flagged(self):
-        # 25 states, more than ARPACK's 20-vector basis, so one restart
-        # cannot solve the operator exactly.
-        basis = one_pair_k0_basis(48)
-        ham = fock_ed.build_hamiltonian(make_one_pair_model(N=48), basis)
+        # 177 states, where the one-pair N = 48 block of 25 states is solved
+        # in one restart from the start vector weighted by the diagonal: one
+        # restart of ARPACK's 20-vector basis cannot solve it exactly.
+        ham = k0_hamiltonian(make_two_band_model(N=16))
         result = fock_ed.lowest_eigenpairs(
             ham, fock_ed.EDSettings(dense_threshold=0, max_iter=1)
         )
-        assert ham.shape[0] == 25
+        assert ham.shape[0] == 177
         assert result.method == "lanczos"
         assert not result.converged
         assert result.residual_norm > 1e-9
@@ -1484,6 +1547,56 @@ class TestLowestEigenpairs:
         bound = 1e-15 * float(abs(ham).sum(axis=1).max())
         assert abs(fast.ground_energy - slow.ground_energy) <= bound
         assert abs(fast.gap - slow.gap) <= bound
+
+    @pytest.mark.parametrize(
+        "build, second",
+        [
+            (lambda: scipy.sparse.diags(np.arange(1353.0), format="csr"), 1.0),
+            (lambda: np.diag(np.arange(1353.0)), 1.0),
+            (lambda: k0_hamiltonian(free_two_band_model(34)), 2.0 * TWO_PI**2),
+        ],
+        ids=["diag-0-to-1352", "dense-diag-0-to-1352", "two-band-N34-K0-free"],
+    )
+    def test_zero_ground_is_found(self, build, second):
+        # eigsh(which="SA") on these operators as they are reports 1 and
+        # 78.957 as their grounds; on op - sigma I, with sigma below the
+        # Gershgorin bound, it finds the 0 (the free condensate).
+        op = build()
+        result = fock_ed.lowest_eigenpairs(op)
+        assert (op.shape[0], result.method) == (1353, "lanczos")
+        assert result.converged
+        assert abs(result.ground_energy) <= 1e-12
+        assert result.gap == pytest.approx(second, abs=1e-9)
+
+    def test_start_vector_weighted_by_the_diagonal(self, monkeypatch):
+        # The two-band N = 34 K = 0 block: its diagonal climbs to about 5,400
+        # in steps of (2 pi)^2, its radii are at most about 28. From the
+        # Gaussian start scaled by exp(-(d_i - min d) / r_max) ARPACK needs
+        # at most 100 operator applications (184 from the Gaussian alone).
+        result = fock_ed.lowest_eigenpairs(k0_hamiltonian(make_two_band_model(N=34)))
+        assert result.method == "lanczos" and result.converged
+        assert result.iterations <= 100
+        # Radii of 1e-3 against diagonal steps of 1,000 would scale the start
+        # below the least double: the exponent is capped, no entry is 0.
+        import scipy.sparse.linalg
+
+        starts = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def recording(*args, **kwargs):
+            starts.append(kwargs["v0"].copy())
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+        steep = scipy.sparse.diags(
+            [np.full(599, 1e-3), 1e3 * np.arange(600.0), np.full(599, 1e-3)],
+            [-1, 0, 1],
+            format="csr",
+        )
+        result = fock_ed.lowest_eigenpairs(steep)
+        assert result.method == "lanczos" and result.converged
+        assert abs(result.ground_energy) <= 1e-8
+        assert len(starts) == 1 and np.all(starts[0] != 0.0)
 
     def test_default_iterative_solve_memory_is_bounded(self):
         # ARPACK keeps a fixed basis of 20 vectors, so a default iterative
@@ -1801,22 +1914,22 @@ class TestBindingFromED:
 
     def test_unconverged_global_block_fails_the_binding(self, monkeypatch):
         # At lambda N = 120 the bound does not certify K = 0, so after the
-        # K = 0 blocks of N = 8 and 7 the whole N = 8 sector is solved, by
-        # its blocks K = 0, 1, ..., 8; the last, K = +8, holds one state and
-        # not the ground: the K = 0 ground still attains the sector minimum,
-        # but the global check did not converge.
+        # K = 0 blocks of N = 8 and 7 the whole N = 8 sector is solved. Its
+        # Gershgorin bounds leave blocks K = 0 and K = +1 to solve; K = +1
+        # holds four states and not the ground: the K = 0 ground still
+        # attains the sector minimum, but the global check did not converge.
         solve = fock_ed.lowest_eigenpairs
         calls = []
 
-        def failing_k8(op, *args, **kwargs):
+        def failing_k1(op, *args, **kwargs):
             result = solve(op, *args, **kwargs)
             calls.append(op.shape[0])
-            return replace(result, converged=False) if len(calls) == 11 else result
+            return replace(result, converged=False) if len(calls) == 4 else result
 
-        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_k8)
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_k1)
         binding = fock_ed.binding_from_ed(make_one_pair_model(N=8, lam=15.0))
         assert binding.ground_bound <= binding.E_N
-        assert len(calls) == 11 and calls[10] == 1
+        assert calls == [5, 4, 5, 4]
         assert binding.k0_is_global is True
         assert binding.result_N.converged and binding.result_Nm1.converged
         assert binding.converged is False
@@ -1848,9 +1961,8 @@ class TestBindingFromED:
         bound = binding.ground_bound
         basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=n)
         whole = fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis))
-        for k, result in whole.results.items():
+        for k, energy in checks.block_minima(whole, fock_ed.EDSettings()).items():
             if not k.is_zero:
-                energy = result.ground_energy
                 assert bound <= energy + 1e-10 * max(1.0, abs(energy))
         minimum = whole.merged.ground_energy
         if binding.E_N < bound - 1e-10 * max(1.0, abs(bound)):
@@ -1929,6 +2041,26 @@ class TestBindingFromED:
 
 
 class TestVariationalSandwich:
+    def test_no_trial_state_gives_the_vacuous_lower_bound(self):
+        # w_hat(+-(2, 1)) = 4 at lambda = 28, N = 2 over the nine square
+        # modes: the K = 0 ground holds no zero-mode particle, so a_0 Psi_N
+        # = 0 and there is no trial state for the lower bound.
+        model = TorusModel(
+            d=2,
+            N=2,
+            potential=PotentialSpec.from_table({(2, 1): 4.0, (-2, -1): 4.0}),
+            mode_cutoff=1.5 * TWO_PI,
+            lam=28.0,
+        )
+        binding = fock_ed.binding_from_ed(model, check_global=False)
+        zp = binding.basis_N.zero_position
+        held = binding.basis_N.states[:, zp] > 0
+        assert not binding.result_N.ground_vector[held].any()
+        sw = fock_ed.variational_sandwich(binding)
+        assert sw.lower == -math.inf
+        assert math.isfinite(sw.upper) and sw.delta_E <= sw.upper + 1e-9
+        assert sw.norm_identity_dev_N <= 1e-10 and sw.norm_identity_dev_Nm1 <= 1e-10
+
     def test_bracket_and_norm_identities(self):
         model = make_one_pair_model(N=8)
         sw = fock_ed.variational_sandwich(fock_ed.binding_from_ed(model, check_global=False))
