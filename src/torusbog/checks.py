@@ -105,10 +105,10 @@ def block_minima(sector: fock_ed.SectorSolve, settings: fock_ed.EDSettings) -> d
     own operator, sector.block(K), at the settings solve_sector gives its
     blocks. The blocks that the Gershgorin bounds skipped are solved here,
     so a check against every block minimum keeps its strength."""
-    _, routes = fock_ed.plan_blocks(sector.basis, settings)
+    _, copies = fock_ed.plan_blocks(sector.basis, settings)
     block_settings = replace(settings, k=max(settings.k, 2))
     minima = {}
-    for k in routes:
+    for k in copies:
         result = sector.results.get(k)
         if result is None:
             result = fock_ed.lowest_eigenpairs(sector.block(k)[1], block_settings)

@@ -17,21 +17,24 @@ block is enumerated directly, one mode at a time, dropping every prefix that
 cannot reach its momentum, so no row outside it is kept.
 Each term moves a fixed occupation change across every state it acts on, and
 TorusModel.transfers, built once per model, groups the two-body terms by it.
-H is assembled from an array table of those terms, built once per mode set
-and potential (_term_table): every term is evaluated on every row at once,
-each change sums its terms row by row in term order, so each matrix entry is
-made once, and every moved entry of every change is ranked at once by rank
-arithmetic, one pass per mode, and located by one binary search. The rank of
-a row is a sum of one term per suffix sum, and a change moves only the few
-suffix sums between its first and last changed mode; FockBasis.shifted does
-the same for one change, for HB and the pairing observable. The number of
-array passes depends on the modes and the largest group of terms, not on the
-number of terms, and rows go in chunks that keep every temporary within
-ASSEMBLY_CHUNK_ELEMENTS. The CSR arrays of H, HB and a_0 are built directly
-from the entries sorted by (row, column), with no COO conversion (_assemble).
-lowest_eigenpairs solves dense by one LAPACK dsyevr call or by
-ARPACK (scipy.sparse.linalg.eigsh); the observables and operator-identity
-residuals of the binding-energy study are evaluated here too.
+A term's adjoint makes the opposite change with the same weight, so H is
+assembled from an array table of the terms of one change of each pair
+{c, -c}, built once per mode set and potential (_term_table): every term is
+evaluated on every row at once, each change sums its terms row by row in
+term order, and every moved entry is ranked at once by rank arithmetic, one
+pass per mode, and located by one binary search. Each entry, and each pair
+creation of HB, is stored with its mirror, so each entry is made once and
+both operators are exactly symmetric. The rank of a row is a sum of one term per suffix sum, and a
+change moves only the few suffix sums between its first and last changed
+mode; FockBasis.shifted does the same for one change, for HB and the
+pairing observable. The number of array passes depends on the modes and the
+largest group of terms, not on the number of terms, and rows go in chunks
+that keep every temporary within ASSEMBLY_CHUNK_ELEMENTS. The CSR arrays of
+H, HB and a_0 are built directly from the entries sorted by (row, column),
+with no COO conversion (_assemble). lowest_eigenpairs takes a CSR operator
+and solves it by ARPACK (scipy.sparse.linalg.eigsh) or by one LAPACK dsyevr
+call on one dense array; the observables and operator-identity residuals of
+the binding-energy study are evaluated here too.
 
 Both operators conserve total momentum, and every solve goes through one
 block loop, solve_sector(basis, ham, settings), on the operator its caller
@@ -46,7 +49,7 @@ solves only the blocks whose Gershgorin bound, read from the operator's
 diagonal and row sums, lies below the levels it reports. ARPACK starts from
 a vector weighted towards the rows of low diagonal. A basis filtered to one
 momentum is one block in order, so it is solved on its operator as it is,
-with no permutation and no bound. plan_blocks decides every block's route
+with no permutation and no bound. plan_blocks checks every block's route
 from the basis alone, so a caller refuses an oversized dense solve before
 assembly.
 
@@ -456,8 +459,8 @@ ASSEMBLY_CHUNK_ELEMENTS = 1 << 20
 @dataclass(frozen=True, eq=False)
 class _TermTable:
     """The two-body terms of model.transfers as arrays: the exchange group's
-    terms, then each moving change's terms, each group in table order, and
-    last a padding term of weight 0.
+    terms, then those of the first-listed change of each adjoint pair
+    {c, -c}, each group in table order, and last a padding term of weight 0.
 
     wl[t] is w_hat(l) of term t. factors[k, t] names the k-th square-root
     factor of term t, in the order q, p, q + l, p - l of a*_{p-l} a*_{q+l}
@@ -479,7 +482,13 @@ class _TermTable:
 def _build_term_table(model: TorusModel) -> _TermTable:
     terms = [t for change, group in model.transfers if not change for t in group]
     n_exchange = len(terms)
-    moving = [(change, group) for change, group in model.transfers if change]
+    # The adjoint of a*_{p-l} a*_{q+l} a_p a_q is the term (q + l, p - l, l)
+    # over the same four modes, so group -c holds the adjoints of group c.
+    moving, kept = [], set()
+    for change, group in model.transfers:
+        if change and tuple((i, -amount) for i, amount in change) not in kept:
+            kept.add(change)
+            moving.append((change, group))
     width = max((len(group) for _, group in moving), default=1)
     pad = n_exchange + sum(len(group) for _, group in moving)
     slots = []
@@ -541,9 +550,11 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
     slot column at a time; the exchange terms, which change nothing, add to
     the diagonal. Every nonzero sum is then moved by rank arithmetic, one
     loop over the modes whose suffix sum some change moves, and located by
-    one _locate call. Rows go in chunks that keep every (term, row)
-    temporary within ASSEMBLY_CHUNK_ELEMENTS elements. Momentum conservation
-    keeps every entry inside the basis, including momentum-filtered ones.
+    one _locate call. The table holds one change of each adjoint pair, so
+    each entry is stored with its mirror, and H == H.T exactly. Rows go in
+    chunks that keep every (term, row) temporary within
+    ASSEMBLY_CHUNK_ELEMENTS elements. Momentum conservation keeps every
+    entry inside the basis, including momentum-filtered ones.
     """
     if tuple(basis.modes) != model.mode_set():
         raise ValueError("basis modes do not match the model's mode set")
@@ -584,9 +595,10 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
         if not hit.all():
             # Momentum conservation guarantees membership.
             raise RuntimeError("generated state left the basis")
-        rows.append(target)
-        cols.append(source)
-        vals.append(total[change, at])
+        entry = total[change, at]
+        rows += [target, source]
+        cols += [source, target]
+        vals += [entry, entry]
     return _assemble(rows, cols, vals, (basis.size, basis.size))
 
 
@@ -605,7 +617,9 @@ def build_bogoliubov_hamiltonian(
     M - N+ is what the excitations leave. A pair is created out of the zero
     mode and annihilated into it with factor 1, so pair creation on a row
     holding fewer than 2 zero-mode quanta leaves the basis: the hard cutoff.
-    A pair carries no momentum, so no other move leaves a block.
+    A pair carries no momentum, so no other move leaves a block. Each pair
+    creation, located by one FockBasis.shifted call, is stored with its
+    mirror, the annihilation, so HB == HB.T exactly.
     """
     modes = tuple(modes)
     if not modes:
@@ -633,23 +647,16 @@ def build_bogoliubov_hamiltonian(
         if w == 0.0 or im < i:
             continue
         # Once per pair {p, -p}, at w_hat(p) = w_hat(p)/2 + w_hat(-p)/2: a_p* a_{-p}*
-        # takes its pair from the zero mode, a_p a_{-p} gives it back.
+        # takes its pair from the zero mode, and a_p a_{-p}, its adjoint,
+        # gives it back: the same entries mirrored.
         up = np.zeros(len(basis.modes), dtype=np.int64)
-        up[im] += 1
-        up[i] += 1
-        up[-1] -= 2
+        up[[i, im, -1]] = 1, 1, -2
         target = basis.shifted(index, up)
         sel = np.flatnonzero(target >= 0)
-        rows.append(target[sel])
-        cols.append(sel)
-        vals.append(w * np.sqrt((states[sel, i] + 1) * (states[sel, im] + 1)))
-        sel = np.flatnonzero((states[:, i] >= 1) & (states[:, im] >= 1))
-        target = basis.shifted(sel, -up)
-        if np.any(target < 0):
-            raise RuntimeError("generated state left the basis")
-        rows.append(target)
-        cols.append(sel)
-        vals.append(w * np.sqrt(states[sel, i] * states[sel, im]))
+        entry = w * np.sqrt((states[sel, i] + 1) * (states[sel, im] + 1))
+        rows += [target[sel], sel]
+        cols += [sel, target[sel]]
+        vals += [entry, entry]
     return basis, _assemble(rows, cols, vals, (basis.size, basis.size))
 
 
@@ -706,27 +713,29 @@ def _syevr_workspace(dim: int) -> tuple[int, int]:
 
 
 def lowest_eigenpairs(
-    op: scipy.sparse.spmatrix | np.ndarray, settings: EDSettings = EDSettings()
+    op: scipy.sparse.csr_matrix, settings: EDSettings = EDSettings()
 ) -> EDResult:
-    """The settings.k smallest eigenvalues and ground vector of a symmetric operator.
+    """The settings.k smallest eigenvalues and ground vector of an exactly
+    symmetric CSR operator, as H and HB are assembled.
 
-    op is a sparse matrix or a dense array; a dense array is only read. Up to
-    settings.dense_threshold states (MULTI_LEVEL_DENSE_LIMIT when k >= 3, and
-    at least max(k, 2)) the k_int = min(dim, max(k, 2)) lowest pairs come
-    from one LAPACK dsyevr call with range "I", its workspace queried once
-    per dimension; a failed call raises LinAlgError, and a dense route above
-    MAX_DENSE_STATES raises ResourceLimitError before any array is made.
-    Larger problems run ARPACK's implicitly restarted Lanczos (eigsh, which="SA"; Lehoucq,
-    Sorensen and Yang, ARPACK Users' Guide, SIAM (1998)) in a basis of 20
-    vectors, at most settings.max_iter restarts, on op shifted below its
-    Gershgorin bound and from a start vector weighted by op's diagonal
-    (_lanczos_lowest), and report the Rayleigh quotients of op at the
-    returned vectors; iterations counts its operator applications. The
-    second pair gives the gap above the ground. The
-    residual ||H v - E v|| is always measured post hoc on the returned
-    vector, and convergence means residual_norm <= tol; a solve that ARPACK
-    stops early, keeping the vectors it did converge, is reported
-    unconverged, never raised.
+    Up to settings.dense_threshold states (MULTI_LEVEL_DENSE_LIMIT when
+    k >= 3, and at least max(k, 2)) the k_int = min(dim, max(k, 2)) lowest
+    pairs come from one LAPACK dsyevr call with range "I", its workspace
+    queried once per dimension. It overwrites op.toarray().T, which is
+    Fortran-ordered and equal to op, so a dense solve holds one array of
+    dim**2 doubles. A failed call raises LinAlgError, and a dense route
+    above MAX_DENSE_STATES raises ResourceLimitError before any array is
+    made. Larger problems run ARPACK's implicitly restarted Lanczos (eigsh,
+    which="SA"; Lehoucq, Sorensen and Yang, ARPACK Users' Guide, SIAM (1998))
+    in a basis of 20 vectors, at most settings.max_iter restarts, on op
+    shifted below its Gershgorin bound and from a start vector weighted by
+    op's diagonal (_lanczos_lowest), and report the Rayleigh quotients of op
+    at the returned vectors; iterations counts its operator applications.
+    The second pair gives the gap above the ground. The residual ||H v - E v||
+    is always measured post hoc on op at the returned vector, and
+    convergence means residual_norm <= tol; a solve that ARPACK stops early,
+    keeping the vectors it did converge, is reported unconverged, never
+    raised.
 
     Lanczos from one start vector reports each distinct level only once, so
     a degenerate level appears once among the k lowest, and a degenerate
@@ -742,13 +751,10 @@ def lowest_eigenpairs(
     k_int = min(dim, max(k, 2))
     if _solves_dense(dim, settings):
         import scipy.linalg.lapack
-        import scipy.sparse
 
-        # Only a copy made here may be overwritten; the residual reads op.
-        sparse = scipy.sparse.issparse(op)
         lwork, liwork = _syevr_workspace(dim)
         theta, eigvecs, found, _, info = scipy.linalg.lapack.dsyevr(
-            op.toarray() if sparse else op,
+            op.toarray().T,
             compute_v=1,
             range="I",
             il=1,
@@ -756,7 +762,7 @@ def lowest_eigenpairs(
             lower=1,
             lwork=lwork,
             liwork=liwork,
-            overwrite_a=int(sparse),
+            overwrite_a=1,
         )
         if info != 0:
             raise np.linalg.LinAlgError(f"dsyevr failed, info = {info}")
@@ -782,19 +788,15 @@ def lowest_eigenpairs(
     )
 
 
-def _gershgorin(op: scipy.sparse.spmatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal d_i of a sparse matrix or dense array, and each row's
-    Gershgorin radius r_i = sum_{j != i} |op_ij|.
+def _gershgorin(op: scipy.sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal d_i of a CSR matrix, and each row's Gershgorin radius
+    r_i = sum_{j != i} |op_ij|.
 
     Every eigenvalue of a symmetric op lies in the union of the intervals
     [d_i - r_i, d_i + r_i], so min(d - r) bounds its spectrum from below
-    (Gershgorin circle theorem). A CSR op is read in one pass over its
-    stored values, with no copy of its index arrays.
+    (Gershgorin circle theorem). op is read in one pass over its stored
+    values, with no copy of its index arrays.
     """
-    if isinstance(op, np.ndarray):
-        diagonal = op.diagonal().copy()
-        return diagonal, np.abs(op).sum(axis=1) - np.abs(diagonal)
-    op = op.tocsr()
     starts = op.indptr[:-1]
     held = starts < op.indptr[1:]
     sums = np.zeros(op.shape[0])
@@ -805,7 +807,7 @@ def _gershgorin(op: scipy.sparse.spmatrix | np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _lanczos_lowest(
-    op: scipy.sparse.spmatrix | np.ndarray, k: int, settings: EDSettings
+    op: scipy.sparse.csr_matrix, k: int, settings: EDSettings
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """The k lowest Rayleigh quotients by ARPACK's implicitly restarted Lanczos
     (eigsh, which="SA"), the ground vector, the operator applications, and
@@ -821,9 +823,9 @@ def _lanczos_lowest(
     r_max the largest radius, unless r_max is 0. Where the diagonal climbs in
     steps much larger than the radii, as a kinetic-dominated H does, the low
     levels live on the rows of low diagonal, and this start holds little of
-    the rest. The exponent is capped at 600, so no entry becomes 0. When
-    ARPACK stops early, the vectors it did converge are kept, or the start
-    vector if none.
+    the rest. The exponent is capped at 600 before the division, so no entry
+    becomes 0 and a subnormal r_max overflows nothing. When ARPACK stops
+    early, the vectors it did converge are kept, or the start vector if none.
     """
     # Imported here, so that only a process that solves iteratively pays for
     # loading scipy.sparse.linalg.
@@ -842,7 +844,7 @@ def _lanczos_lowest(
     start = np.random.default_rng([settings.seed, dim]).standard_normal(dim)
     spread = float(radii.max())
     if spread > 0.0:
-        start *= np.exp(-np.minimum((diagonal - diagonal.min()) / spread, 600.0))
+        start *= np.exp(-np.minimum(diagonal - diagonal.min(), 600.0 * spread) / spread)
     finished = True
     try:
         _, vectors = eigsh(
@@ -914,28 +916,30 @@ class SectorSolve:
 
 def plan_blocks(
     basis: FockBasis, settings: EDSettings = EDSettings()
-) -> tuple[dict[Momentum, np.ndarray], dict[Momentum, bool]]:
-    """The momentum blocks solve_sector finds on basis, and how it solves them.
+) -> tuple[dict[Momentum, np.ndarray], dict[Momentum, int]]:
+    """The momentum blocks solve_sector finds on basis, and which it may solve.
 
     Returns basis.momentum_blocks() and, for each block it may solve (K = 0,
     each block whose mirror -K is absent, and of each pair {K, -K} present
-    the lexicographically greater; see SectorSolve), whether that block is
-    solved dense at max(settings.k, 2) levels. It needs only the basis, so a
-    caller that calls it right after enumeration refuses a dense route above
-    MAX_DENSE_STATES (ResourceLimitError) before anything is assembled. A
-    basis whose modes are not closed under negation raises ValueError.
+    the lexicographically greater; see SectorSolve), the number of blocks
+    holding its levels, 2 with its mirror, else 1. It needs only the basis,
+    so a caller that calls it right after enumeration refuses a dense route
+    of max(settings.k, 2) levels above MAX_DENSE_STATES (ResourceLimitError)
+    before anything is assembled. A basis whose modes are not closed under
+    negation raises ValueError.
     """
     # Mirrors as plain tuples, which compare and hash as momenta do.
     if {tuple(-x for x in p) for p in basis.modes} != set(basis.modes):
         raise ValueError("mode set not closed under negation: block -K is not block K mirrored")
     rows = basis.momentum_blocks()
     block_settings = replace(settings, k=max(settings.k, 2))
-    routes = {}
+    copies = {}
     for p, block in rows.items():
         mirror = tuple(-x for x in p)
         if p >= mirror or mirror not in rows:
-            routes[p] = _solves_dense(len(block), block_settings)
-    return rows, routes
+            _solves_dense(len(block), block_settings)  # raises for an oversized dense route
+            copies[p] = 2 if p != mirror and mirror in rows else 1
+    return rows, copies
 
 
 def solve_sector(
@@ -948,20 +952,19 @@ def solve_sector(
     (build_bogoliubov_hamiltonian). Its spectrum is the union of the block
     spectra (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), and block -K has
     the levels of block K (see SectorSolve), so at most K = 0 and one block
-    of each pair {K, -K} present are solved; plan_blocks names them and their
-    routes. A basis that is one block is solved on ham as it is. Otherwise
-    one pass over ham gives each row's diagonal d_i and Gershgorin radius r_i
-    (_gershgorin), and each block's levels are at least its bound, min(d_i -
-    r_i) over its rows. The blocks are solved in increasing bound order (ties
-    by momentum), and the solve stops once the next block's bound exceeds the
+    of each pair {K, -K} present are solved; plan_blocks names them. A basis
+    that is one block is solved on ham as it is. Otherwise one pass over ham
+    gives each row's diagonal d_i and Gershgorin radius r_i (_gershgorin),
+    and each block's levels are at least its bound, min(d_i - r_i) over its
+    rows. The blocks are solved in increasing bound order (ties by
+    momentum), and the solve stops once the next block's bound exceeds the
     max(k, 2)-th lowest level found so far by 1e-10 max(1, |level|), a
     mirrored block's levels counted twice: no level of that block or of any
     after it can be among the levels reported. In the kinetic-dominated
     regime only a few blocks are solved (K = 0 and K = 1 of the three-mode
-    N = 56 sector's 57). Each solved block is sliced out of ham and goes
-    through lowest_eigenpairs, as a dense array (the one toarray() gives) if
-    it will be solved dense, else as a sparse matrix. A basis whose modes
-    are not closed under negation raises ValueError.
+    N = 56 sector's 57). Each solved block is sliced out of ham, a CSR
+    matrix, and goes through lowest_eigenpairs. A basis whose modes are not
+    closed under negation raises ValueError.
 
     The merged result holds the k lowest of all block eigenvalues, a solved
     block's levels counted twice when its mirror is present, the gap between
@@ -976,32 +979,28 @@ def solve_sector(
         raise ValueError("basis holds no state")
     if ham.shape != (basis.size, basis.size):
         raise ValueError(f"basis mismatch: operator of shape {ham.shape} on {basis.size} states")
-    rows, routes = plan_blocks(basis, settings)
-    mirror = {p: tuple(-x for x in p) for p in routes}
-    copies = {p: 2 if p != mirror[p] and mirror[p] in rows else 1 for p in routes}
-    bound = dict.fromkeys(routes, -math.inf)
-    if len(routes) > 1:
+    rows, copies = plan_blocks(basis, settings)
+    bound = dict.fromkeys(copies, -math.inf)
+    if len(copies) > 1:
         diagonal, radii = _gershgorin(ham)
         low = diagonal - radii
-        bound = {p: float(low[rows[p]].min()) for p in routes}
+        bound = {p: float(low[rows[p]].min()) for p in copies}
     wanted = max(settings.k, 2)
     block_settings = replace(settings, k=wanted)
     solved: dict[Momentum, EDResult] = {}
     levels: list[float] = []
     # sorted is stable: equal bounds keep increasing momentum order.
-    for momentum in sorted(routes, key=bound.get):
+    for momentum in sorted(copies, key=bound.get):
         if len(levels) >= wanted:
             last = levels[wanted - 1]
             if bound[momentum] > last + 1e-10 * max(1.0, abs(last)):
                 break
         block = rows[momentum]
         op = ham if len(block) == basis.size else ham[block][:, block]
-        if routes[momentum]:
-            op = op.toarray()
         solved[momentum] = lowest_eigenpairs(op, block_settings)
         levels = sorted(levels + list(solved[momentum].eigenvalues) * copies[momentum])
     # In increasing momentum order, so ties resolve as when every block is solved.
-    results = {p: solved[p] for p in routes if p in solved}
+    results = {p: solved[p] for p in copies if p in solved}
     ground_at = min(results, key=lambda p: results[p].ground_energy)
     ground = np.zeros(basis.size)
     ground[rows[ground_at]] = results[ground_at].ground_vector

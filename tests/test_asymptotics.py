@@ -278,7 +278,7 @@ class TestRunBindingStudy:
         # The one-pair N = 48 sector holds 1,225 states; its largest momentum
         # block, K = 0, holds 25.
         dims = []
-        dense_arrays = 0
+        dense_solves = 0
         blocks = 0
         assembled = 0
         solve = fock_ed.lowest_eigenpairs
@@ -286,10 +286,12 @@ class TestRunBindingStudy:
         build = fock_ed.build_hamiltonian
 
         def recording(op, *args, **kwargs):
-            nonlocal dense_arrays
+            nonlocal dense_solves
             dims.append(op.shape[0])
-            dense_arrays += isinstance(op, np.ndarray)
-            return solve(op, *args, **kwargs)
+            assert op.format == "csr"
+            result = solve(op, *args, **kwargs)
+            dense_solves += result.method == "dense"
+            return result
 
         def counting(*args, **kwargs):
             nonlocal blocks
@@ -309,10 +311,10 @@ class TestRunBindingStudy:
         report = asymptotics.run_binding_study(one_pair_config(n_values))
         assert all(rec.converged for rec in report.records)
         assert max(dims) == 25
-        # Every solve is a momentum block of solve_sector, solved dense from a
-        # dense array: the whole N sector's blocks, K = 0 among them, and the
-        # K = 0 block of N - 1. Each record assembles those two operators once.
-        assert len(dims) == blocks == dense_arrays
+        # Every solve is a momentum block of solve_sector, a CSR operator
+        # solved dense: the K = 0 blocks of N and N - 1. Each record
+        # assembles those two operators once.
+        assert len(dims) == blocks == dense_solves
         assert assembled == 2 * len(n_values)
 
     def test_overlap_monotone_toward_quasifree(self):

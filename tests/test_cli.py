@@ -493,6 +493,8 @@ class TestEdWorkflow:
     def test_whole_sector_solves_momentum_blocks_only(
         self, tmp_path, monkeypatch, n, dimension, largest
     ):
+        import scipy.sparse
+
         from torusbog import fock_ed
 
         dims = []
@@ -511,9 +513,9 @@ class TestEdWorkflow:
         assert result["dimension"] == dimension
         assert (result["method"], result["iterations"]) == ("dense", 0)
         assert max(dims) == largest
-        # Every block is solved dense, so each arrives as a dense array
-        # filled from the sector's entries, not as a sparse slice.
-        assert kinds == {np.ndarray}
+        # Every block is solved dense, and each arrives as a CSR slice of the
+        # sector's operator, the one operator type the eigensolver takes.
+        assert kinds == {scipy.sparse.csr_matrix}
 
     def test_free_condensate_ground_is_reported(self, tmp_path):
         # w_hat = 0 on the two-band K = 0 block of N = 34 (1,353 states,
@@ -850,27 +852,27 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["00fe9d4797a19e266ed55c613b7b67ac"],
+                ["c2ca00ec5cb1eb8f4993bc25b29d63bf"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["9b2a1ca9acda2b7ccc9e78a5c3bc1347"],
+                ["2d3c331355b02ac10b118299df7817e4"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "ad72ee7dd5312e512a8d34c57e7a352c",
-                    "d85460c087ed336aaf0c43ffa05ec649",
-                    "ebe5c5ab6dbc28819ea9e7066056810e",
+                    "4679742131d58b0c5768f7c9125f24dd",
+                    "7aba80f7e9c108f4bf71c3dfbfb021b9",
+                    "f2bfdc648b88bb27d6c4defe2ee0a7a6",
                 ],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["3cff6062f1431503881d9b5e3dab0716"],
+                ["1df09fe0ac46f9050589a1a0552faafb"],
             ),
         ],
     )

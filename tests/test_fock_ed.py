@@ -238,6 +238,35 @@ def assert_same_csr(mine, theirs) -> None:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def assert_mirrors(ham, reference, model: TorusModel, basis: fock_ed.FockBasis) -> None:
+    """ham is exactly symmetric, and is reference, which evaluates every
+    occupation change, with the entries of half the changes mirrored: of each
+    adjoint pair {c, -c} of moving changes, build_hamiltonian evaluates the
+    one model.transfers lists first, and its entries must keep reference's
+    bytes. Every entry lies within 4 ulp of max |H_ij| of reference's."""
+    kept, evaluated = set(), set()
+    for change, _ in model.transfers:
+        if change and tuple((i, -amount) for i, amount in change) not in kept:
+            kept.add(change)
+            delta = np.zeros(len(basis.modes), dtype=np.int64)
+            delta[[i for i, _ in change]] = [amount for _, amount in change]
+            evaluated.add(delta.tobytes())
+    entries = reference.tocoo()
+    moved = basis.states[entries.row] - basis.states[entries.col]
+    own = np.array(
+        [r == c or m.tobytes() in evaluated for r, c, m in zip(entries.row, entries.col, moved)],
+        dtype=bool,
+    )
+    mirrored = np.asarray(reference[entries.col, entries.row]).ravel()
+    expected = scipy.sparse.csr_matrix(
+        (np.where(own, entries.data, mirrored), reference.indices, reference.indptr),
+        shape=reference.shape,
+    )
+    assert_same_csr(ham, expected)
+    assert (ham != ham.T).nnz == 0
+    assert abs(ham - reference).max() <= 4 * np.spacing(abs(ham).max())
+
+
 class TestEnumerateBasis:
     def test_fixed_n_count_is_stars_and_bars(self):
         modes = tuple(Momentum((n,)) for n in (-1, 0, 1))
@@ -418,13 +447,11 @@ def all_blocks_merged(basis: fock_ed.FockBasis, ham, ed: fock_ed.EDSettings):
     """The eigenvalues, gap, ground vector and residual that solve_sector
     merges when it solves every block plan_blocks names, none skipped by a
     Gershgorin bound: the oracle of the pruned solve."""
-    rows, routes = fock_ed.plan_blocks(basis, ed)
+    rows, copies = fock_ed.plan_blocks(basis, ed)
     results, levels = {}, []
-    for p, dense in routes.items():
+    for p in copies:
         op = ham[rows[p]][:, rows[p]]
-        results[p] = fock_ed.lowest_eigenpairs(
-            op.toarray() if dense else op, replace(ed, k=max(ed.k, 2))
-        )
+        results[p] = fock_ed.lowest_eigenpairs(op, replace(ed, k=max(ed.k, 2)))
         mirrored = -p != p and -p in rows
         levels += list(results[p].eigenvalues) * (2 if mirrored else 1)
     levels.sort()
@@ -499,18 +526,17 @@ class TestMomentumBlocks:
         "k, dense_threshold", [(1, 500), (3, 500), (1, 10)], ids=["k1", "k3", "k1-threshold-10"]
     )
     def test_blocks_match_their_sparse_slices(self, model, k, dense_threshold):
-        # Each solved block is solved from a dense array of its slice of the
-        # sector's operator; the reference solves the same block as a sparse
-        # slice. Blocks above the threshold keep the sparse route to Lanczos.
-        # Of each pair {K, -K} at most the greater is solved, and a direct
-        # solve of the other gives the levels counted for it. A block whose
+        # Each solved block is solved from its slice of the sector's
+        # operator, and the reference solves the same slice on its own, so
+        # every bit agrees, the residual too. Blocks above the threshold run
+        # Lanczos. Of each pair {K, -K} at most the greater is solved, and a
+        # direct solve of the other gives the levels counted for it. A block whose
         # Gershgorin bound skipped it has no level below the max(k, 2)-th
         # level reported.
         settings = fock_ed.EDSettings(k=k, dense_threshold=dense_threshold)
         full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
         ham = fock_ed.build_hamiltonian(model, full)
         solved = fock_ed.solve_sector(full, ham, settings)
-        scale = float(abs(ham).sum(axis=1).max())
         assert zero_momentum(model.d) in solved.results
         assert set(solved.results) < {p for p in solved.rows if p >= -p}
         assert list(solved.results) == sorted(solved.results)
@@ -540,8 +566,7 @@ class TestMomentumBlocks:
                 theirs.converged,
                 theirs.vector_reliable,
             )
-            # A dense product and a sparse one round differently.
-            assert abs(mine.residual_norm - theirs.residual_norm) <= 1e-14 * scale
+            assert mine.residual_norm == theirs.residual_norm
         assert methods == ({"dense"} if dense_threshold == 500 else {"dense", "lanczos"})
 
     @pytest.mark.parametrize(
@@ -590,16 +615,13 @@ class TestMomentumBlocks:
     @pytest.mark.parametrize("dense_threshold", [500, 10], ids=["dense", "lanczos"])
     def test_one_block_solve_uses_ham_as_it_is(self, dense_threshold, monkeypatch):
         # A K = 0 basis is one block in order: solve_sector neither permutes
-        # nor slices ham, and gives the direct solve of it bit for bit (the
-        # dense array bincount fills is the one toarray() gives).
+        # nor slices ham, and gives the direct solve of it bit for bit.
         model = make_one_pair_model(N=48)
         basis = fock_ed.enumerate_basis(model.mode_set(), 48, momentum_sector=Momentum((0,)))
         ham = fock_ed.build_hamiltonian(model, basis)
         settings = fock_ed.EDSettings(dense_threshold=dense_threshold)
         block_settings = replace(settings, k=2)
-        theirs = fock_ed.lowest_eigenpairs(
-            ham.toarray() if dense_threshold == 500 else ham, block_settings
-        )
+        theirs = fock_ed.lowest_eigenpairs(ham, block_settings)
         assert theirs.method == ("dense" if dense_threshold == 500 else "lanczos")
 
         def no_indexing(self, key):
@@ -785,8 +807,9 @@ class TestBuildHamiltonian:
         ham = fock_ed.build_hamiltonian(model, basis)
         assert np.allclose(ham.toarray(), ref, atol=1e-13)
         # Summing by occupation change gives the bytes of re-ranking every
-        # term and summing repeated entries in term order.
-        assert_same_csr(ham, reranked_hamiltonian(model, basis))
+        # term and summing repeated entries in term order, on the half of
+        # the entries that is evaluated.
+        assert_mirrors(ham, reranked_hamiltonian(model, basis), model, basis)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -797,9 +820,8 @@ class TestBuildHamiltonian:
         modes = model.mode_set()
         sector = data.draw(st.sampled_from([None] + [p for p in modes if not p.is_zero]))
         basis = fock_ed.enumerate_basis(modes, n_particles=model.N, momentum_sector=sector)
-        assert_same_csr(
-            fock_ed.build_hamiltonian(model, basis), reranked_hamiltonian(model, basis)
-        )
+        ham = fock_ed.build_hamiltonian(model, basis)
+        assert_mirrors(ham, reranked_hamiltonian(model, basis), model, basis)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -814,7 +836,23 @@ class TestBuildHamiltonian:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fock_ed, "ASSEMBLY_CHUNK_ELEMENTS", budget)
             ham = fock_ed.build_hamiltonian(model, basis)
-        assert_same_csr(ham, by_change_hamiltonian(model, basis))
+        assert_mirrors(ham, by_change_hamiltonian(model, basis), model, basis)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_tables_give_exactly_symmetric_operators(self, data):
+        # Tables drawn as in the test above: H and the pair Hamiltonian on
+        # the model's nonzero modes, each on a whole space or any block.
+        model = draw_even_model(data, st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
+        modes = model.mode_set()
+        sector = data.draw(st.sampled_from([None, *modes]))
+        basis = fock_ed.enumerate_basis(modes, n_particles=model.N, momentum_sector=sector)
+        ham = fock_ed.build_hamiltonian(model, basis)
+        assert (ham != ham.T).nnz == 0
+        _, hb = fock_ed.build_bogoliubov_hamiltonian(
+            model.nonzero_modes(), data.draw(st.integers(0, 4)), model.potential, sector
+        )
+        assert (hb != hb.T).nnz == 0
 
     @pytest.mark.parametrize(
         "model, sector",
@@ -844,7 +882,7 @@ class TestBuildHamiltonian:
         chunked = fock_ed.build_hamiltonian(model, basis)
         assert basis.size > 1 and whole.nnz > basis.size
         assert_same_csr(chunked, whole)
-        assert_same_csr(chunked, by_change_hamiltonian(model, basis))
+        assert_mirrors(chunked, by_change_hamiltonian(model, basis), model, basis)
 
     def test_hermiticity_random_vectors(self, two_band_model):
         basis = fock_ed.enumerate_basis(
@@ -929,8 +967,10 @@ class TestAssemble:
 
 
 class TestAssemblyByChange:
-    """Each matrix entry is made once. H locates the entries it moves in one
-    _locate pass; HB locates each pair change by one FockBasis.shifted call."""
+    """Each matrix entry is made once. H evaluates one change of each
+    adjoint pair and locates the entries it moves in one _locate pass; HB
+    locates each pair's creation by one FockBasis.shifted call. Both store
+    each located entry with its mirror."""
 
     @staticmethod
     def entries_once(monkeypatch) -> list[int]:
@@ -992,8 +1032,14 @@ class TestAssemblyByChange:
             assert positions == sorted(set(positions))
             assert all(amount for _, amount in change)
             assert sum(amount for _, amount in change) == 0
-        # Every entry the 14 changes move is ranked by rank arithmetic and
-        # located by one _locate call, with no shifted call per change.
+            assert tuple((i, -amount) for i, amount in change) in moving
+        # The term table holds the 14 exchange terms and the 18 terms of one
+        # change of each of the 7 adjoint pairs, then the padding term.
+        table = fock_ed._term_table(model)
+        assert (table.n_exchange, table.slots.shape[0], len(table.wl)) == (14, 7, 33)
+        # Every entry the 7 changes move is ranked by rank arithmetic and
+        # located by one _locate call, with no shifted call per change; its
+        # mirror is the other half of the moved entries.
         calls = self.shifted_calls(monkeypatch)
         locate = fock_ed.FockBasis._locate
         located = []
@@ -1004,28 +1050,30 @@ class TestAssemblyByChange:
 
         monkeypatch.setattr(fock_ed.FockBasis, "_locate", recording)
         ham = fock_ed.build_hamiltonian(model, basis)
-        assert calls == [] and located == [ham.nnz - basis.size]
-        # Rows taken in chunks: one _locate call per chunk, each moved entry
-        # located once.
+        assert calls == [] and located == [(ham.nnz - basis.size) // 2]
+        # Rows taken in chunks: one _locate call per chunk, each evaluated
+        # entry located once.
         monkeypatch.setattr(fock_ed, "ASSEMBLY_CHUNK_ELEMENTS", 4000)
         located.clear()
         fock_ed.build_hamiltonian(model, basis)
-        assert len(located) > 1 and sum(located) == ham.nnz - basis.size
+        assert len(located) > 1 and 2 * sum(located) == ham.nnz - basis.size
 
     @pytest.mark.parametrize(
         "model, pairs",
         [(FULL_SECTOR_MODELS[2], 4), (make_one_pair_model(N=4, cutoff=13.0), 1)],
         ids=["square-9-modes", "one-pair-5-modes"],
     )
-    def test_each_pair_located_twice(self, model, pairs, monkeypatch):
-        # One creation and one annihilation change per pair {p, -p} with
-        # w_hat(p) != 0; the one-pair table leaves the pair +-2 at 0.
+    def test_each_pair_located_once(self, model, pairs, monkeypatch):
+        # One creation change per pair {p, -p} with w_hat(p) != 0, whose
+        # mirror is the annihilation; the one-pair table leaves the pair +-2
+        # at 0.
         calls = self.shifted_calls(monkeypatch)
         modes = model.nonzero_modes()
         assert len({frozenset((p, -p)) for p in modes if model.w_hat(p) != 0.0}) == pairs
         fock_ed.build_bogoliubov_hamiltonian(modes, 4, model.potential)
-        assert len(calls) == 2 * pairs
+        assert len(calls) == pairs
         assert len(set(calls)) == len(calls)
+        assert all(sorted(delta)[0] == -2 for delta in calls)
 
     def test_zero_coupling_stores_the_diagonal_only(self):
         model = make_two_band_model(N=6, lam=0.0)
@@ -1039,20 +1087,21 @@ class TestAssemblyByChange:
 
 # sha256 of the CSR arrays (dtype and bytes of indptr, indices, data) of every
 # H that the study-sweep and ed-dense benchmark workloads assemble at seed 0,
-# where every coefficient is 1, as the change-by-change builder made them.
+# where every coefficient is 1, with one change of each adjoint pair
+# evaluated and its entries mirrored.
 OPERATOR_DIGESTS = {
     "study-N8-K0": "b6a535649ec5b9279403fb4cbcf4f374ca1232f7cff99088a47476c37ac8653b",
-    "study-N8-K0-minus-1": "b60996df48b4a39a85e1952aa5ab86bcffea34237f5599ef6b7b1ec8e8e3e15e",
-    "study-N16-K0": "859e74ce30ab4beded288dfb49027ed5847e2fbe4469f3aced09c985b276025c",
-    "study-N16-K0-minus-1": "cca59b40f4f3e919698227c29929d04ab6c5db8a0d05f2b57289ef05147622fd",
-    "study-N24-K0": "355ad84541ef12932a4cea2f58561d9f7207af81e5c0af191916134fa7c81d02",
-    "study-N24-K0-minus-1": "e689b6ebf25939c6eb33063f55b55dc3a6092aaca9a1d3ca1519d90358d0987b",
-    "study-N32-K0": "1d7967335b26d461bf7e4a9fb7b9e245999c0c06477030de42ace481e5d5c2ee",
-    "study-N32-K0-minus-1": "4c3fb8da89f8d4bdbefb01a24f00e67d5a90b7a819ae97292c982db3c997d324",
-    "study-N48-K0": "5ad14f3c21039baa5f20bc908cbcdf81ddfc8775de90d67e6ed01a62cbdab3a5",
-    "study-N48-K0-minus-1": "7d7be3726252b7260c0a08d83dc2018a818c3435c9720c49eda3e92f4991f775",
-    "two-band-N34-K0": "bbfd5fca3029fe445d5f4477f99ce7cbc2de30445517a8a12e6ec50ad1ac7fc4",
-    "three-mode-N56": "f174280ad18ad63cb6f51a3e9e72e68d922ee05542c9ce072b93031132089e9b",
+    "study-N8-K0-minus-1": "e7602a8b04ccf759ab673aa62bb85e7e6e8117842b30a6a6799eb1fe9eb82656",
+    "study-N16-K0": "65f0f2a0e078c7b30c21c08ab84c8265ce3d71022620c41e96bc4030f5c9046a",
+    "study-N16-K0-minus-1": "7796559f8c346e94de6ae87e657d0f2ece55ccf9f797c4600717e79a051b7a44",
+    "study-N24-K0": "64738cc7c2188d3894df15b7d9555a72ebab0137a95a1fd1c1f721102e2e1f1a",
+    "study-N24-K0-minus-1": "2b1dcaa7d07b0d1d6786b93bc084a0b1a85884d006725ddb2c6f9903bda47d43",
+    "study-N32-K0": "4622bfe5e17bb5cd5207bddce63b7693440de59ec3072a38f18a9ea9052f486e",
+    "study-N32-K0-minus-1": "d2f8dd026865c9db3eb0544971c076aece2a75466d9a7871f7d9697be9db7cff",
+    "study-N48-K0": "b568598d690f1b1310b5f8c89904b739ea53a6cad544a360b48799686f8191da",
+    "study-N48-K0-minus-1": "a786aa50a9ec4f9cdb1144f71983191da38ac6d00e0b0f5e4c4b298a099b54cc",
+    "two-band-N34-K0": "8792acdbeed6064a01aa82c06f19c8c58b3856a9f69811ab0ef2f900425ec184",
+    "three-mode-N56": "0cac0c1272997a2125dace8a64eea46720a4f1880bb4ad75d4185d99b4f7afb1",
 }
 
 
@@ -1087,6 +1136,8 @@ class TestOperatorDigests:
             digest.update(array.dtype.str.encode())
             digest.update(array.tobytes())
         assert digest.hexdigest() == OPERATOR_DIGESTS[name]
+        assert (ham != ham.T).nnz == 0
+        assert_mirrors(ham, by_change_hamiltonian(model, basis), model, basis)
 
 
 class TestRankArithmetic:
@@ -1299,17 +1350,6 @@ class TestPairHamiltonian:
         assert np.array_equal(basis.states, whole_basis.states[rows])
         assert_same_csr(ham, whole[rows][:, rows])
 
-    def test_block_target_outside_the_basis_raises(self, monkeypatch):
-        def nowhere(self, rows, delta):
-            return np.full(len(rows), -1, dtype=np.int64)
-
-        monkeypatch.setattr(fock_ed.FockBasis, "shifted", nowhere)
-        potential = PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0})
-        with pytest.raises(RuntimeError, match="left the basis"):
-            fock_ed.build_bogoliubov_hamiltonian(
-                (Momentum((-1,)), Momentum((1,))), 4, potential, momentum_sector=zero_momentum(1)
-            )
-
     def test_empty_mode_set_refused(self):
         potential = PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0})
         with pytest.raises(ValueError, match="empty"):
@@ -1480,35 +1520,37 @@ class TestLowestEigenpairs:
 
         monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", recording)
         ham = fock_ed.build_hamiltonian(make_one_pair_model(N=10), one_pair_k0_basis(10))
-        for op in (ham, ham.toarray()):
-            for k in (1, 3):
-                fock_ed.lowest_eigenpairs(op, fock_ed.EDSettings(k=k))
-        # k_int = max(k, 2) lowest pairs by index, on either kind of operator.
-        assert calls == [("I", 1, 2), ("I", 1, 3)] * 2
+        for k in (1, 3):
+            fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(k=k))
+        # k_int = max(k, 2) lowest pairs by index.
+        assert calls == [("I", 1, 2), ("I", 1, 3)]
 
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: k0_hamiltonian(make_one_pair_model(N=12)),
-            lambda: k0_hamiltonian(make_two_band_model(N=16)),
-            lambda: one_pair_hb(12),
-        ],
-        ids=["one-pair-N12-K0", "two-band-N16-K0", "pair-M12"],
-    )
-    def test_dense_array_matches_sparse_operator(self, build, k):
-        ham = build()
-        # Fortran order, which LAPACK could overwrite without a copy.
-        array = np.asfortranarray(ham.toarray())
-        settings = fock_ed.EDSettings(k=k)
-        sparse = fock_ed.lowest_eigenpairs(ham, settings)
-        dense = fock_ed.lowest_eigenpairs(array, settings)
-        assert sparse.method == dense.method == "dense"
-        assert dense.eigenvalues == sparse.eigenvalues
-        assert dense.gap == sparse.gap
-        assert np.array_equal(dense.ground_vector, sparse.ground_vector)
-        # The caller's array is only read.
-        assert np.array_equal(array, ham.toarray())
+    def test_dense_solve_holds_one_array(self, monkeypatch):
+        # dsyevr is given op.toarray().T, Fortran-ordered and equal to op,
+        # and overwrites it in place: a dense solve of 1,540 states holds one
+        # dim**2 array of doubles, not that array and a copy for LAPACK.
+        import scipy.linalg.lapack
+
+        ham = one_pair_hb(54)
+        dim = ham.shape[0]
+        syevr = scipy.linalg.lapack.dsyevr
+        given = []
+
+        def recording(a, **kwargs):
+            given.append((a.flags.f_contiguous, kwargs["overwrite_a"]))
+            return syevr(a, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", recording)
+        settings = fock_ed.EDSettings(dense_threshold=2000)
+        tracemalloc.start()
+        try:
+            result = fock_ed.lowest_eigenpairs(ham, settings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (dim, result.method, given) == (1540, "dense", [(True, 1)])
+        assert result.converged
+        assert peak < 1.25 * 8 * dim**2
 
     def test_lapack_failure_raises(self, monkeypatch):
         import scipy.linalg.lapack
@@ -1521,9 +1563,8 @@ class TestLowestEigenpairs:
 
         monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
         ham = k0_hamiltonian(make_one_pair_model(N=8))
-        for op in (ham, ham.toarray()):
-            with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
-                fock_ed.lowest_eigenpairs(op)
+        with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+            fock_ed.lowest_eigenpairs(ham)
 
     @pytest.mark.parametrize(
         "build, dim",
@@ -1552,7 +1593,9 @@ class TestLowestEigenpairs:
         "build, second",
         [
             (lambda: scipy.sparse.diags(np.arange(1353.0), format="csr"), 1.0),
-            (lambda: np.diag(np.arange(1353.0)), 1.0),
+            # The same diagonal from a dense array, whose 0 is not stored:
+            # row 0 of the CSR matrix holds no entry.
+            (lambda: scipy.sparse.csr_matrix(np.diag(np.arange(1353.0))), 1.0),
             (lambda: k0_hamiltonian(free_two_band_model(34)), 2.0 * TWO_PI**2),
         ],
         ids=["diag-0-to-1352", "dense-diag-0-to-1352", "two-band-N34-K0-free"],
@@ -1597,6 +1640,16 @@ class TestLowestEigenpairs:
         assert result.method == "lanczos" and result.converged
         assert abs(result.ground_energy) <= 1e-8
         assert len(starts) == 1 and np.all(starts[0] != 0.0)
+        # Subnormal radii, as a coupling of 1e-308 gives: the exponent is
+        # capped before the division, which would overflow (a warning, and
+        # so an error here).
+        tiny = scipy.sparse.diags(
+            [np.full(599, 1e-310), np.arange(600.0), np.full(599, 1e-310)], [-1, 0, 1], format="csr"
+        )
+        result = fock_ed.lowest_eigenpairs(tiny)
+        assert result.method == "lanczos" and result.converged
+        assert (result.ground_energy, result.gap) == (0.0, 1.0)
+        assert len(starts) == 2 and np.all(starts[1] != 0.0)
 
     def test_default_iterative_solve_memory_is_bounded(self):
         # ARPACK keeps a fixed basis of 20 vectors, so a default iterative
