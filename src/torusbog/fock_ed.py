@@ -32,9 +32,10 @@ largest group of terms, not on the number of terms, and rows go in chunks
 that keep every temporary within ASSEMBLY_CHUNK_ELEMENTS. The CSR arrays of
 H, HB and a_0 are built directly from the entries sorted by (row, column),
 with no COO conversion (_assemble). lowest_eigenpairs takes a CSR operator
-and solves it by ARPACK (scipy.sparse.linalg.eigsh) or by one LAPACK dsyevr
-call on one dense array; the observables and operator-identity residuals of
-the binding-energy study are evaluated here too.
+and solves it by a block Davidson solver preconditioned with the operator's
+diagonal (_davidson_lowest) or by one LAPACK dsyevr call on one dense array;
+the observables and operator-identity residuals of the binding-energy study
+are evaluated here too.
 
 Both operators conserve total momentum, and every solve goes through one
 block loop, solve_sector(basis, ham, settings), on the operator its caller
@@ -46,12 +47,13 @@ cutoff ladder solves only K = 0 blocks. Both operators are also even under
 p -> -p, so the loop solves at most K = 0 and one block of each pair
 {K, -K}, and counts that block's levels for its mirror too. Of those, it
 solves only the blocks whose Gershgorin bound, read from the operator's
-diagonal and row sums, lies below the levels it reports. ARPACK starts from
-a vector weighted towards the rows of low diagonal. A basis filtered to one
-momentum is one block in order, so it is solved on its operator as it is,
-with no permutation and no bound. plan_blocks checks every block's route
-from the basis alone, so a caller refuses an oversized dense solve before
-assembly.
+diagonal and row sums, lies below the levels it reports, each gathered
+from the operator's CSR arrays (_block_operator). Davidson starts on the
+rows of low diagonal. A basis filtered to one momentum is one block in
+order, so it is solved on its operator as it is, with no permutation and
+no bound. plan_blocks checks every block's route from the basis alone, so
+a caller refuses an oversized dense solve before assembly; the blocks and
+their mirror counts are found once per basis.
 
 scipy is imported inside the functions that assemble, solve or build a_0,
 so a process that only reads cached results never loads it.
@@ -79,8 +81,8 @@ DEFAULT_MAX_STATES = 500_000
 # Ground-state gap below which vector-dependent observables are flagged unreliable.
 DEGENERACY_GAP = 1e-8
 
-# Requests for k >= 3 levels are solved dense up to this dimension, since
-# Lanczos reports a degenerate level once (see lowest_eigenpairs).
+# Requests for k >= 3 levels are solved dense up to this dimension (see
+# lowest_eigenpairs).
 MULTI_LEVEL_DENSE_LIMIT = 2000
 
 # Largest operator solved dense, whatever the settings ask: at this size its
@@ -95,7 +97,7 @@ class EDSettings:
     tol: float = 1e-9
     max_iter: int = 1000
     seed: int = 0
-    # Largest k <= 2 solve sent dense; ARPACK's measured crossover is near 200-240.
+    # Largest k <= 2 solve sent dense; Davidson's measured crossover is near 130-180.
     dense_threshold: int = 500
     k: int = 1
 
@@ -310,6 +312,21 @@ class FockBasis:
         for rows in blocks.values():
             rows.flags.writeable = False
         return blocks
+
+    @functools.cached_property
+    def _block_copies(self) -> dict[Momentum, int]:
+        """For each block plan_blocks names, the number of blocks holding its
+        levels: 2 with its mirror -K, else 1. A mode set not closed under
+        negation raises ValueError."""
+        # Mirrors as plain tuples, which compare and hash as momenta do.
+        if {tuple(-x for x in p) for p in self.modes} != set(self.modes):
+            raise ValueError("mode set not closed under negation: block -K is not block K mirrored")
+        copies = {}
+        for p in self._blocks:
+            mirror = tuple(-x for x in p)
+            if p >= mirror or mirror not in self._blocks:
+                copies[p] = 2 if p != mirror and mirror in self._blocks else 1
+        return copies
 
     def excitation_counts(self) -> np.ndarray:
         """Per-state number of particles outside the zero mode."""
@@ -725,24 +742,19 @@ def lowest_eigenpairs(
     Fortran-ordered and equal to op, so a dense solve holds one array of
     dim**2 doubles. A failed call raises LinAlgError, and a dense route
     above MAX_DENSE_STATES raises ResourceLimitError before any array is
-    made. Larger problems run ARPACK's implicitly restarted Lanczos (eigsh,
-    which="SA"; Lehoucq, Sorensen and Yang, ARPACK Users' Guide, SIAM (1998))
-    in a basis of 20 vectors, at most settings.max_iter restarts, on op
-    shifted below its Gershgorin bound and from a start vector weighted by
-    op's diagonal (_lanczos_lowest), and report the Rayleigh quotients of op
-    at the returned vectors; iterations counts its operator applications.
-    The second pair gives the gap above the ground. The residual ||H v - E v||
-    is always measured post hoc on op at the returned vector, and
-    convergence means residual_norm <= tol; a solve that ARPACK stops early,
-    keeping the vectors it did converge, is reported unconverged, never
+    made. Larger problems run a block Davidson solver on k_int vectors
+    (_davidson_lowest), at most settings.max_iter iterations, from unit
+    vectors on the rows of lowest diagonal, and report the Rayleigh
+    quotients of op at its Ritz vectors; iterations counts its operator
+    applications. The second pair gives the gap above the ground. The
+    residual ||H v - E v|| is always measured post hoc on op at the returned
+    vector, and convergence means residual_norm <= tol; a solve that stops
+    at max_iter keeps its best vectors and is reported unconverged, never
     raised.
 
-    Lanczos from one start vector reports each distinct level only once, so
-    a degenerate level appears once among the k lowest, and a degenerate
-    ground reports the next level as the gap. Requests for k >= 3 therefore
-    stay dense up to MULTI_LEVEL_DENSE_LIMIT states; above it, counting
-    multiplicities needs a block method (Wu and Simon, SIAM J. Matrix Anal.
-    Appl. 22, 602 (2000)).
+    Davidson works on a block of k_int vectors, so it can report a
+    degenerate level as often as it occurs among the k_int lowest. Requests
+    for k >= 3 still stay dense up to MULTI_LEVEL_DENSE_LIMIT states.
     """
     dim = op.shape[0]
     if dim == 0:
@@ -772,8 +784,8 @@ def lowest_eigenpairs(
         finished = True
         method = "dense"
     else:
-        theta, ground, iterations, finished = _lanczos_lowest(op, k_int, settings)
-        method = "lanczos"
+        theta, ground, iterations, finished = _davidson_lowest(op, k_int, settings)
+        method = "davidson"
     ground = ground / float(np.linalg.norm(ground))
     residual = float(np.linalg.norm(op @ ground - theta[0] * ground))
     gap = float(theta[1] - theta[0]) if len(theta) > 1 else math.inf
@@ -806,64 +818,112 @@ def _gershgorin(op: scipy.sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return diagonal, sums - np.abs(diagonal)
 
 
-def _lanczos_lowest(
+# Vectors the Davidson search space holds beyond its block, so a solve holds
+# a few tens of vectors of dim doubles whatever max_iter allows.
+DAVIDSON_WIDTH = 12
+
+# Scale of the seeded Gaussian added to each Davidson start column.
+START_NOISE = 1e-2
+
+
+def _davidson_start(
+    diagonal: np.ndarray, radii: np.ndarray, block: int, seed: int
+) -> np.ndarray:
+    """The block start rows of the Davidson solver: row j is the unit vector
+    on the j-th lowest diagonal row (ties by position) plus a seeded Gaussian
+    of scale START_NOISE, each entry scaled by exp(-(d_i - min d) / r_max),
+    with r_max the largest Gershgorin radius.
+
+    Where the diagonal climbs in steps much larger than the radii, as a
+    kinetic-dominated H does, the low levels live on the rows of low
+    diagonal, and this start holds little of the rest. The Gaussian is a
+    deterministic function of (seed, dimension), so no column is orthogonal
+    to a level that a symmetry of op separates from its unit vector. The
+    exponent is capped at 600 before the division, and r_max is taken at
+    least the smallest subnormal, so no entry becomes 0 and nothing
+    overflows, a diagonal op included.
+    """
+    dim = len(diagonal)
+    start = START_NOISE * np.random.default_rng([seed, dim]).standard_normal((block, dim))
+    spread = max(float(radii.max()), np.finfo(float).smallest_subnormal)
+    start *= np.exp(-np.minimum(diagonal - diagonal.min(), 600.0 * spread) / spread)
+    start[np.arange(block), np.argsort(diagonal, kind="stable")[:block]] += 1.0
+    return start
+
+
+def _davidson_lowest(
     op: scipy.sparse.csr_matrix, k: int, settings: EDSettings
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """The k lowest Rayleigh quotients by ARPACK's implicitly restarted Lanczos
-    (eigsh, which="SA"), the ground vector, the operator applications, and
-    whether ARPACK finished within settings.max_iter restarts.
+    """The k lowest Rayleigh quotients by a block Davidson solver (Davidson,
+    J. Comput. Phys. 17, 87 (1975)), the ground vector, the operator
+    applications, and whether every pair converged within settings.max_iter
+    iterations.
 
-    ARPACK runs at tolerance 0 (machine precision) on op - sigma I, where
-    sigma is op's Gershgorin bound min(d - r) less 1 (_gershgorin), so every
-    level it sees is at least 1: from 0 or near it, which="SA" can miss a
-    level (it misses the 0 of diag(0, 1, ..., 1352)). The Krylov spaces are
-    those of op, and the levels reported are Rayleigh quotients of op. The
-    start vector is a deterministic function of (seed, dimension): a
-    Gaussian vector, each entry scaled by exp(-(d_i - min d) / r_max), with
-    r_max the largest radius, unless r_max is 0. Where the diagonal climbs in
-    steps much larger than the radii, as a kinetic-dominated H does, the low
-    levels live on the rows of low diagonal, and this start holds little of
-    the rest. The exponent is capped at 600 before the division, so no entry
-    becomes 0 and a subnormal r_max overflows nothing. When ARPACK stops
-    early, the vectors it did converge are kept, or the start vector if none.
+    The search space V and its image HV = op V are rows of C-ordered
+    (DAVIDSON_WIDTH + k, dim) arrays, V orthonormal. Each iteration takes
+    the k lowest Ritz pairs (theta_j, x_j) of V, and stops once every
+    residual r_j = op x_j - theta_j x_j is at most 32 eps ||op||_inf. Each
+    open pair then adds the correction r_j / (d_i - theta_j), with d_i the
+    diagonal and each denominator at least that tolerance in size, or r_j
+    itself where the correction lies in V (as on an exactly diagonal op).
+    A new row goes through two passes of Gram-Schmidt against V and is kept
+    only if more than 1e-8 of its norm is left. When V is full it restarts
+    from the k Ritz vectors. An iteration that adds no row stops the
+    solve, unconverged. The space starts from _davidson_start. The levels
+    reported are fresh Rayleigh quotients of op at the Ritz vectors of the
+    last iteration, the best the solve found.
     """
-    # Imported here, so that only a process that solves iteratively pays for
-    # loading scipy.sparse.linalg.
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
     dim = op.shape[0]
-    applied = 0
     diagonal, radii = _gershgorin(op)
-    sigma = float(np.min(diagonal - radii)) - 1.0
+    tol = 32.0 * np.finfo(float).eps * float((np.abs(diagonal) + radii).max())
+    space = np.empty((DAVIDSON_WIDTH + k, dim))
+    image = np.empty_like(space)
+    size = 0
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        nonlocal applied
-        applied += 1
-        return op @ v - sigma * v
+    def extend(row: np.ndarray) -> bool:
+        nonlocal size
+        before = float(np.linalg.norm(row))
+        for _ in range(2):
+            row = row - (space[:size] @ row) @ space[:size]
+        after = float(np.linalg.norm(row))
+        if not after > 1e-8 * before:
+            return False
+        space[size] = row / after
+        size += 1
+        return True
 
-    start = np.random.default_rng([settings.seed, dim]).standard_normal(dim)
-    spread = float(radii.max())
-    if spread > 0.0:
-        start *= np.exp(-np.minimum(diagonal - diagonal.min(), 600.0 * spread) / spread)
-    finished = True
-    try:
-        _, vectors = eigsh(
-            LinearOperator((dim, dim), matvec=apply, dtype=float),
-            k=k,
-            which="SA",
-            v0=start,
-            tol=0,
-            maxiter=settings.max_iter,
-        )
-    except ArpackNoConvergence as stop:
-        finished = False
-        vectors = stop.eigenvectors if stop.eigenvectors.shape[1] else start[:, None]
-    # Report the Rayleigh quotients of the returned vectors, about what a
-    # dense solve carries, rather than ARPACK's Ritz values.
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
-    theta = np.einsum("ij,ij->j", vectors, op @ vectors)
+    for row in _davidson_start(diagonal, radii, k, settings.seed):
+        extend(row)
+    image[:size] = (op @ space[:size].T).T
+    applied = size
+    finished = False
+    for iteration in range(settings.max_iter):
+        theta, coefficients = np.linalg.eigh(space[:size] @ image[:size].T)
+        coefficients = coefficients[:, :k].T
+        ritz = coefficients @ space[:size]
+        ritz_image = coefficients @ image[:size]
+        residuals = ritz_image - theta[:k, None] * ritz
+        open_pairs = np.flatnonzero(np.linalg.norm(residuals, axis=1) > tol)
+        if not len(open_pairs):
+            finished = True
+            break
+        if iteration == settings.max_iter - 1:
+            break
+        if size + len(open_pairs) > len(space):
+            space[:k], image[:k], size = ritz, ritz_image, k
+        grown = size
+        for j in open_pairs:
+            shifted = diagonal - theta[j]
+            shifted[np.abs(shifted) < tol] = tol
+            extend(residuals[j] / shifted) or extend(residuals[j])
+        if size == grown:
+            break
+        image[grown:size] = (op @ space[grown:size].T).T
+        applied += size - grown
+    ritz /= np.linalg.norm(ritz, axis=1)[:, None]
+    theta = np.einsum("ij,ji->i", ritz, op @ ritz.T)
     order = np.argsort(theta)
-    return theta[order], _phase_fixed(vectors[:, order[0]]), applied, finished
+    return theta[order], _phase_fixed(ritz[order[0]]), applied, finished
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +971,35 @@ class SectorSolve:
             n_particles=self.basis.n_particles,
             momentum_sector=momentum,
         )
-        return basis, self.ham[rows][:, rows]
+        return basis, _block_operator(self.ham, rows)
+
+
+def _block_operator(ham: scipy.sparse.csr_matrix, rows: np.ndarray) -> scipy.sparse.csr_matrix:
+    """ham[rows][:, rows] for ascending rows, gathered from ham's CSR arrays.
+
+    Every stored entry of the given rows is read in order, and those whose
+    column is one of rows are kept, their columns renumbered. ham is
+    canonical and rows ascend, so this is the canonical matrix scipy's two
+    fancy-index calls give, bit for bit, without their round trips.
+    """
+    import scipy.sparse
+
+    starts = ham.indptr[rows]
+    counts = ham.indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    entries = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+    position = np.full(ham.shape[1], -1, dtype=ham.indices.dtype)
+    position[rows] = np.arange(len(rows))
+    columns = position[ham.indices[entries]]
+    kept = columns >= 0
+    held = np.zeros(len(kept) + 1, dtype=ham.indptr.dtype)
+    np.cumsum(kept, out=held[1:])
+    indptr = np.concatenate((held[:1], held[ends]))
+    block = scipy.sparse.csr_matrix(
+        (ham.data[entries[kept]], columns[kept], indptr), shape=(len(rows), len(rows))
+    )
+    block.has_canonical_format = True
+    return block
 
 
 def plan_blocks(
@@ -928,17 +1016,11 @@ def plan_blocks(
     before anything is assembled. A basis whose modes are not closed under
     negation raises ValueError.
     """
-    # Mirrors as plain tuples, which compare and hash as momenta do.
-    if {tuple(-x for x in p) for p in basis.modes} != set(basis.modes):
-        raise ValueError("mode set not closed under negation: block -K is not block K mirrored")
     rows = basis.momentum_blocks()
+    copies = dict(basis._block_copies)
     block_settings = replace(settings, k=max(settings.k, 2))
-    copies = {}
-    for p, block in rows.items():
-        mirror = tuple(-x for x in p)
-        if p >= mirror or mirror not in rows:
-            _solves_dense(len(block), block_settings)  # raises for an oversized dense route
-            copies[p] = 2 if p != mirror and mirror in rows else 1
+    for p in copies:
+        _solves_dense(len(rows[p]), block_settings)  # raises for an oversized dense route
     return rows, copies
 
 
@@ -962,9 +1044,9 @@ def solve_sector(
     mirrored block's levels counted twice: no level of that block or of any
     after it can be among the levels reported. In the kinetic-dominated
     regime only a few blocks are solved (K = 0 and K = 1 of the three-mode
-    N = 56 sector's 57). Each solved block is sliced out of ham, a CSR
-    matrix, and goes through lowest_eigenpairs. A basis whose modes are not
-    closed under negation raises ValueError.
+    N = 56 sector's 57). Each solved block is gathered from ham's CSR
+    arrays (_block_operator) and goes through lowest_eigenpairs. A basis
+    whose modes are not closed under negation raises ValueError.
 
     The merged result holds the k lowest of all block eigenvalues, a solved
     block's levels counted twice when its mirror is present, the gap between
@@ -972,7 +1054,7 @@ def solve_sector(
     the whole basis, zero on every other row; its residual is measured on the
     whole operator. These are the values solving every block would give. It
     is converged when every solved block is and that residual is <= tol. Its
-    method is "lanczos" if any solved block ran Lanczos, and its iterations
+    method is "davidson" if any solved block ran Davidson, and its iterations
     are the sum over the solved blocks.
     """
     if not basis.size:
@@ -996,7 +1078,7 @@ def solve_sector(
             if bound[momentum] > last + 1e-10 * max(1.0, abs(last)):
                 break
         block = rows[momentum]
-        op = ham if len(block) == basis.size else ham[block][:, block]
+        op = ham if len(block) == basis.size else _block_operator(ham, block)
         solved[momentum] = lowest_eigenpairs(op, block_settings)
         levels = sorted(levels + list(solved[momentum].eigenvalues) * copies[momentum])
     # In increasing momentum order, so ties resolve as when every block is solved.
@@ -1012,7 +1094,7 @@ def solve_sector(
         residual_norm=residual,
         iterations=sum(r.iterations for r in results.values()),
         converged=residual <= settings.tol and all(r.converged for r in results.values()),
-        method="lanczos" if any(r.method == "lanczos" for r in results.values()) else "dense",
+        method="davidson" if any(r.method == "davidson" for r in results.values()) else "dense",
         gap=gap,
     )
     return SectorSolve(basis=basis, ham=ham, rows=rows, results=results, merged=merged)

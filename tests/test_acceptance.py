@@ -276,7 +276,7 @@ def test_9_solver_oracle_equivalence(capsys):
         assert op.shape[0] <= 2000, label
         dense = fock_ed.lowest_eigenpairs(op, EDSettings(dense_threshold=10**9))
         iterative = fock_ed.lowest_eigenpairs(op, EDSettings(dense_threshold=0))
-        assert dense.method == "dense" and iterative.method == "lanczos", label
+        assert dense.method == "dense" and iterative.method == "davidson", label
         assert dense.converged and iterative.converged, label
         worst = max(worst, abs(dense.eigenvalues[0] - iterative.eigenvalues[0]))
     elapsed = time.perf_counter() - start

@@ -519,7 +519,7 @@ class TestEdWorkflow:
 
     def test_free_condensate_ground_is_reported(self, tmp_path):
         # w_hat = 0 on the two-band K = 0 block of N = 34 (1,353 states,
-        # ARPACK at default settings): the ground is the condensate at 0 and
+        # Davidson at default settings): the ground is the condensate at 0 and
         # the next level holds a pair at +-1, 2 (2 pi)^2 above it.
         potential = {"entries": [[-2, 0.0], [-1, 0.0], [1, 0.0], [2, 0.0]]}
         doc = {
@@ -529,10 +529,36 @@ class TestEdWorkflow:
         cfg = write_json(tmp_path / "cfg.json", doc)
         assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         result = read_json(tmp_path / "out" / "report.json")["result"]
-        assert (result["dimension"], result["method"]) == (1353, "lanczos")
+        assert (result["dimension"], result["method"]) == (1353, "davidson")
         assert result["converged"]
         assert abs(result["eigenvalues"][0]) <= 1e-12
         assert result["gap"] == pytest.approx(8.0 * math.pi**2, abs=1e-9)
+
+    def test_cold_iterative_ed_imports_no_sparse_linalg(self, tmp_path):
+        # The two-band K = 0 block of N = 34 (1,353 states) is solved by
+        # Davidson, which needs nothing from scipy.sparse.linalg: a cold ed
+        # process never loads it.
+        potential = {"entries": [[-2, 1.0], [-1, 1.0], [1, 1.0], [2, 1.0]]}
+        doc = {
+            "model": one_pair_model_doc(34, mode_cutoff=4.0 * math.pi + 0.1, potential=potential),
+            "ed": {"momentum_sector": [0]},
+        }
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        script = (
+            "import json, sys; from torusbog import cli; code = cli.main(sys.argv[1:]); "
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('scipy'))]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", script, "ed", "--config", cfg, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        code, modules = json.loads(out.stdout.splitlines()[-1])
+        result = read_json(tmp_path / "out" / "report.json")["result"]
+        assert code == 0
+        assert (result["dimension"], result["method"]) == (1353, "davidson")
+        assert "scipy.sparse" in modules
+        assert not [m for m in modules if m.startswith("scipy.sparse.linalg")]
 
     def test_unconverged_block_exit_3_and_not_cached(self, tmp_path, monkeypatch):
         # The blocks solved are K = 0 (5 states) and K = +1 (4 states): the
@@ -800,9 +826,9 @@ class TestStudyWorkflow:
         assert all(rec["converged"] for rec in report["records"])
 
     def test_non_converged_records_exit_3(self, tmp_path):
-        # Two-band K = 0 sectors of 104 to 177 states, so one restart of
-        # ARPACK's 20-vector basis cannot solve them exactly, even from the
-        # start vector weighted by the diagonal.
+        # Two-band K = 0 sectors of 104 to 177 states, so one Davidson
+        # iteration, a Rayleigh-Ritz step on the start block, cannot solve
+        # them exactly, even from the rows of lowest diagonal.
         doc = self.study_doc((14, 15, 16))
         doc["model"]["mode_cutoff"] = 4.0 * math.pi + 0.1
         doc["model"]["potential"] = {
@@ -852,27 +878,27 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["c2ca00ec5cb1eb8f4993bc25b29d63bf"],
+                ["8022e19061de947fd7576beedebd1dd0"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["2d3c331355b02ac10b118299df7817e4"],
+                ["390dac111dee723b35bffd00f03e5c09"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "4679742131d58b0c5768f7c9125f24dd",
-                    "7aba80f7e9c108f4bf71c3dfbfb021b9",
-                    "f2bfdc648b88bb27d6c4defe2ee0a7a6",
+                    "15cdd9fff069ac331792e25ecf5cb003",
+                    "25c2039bf46cf2ae401327ef54e85ef2",
+                    "39b068afa8b8ebb35bd7037f94378fb5",
                 ],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["1df09fe0ac46f9050589a1a0552faafb"],
+                ["15393f40d0567a2fd8cb87cd56908be6"],
             ),
         ],
     )

@@ -431,8 +431,8 @@ class TestEnumerateBasis:
             fock_ed.enumerate_basis((Momentum((1,)), Momentum((1,))), n_particles=1)
 
 
-# Whole N sectors on both solver paths: dense, Lanczos at dim 4,845, and
-# Lanczos at dim 3,003 on the d = 2 modes with |p| <= 2*pi*sqrt(2).
+# Whole N sectors on both solver paths: dense, Davidson at dim 4,845, and
+# Davidson at dim 3,003 on the d = 2 modes with |p| <= 2*pi*sqrt(2).
 FULL_SECTOR_MODELS = (
     make_one_pair_model(N=48),
     make_two_band_model(N=16),
@@ -491,7 +491,7 @@ class TestMomentumBlocks:
             fock_ed.build_hamiltonian(model, full), replace(settings, dense_threshold=2000)
         )
         assert whole.converged
-        assert whole.method == ("dense" if full.size <= 2000 else "lanczos")
+        assert whole.method == ("dense" if full.size <= 2000 else "davidson")
         binding = fock_ed.binding_from_ed(model)
         scale = max(1.0, abs(whole.ground_energy))
         assert abs(binding.sector_minimum - whole.ground_energy) <= 1e-12 * scale
@@ -529,7 +529,7 @@ class TestMomentumBlocks:
         # Each solved block is solved from its slice of the sector's
         # operator, and the reference solves the same slice on its own, so
         # every bit agrees, the residual too. Blocks above the threshold run
-        # Lanczos. Of each pair {K, -K} at most the greater is solved, and a
+        # Davidson. Of each pair {K, -K} at most the greater is solved, and a
         # direct solve of the other gives the levels counted for it. A block whose
         # Gershgorin bound skipped it has no level below the max(k, 2)-th
         # level reported.
@@ -567,7 +567,7 @@ class TestMomentumBlocks:
                 theirs.vector_reliable,
             )
             assert mine.residual_norm == theirs.residual_norm
-        assert methods == ({"dense"} if dense_threshold == 500 else {"dense", "lanczos"})
+        assert methods == ({"dense"} if dense_threshold == 500 else {"dense", "davidson"})
 
     @pytest.mark.parametrize(
         "model, sector",
@@ -622,7 +622,7 @@ class TestMomentumBlocks:
         settings = fock_ed.EDSettings(dense_threshold=dense_threshold)
         block_settings = replace(settings, k=2)
         theirs = fock_ed.lowest_eigenpairs(ham, block_settings)
-        assert theirs.method == ("dense" if dense_threshold == 500 else "lanczos")
+        assert theirs.method == ("dense" if dense_threshold == 500 else "davidson")
 
         def no_indexing(self, key):
             raise AssertionError("a one-block basis indexed its operator")
@@ -1383,7 +1383,7 @@ class TestLowestEigenpairs:
         dense = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=10**9))
         lanczos = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=0))
         assert dense.method == "dense"
-        assert lanczos.method == "lanczos"
+        assert lanczos.method == "davidson"
         assert lanczos.converged
         assert abs(dense.ground_energy - lanczos.ground_energy) <= 1e-9
 
@@ -1397,39 +1397,40 @@ class TestLowestEigenpairs:
         assert np.array_equal(a.ground_vector, b.ground_vector)
 
     def test_non_convergence_flagged(self):
-        # 177 states, where the one-pair N = 48 block of 25 states is solved
-        # in one restart from the start vector weighted by the diagonal: one
-        # restart of ARPACK's 20-vector basis cannot solve it exactly.
+        # 177 states: one Davidson iteration, a Rayleigh-Ritz step on the
+        # start block, cannot solve it exactly.
         ham = k0_hamiltonian(make_two_band_model(N=16))
         result = fock_ed.lowest_eigenpairs(
             ham, fock_ed.EDSettings(dense_threshold=0, max_iter=1)
         )
         assert ham.shape[0] == 177
-        assert result.method == "lanczos"
+        assert result.method == "davidson"
         assert not result.converged
         assert result.residual_norm > 1e-9
 
-    def test_arpack_stopping_early_keeps_its_converged_vectors(self, monkeypatch):
-        # When ARPACK runs out of restarts with only the ground converged, that
-        # vector is reported, and the solve is flagged unconverged even though
-        # its residual meets tol.
-        import scipy.sparse.linalg
-
+    def test_stopping_early_keeps_the_best_vectors(self):
+        # One pair, N = 48, K = 0 (25 states): Davidson converges both pairs
+        # in 5 iterations. Stopped after fewer, it reports the Rayleigh
+        # quotients of its last Ritz vectors, never raises, and flags the
+        # solve unconverged, even at 4 iterations, where the ground's
+        # residual already meets tol.
         ham = fock_ed.build_hamiltonian(make_one_pair_model(N=48), one_pair_k0_basis(48))
         exact = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=10**9))
-
-        def stopping(*args, **kwargs):
-            vectors = exact.ground_vector[:, None]
-            raise scipy.sparse.linalg.ArpackNoConvergence(
-                "stopped", np.array([exact.ground_energy]), vectors
+        grounds = []
+        for max_iter in (1, 2, 3, 4):
+            result = fock_ed.lowest_eigenpairs(
+                ham, fock_ed.EDSettings(dense_threshold=0, max_iter=max_iter)
             )
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stopping)
-        result = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=0))
-        assert result.method == "lanczos"
-        assert result.eigenvalues == pytest.approx([exact.ground_energy], abs=1e-12)
+            assert result.method == "davidson" and not result.converged
+            vector = result.ground_vector
+            assert result.ground_energy == pytest.approx(vector @ (ham @ vector), abs=1e-12)
+            assert result.ground_energy >= exact.ground_energy - 1e-12
+            grounds.append(result.ground_energy)
+        # Each iteration's space holds the one before, so no ground rises.
+        assert all(b <= a + 1e-12 for a, b in zip(grounds, grounds[1:]))
         assert result.residual_norm <= 1e-9
-        assert not result.converged
+        finished = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=0))
+        assert finished.converged and finished.iterations > result.iterations
 
     def test_eigenvalues_sorted_and_k_honored(self):
         basis = one_pair_k0_basis(8)
@@ -1577,13 +1578,13 @@ class TestLowestEigenpairs:
     )
     def test_default_lanczos_matches_dense(self, build, dim):
         # Above the default dense_threshold a ground-plus-gap solve runs
-        # Lanczos; it must match a forced dense solve to the rounding of
+        # Davidson; it must match a forced dense solve to the rounding of
         # either solver, about eps * ||H||.
         ham = build()
         fast = fock_ed.lowest_eigenpairs(ham)
         slow = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(dense_threshold=10**9))
         assert ham.shape[0] == dim
-        assert fast.method == "lanczos" and slow.method == "dense"
+        assert fast.method == "davidson" and slow.method == "dense"
         assert fast.converged
         bound = 1e-15 * float(abs(ham).sum(axis=1).max())
         assert abs(fast.ground_energy - slow.ground_energy) <= bound
@@ -1601,43 +1602,41 @@ class TestLowestEigenpairs:
         ids=["diag-0-to-1352", "dense-diag-0-to-1352", "two-band-N34-K0-free"],
     )
     def test_zero_ground_is_found(self, build, second):
-        # eigsh(which="SA") on these operators as they are reports 1 and
-        # 78.957 as their grounds; on op - sigma I, with sigma below the
-        # Gershgorin bound, it finds the 0 (the free condensate).
+        # A ground at exactly 0, the free condensate, is found, and the
+        # level above it.
         op = build()
         result = fock_ed.lowest_eigenpairs(op)
-        assert (op.shape[0], result.method) == (1353, "lanczos")
+        assert (op.shape[0], result.method) == (1353, "davidson")
         assert result.converged
         assert abs(result.ground_energy) <= 1e-12
         assert result.gap == pytest.approx(second, abs=1e-9)
 
     def test_start_vector_weighted_by_the_diagonal(self, monkeypatch):
         # The two-band N = 34 K = 0 block: its diagonal climbs to about 5,400
-        # in steps of (2 pi)^2, its radii are at most about 28. From the
-        # Gaussian start scaled by exp(-(d_i - min d) / r_max) ARPACK needs
-        # at most 100 operator applications (184 from the Gaussian alone).
+        # in steps of (2 pi)^2, its radii are at most about 28. From unit
+        # vectors on the lowest diagonal rows plus a Gaussian scaled by
+        # exp(-(d_i - min d) / r_max), Davidson needs at most 30 operator
+        # applications.
         result = fock_ed.lowest_eigenpairs(k0_hamiltonian(make_two_band_model(N=34)))
-        assert result.method == "lanczos" and result.converged
-        assert result.iterations <= 100
+        assert result.method == "davidson" and result.converged
+        assert result.iterations <= 30
         # Radii of 1e-3 against diagonal steps of 1,000 would scale the start
         # below the least double: the exponent is capped, no entry is 0.
-        import scipy.sparse.linalg
-
         starts = []
-        eigsh = scipy.sparse.linalg.eigsh
+        start = fock_ed._davidson_start
 
-        def recording(*args, **kwargs):
-            starts.append(kwargs["v0"].copy())
-            return eigsh(*args, **kwargs)
+        def recording(*args):
+            starts.append(start(*args))
+            return starts[-1]
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+        monkeypatch.setattr(fock_ed, "_davidson_start", recording)
         steep = scipy.sparse.diags(
             [np.full(599, 1e-3), 1e3 * np.arange(600.0), np.full(599, 1e-3)],
             [-1, 0, 1],
             format="csr",
         )
         result = fock_ed.lowest_eigenpairs(steep)
-        assert result.method == "lanczos" and result.converged
+        assert result.method == "davidson" and result.converged
         assert abs(result.ground_energy) <= 1e-8
         assert len(starts) == 1 and np.all(starts[0] != 0.0)
         # Subnormal radii, as a coupling of 1e-308 gives: the exponent is
@@ -1647,13 +1646,14 @@ class TestLowestEigenpairs:
             [np.full(599, 1e-310), np.arange(600.0), np.full(599, 1e-310)], [-1, 0, 1], format="csr"
         )
         result = fock_ed.lowest_eigenpairs(tiny)
-        assert result.method == "lanczos" and result.converged
+        assert result.method == "davidson" and result.converged
         assert (result.ground_energy, result.gap) == (0.0, 1.0)
         assert len(starts) == 2 and np.all(starts[1] != 0.0)
 
     def test_default_iterative_solve_memory_is_bounded(self):
-        # ARPACK keeps a fixed basis of 20 vectors, so a default iterative
-        # solve allocates a few tens of vectors whatever max_iter allows.
+        # Davidson keeps a search space of DAVIDSON_WIDTH + 2 vectors, so a
+        # default iterative solve allocates a few tens of vectors whatever
+        # max_iter allows.
         ham = k0_hamiltonian(make_two_band_model(N=34))
         dim = ham.shape[0]
         tracemalloc.start()
@@ -1662,7 +1662,7 @@ class TestLowestEigenpairs:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (dim, result.method) == (1353, "lanczos")
+        assert (dim, result.method) == (1353, "davidson")
         assert result.converged
         assert peak < 50 * dim * 8
 
@@ -1703,8 +1703,8 @@ class TestLowestEigenpairs:
         "matrix", [[[-0.75]], [[1.0, 0.5], [0.5, -2.0]]], ids=["dim1", "dim2"]
     )
     def test_tiny_operators_go_dense_at_any_threshold(self, matrix):
-        # ARPACK needs fewer wanted pairs than states; a 1- or 2-state
-        # operator is solved dense, without eigsh's k >= N warning.
+        # Every solve reports two pairs where it can, so a 1- or 2-state
+        # operator is solved dense whatever the threshold.
         import scipy.sparse as sp
 
         op = sp.csr_matrix(np.array(matrix))
@@ -1716,14 +1716,105 @@ class TestLowestEigenpairs:
 
     def test_degenerate_levels_kept_at_default_settings(self):
         # One pair, M = 48 (1,225 states): the second level is doubly
-        # degenerate. Lanczos from one start vector would report it once, so
-        # a k >= 3 request of this size stays dense.
+        # degenerate. A k >= 3 request of this size stays dense
+        # (MULTI_LEVEL_DENSE_LIMIT).
         ham = one_pair_hb(48)
         result = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(k=4))
         dense = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(k=4, dense_threshold=10**9))
         assert result.method == "dense"
         assert result.eigenvalues == dense.eigenvalues
         assert abs(result.eigenvalues[1] - result.eigenvalues[2]) <= 1e-9
+
+
+def whole_sector(model):
+    basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
+    return basis, fock_ed.build_hamiltonian(model, basis)
+
+
+def whole_pair_space(model, cutoff):
+    return fock_ed.build_bogoliubov_hamiltonian(model.nonzero_modes(), cutoff, model.potential)
+
+
+class TestDavidsonMatchesDense:
+    """The iterative route against dense, to 1e-12 max(1, ||H||_inf) on
+    every level it reports and the gap. MULTI_LEVEL_DENSE_LIMIT is lifted,
+    so k >= 3 runs Davidson too, and every block of more than two states
+    does."""
+
+    @staticmethod
+    def assert_matches_dense(op, settings):
+        iterative = fock_ed.lowest_eigenpairs(op, settings)
+        dense = fock_ed.lowest_eigenpairs(op, replace(settings, dense_threshold=10**9))
+        bound = 1e-12 * max(1.0, float(abs(op).sum(axis=1).max()))
+        assert iterative.method == ("davidson" if op.shape[0] > 2 else "dense")
+        assert dense.method == "dense"
+        assert iterative.converged
+        assert len(iterative.eigenvalues) == len(dense.eigenvalues)
+        for mine, theirs in zip(iterative.eigenvalues, dense.eigenvalues):
+            assert abs(mine - theirs) <= bound
+        assert abs(iterative.gap - dense.gap) <= bound
+        return iterative
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: whole_sector(make_one_pair_model(N=48)),
+            lambda: whole_sector(make_two_band_model(N=12)),
+            lambda: whole_sector(FULL_SECTOR_MODELS[2]),
+            lambda: whole_pair_space(make_one_pair_model(N=8), 20),
+            lambda: whole_pair_space(make_two_band_model(N=8), 6),
+        ],
+        ids=["one-pair-N48", "two-band-N12", "square-N6", "one-pair-HB-M20", "two-band-HB-M6"],
+    )
+    def test_every_solved_block(self, monkeypatch, build, k):
+        monkeypatch.setattr(fock_ed, "MULTI_LEVEL_DENSE_LIMIT", 0)
+        settings = fock_ed.EDSettings(k=k, dense_threshold=0)
+        solved = fock_ed.solve_sector(*build(), settings)
+        assert solved.merged.converged
+        for momentum in solved.results:
+            self.assert_matches_dense(solved.block(momentum)[1], replace(settings, k=max(k, 2)))
+        assert any(r.method == "davidson" for r in solved.results.values())
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_repeated_minimum_of_a_diagonal(self, monkeypatch, k):
+        # The minimum 0 sits on rows 0 and 300: both are start rows, and both
+        # copies are reported, with gap 0, so the ground vector is flagged
+        # unreliable, as a dense solve flags it.
+        monkeypatch.setattr(fock_ed, "MULTI_LEVEL_DENSE_LIMIT", 0)
+        op = scipy.sparse.diags(np.arange(600.0) % 300, format="csr")
+        result = self.assert_matches_dense(op, fock_ed.EDSettings(k=k, dense_threshold=0))
+        assert result.eigenvalues[:2] == (0.0, 0.0) and result.gap == 0.0
+        assert not result.vector_reliable
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_free_two_band_model(self, monkeypatch, k):
+        # w_hat = 0: H is the kinetic diagonal, 0 on the condensate, and
+        # 2 (2 pi)^2 on the pair at +-1, the level above.
+        monkeypatch.setattr(fock_ed, "MULTI_LEVEL_DENSE_LIMIT", 0)
+        op = k0_hamiltonian(free_two_band_model(34))
+        result = self.assert_matches_dense(op, fock_ed.EDSettings(k=k, dense_threshold=0))
+        assert result.ground_energy == 0.0
+        assert result.gap == pytest.approx(2.0 * TWO_PI**2, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_whole_sector_operator_unsplit(self, monkeypatch, k):
+        # The one-pair N = 8 sector's operator as one matrix, its momentum
+        # blocks not split apart: some corrections lie in the search space,
+        # and the residual is added in their place.
+        monkeypatch.setattr(fock_ed, "MULTI_LEVEL_DENSE_LIMIT", 0)
+        _, op = whole_sector(make_one_pair_model(N=8))
+        self.assert_matches_dense(op, fock_ed.EDSettings(k=k, dense_threshold=0))
+
+    def test_degenerate_pair_levels_counted_twice(self, monkeypatch):
+        # One pair, M = 48 (1,225 states) at k = 4: dense gives -0.0124,
+        # 40.4537, 40.4537 and 80.9198, and the block of four vectors
+        # reports the degenerate level twice, as dense does.
+        monkeypatch.setattr(fock_ed, "MULTI_LEVEL_DENSE_LIMIT", 0)
+        result = self.assert_matches_dense(
+            one_pair_hb(48), fock_ed.EDSettings(k=4, dense_threshold=0)
+        )
+        assert [round(e, 4) for e in result.eigenvalues] == [-0.0124, 40.4537, 40.4537, 80.9198]
 
 
 class TestObservables:
@@ -2051,7 +2142,7 @@ class TestBindingFromED:
     def test_matches_standalone_k0_solves(self, model, check_global, dense_threshold):
         # The oracle enumerates, assembles and solves each K = 0 sector on
         # its own; binding_from_ed takes the same block from solve_sector.
-        # A threshold of 10 sends every K = 0 block to Lanczos.
+        # A threshold of 10 sends every K = 0 block to Davidson.
         settings = fock_ed.EDSettings(dense_threshold=dense_threshold)
         k0 = zero_momentum(model.d)
         bases, hams, results = {}, {}, {}
