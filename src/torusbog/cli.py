@@ -501,7 +501,7 @@ def _ed_observables(result, basis) -> dict | None:
     }
 
 
-def _ed_payload(result, basis, tol: float) -> dict:
+def _ed_payload(result, basis, dimension: int, tol: float) -> dict:
     return {
         "eigenvalues": list(result.eigenvalues),
         "residual_norm": result.residual_norm,
@@ -510,7 +510,7 @@ def _ed_payload(result, basis, tol: float) -> dict:
         "method": result.method,
         "gap": result.gap,
         "vector_reliable": result.vector_reliable,
-        "dimension": basis.size,
+        "dimension": dimension,
         "tol": tol,
         "observables": _ed_observables(result, basis),
     }
@@ -539,7 +539,7 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             if not modes:
                 raise ConfigError("model.mode_cutoff leaves no nonzero mode to pair")
             ground = fock_ed.converged_bogoliubov_ground(modes, model.potential, hb, settings)
-            payload = _ed_payload(ground.result, ground.basis, settings.tol)
+            payload = _ed_payload(ground.result, ground.basis, ground.basis.size, settings.tol)
             payload["excitation_cutoff"] = ground.cutoff_used
             payload["cutoff_delta"] = ground.delta_achieved
             payload["converged"] = ground.converged
@@ -563,6 +563,10 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             modes = model.mode_set()
             if not modes:
                 raise ConfigError("model.mode_cutoff leaves an empty mode set")
+            if sector is None:
+                # Block by block: only the blocks that can hold the levels are built.
+                whole = fock_ed.solve_particle_sector(model, settings)
+                return _ed_payload(whole.merged, whole.basis, whole.dimension, settings.tol)
             basis = fock_ed.enumerate_basis(modes, n_particles=model.N, momentum_sector=sector)
             if not basis.size:
                 raise ConfigError(
@@ -571,7 +575,7 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             # An oversized dense route is refused before assembly.
             fock_ed.plan_blocks(basis, settings)
             solved = fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis), settings)
-            return _ed_payload(solved.merged, basis, settings.tol)
+            return _ed_payload(solved.merged, basis, basis.size, settings.tol)
 
         key_payload = {
             "op": "ed-particle",

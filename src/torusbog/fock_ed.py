@@ -13,18 +13,20 @@ pair Hamiltonian
 
 on the M-particle sector over the nonzero modes and the zero mode, as sparse
 symmetric operators, on a whole sector or one total-momentum block of it. A
-block is enumerated directly, one mode at a time, dropping every prefix that
-cannot reach its momentum, so no row outside it is kept.
+block is enumerated directly, one mode at a time, each mode taking only the
+occupations with which the modes after it can still reach the block's
+momentum, so no row outside it is made.
 Each term moves a fixed occupation change across every state it acts on, and
 TorusModel.transfers, built once per model, groups the two-body terms by it.
 A term's adjoint makes the opposite change with the same weight, so H is
 assembled from an array table of the terms of one change of each pair
 {c, -c}, built once per mode set and potential (_term_table): every term is
 evaluated on every row at once, each change sums its terms row by row in
-term order, and every moved entry is ranked at once by rank arithmetic, one
-pass per mode, and located by one binary search. Each entry, and each pair
-creation of HB, is stored with its mirror, so each entry is made once and
-both operators are exactly symmetric. The rank of a row is a sum of one term per suffix sum, and a
+term order, and every moved entry is ranked by rank arithmetic, each
+change's entries over the suffix sums that change moves, and located by one
+binary search. Each entry, and each pair creation of HB, is stored with its
+mirror, so each entry is made once and both operators are exactly
+symmetric. The rank of a row is a sum of one term per suffix sum, and a
 change moves only the few suffix sums between its first and last changed
 mode; FockBasis.shifted does the same for one change, for HB and the
 pairing observable. The number of array passes depends on the modes and the
@@ -37,23 +39,33 @@ diagonal (_davidson_lowest) or by one LAPACK dsyevr call on one dense array;
 the observables and operator-identity residuals of the binding-energy study
 are evaluated here too.
 
-Both operators conserve total momentum, and every solve goes through one
-block loop, solve_sector(basis, ham, settings), on the operator its caller
-assembled once. binding_from_ed solves the K = 0 blocks of N and N - 1
-alone; that K = 0 holds the ground of the N sector is certified by a lower
-bound on every K != 0 level (nonzero_momentum_bound), and the whole sector
-is solved only when the bound does not settle it. The pair Hamiltonian's
-cutoff ladder solves only K = 0 blocks. Both operators are also even under
-p -> -p, so the loop solves at most K = 0 and one block of each pair
-{K, -K}, and counts that block's levels for its mirror too. Of those, it
-solves only the blocks whose Gershgorin bound, read from the operator's
-diagonal and row sums, lies below the levels it reports, each gathered
-from the operator's CSR arrays (_block_operator). Davidson starts on the
-rows of low diagonal. A basis filtered to one momentum is one block in
-order, so it is solved on its operator as it is, with no permutation and
-no bound. plan_blocks checks every block's route from the basis alone, so
-a caller refuses an oversized dense solve before assembly; the blocks and
-their mirror counts are found once per basis.
+Both operators conserve total momentum and are even under p -> -p, so a
+sector's levels are those of K = 0 and one block of each pair {K, -K},
+that block's levels counted for its mirror too. One block loop
+(_solve_blocks) visits blocks in increasing order of a lower bound on their
+levels, and stops once the next bound lies above the levels it reports;
+one merge (_merged) makes the sector's result from the blocks solved. It
+has two users:
+
+- solve_particle_sector solves a whole particle sector with no operator
+  built in advance: block K is bounded by block_energy_bound, (2 pi)^2
+  |K|_1 plus an interaction bound, and each block visited is enumerated,
+  assembled and solved alone. The ed whole-sector job uses it, and so does
+  binding_from_ed where its certificate fails.
+- solve_sector(basis, ham, settings) solves an operator its caller
+  assembled once, a whole space or one block: the pair Hamiltonian's <= M
+  space, and the selfcheck's sector. Its bounds are Gershgorin bounds, read
+  from the operator's diagonal and row sums, and each solved block is
+  gathered from the operator's CSR arrays (_block_operator). A basis
+  filtered to one momentum is one block in order, so it is solved on its
+  operator as it is, with no permutation and no bound.
+
+binding_from_ed solves the K = 0 blocks of N and N - 1 alone; that K = 0
+holds the ground of the N sector is certified by block_energy_bound at
+|K|_1 = 1 (nonzero_momentum_bound). The pair Hamiltonian's cutoff ladder
+solves only K = 0 blocks. Davidson starts on the rows of low diagonal.
+Every caller refuses an oversized dense solve before assembly, from the
+block's size alone (plan_blocks, or the loop itself).
 
 scipy is imported inside the functions that assemble, solve or build a_0,
 so a process that only reads cached results never loads it.
@@ -343,49 +355,77 @@ def _sector_rows(
     momenta row, is target, in lexicographic order, built one mode at a time.
 
     A prefix over modes 0..j-1 leaves r particles and a momentum need, target
-    minus its own momentum, to modes j, j + 1, ...; those supply between r
-    times the least and r times the greatest of each coordinate there, so a
-    prefix outside those bounds is dropped. Over the last mode alone the
-    bounds meet, so its check is exact. Without a target nothing is dropped
-    and the rows are the whole sector. A step whose candidate count, the sum
-    of r + 1 over the prefixes, exceeds max_states raises ResourceLimitError
-    before it builds them.
+    minus its own momentum, to modes j, j + 1, .... Mode j takes only the
+    occupations v for which the modes after it can still supply need - v p_j:
+    with r - v particles they supply between r - v times the least and r - v
+    times the greatest of each coordinate there. Each bound is linear in v,
+    so each prefix gets an interval of v, one integer division per bound and
+    coordinate over all prefixes at once. Over the last mode the bounds meet,
+    so the rows made are exactly those of the block, and a prefix that no
+    occupation continues has no children. Without a target v runs over
+    0..r, and the rows are the whole sector. A step whose candidate count,
+    the sum of the interval lengths, exceeds max_states raises
+    ResourceLimitError before it builds them.
 
     A step keeps each prefix as its parent prefix and its own occupation, not
-    as a row, and the kept rows are read back from those links at the end.
+    as a row, and the rows are read back from those links at the end.
     """
+    m = len(momenta)
     if target is not None:
         # low[j] and high[j]: least and greatest coordinates over modes j, j + 1, ...
         low = np.minimum.accumulate(momenta[::-1])[::-1]
         high = np.maximum.accumulate(momenta[::-1])[::-1]
         need = target[None, :]
     remaining = np.array([budget], dtype=np.int64)
+    if target is not None and m == 1 and (budget * momenta[0] != target).any():
+        remaining = remaining[:0]  # one mode alone cannot make the block
     links: list[tuple[np.ndarray, np.ndarray]] = []  # (parent, value) per mode but the last
-    for j in range(len(momenta)):
+    for j in range(m - 1):
+        # Each step works in place where it can, so the arrays alive at once
+        # stay a few of one entry per prefix or per candidate.
+        first = np.zeros_like(remaining)
+        last = remaining.copy()
         if target is not None:
-            if links:
-                parent, value = links[-1]
-                need = need[parent] - value[:, None] * momenta[j - 1]
-            r = remaining[:, None]
-            keep = ((r * low[j] <= need) & (need <= r * high[j])).all(axis=1)
-            if not keep.all():
-                remaining, need = remaining[keep], need[keep]
-                if links:
-                    links[-1] = (parent[keep], value[keep])
-        if j == len(momenta) - 1:
-            break
-        counts = remaining + 1
+            p = momenta[j]
+            for c in range(len(p)):
+                # need_c - v p_c lies within [(r - v) low, (r - v) high] over
+                # modes j + 1, ...: each side reads a + b v >= 0.
+                for a, b in (
+                    (need[:, c] - remaining * low[j + 1, c], low[j + 1, c] - p[c]),
+                    (remaining * high[j + 1, c] - need[:, c], p[c] - high[j + 1, c]),
+                ):
+                    if b > 0:  # v >= ceil(-a / b)
+                        np.maximum(first, -(a // b), out=first)
+                    elif b < 0:  # v <= floor(a / -b)
+                        np.minimum(last, a // -b, out=last)
+                    else:
+                        last[a < 0] = -1
+        counts = last
+        counts -= first
+        counts += 1
+        np.maximum(counts, 0, out=counts)
         size = int(counts.sum())
         if size > max_states:
             raise ResourceLimitError(
                 f"momentum block enumeration builds {size} candidate rows at mode {j},"
                 f" budget is {max_states}"
             )
+        # Candidate i of a prefix whose candidates start at s takes v = first + i - s.
+        shift = np.cumsum(counts)
+        shift -= counts
+        shift -= first
         parent = np.repeat(np.arange(len(remaining)), counts)
-        value = np.arange(size) - np.repeat(np.cumsum(counts) - counts, counts)
+        value = np.arange(size)
+        value -= shift[parent]
+        del first, counts, shift  # per-prefix arrays, not needed past this step
         links.append((parent, value))
-        remaining = remaining[parent] - value
-    rows = np.empty((len(remaining), len(momenta)), dtype=np.int64)
+        remaining = remaining[parent]
+        remaining -= value
+        if target is not None:
+            need = need[parent]
+            for c in range(len(p)):
+                need[:, c] -= value * p[c]
+    rows = np.empty((len(remaining), m), dtype=np.int64)
     rows[:, -1] = remaining
     at = np.arange(len(remaining))
     for j in range(len(links) - 1, -1, -1):
@@ -403,12 +443,14 @@ def enumerate_basis(
 ) -> FockBasis:
     """Enumerate the n_particles sector, or its momentum_sector block directly.
 
-    A block is built by one pass over the modes that drops every prefix whose
-    remaining particles cannot reach the block's momentum (_sector_rows), so
-    only rows near the block are made. max_states bounds what is built: a
-    whole sector's count is computed in closed form, and a block's candidate
-    rows step by step, each before any of it is allocated; exceeding it
-    raises ResourceLimitError.
+    A block is built by one pass over the modes in which each mode takes
+    only the occupations that can still reach the block's momentum
+    (_sector_rows), so no row outside the block is made. max_states bounds
+    what is built: a whole sector's count is computed in closed form, and a
+    block's candidate rows step by step, each before any of it is
+    allocated; exceeding it raises ResourceLimitError. A whole particle
+    sector is solved from its blocks (solve_particle_sector), so only the
+    callers that assemble a whole space ask for one.
     """
     modes = tuple(modes)
     if not modes:
@@ -484,16 +526,38 @@ class _TermTable:
     a_p a_q, as 4 i + s: the root of n_i + s - 1, clipped at 0, where n_i is
     the occupation of mode i. The first n_exchange terms are the exchange
     group. Row c of slots lists the terms of moving change c, padded with
-    the padding term. moves[j, c] is the move change c makes in the suffix
-    sum R_j, and moved lists the modes j whose suffix sum some change moves.
+    the padding term. moved[c] lists, for moving change c, each suffix sum
+    it moves as (i, j): the change moves R_j by amounts[i], and no other
+    suffix sum. steps caches rank_steps by particle count.
     """
 
     wl: np.ndarray
     factors: np.ndarray
     n_exchange: int
     slots: np.ndarray
-    moves: np.ndarray
-    moved: np.ndarray
+    moved: tuple[tuple[tuple[int, int], ...], ...]
+    modes: np.ndarray
+    amounts: np.ndarray
+    steps: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def rank_steps(self, basis: FockBasis) -> np.ndarray:
+        """steps[i, R] = T_j(R + amounts[i]) - T_j(R) for j = modes[i], with T
+        basis's rank table: the rank move of a row whose suffix sum R_j is R.
+
+        Only a row that the change applies to is looked up, and there
+        R + amounts[i] lies in 0..N. The table depends only on the modes and
+        N, so it is made once per particle count.
+        """
+        steps = self.steps.get(basis.n_particles)
+        if steps is None:
+            held = np.arange(basis.n_particles + 1)
+            moved = np.clip(held + self.amounts[:, None], 0, basis.n_particles)
+            modes = self.modes[:, None]
+            steps = basis._terms[modes, moved] - basis._terms[modes, held]
+            if len(self.steps) >= 64:
+                self.steps.clear()
+            self.steps[basis.n_particles] = steps
+        return steps
 
 
 def _build_term_table(model: TorusModel) -> _TermTable:
@@ -513,6 +577,15 @@ def _build_term_table(model: TorusModel) -> _TermTable:
         slots.append([*range(len(terms), len(terms) + len(group))] + [pad] * (width - len(group)))
         terms.extend(group)
     terms.append((0.0, 0, 0, 0, 0))  # weight 0: adds exactly 0 wherever it pads
+    delta = np.zeros((len(moving), len(model.mode_set())), dtype=np.int64)
+    for c, (change, _) in enumerate(moving):
+        for i, amount in change:
+            delta[c, i] = amount
+    suffix_moves = np.cumsum(delta[:, ::-1], axis=1)[:, ::-1]
+    changes, modes = np.nonzero(suffix_moves)  # change-major
+    moved = [[] for _ in moving]
+    for i, (c, j) in enumerate(zip(changes.tolist(), modes.tolist())):
+        moved[c].append((i, j))
     factors = []
     for _, iq, ip, i1, i2 in terms:
         # Each root takes its mode's occupation as the operators to its right
@@ -526,18 +599,14 @@ def _build_term_table(model: TorusModel) -> _TermTable:
                 4 * i1 + 2 - (i1 == iq) - (i1 == ip) + (i1 == i2),
             )
         )
-    delta = np.zeros((len(moving), len(model.mode_set())), dtype=np.int64)
-    for c, (change, _) in enumerate(moving):
-        for i, amount in change:
-            delta[c, i] = amount
-    moves = np.ascontiguousarray(np.cumsum(delta[:, ::-1], axis=1)[:, ::-1].T)
     return _TermTable(
         wl=np.array([t[0] for t in terms]),
         factors=np.array(factors, dtype=np.intp).T.copy(),
         n_exchange=n_exchange,
         slots=np.array(slots, dtype=np.intp).reshape(len(moving), width),
-        moves=moves,
-        moved=np.flatnonzero(moves.any(axis=1)),
+        moved=tuple(map(tuple, moved)),
+        modes=modes,
+        amounts=suffix_moves[changes, modes],
     )
 
 
@@ -565,11 +634,12 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
     are evaluated on every row at once from their term table (_term_table),
     and each occupation change sums its terms in table order by adding one
     slot column at a time; the exchange terms, which change nothing, add to
-    the diagonal. Every nonzero sum is then moved by rank arithmetic, one
-    loop over the modes whose suffix sum some change moves, and located by
-    one _locate call. The table holds one change of each adjoint pair, so
-    each entry is stored with its mirror, and H == H.T exactly. Rows go in
-    chunks that keep every (term, row) temporary within
+    the diagonal. Every nonzero sum is then moved by rank arithmetic, each
+    change's run of entries over the suffix sums that change moves alone,
+    one cached step table lookup each (_TermTable.rank_steps), and located
+    by one _locate call. The table holds one change of each adjoint pair,
+    so each entry is stored with its mirror, and H == H.T exactly. Rows go
+    in chunks that keep every (term, row) temporary within
     ASSEMBLY_CHUNK_ELEMENTS elements. Momentum conservation keeps every
     entry inside the basis, including momentum-filtered ones.
     """
@@ -586,6 +656,8 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
     # roots[n + 1] = sqrt(n), and roots[0] = 0 for a root clipped at 0.
     roots = np.sqrt(np.maximum(np.arange(-1, basis.n_particles + 3), 0))
     weights = 0.5 * model.lam * table.wl[:, None]
+    steps = table.rank_steps(basis)
+    changes = np.arange(len(table.moved) + 1)
     chunk = max(1, ASSEMBLY_CHUNK_ELEMENTS // (4 * max(len(table.wl), len(basis.modes))))
     for start in range(0, basis.size, chunk):
         stop = min(start + chunk, basis.size)
@@ -604,10 +676,15 @@ def build_hamiltonian(model: TorusModel, basis: FockBasis) -> scipy.sparse.csr_m
         change, at = np.nonzero(total)
         source = at + start
         ranks = basis._ranks[source]
-        for j in table.moved:
-            before = basis._suffix[j][source]
-            ranks += basis._terms[j][before + table.moves[j][change]]
-            ranks -= basis._terms[j][before]
+        # The entries come change-major: each change's run of entries moves
+        # only the suffix sums that change moves.
+        runs = np.searchsorted(change, changes).tolist()
+        for c, pairs in enumerate(table.moved):
+            if runs[c] < runs[c + 1]:
+                run = slice(runs[c], runs[c + 1])
+                run_rows, run_ranks = source[run], ranks[run]
+                for i, j in pairs:
+                    run_ranks += steps[i][basis._suffix[j][run_rows]]
         target, hit = basis._locate(ranks)
         if not hit.all():
             # Momentum conservation guarantees membership.
@@ -892,9 +969,16 @@ def _davidson_lowest(
         size += 1
         return True
 
+    def apply(start: int, stop: int) -> None:
+        # One vector at a time: scipy's single-vector product is about three
+        # times faster than its block product at these widths, and sums each
+        # entry in the same order.
+        for i in range(start, stop):
+            image[i] = op @ space[i]
+
     for row in _davidson_start(diagonal, radii, k, settings.seed):
         extend(row)
-    image[:size] = (op @ space[:size].T).T
+    apply(0, size)
     applied = size
     finished = False
     for iteration in range(settings.max_iter):
@@ -918,10 +1002,10 @@ def _davidson_lowest(
             extend(residuals[j] / shifted) or extend(residuals[j])
         if size == grown:
             break
-        image[grown:size] = (op @ space[grown:size].T).T
+        apply(grown, size)
         applied += size - grown
     ritz /= np.linalg.norm(ritz, axis=1)[:, None]
-    theta = np.einsum("ij,ji->i", ritz, op @ ritz.T)
+    theta = np.einsum("ij,ji->i", ritz, np.column_stack([op @ x for x in ritz]))
     order = np.argsort(theta)
     return theta[order], _phase_fixed(ritz[order[0]]), applied, finished
 
@@ -1007,6 +1091,10 @@ def plan_blocks(
 ) -> tuple[dict[Momentum, np.ndarray], dict[Momentum, int]]:
     """The momentum blocks solve_sector finds on basis, and which it may solve.
 
+    solve_sector plans with it, on a space assembled whole or on one block;
+    solve_particle_sector makes the same dense-route check on each block it
+    enumerates, before assembling it.
+
     Returns basis.momentum_blocks() and, for each block it may solve (K = 0,
     each block whose mirror -K is absent, and of each pair {K, -K} present
     the lexicographically greater; see SectorSolve), the number of blocks
@@ -1024,6 +1112,69 @@ def plan_blocks(
     return rows, copies
 
 
+def _solve_blocks(
+    visits, solve, settings: EDSettings
+) -> tuple[dict[Momentum, EDResult], list[float], Momentum, object]:
+    """The block loop of solve_sector and solve_particle_sector.
+
+    visits yields (K, bound, copies) in increasing bound order: a lower bound
+    on every level of block K, and the number of blocks holding its levels,
+    2 with its mirror -K, else 1. solve(K) gives the block's lowest
+    max(settings.k, 2) pairs and what to keep should the block hold the
+    ground, or None for an empty block. The loop stops once the next bound
+    exceeds the max(k, 2)-th lowest level found by 1e-10 max(1, |level|), a
+    block's levels counted copies times: no level of that block or of any
+    after it can be among the levels reported.
+
+    Returns the results by block, in the order solved; every level found, in
+    increasing order; the block holding the ground, the least ground energy
+    with ties to the lesser momentum, as when every block is solved; and what
+    solve kept for that block.
+    """
+    wanted = max(settings.k, 2)
+    results: dict[Momentum, EDResult] = {}
+    levels: list[float] = []
+    ground_at, kept = None, None
+    for momentum, bound, copies in visits:
+        if len(levels) >= wanted:
+            last = levels[wanted - 1]
+            if bound > last + 1e-10 * max(1.0, abs(last)):
+                break
+        solved = solve(momentum)
+        if solved is None:
+            continue
+        result, held = solved
+        results[momentum] = result
+        levels = sorted(levels + list(result.eigenvalues) * copies)
+        least = None if ground_at is None else (results[ground_at].ground_energy, ground_at)
+        if least is None or (result.ground_energy, momentum) < least:
+            ground_at, kept = momentum, held
+    return results, levels, ground_at, kept
+
+
+def _merged(
+    results: dict[Momentum, EDResult],
+    levels: list[float],
+    settings: EDSettings,
+    ground: np.ndarray,
+    residual: float,
+) -> EDResult:
+    """The result on a whole sector from its solved blocks: the settings.k
+    lowest of levels, the gap between the two lowest, the given ground
+    vector and its residual. It is converged when every solved block is and
+    that residual is <= tol; its method is "davidson" if any solved block ran
+    Davidson, and its iterations are the sum over the solved blocks."""
+    return EDResult(
+        eigenvalues=tuple(levels[: settings.k]),
+        ground_vector=ground,
+        residual_norm=residual,
+        iterations=sum(r.iterations for r in results.values()),
+        converged=residual <= settings.tol and all(r.converged for r in results.values()),
+        method="davidson" if any(r.method == "davidson" for r in results.values()) else "dense",
+        gap=levels[1] - levels[0] if len(levels) > 1 else math.inf,
+    )
+
+
 def solve_sector(
     basis: FockBasis, ham: scipy.sparse.csr_matrix, settings: EDSettings = EDSettings()
 ) -> SectorSolve:
@@ -1031,31 +1182,35 @@ def solve_sector(
 
     ham is the operator the caller assembled on basis, a whole sector or one
     momentum block of it: H (build_hamiltonian) or HB
-    (build_bogoliubov_hamiltonian). Its spectrum is the union of the block
-    spectra (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), and block -K has
+    (build_bogoliubov_hamiltonian). A whole particle sector needs no
+    operator in advance and goes through solve_particle_sector; this loop
+    serves the operators that are assembled whole, the pair Hamiltonian's
+    <= M space and the selfcheck's sector. The spectrum of ham is the union
+    of the block spectra (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), and block -K has
     the levels of block K (see SectorSolve), so at most K = 0 and one block
     of each pair {K, -K} present are solved; plan_blocks names them. A basis
     that is one block is solved on ham as it is. Otherwise one pass over ham
     gives each row's diagonal d_i and Gershgorin radius r_i (_gershgorin),
     and each block's levels are at least its bound, min(d_i - r_i) over its
     rows. The blocks are solved in increasing bound order (ties by
-    momentum), and the solve stops once the next block's bound exceeds the
-    max(k, 2)-th lowest level found so far by 1e-10 max(1, |level|), a
-    mirrored block's levels counted twice: no level of that block or of any
-    after it can be among the levels reported. In the kinetic-dominated
-    regime only a few blocks are solved (K = 0 and K = 1 of the three-mode
-    N = 56 sector's 57). Each solved block is gathered from ham's CSR
-    arrays (_block_operator) and goes through lowest_eigenpairs. A basis
-    whose modes are not closed under negation raises ValueError.
+    momentum) by the loop solve_particle_sector shares (_solve_blocks),
+    which stops once the next block's bound exceeds the max(k, 2)-th lowest
+    level found so far by 1e-10 max(1, |level|), a mirrored block's levels
+    counted twice: no level of that block or of any after it can be among
+    the levels reported. In the kinetic-dominated regime only a few blocks
+    are solved (K = 0 and K = 1 of the three-mode N = 56 sector's 57). Each
+    solved block is gathered from ham's CSR arrays (_block_operator) and
+    goes through lowest_eigenpairs. A basis whose modes are not closed
+    under negation raises ValueError.
 
-    The merged result holds the k lowest of all block eigenvalues, a solved
-    block's levels counted twice when its mirror is present, the gap between
-    the two lowest, and the ground-holding solved block's vector placed in
-    the whole basis, zero on every other row; its residual is measured on the
-    whole operator. These are the values solving every block would give. It
-    is converged when every solved block is and that residual is <= tol. Its
-    method is "davidson" if any solved block ran Davidson, and its iterations
-    are the sum over the solved blocks.
+    The merged result (_merged) holds the k lowest of all block eigenvalues,
+    a solved block's levels counted twice when its mirror is present, the
+    gap between the two lowest, and the ground-holding solved block's vector
+    placed in the whole basis, zero on every other row; its residual is
+    measured on the whole operator. These are the values solving every block
+    would give. It is converged when every solved block is and that residual
+    is <= tol. Its method is "davidson" if any solved block ran Davidson,
+    and its iterations are the sum over the solved blocks.
     """
     if not basis.size:
         raise ValueError("basis holds no state")
@@ -1067,37 +1222,133 @@ def solve_sector(
         diagonal, radii = _gershgorin(ham)
         low = diagonal - radii
         bound = {p: float(low[rows[p]].min()) for p in copies}
-    wanted = max(settings.k, 2)
-    block_settings = replace(settings, k=wanted)
-    solved: dict[Momentum, EDResult] = {}
-    levels: list[float] = []
-    # sorted is stable: equal bounds keep increasing momentum order.
-    for momentum in sorted(copies, key=bound.get):
-        if len(levels) >= wanted:
-            last = levels[wanted - 1]
-            if bound[momentum] > last + 1e-10 * max(1.0, abs(last)):
-                break
+    block_settings = replace(settings, k=max(settings.k, 2))
+
+    def solve(momentum: Momentum) -> tuple[EDResult, None]:
         block = rows[momentum]
         op = ham if len(block) == basis.size else _block_operator(ham, block)
-        solved[momentum] = lowest_eigenpairs(op, block_settings)
-        levels = sorted(levels + list(solved[momentum].eigenvalues) * copies[momentum])
-    # In increasing momentum order, so ties resolve as when every block is solved.
-    results = {p: solved[p] for p in copies if p in solved}
-    ground_at = min(results, key=lambda p: results[p].ground_energy)
+        return lowest_eigenpairs(op, block_settings), None
+
+    # sorted is stable: equal bounds keep increasing momentum order.
+    visits = ((p, bound[p], copies[p]) for p in sorted(copies, key=bound.get))
+    solved, levels, ground_at, _ = _solve_blocks(visits, solve, settings)
+    results = {p: solved[p] for p in copies if p in solved}  # increasing momentum order
     ground = np.zeros(basis.size)
     ground[rows[ground_at]] = results[ground_at].ground_vector
     residual = float(np.linalg.norm(ham @ ground - levels[0] * ground))
-    gap = levels[1] - levels[0] if len(levels) > 1 else math.inf
-    merged = EDResult(
-        eigenvalues=tuple(levels[: settings.k]),
-        ground_vector=ground,
-        residual_norm=residual,
-        iterations=sum(r.iterations for r in results.values()),
-        converged=residual <= settings.tol and all(r.converged for r in results.values()),
-        method="davidson" if any(r.method == "davidson" for r in results.values()) else "dense",
-        gap=gap,
-    )
+    merged = _merged(results, levels, settings, ground, residual)
     return SectorSolve(basis=basis, ham=ham, rows=rows, results=results, merged=merged)
+
+
+def block_energy_bound(model: TorusModel, shell: int) -> float:
+    """A lower bound B on every level of every block K of model's N sector
+    with |K|_1 = shell, |K|_1 the sum of K's absolute integer coordinates:
+
+        B = (2 pi)^2 |K|_1 + lambda N ((N - 1) w_hat(0) - sum_{l!=0} w_hat(l)) / 2.
+
+    H is the kinetic term T plus the interaction W, so each level is at
+    least the least of T on the block plus the least of W. T is diagonal,
+    sum_p |p|^2 n_p with |p|^2 = (2 pi)^2 |p|_2^2, and an integer vector has
+    |p|_2^2 >= |p|_1; on block K, sum_p n_p |p|_1 >= |sum_p n_p p|_1 = |K|_1,
+    so T >= (2 pi)^2 |K|_1 there. The l = 0 part of W is exactly lambda
+    w_hat(0) N (N - 1) / 2. On the truncated Fock space each l != 0 term is
+    (lambda/2) w_hat(l) (rho_l rho_l* - sum_q n_q), with rho_l =
+    sum_p a*_{p-l} a_p and q running over the modes with q + l in the set;
+    rho_l rho_l* >= 0 and the sum is at most N, so since lambda >= 0 and
+    w_hat >= 0 (TorusModel, validate_potential) the term is at least
+    -(lambda/2) w_hat(l) N (Seiringer, CMP 306, 565 (2011)). The bound needs
+    no operator, so it ranks blocks before any is built.
+    """
+    n = model.N
+    rest = math.fsum(v for p, v in model.potential.entries if not p.is_zero)
+    interaction = model.lam * n * ((n - 1) * model.potential.w_zero - rest) / 2.0
+    return TWO_PI * TWO_PI * shell + interaction
+
+
+def _shell(d: int, size: int):
+    """The integer vectors of d coordinates with |K|_1 = size, in increasing order."""
+    if d == 1:
+        yield from ((-size,), (size,)) if size else ((0,),)
+        return
+    for x in range(-size, size + 1):
+        for rest in _shell(d - 1, size - abs(x)):
+            yield (x, *rest)
+
+
+def _block_visits(model: TorusModel):
+    """(K, block_energy_bound, copies) for K = 0 and, of each pair {K, -K},
+    the greater block, counted twice: by shells of increasing |K|_1, ties in
+    momentum order, up to N max |p|_1, beyond which no block holds a state.
+    Momenta outside N times the box of the mode set are skipped."""
+    coords = np.array(model.mode_set(), dtype=np.int64)
+    low, high = model.N * coords.min(axis=0), model.N * coords.max(axis=0)
+    for shell in range(model.N * int(np.abs(coords).sum(axis=1).max()) + 1):
+        bound = block_energy_bound(model, shell)
+        for k in _shell(model.d, shell):
+            if k >= tuple(-x for x in k) and (low <= k).all() and (k <= high).all():
+                yield Momentum(k), bound, 2 if shell else 1
+
+
+@dataclass(frozen=True, eq=False)
+class ParticleSector:
+    """The lowest levels of model's whole N sector, solved block by block.
+
+    dimension is the sector's state count, in closed form. basis is the own
+    basis of the block holding the ground, and merged the result on the
+    sector (see solve_particle_sector), its ground vector on basis.
+    """
+
+    dimension: int
+    basis: FockBasis
+    merged: EDResult
+
+
+def solve_particle_sector(
+    model: TorusModel,
+    settings: EDSettings = EDSettings(),
+    zero_block: tuple[FockBasis, EDResult] | None = None,
+) -> ParticleSector:
+    """Lowest levels of model's whole N sector, from the blocks that can hold them.
+
+    No operator exists before a block is solved: the blocks are visited in
+    increasing order of block_energy_bound, K = 0 and of each pair {K, -K}
+    the greater, whose levels count for its mirror too (see SectorSolve),
+    and the loop stops as solve_sector's does (_solve_blocks). Each block
+    visited is enumerated alone (enumerate_basis, which builds only rows
+    that can reach it), skipped when empty, refused when its dense route is
+    oversized (ResourceLimitError) before assembly, and else assembled and
+    solved at max(k, 2) levels. zero_block, the K = 0 block's basis and
+    that solve already made, stands in for the K = 0 block.
+
+    So the state budget refuses a block the loop must solve, never the
+    sector for its size, and only the ground block's basis is kept: each
+    other block's basis and operator go once it is solved. merged is what
+    solve_sector on the assembled sector gives, the same levels and gap,
+    with the ground vector on the ground block and its residual measured
+    there. A mode set not closed under negation raises ValueError.
+    """
+    modes = model.mode_set()
+    if {-p for p in modes} != set(modes):
+        raise ValueError("mode set not closed under negation: block -K is not block K mirrored")
+    block_settings = replace(settings, k=max(settings.k, 2))
+
+    def solve(momentum: Momentum) -> tuple[EDResult, FockBasis] | None:
+        if zero_block is not None and momentum.is_zero:
+            basis, result = zero_block
+            return result, basis
+        basis = enumerate_basis(modes, model.N, momentum)
+        if not basis.size:
+            return None
+        _solves_dense(basis.size, block_settings)  # refuses an oversized dense route
+        return lowest_eigenpairs(build_hamiltonian(model, basis), block_settings), basis
+
+    results, levels, ground_at, basis = _solve_blocks(_block_visits(model), solve, settings)
+    ground = results[ground_at]
+    return ParticleSector(
+        dimension=math.comb(model.N + len(modes) - 1, len(modes) - 1),
+        basis=basis,
+        merged=_merged(results, levels, settings, ground.ground_vector, ground.residual_norm),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1271,21 +1522,12 @@ def operator_identity_residuals(
 
 
 def nonzero_momentum_bound(model: TorusModel) -> float:
-    """A lower bound B on every level of every K != 0 block of model's N sector.
+    """A lower bound on every level of every K != 0 block of model's N sector:
+    block_energy_bound at |K|_1 = 1, the least shell of a K != 0 block.
 
     B = (2 pi)^2 + lambda N (N-1) w_hat(0) / 2 - lambda N sum_{l!=0} w_hat(l) / 2.
-    A state of a block K != 0 holds a particle outside the zero mode, so its
-    kinetic energy is at least (2 pi)^2. The l = 0 interaction is exactly
-    lambda w_hat(0) N (N-1) / 2. On the truncated Fock space each l != 0 term
-    is (lambda/2) w_hat(l) (rho_l rho_l* - sum_q n_q), with rho_l =
-    sum_p a*_{p-l} a_p and q running over the modes with q + l in the set;
-    rho_l rho_l* >= 0 and the sum is at most N, so since lambda >= 0 and
-    w_hat >= 0 (TorusModel, validate_potential) the term is at least
-    -(lambda/2) w_hat(l) N (Seiringer, CMP 306, 565 (2011)).
     """
-    n = model.N
-    rest = math.fsum(v for p, v in model.potential.entries if not p.is_zero)
-    return TWO_PI * TWO_PI + model.lam * n * ((n - 1) * model.potential.w_zero - rest) / 2.0
+    return block_energy_bound(model, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1329,9 +1571,11 @@ def binding_from_ed(
     true ground up to rounding, so when it lies below the bound B on every
     K != 0 level (nonzero_momentum_bound) by 1e-10 max(1, |B|), K = 0 holds
     the ground: sector_minimum is E_N and nothing more is solved.
-    Otherwise the whole N sector is solved by solve_sector, and the binding
-    is converged only if that solve is too and K = 0 attains its minimum. An
-    empty K = 0 sector raises ValueError.
+    Otherwise the whole N sector is solved block by block
+    (solve_particle_sector), going on from the K = 0 block already solved,
+    so that block is solved once; the binding is converged only if that
+    solve is too and K = 0 attains its minimum. An empty K = 0 sector raises
+    ValueError.
     """
     if model.N < 2:
         raise ValueError("binding energy needs N >= 2")
@@ -1356,9 +1600,9 @@ def binding_from_ed(
         # Certified: every K != 0 level lies above the K = 0 ground.
         k0_is_global = sector_minimum < ground_bound - 1e-10 * max(1.0, abs(ground_bound))
         if not k0_is_global:
-            whole = enumerate_basis(modes, n_particles=model.N)
-            plan_blocks(whole, settings)
-            merged = solve_sector(whole, build_hamiltonian(model, whole), settings).merged
+            merged = solve_particle_sector(
+                model, settings, zero_block=(solves[model.N].basis, result_n)
+            ).merged
             sector_minimum = merged.ground_energy
             k0_is_global = (
                 abs(sector_minimum - result_n.ground_energy)

@@ -55,14 +55,16 @@ def run_traced(tracing, tmp_path, verb, doc, out, *extra) -> tuple[int, dict]:
 # The assembly counts are pinned, so that a change to what is assembled or
 # to its sparsity pattern (explicit zeros, say) shows without a benchmark run.
 # So are the dense solves: of K = 0 and one block of each pair {K, -K}, only
-# the blocks whose Gershgorin bound does not rule them out are solved (K = 0
-# and K = +1 of the N = 8 sector; two K = 0 rungs, then K = 0 and K = +1 of
-# the pair space), so solving blocks the bound skips shows too. A study
+# the blocks whose bound does not rule them out are solved, so solving
+# blocks the bound skips shows too. The N = 8 sector is solved block by
+# block, and only K = 0 and K = +1 are assembled, each alone; the pair job
+# assembles two K = 0 rungs, then the whole pair space, of which its
+# Gershgorin bounds leave K = 0 and K = +1 to solve. A study
 # record solves only its two K = 0 blocks, since the energy bound certifies
 # that K = 0 holds the ground, so a whole N sector solved again shows as well.
 @pytest.mark.parametrize(
     "ed, calls, nnz, dense",
-    [({}, 1, 101, 2), ({"hamiltonian": "pair", "excitation_cutoff": 6}, 3, 124, 4)],
+    [({}, 2, 23, 2), ({"hamiltonian": "pair", "excitation_cutoff": 6}, 3, 124, 4)],
     ids=["particle", "pair"],
 )
 def test_ed_job_runs_traced(tmp_path, tracing, ed, calls, nnz, dense):

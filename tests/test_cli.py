@@ -427,6 +427,29 @@ class TestEdWorkflow:
         assert result["dimension"] == 4283
         assert result["converged"] is True
 
+    def test_whole_sector_too_large_to_enumerate_runs(self, tmp_path):
+        # The d = 2, 9-mode N = 16 sector holds 735,471 states, over the
+        # budget of 500,000. Solved block by block, it needs only the blocks
+        # that can hold its two lowest levels, each within the budget, and
+        # its ground is the K = 0 block's, bit for bit.
+        doc = {
+            "model": {
+                "d": 2,
+                "N": 16,
+                "mode_cutoff": 1.5 * 2.0 * math.pi,
+                "potential": {"entries": [[-1, 0, 1.0], [0, -1, 1.0], [0, 1, 1.0], [1, 0, 1.0]]},
+            },
+        }
+        results = {}
+        for name, ed in (("sector", {}), ("k0", {"momentum_sector": [0, 0]})):
+            cfg = write_json(tmp_path / f"{name}.json", {**doc, "ed": ed})
+            assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            results[name] = read_json(tmp_path / name / "report.json")["result"]
+        assert (results["sector"]["dimension"], results["k0"]["dimension"]) == (735471, 4283)
+        assert results["sector"]["converged"] is True
+        assert results["sector"]["eigenvalues"][0] == results["k0"]["eigenvalues"][0]
+        assert results["sector"]["observables"]["momentum"] == [0.0, 0.0]
+
     def test_oversized_dense_solve_exits_2(self, tmp_path, capsys, monkeypatch):
         # The d = 2, 9-mode K = 0 block at N = 24 holds 30,936 states; its
         # dense route is refused right after enumeration, before assembly.
@@ -513,9 +536,27 @@ class TestEdWorkflow:
         assert result["dimension"] == dimension
         assert (result["method"], result["iterations"]) == ("dense", 0)
         assert max(dims) == largest
-        # Every block is solved dense, and each arrives as a CSR slice of the
-        # sector's operator, the one operator type the eigensolver takes.
+        # Every block is solved dense, and each arrives as a CSR operator
+        # assembled on that block alone, the one operator type the
+        # eigensolver takes.
         assert kinds == {scipy.sparse.csr_matrix}
+
+    def test_whole_sector_job_enumerates_its_blocks_only(self, tmp_path, monkeypatch):
+        # The three-mode N = 56 sector holds 1,653 states; its job enumerates
+        # only the blocks it solves, each alone (K = 0 and K = +1, 29 and 28
+        # states), and never the whole sector.
+        enumerate_basis = fock_ed.enumerate_basis
+        sectors = []
+
+        def spy(modes, n_particles, momentum_sector=None, **kwargs):
+            sectors.append(momentum_sector)
+            return enumerate_basis(modes, n_particles, momentum_sector, **kwargs)
+
+        monkeypatch.setattr(fock_ed, "enumerate_basis", spy)
+        cfg = write_json(tmp_path / "cfg.json", {"model": one_pair_model_doc(56)})
+        assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert sectors == [(0,), (1,)]
+        assert read_json(tmp_path / "out" / "report.json")["result"]["dimension"] == 1653
 
     def test_free_condensate_ground_is_reported(self, tmp_path):
         # w_hat = 0 on the two-band K = 0 block of N = 34 (1,353 states,
@@ -722,9 +763,9 @@ class TestStudyWorkflow:
     def test_unconverged_global_block_exit_3_and_not_cached(self, tmp_path, monkeypatch):
         # w_hat(+-1) = 60 puts the bound B = (2 pi)^2 - 60 below every K = 0
         # ground, so each record solves its two K = 0 blocks and then its
-        # whole N sector, whose Gershgorin bounds leave its blocks K = 0 and
-        # K = +1 to solve. Block K = +1 of the N = 3 sector holds two states
-        # and not the ground: its failure alone must fail that record.
+        # whole N sector block by block, going on from its K = 0 result.
+        # The first of those blocks, K = +1 of the N = 3 sector, holds two
+        # states and not the ground: its failure alone must fail that record.
         from torusbog import fock_ed
 
         solve = fock_ed.lowest_eigenpairs
@@ -733,7 +774,7 @@ class TestStudyWorkflow:
         def failing_k1(op, *args, **kwargs):
             result = solve(op, *args, **kwargs)
             calls.append(op.shape[0])
-            return replace(result, converged=False) if len(calls) == 4 else result
+            return replace(result, converged=False) if len(calls) == 3 else result
 
         doc = self.study_doc((3, 4, 5))
         doc["model"]["potential"] = {"entries": [[-1, 60.0], [1, 60.0]]}
@@ -743,9 +784,8 @@ class TestStudyWorkflow:
         with monkeypatch.context() as patch:
             patch.setattr(fock_ed, "lowest_eigenpairs", failing_k1)
             assert cli.main(args + [str(tmp_path / "o1")]) == 3
-        # Two K = 0 blocks and two whole-sector blocks per record.
-        assert len(calls) == 3 * (2 + 2)
-        assert calls[3] == 2
+        # The N = 3 record: K = 0 of N = 3 and N = 2, then K = +1 of N = 3.
+        assert calls[:3] == [2, 2, 2]
         records = read_json(tmp_path / "o1" / "report.json")["records"]
         assert [rec["converged"] for rec in records] == [False, True, True]
         assert len(list(cache.glob("*.json"))) == 2
@@ -878,27 +918,27 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["8022e19061de947fd7576beedebd1dd0"],
+                ["444def24b6d90ed8988fdcae737a909a"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["390dac111dee723b35bffd00f03e5c09"],
+                ["6632e69f9ae8964877f253b9be153223"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "15cdd9fff069ac331792e25ecf5cb003",
-                    "25c2039bf46cf2ae401327ef54e85ef2",
-                    "39b068afa8b8ebb35bd7037f94378fb5",
+                    "57a5e6995dda51c28b9939c4b2605c2a",
+                    "e3a4d3a534c41799b31db76b6fa98c6b",
+                    "efb855fe9f4a192e602ca5e3d0192c96",
                 ],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["15393f40d0567a2fd8cb87cd56908be6"],
+                ["889e46cada1df1a7b61f076e9763cca0"],
             ),
         ],
     )

@@ -403,22 +403,60 @@ class TestEnumerateBasis:
 
     def test_block_budget_bounds_the_rows_built(self):
         # The d = 2, 9-mode K = 0 block at N = 16 holds 4,283 states, of an
-        # unfiltered sector of 735,471: the default budget admits it, and a
-        # budget below it is refused at a step's candidate count, before that
-        # step allocates, so the peak stays below what the budget's rows take.
+        # unfiltered sector of 735,471. Each step builds only the
+        # occupations that can still reach K = 0, and the largest step, at
+        # mode 6, builds as many candidates as the block holds: a budget of
+        # 4,283 admits it, and one of 4,282 is refused at that step's
+        # candidate count, before the step allocates, so the peak stays
+        # below what the budget's rows take.
         modes = build_mode_set(2, 1.5 * TWO_PI)
         k0 = zero_momentum(2)
-        assert fock_ed.enumerate_basis(modes, n_particles=16, momentum_sector=k0).size == 4283
+        admitted = fock_ed.enumerate_basis(
+            modes, n_particles=16, momentum_sector=k0, max_states=4283
+        )
+        assert admitted.size == 4283
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="at mode 4, budget is 4000"):
+            with pytest.raises(
+                ResourceLimitError, match="builds 4283 candidate rows at mode 6, budget is 4282"
+            ):
                 fock_ed.enumerate_basis(
-                    modes, n_particles=16, momentum_sector=k0, max_states=4000
+                    modes, n_particles=16, momentum_sector=k0, max_states=4282
                 )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4000 * len(modes) * 8
+        assert peak < 4282 * len(modes) * 8
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sector_rows_match_a_brute_force_filter(self, data):
+        # Mode sets in d = 1, 2 and 3, in any order and with gaps, N from 0,
+        # and a target reachable or not, or none: the rows are those of the
+        # whole sector, made by itertools, whose momentum is the target, in
+        # lexicographic order.
+        d = data.draw(st.sampled_from([1, 2, 3]))
+        box = list(itertools.product(range(-2, 3), repeat=d))
+        modes = data.draw(st.lists(st.sampled_from(box), min_size=1, max_size=6, unique=True))
+        n = data.draw(st.integers(0, {1: 8, 2: 6, 3: 4}[d]))
+        reach = 2 * n + 2
+        target = data.draw(
+            st.one_of(st.none(), st.lists(st.integers(-reach, reach), min_size=d, max_size=d))
+        )
+        expected = []
+        for chosen in itertools.combinations_with_replacement(range(len(modes)), n):
+            momentum = [sum(modes[i][c] for i in chosen) for c in range(d)]
+            if target is None or momentum == target:
+                expected.append([chosen.count(i) for i in range(len(modes))])
+        expected.sort()
+        rows = fock_ed._sector_rows(
+            np.array(modes, dtype=np.int64),
+            n,
+            None if target is None else np.array(target, dtype=np.int64),
+            math.comb(n + len(modes) - 1, n),
+        )
+        assert rows.shape == (len(expected), len(modes))
+        assert rows.tolist() == expected
 
     def test_excitation_counts(self):
         basis = one_pair_k0_basis(3)
@@ -667,6 +705,34 @@ class TestMomentumBlocks:
         assert merged.gap == gap
         assert np.array_equal(merged.ground_vector, ground)
         assert merged.residual_norm == residual
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_block_by_block_sector_matches_the_assembled_sector(self, data):
+        # Random even tables on the five modes of a line or the nine of a
+        # square, lambda N up to 150 (where the energy bound prunes nothing)
+        # or lambda = 0 (exact ties between blocks), k = 1 or 3, both
+        # routes: the sector solved block by block, each block enumerated
+        # and assembled alone, reports the levels, gap and dimension that
+        # solve_sector gives on the assembled sector, bit for bit, and the
+        # ground vector on the same block.
+        model = draw_even_model(data, st.just(0.0))
+        lam_n = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 150.0)))
+        model = replace(model, lam=lam_n / model.N)
+        ed = fock_ed.EDSettings(
+            k=data.draw(st.sampled_from([1, 3])),
+            dense_threshold=data.draw(st.sampled_from([0, 10, 500])),
+        )
+        basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
+        whole = fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis), ed)
+        sector = fock_ed.solve_particle_sector(model, ed)
+        mine, theirs = sector.merged, whole.merged
+        assert mine.eigenvalues == theirs.eigenvalues
+        assert mine.gap == theirs.gap
+        assert sector.dimension == basis.size
+        ground_at = sector.basis.momentum_sector
+        assert np.array_equal(sector.basis.states, basis.states[whole.rows[ground_at]])
+        assert np.array_equal(mine.ground_vector, theirs.ground_vector[whole.rows[ground_at]])
 
     def test_mode_set_not_closed_under_negation_refused(self):
         # Over modes 0 and 1 block -K is not the mirror of block K.
@@ -2058,25 +2124,55 @@ class TestBindingFromED:
 
     def test_unconverged_global_block_fails_the_binding(self, monkeypatch):
         # At lambda N = 120 the bound does not certify K = 0, so after the
-        # K = 0 blocks of N = 8 and 7 the whole N = 8 sector is solved. Its
-        # Gershgorin bounds leave blocks K = 0 and K = +1 to solve; K = +1
-        # holds four states and not the ground: the K = 0 ground still
-        # attains the sector minimum, but the global check did not converge.
+        # K = 0 blocks of N = 8 and 7 the whole N = 8 sector is solved block
+        # by block from the K = 0 result: K = +1 first, four states and not
+        # the ground. Its failure alone fails the binding, while the K = 0
+        # ground still attains the sector minimum.
         solve = fock_ed.lowest_eigenpairs
         calls = []
 
         def failing_k1(op, *args, **kwargs):
             result = solve(op, *args, **kwargs)
             calls.append(op.shape[0])
-            return replace(result, converged=False) if len(calls) == 4 else result
+            return replace(result, converged=False) if len(calls) == 3 else result
 
         monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_k1)
         binding = fock_ed.binding_from_ed(make_one_pair_model(N=8, lam=15.0))
         assert binding.ground_bound <= binding.E_N
-        assert calls == [5, 4, 5, 4]
+        assert calls[:3] == [5, 4, 4]
         assert binding.k0_is_global is True
         assert binding.result_N.converged and binding.result_Nm1.converged
         assert binding.converged is False
+
+    def test_fallback_solves_the_k0_block_once(self, monkeypatch):
+        # Where the bound does not certify (lambda N = 120), the whole N = 8
+        # sector is solved block by block, going on from the K = 0 result
+        # the binding already holds: the K = 0 block of N is enumerated and
+        # solved once, and no whole sector is enumerated. The blocks are
+        # K = 0 of N = 8 (5 states) and N = 7 (4), then K = 1, ..., 4 of
+        # N = 8 (4, 4, 3 and 3 states), the last whose bound lies below the
+        # two lowest levels found.
+        enumerate_basis = fock_ed.enumerate_basis
+        solve = fock_ed.lowest_eigenpairs
+        sectors, calls = [], []
+
+        def spy_enumerate(modes, n_particles, momentum_sector=None, **kwargs):
+            sectors.append((n_particles, momentum_sector))
+            return enumerate_basis(modes, n_particles, momentum_sector, **kwargs)
+
+        def spy_solve(op, *args, **kwargs):
+            calls.append(op.shape[0])
+            return solve(op, *args, **kwargs)
+
+        monkeypatch.setattr(fock_ed, "enumerate_basis", spy_enumerate)
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", spy_solve)
+        model = make_one_pair_model(N=8, lam=15.0)
+        binding = fock_ed.binding_from_ed(model)
+        assert binding.E_N >= binding.ground_bound
+        k = [Momentum((x,)) for x in range(5)]
+        assert sectors == [(8, k[0]), (7, k[0])] + [(8, p) for p in k[1:]]
+        assert calls == [5, 4, 4, 4, 3, 3]
+        assert binding.k0_is_global and binding.converged
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
