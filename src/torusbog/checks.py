@@ -2,7 +2,7 @@
 
 battery() runs every check on one model and returns one Check per relation,
 in report order. The measurements behind the checks (mode_algebra,
-random_vector_bounds, off_block_entries, block_minima) are plain functions,
+random_vector_bounds, off_block_entries, block_solves) are plain functions,
 so the unit tests call the same code and assert their own bounds on its
 numbers.
 """
@@ -98,22 +98,18 @@ def off_block_entries(ham, rows: dict) -> int:
     return int(np.count_nonzero(ham.data) - inside)
 
 
-def block_minima(sector: fock_ed.SectorSolve, settings: fock_ed.EDSettings) -> dict:
-    """The lowest level of each block fock_ed.plan_blocks names on sector's
-    basis (K = 0 and one block of each pair {K, -K}): from sector.results
-    where solve_sector solved it, else from lowest_eigenpairs on the block's
-    own operator, sector.block(K), at the settings solve_sector gives its
-    blocks. The blocks that the Gershgorin bounds skipped are solved here,
-    so a check against every block minimum keeps its strength."""
-    _, copies = fock_ed.plan_blocks(sector.basis, settings)
+def block_solves(basis: fock_ed.FockBasis, ham, settings: fock_ed.EDSettings) -> dict:
+    """lowest_eigenpairs at max(k, 2) levels on K = 0 and one block of each
+    pair {K, -K} of basis (the greater, or the one present), each on its own
+    operator ham[rows][:, rows], by increasing momentum. No bound skips a
+    block, so a check against every block minimum keeps its strength."""
+    blocks = basis.momentum_blocks()
     block_settings = replace(settings, k=max(settings.k, 2))
-    minima = {}
-    for k in copies:
-        result = sector.results.get(k)
-        if result is None:
-            result = fock_ed.lowest_eigenpairs(sector.block(k)[1], block_settings)
-        minima[k] = result.ground_energy
-    return minima
+    return {
+        k: fock_ed.lowest_eigenpairs(ham[rows][:, rows], block_settings)
+        for k, rows in blocks.items()
+        if k >= -k or -k not in blocks
+    }
 
 
 def zero_mode_offset(ground: float, shifted_ground: float, offset: float) -> Check:
@@ -123,23 +119,27 @@ def zero_mode_offset(ground: float, shifted_ground: float, offset: float) -> Che
 
 
 def sector_checks(
-    model: TorusModel, sector: fock_ed.SectorSolve, settings: fock_ed.EDSettings
+    model: TorusModel,
+    basis: fock_ed.FockBasis,
+    ham,
+    solves: dict,
+    settings: fock_ed.EDSettings,
 ) -> list[Check]:
-    """The checks on model's whole N sector, solved by momentum blocks: the
-    K = 0 block's hermiticity, both energy bounds and, where w_hat(0) != 0, the
-    exact zero-mode offset, whether the operator is block diagonal, and
-    whether the bound that certifies K = 0 in binding_from_ed lies below the
-    minimum of every K != 0 block, those solve_sector skipped included
-    (block_minima; vacuously when there is none)."""
+    """The checks on model's whole N sector, its basis and H on it, with
+    solves its block_solves: the K = 0 block's hermiticity, both energy
+    bounds and, where w_hat(0) != 0, the exact zero-mode offset, whether the
+    operator is block diagonal, and whether the bound that certifies K = 0
+    in binding_from_ed, block_energy_bound at |K|_1 = 1, lies below the
+    minimum of every K != 0 block (vacuously when there is none)."""
     n, k0 = model.N, zero_momentum(model.d)
-    basis, ham = sector.block(k0)
-    sym, low = random_vector_bounds(model, basis, ham, settings.seed)
-    off = off_block_entries(sector.ham, sector.rows)
+    blocks = basis.momentum_blocks()
+    block = fock_ed.enumerate_basis(basis.modes, n, k0)
+    sym, low = random_vector_bounds(model, block, ham[blocks[k0]][:, blocks[k0]], settings.seed)
+    off = off_block_entries(ham, blocks)
     trial = model.lam * model.potential.w_zero * n * (n - 1) / 2.0
-    bound = fock_ed.nonzero_momentum_bound(model)
-    minima = block_minima(sector, settings)
-    ground = minima[k0]
-    least = min((e for k, e in minima.items() if k != k0), default=math.inf)
+    bound = fock_ed.block_energy_bound(model, n, 1)
+    ground = solves[k0].ground_energy
+    least = min((r.ground_energy for k, r in solves.items() if k != k0), default=math.inf)
     out = [
         _at_most("hermiticity", sym, 1e-10, "max asymmetry"),
         _at_most("condensation_lower_bound", low, 1e-9, "max violation"),
@@ -151,8 +151,8 @@ def sector_checks(
     ]
     shifted, offset = normalize_zero_mode(model.potential)
     if shifted is not model.potential:
-        shifted_ham = fock_ed.build_hamiltonian(replace(model, potential=shifted), basis)
-        shifted_ground = fock_ed.solve_sector(basis, shifted_ham, replace(settings, k=1)).merged
+        shifted_ham = fock_ed.build_hamiltonian(replace(model, potential=shifted), block)
+        shifted_ground = fock_ed.lowest_eigenpairs(shifted_ham, replace(settings, k=1))
         out.append(zero_mode_offset(ground, shifted_ground.ground_energy, offset(model.lam, n)))
     return out
 
@@ -163,9 +163,10 @@ def battery(
     """Every invariant on model, which must hold the zero mode, in report order.
 
     The operator checks run on n = min(N, 4) particles and the variational
-    sandwich on min(N, 6). The whole n sector is assembled and solved once:
-    the identities read its operator and ground, sector_checks its operator
-    and K = 0 block.
+    sandwich on min(N, 6). The whole n sector is assembled once, and each
+    block of block_solves is solved once on its slice of it: the identities
+    read the operator and the least block ground, placed in the whole basis,
+    and sector_checks the operator and the block solves.
     """
     bound = model.potential.coefficient_sum
     points = ([(i * 0.0625 + 0.013 * axis) % 1.0 for axis in range(model.d)] for i in range(17))
@@ -199,8 +200,14 @@ def battery(
 
     small = model if model.N <= 4 else replace(model, N=4, lam=model.lam)
     basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=small.N)
-    sector = fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(small, basis), ed_settings)
-    residuals = fock_ed.operator_identity_residuals(small, sector=sector)
+    ham = fock_ed.build_hamiltonian(small, basis)
+    solves = block_solves(basis, ham, ed_settings)
+    ground_at = min(solves, key=lambda k: (solves[k].ground_energy, k))
+    ground = np.zeros(basis.size)
+    ground[basis.momentum_blocks()[ground_at]] = solves[ground_at].ground_vector
+    residuals = fock_ed.operator_identity_residuals(
+        small, sector=(basis, ham, solves[ground_at].ground_energy, ground)
+    )
     out += [
         _at_most("double_commutator_identity", residuals.residual_a, 1e-10, "residual"),
         _at_most("number_identity", residuals.residual_b, 1e-8, "relative residual"),
@@ -219,4 +226,4 @@ def battery(
               f"<= upper {sandwich.upper:.6e}"),
         Check("norm_identities", max(devs) <= 1e-10, "devs {:.3e}, {:.3e}".format(*devs)),
     ]
-    return out + sector_checks(small, sector, ed_settings)
+    return out + sector_checks(small, basis, ham, solves, ed_settings)

@@ -539,7 +539,7 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             if not modes:
                 raise ConfigError("model.mode_cutoff leaves no nonzero mode to pair")
             ground = fock_ed.converged_bogoliubov_ground(modes, model.potential, hb, settings)
-            payload = _ed_payload(ground.result, ground.basis, ground.basis.size, settings.tol)
+            payload = _ed_payload(ground.result, ground.basis, ground.dimension, settings.tol)
             payload["excitation_cutoff"] = ground.cutoff_used
             payload["cutoff_delta"] = ground.delta_achieved
             payload["converged"] = ground.converged
@@ -567,15 +567,14 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
                 # Block by block: only the blocks that can hold the levels are built.
                 whole = fock_ed.solve_particle_sector(model, settings)
                 return _ed_payload(whole.merged, whole.basis, whole.dimension, settings.tol)
-            basis = fock_ed.enumerate_basis(modes, n_particles=model.N, momentum_sector=sector)
+            # An oversized dense route is refused before assembly.
+            basis, ham = fock_ed.momentum_block(model, model.N, sector, settings)
             if not basis.size:
                 raise ConfigError(
                     f"ed.momentum_sector {list(sector)} holds no state of {model.N} particles"
                 )
-            # An oversized dense route is refused before assembly.
-            fock_ed.plan_blocks(basis, settings)
-            solved = fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis), settings)
-            return _ed_payload(solved.merged, basis, basis.size, settings.tol)
+            result = fock_ed.lowest_eigenpairs(ham, settings)
+            return _ed_payload(result, basis, basis.size, settings.tol)
 
         key_payload = {
             "op": "ed-particle",

@@ -41,31 +41,28 @@ are evaluated here too.
 
 Both operators conserve total momentum and are even under p -> -p, so a
 sector's levels are those of K = 0 and one block of each pair {K, -K},
-that block's levels counted for its mirror too. One block loop
-(_solve_blocks) visits blocks in increasing order of a lower bound on their
-levels, and stops once the next bound lies above the levels it reports;
-one merge (_merged) makes the sector's result from the blocks solved. It
-has two users:
+that block's levels counted for its mirror too. Every sector is solved by
+one block loop (_solve_blocks), with no operator built in advance: it
+visits blocks by shells of increasing |K|_1, each shell bounded from below
+before any of its blocks is built (_block_visits), enumerates, assembles
+and solves each block visited alone, and stops once the next bound lies
+above the levels it wants; one merge (_merged) makes the sector's result
+from the blocks solved. Its users differ in their bound and in the levels
+they want:
 
-- solve_particle_sector solves a whole particle sector with no operator
-  built in advance: block K is bounded by block_energy_bound, (2 pi)^2
-  |K|_1 plus an interaction bound, and each block visited is enumerated,
-  assembled and solved alone. The ed whole-sector job uses it, and so does
-  binding_from_ed where its certificate fails.
-- solve_sector(basis, ham, settings) solves an operator its caller
-  assembled once, a whole space or one block: the pair Hamiltonian's <= M
-  space, and the selfcheck's sector. Its bounds are Gershgorin bounds, read
-  from the operator's diagonal and row sums, and each solved block is
-  gathered from the operator's CSR arrays (_block_operator). A basis
-  filtered to one momentum is one block in order, so it is solved on its
-  operator as it is, with no permutation and no bound.
+- solve_particle_sector, the ed whole-sector job, bounds H's block K by
+  block_energy_bound, (2 pi)^2 |K|_1 plus an interaction bound;
+- converged_bogoliubov_ground bounds HB's block K by e_B + c |K|_1, its
+  quasiparticle energies' least rate per unit of |p|_1 (_pair_block_bound);
+- binding_from_ed wants one level: the loop, started from the K = 0
+  block's solve, certifies that K = 0 holds the ground of the N sector and
+  of the N - 1 sector.
 
-binding_from_ed solves the K = 0 blocks of N and N - 1 alone; that K = 0
-holds the ground of the N sector is certified by block_energy_bound at
-|K|_1 = 1 (nonzero_momentum_bound). The pair Hamiltonian's cutoff ladder
-solves only K = 0 blocks. Davidson starts on the rows of low diagonal.
-Every caller refuses an oversized dense solve before assembly, from the
-block's size alone (plan_blocks, or the loop itself).
+A caller of one block (the ed momentum_sector job, the binding's K = 0
+blocks, the pair Hamiltonian's cutoff ladder) solves it by
+lowest_eigenpairs directly. Davidson starts on the rows of low diagonal.
+An oversized dense solve of H is refused before assembly, from the block's
+size alone (momentum_block).
 
 scipy is imported inside the functions that assemble, solve or build a_0,
 so a process that only reads cached results never loads it.
@@ -79,6 +76,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import bogoliubov
 from .model import (
     TWO_PI,
     Momentum,
@@ -300,8 +298,10 @@ class FockBasis:
         and its lowest level is the least of the block minima (Sandvik, AIP
         Conf. Proc. 1297, 135 (2010)). A basis filtered to one momentum is
         that one block, all its rows in order, or no block when empty; its
-        momenta are not computed. The blocks are found once per basis, so
-        plan_blocks and solve_sector share them; the row arrays are read-only.
+        momenta are not computed. The sectors solved block by block never
+        build a whole basis; the selfcheck reads these rows of the one it
+        assembles. The blocks are found once per basis, and the row arrays
+        are read-only.
         """
         return dict(self._blocks)
 
@@ -324,21 +324,6 @@ class FockBasis:
         for rows in blocks.values():
             rows.flags.writeable = False
         return blocks
-
-    @functools.cached_property
-    def _block_copies(self) -> dict[Momentum, int]:
-        """For each block plan_blocks names, the number of blocks holding its
-        levels: 2 with its mirror -K, else 1. A mode set not closed under
-        negation raises ValueError."""
-        # Mirrors as plain tuples, which compare and hash as momenta do.
-        if {tuple(-x for x in p) for p in self.modes} != set(self.modes):
-            raise ValueError("mode set not closed under negation: block -K is not block K mirrored")
-        copies = {}
-        for p in self._blocks:
-            mirror = tuple(-x for x in p)
-            if p >= mirror or mirror not in self._blocks:
-                copies[p] = 2 if p != mirror and mirror in self._blocks else 1
-        return copies
 
     def excitation_counts(self) -> np.ndarray:
         """Per-state number of particles outside the zero mode."""
@@ -1011,258 +996,53 @@ def _davidson_lowest(
 
 
 # ---------------------------------------------------------------------------
-# Whole N sectors by momentum block
+# Sectors by momentum block
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SectorSolve:
-    """A basis and its operator, solved one total-momentum block at a time.
+def block_energy_bound(model: TorusModel, particles: int, shell: int) -> float:
+    """A lower bound B on every level of every block K of model's sector of
+    n = particles with |K|_1 = shell, |K|_1 the sum of K's absolute integer
+    coordinates:
 
-    ham is the operator assembled once on basis. rows maps each total
-    momentum, in increasing order, to its rows of basis. results holds, in
-    increasing momentum order, the lowest max(k, 2) pairs of each block
-    solve_sector solved. Those are among the blocks plan_blocks names (K = 0,
-    each block whose mirror -K is absent, and of each pair {K, -K} present
-    the lexicographically greater): the ones whose Gershgorin bound did not
-    rule them out, always the block of a one-block basis, and not always
-    K = 0. merged is the result on the whole basis built from them, the one
-    solving every named block would give.
-
-    Block -K needs no solve of its own: the map p -> -p takes the mode set to
-    itself (build_mode_set makes it closed under negation, and the pair
-    Hamiltonian refuses any other set), and w_hat is exactly even
-    (validate_potential), so H and HB on block -K are the block-K operator
-    with its rows permuted, with the same levels.
-    """
-
-    basis: FockBasis
-    ham: scipy.sparse.csr_matrix
-    rows: dict[Momentum, np.ndarray]
-    results: dict[Momentum, EDResult]
-    merged: EDResult
-
-    def block(self, momentum: Momentum) -> tuple[FockBasis, scipy.sparse.csr_matrix]:
-        """The block's own basis, filtered to momentum, and its operator ham[rows][:, rows].
-
-        Its rows keep the lexicographic order of basis, so the pair is the
-        one the operator's builder gives for that block alone.
-        """
-        rows = self.rows[momentum]
-        basis = FockBasis(
-            modes=self.basis.modes,
-            states=self.basis.states[rows],
-            n_particles=self.basis.n_particles,
-            momentum_sector=momentum,
-        )
-        return basis, _block_operator(self.ham, rows)
-
-
-def _block_operator(ham: scipy.sparse.csr_matrix, rows: np.ndarray) -> scipy.sparse.csr_matrix:
-    """ham[rows][:, rows] for ascending rows, gathered from ham's CSR arrays.
-
-    Every stored entry of the given rows is read in order, and those whose
-    column is one of rows are kept, their columns renumbered. ham is
-    canonical and rows ascend, so this is the canonical matrix scipy's two
-    fancy-index calls give, bit for bit, without their round trips.
-    """
-    import scipy.sparse
-
-    starts = ham.indptr[rows]
-    counts = ham.indptr[rows + 1] - starts
-    ends = np.cumsum(counts)
-    entries = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
-    position = np.full(ham.shape[1], -1, dtype=ham.indices.dtype)
-    position[rows] = np.arange(len(rows))
-    columns = position[ham.indices[entries]]
-    kept = columns >= 0
-    held = np.zeros(len(kept) + 1, dtype=ham.indptr.dtype)
-    np.cumsum(kept, out=held[1:])
-    indptr = np.concatenate((held[:1], held[ends]))
-    block = scipy.sparse.csr_matrix(
-        (ham.data[entries[kept]], columns[kept], indptr), shape=(len(rows), len(rows))
-    )
-    block.has_canonical_format = True
-    return block
-
-
-def plan_blocks(
-    basis: FockBasis, settings: EDSettings = EDSettings()
-) -> tuple[dict[Momentum, np.ndarray], dict[Momentum, int]]:
-    """The momentum blocks solve_sector finds on basis, and which it may solve.
-
-    solve_sector plans with it, on a space assembled whole or on one block;
-    solve_particle_sector makes the same dense-route check on each block it
-    enumerates, before assembling it.
-
-    Returns basis.momentum_blocks() and, for each block it may solve (K = 0,
-    each block whose mirror -K is absent, and of each pair {K, -K} present
-    the lexicographically greater; see SectorSolve), the number of blocks
-    holding its levels, 2 with its mirror, else 1. It needs only the basis,
-    so a caller that calls it right after enumeration refuses a dense route
-    of max(settings.k, 2) levels above MAX_DENSE_STATES (ResourceLimitError)
-    before anything is assembled. A basis whose modes are not closed under
-    negation raises ValueError.
-    """
-    rows = basis.momentum_blocks()
-    copies = dict(basis._block_copies)
-    block_settings = replace(settings, k=max(settings.k, 2))
-    for p in copies:
-        _solves_dense(len(rows[p]), block_settings)  # raises for an oversized dense route
-    return rows, copies
-
-
-def _solve_blocks(
-    visits, solve, settings: EDSettings
-) -> tuple[dict[Momentum, EDResult], list[float], Momentum, object]:
-    """The block loop of solve_sector and solve_particle_sector.
-
-    visits yields (K, bound, copies) in increasing bound order: a lower bound
-    on every level of block K, and the number of blocks holding its levels,
-    2 with its mirror -K, else 1. solve(K) gives the block's lowest
-    max(settings.k, 2) pairs and what to keep should the block hold the
-    ground, or None for an empty block. The loop stops once the next bound
-    exceeds the max(k, 2)-th lowest level found by 1e-10 max(1, |level|), a
-    block's levels counted copies times: no level of that block or of any
-    after it can be among the levels reported.
-
-    Returns the results by block, in the order solved; every level found, in
-    increasing order; the block holding the ground, the least ground energy
-    with ties to the lesser momentum, as when every block is solved; and what
-    solve kept for that block.
-    """
-    wanted = max(settings.k, 2)
-    results: dict[Momentum, EDResult] = {}
-    levels: list[float] = []
-    ground_at, kept = None, None
-    for momentum, bound, copies in visits:
-        if len(levels) >= wanted:
-            last = levels[wanted - 1]
-            if bound > last + 1e-10 * max(1.0, abs(last)):
-                break
-        solved = solve(momentum)
-        if solved is None:
-            continue
-        result, held = solved
-        results[momentum] = result
-        levels = sorted(levels + list(result.eigenvalues) * copies)
-        least = None if ground_at is None else (results[ground_at].ground_energy, ground_at)
-        if least is None or (result.ground_energy, momentum) < least:
-            ground_at, kept = momentum, held
-    return results, levels, ground_at, kept
-
-
-def _merged(
-    results: dict[Momentum, EDResult],
-    levels: list[float],
-    settings: EDSettings,
-    ground: np.ndarray,
-    residual: float,
-) -> EDResult:
-    """The result on a whole sector from its solved blocks: the settings.k
-    lowest of levels, the gap between the two lowest, the given ground
-    vector and its residual. It is converged when every solved block is and
-    that residual is <= tol; its method is "davidson" if any solved block ran
-    Davidson, and its iterations are the sum over the solved blocks."""
-    return EDResult(
-        eigenvalues=tuple(levels[: settings.k]),
-        ground_vector=ground,
-        residual_norm=residual,
-        iterations=sum(r.iterations for r in results.values()),
-        converged=residual <= settings.tol and all(r.converged for r in results.values()),
-        method="davidson" if any(r.method == "davidson" for r in results.values()) else "dense",
-        gap=levels[1] - levels[0] if len(levels) > 1 else math.inf,
-    )
-
-
-def solve_sector(
-    basis: FockBasis, ham: scipy.sparse.csr_matrix, settings: EDSettings = EDSettings()
-) -> SectorSolve:
-    """Lowest levels of an operator that conserves total momentum, by blocks.
-
-    ham is the operator the caller assembled on basis, a whole sector or one
-    momentum block of it: H (build_hamiltonian) or HB
-    (build_bogoliubov_hamiltonian). A whole particle sector needs no
-    operator in advance and goes through solve_particle_sector; this loop
-    serves the operators that are assembled whole, the pair Hamiltonian's
-    <= M space and the selfcheck's sector. The spectrum of ham is the union
-    of the block spectra (Sandvik, AIP Conf. Proc. 1297, 135 (2010)), and block -K has
-    the levels of block K (see SectorSolve), so at most K = 0 and one block
-    of each pair {K, -K} present are solved; plan_blocks names them. A basis
-    that is one block is solved on ham as it is. Otherwise one pass over ham
-    gives each row's diagonal d_i and Gershgorin radius r_i (_gershgorin),
-    and each block's levels are at least its bound, min(d_i - r_i) over its
-    rows. The blocks are solved in increasing bound order (ties by
-    momentum) by the loop solve_particle_sector shares (_solve_blocks),
-    which stops once the next block's bound exceeds the max(k, 2)-th lowest
-    level found so far by 1e-10 max(1, |level|), a mirrored block's levels
-    counted twice: no level of that block or of any after it can be among
-    the levels reported. In the kinetic-dominated regime only a few blocks
-    are solved (K = 0 and K = 1 of the three-mode N = 56 sector's 57). Each
-    solved block is gathered from ham's CSR arrays (_block_operator) and
-    goes through lowest_eigenpairs. A basis whose modes are not closed
-    under negation raises ValueError.
-
-    The merged result (_merged) holds the k lowest of all block eigenvalues,
-    a solved block's levels counted twice when its mirror is present, the
-    gap between the two lowest, and the ground-holding solved block's vector
-    placed in the whole basis, zero on every other row; its residual is
-    measured on the whole operator. These are the values solving every block
-    would give. It is converged when every solved block is and that residual
-    is <= tol. Its method is "davidson" if any solved block ran Davidson,
-    and its iterations are the sum over the solved blocks.
-    """
-    if not basis.size:
-        raise ValueError("basis holds no state")
-    if ham.shape != (basis.size, basis.size):
-        raise ValueError(f"basis mismatch: operator of shape {ham.shape} on {basis.size} states")
-    rows, copies = plan_blocks(basis, settings)
-    bound = dict.fromkeys(copies, -math.inf)
-    if len(copies) > 1:
-        diagonal, radii = _gershgorin(ham)
-        low = diagonal - radii
-        bound = {p: float(low[rows[p]].min()) for p in copies}
-    block_settings = replace(settings, k=max(settings.k, 2))
-
-    def solve(momentum: Momentum) -> tuple[EDResult, None]:
-        block = rows[momentum]
-        op = ham if len(block) == basis.size else _block_operator(ham, block)
-        return lowest_eigenpairs(op, block_settings), None
-
-    # sorted is stable: equal bounds keep increasing momentum order.
-    visits = ((p, bound[p], copies[p]) for p in sorted(copies, key=bound.get))
-    solved, levels, ground_at, _ = _solve_blocks(visits, solve, settings)
-    results = {p: solved[p] for p in copies if p in solved}  # increasing momentum order
-    ground = np.zeros(basis.size)
-    ground[rows[ground_at]] = results[ground_at].ground_vector
-    residual = float(np.linalg.norm(ham @ ground - levels[0] * ground))
-    merged = _merged(results, levels, settings, ground, residual)
-    return SectorSolve(basis=basis, ham=ham, rows=rows, results=results, merged=merged)
-
-
-def block_energy_bound(model: TorusModel, shell: int) -> float:
-    """A lower bound B on every level of every block K of model's N sector
-    with |K|_1 = shell, |K|_1 the sum of K's absolute integer coordinates:
-
-        B = (2 pi)^2 |K|_1 + lambda N ((N - 1) w_hat(0) - sum_{l!=0} w_hat(l)) / 2.
+        B = (2 pi)^2 |K|_1 + lambda n ((n - 1) w_hat(0) - sum_{l!=0} w_hat(l)) / 2.
 
     H is the kinetic term T plus the interaction W, so each level is at
     least the least of T on the block plus the least of W. T is diagonal,
     sum_p |p|^2 n_p with |p|^2 = (2 pi)^2 |p|_2^2, and an integer vector has
     |p|_2^2 >= |p|_1; on block K, sum_p n_p |p|_1 >= |sum_p n_p p|_1 = |K|_1,
     so T >= (2 pi)^2 |K|_1 there. The l = 0 part of W is exactly lambda
-    w_hat(0) N (N - 1) / 2. On the truncated Fock space each l != 0 term is
+    w_hat(0) n (n - 1) / 2. On the truncated Fock space each l != 0 term is
     (lambda/2) w_hat(l) (rho_l rho_l* - sum_q n_q), with rho_l =
     sum_p a*_{p-l} a_p and q running over the modes with q + l in the set;
-    rho_l rho_l* >= 0 and the sum is at most N, so since lambda >= 0 and
+    rho_l rho_l* >= 0 and the sum is at most n, so since lambda >= 0 and
     w_hat >= 0 (TorusModel, validate_potential) the term is at least
-    -(lambda/2) w_hat(l) N (Seiringer, CMP 306, 565 (2011)). The bound needs
+    -(lambda/2) w_hat(l) n (Seiringer, CMP 306, 565 (2011)). The bound needs
     no operator, so it ranks blocks before any is built.
     """
-    n = model.N
     rest = math.fsum(v for p, v in model.potential.entries if not p.is_zero)
-    interaction = model.lam * n * ((n - 1) * model.potential.w_zero - rest) / 2.0
+    interaction = model.lam * particles * ((particles - 1) * model.potential.w_zero - rest) / 2.0
     return TWO_PI * TWO_PI * shell + interaction
+
+
+def _pair_block_bound(modes: Sequence[Momentum], potential: PotentialSpec):
+    """shell -> e_B + c shell, a lower bound on every level of every block K
+    of the pair Hamiltonian's <= M space over modes with |K|_1 = shell.
+
+    On the whole Fock space over the nonzero modes HB = e_B + sum_p e_p
+    b_p* b_p exactly, each b_p lowering the momentum by p (Lewin, Nam,
+    Serfaty and Solovej, CPAM 68, 413 (2015); Seiringer, CMP 306, 565
+    (2011)), with e_p and e_B those of bogoliubov.mode_quantities. A
+    quasiparticle state of block K has sum_p n_p p = K, so sum_p n_p |p|_1
+    >= |K|_1 and its energy is at least e_B + c |K|_1, with c the least
+    e_p / |p|_1 over the modes. HB on the <= M space is the compression of
+    HB to a subspace of each block, so its levels there are at least that
+    too. A negative or non-finite w_hat raises ValueError.
+    """
+    quantities = [bogoliubov.mode_quantities(p, potential.w_hat(p)) for p in modes]
+    e_b = -math.fsum(q.eB_summand for q in quantities)
+    rate = min(q.e_p / sum(abs(x) for x in q.p) for q in quantities)
+    return lambda shell: e_b + rate * shell
 
 
 def _shell(d: int, size: int):
@@ -1275,18 +1055,117 @@ def _shell(d: int, size: int):
             yield (x, *rest)
 
 
-def _block_visits(model: TorusModel):
-    """(K, block_energy_bound, copies) for K = 0 and, of each pair {K, -K},
-    the greater block, counted twice: by shells of increasing |K|_1, ties in
-    momentum order, up to N max |p|_1, beyond which no block holds a state.
-    Momenta outside N times the box of the mode set are skipped."""
-    coords = np.array(model.mode_set(), dtype=np.int64)
-    low, high = model.N * coords.min(axis=0), model.N * coords.max(axis=0)
-    for shell in range(model.N * int(np.abs(coords).sum(axis=1).max()) + 1):
-        bound = block_energy_bound(model, shell)
-        for k in _shell(model.d, shell):
-            if k >= tuple(-x for x in k) and (low <= k).all() and (k <= high).all():
+def _block_visits(modes: Sequence[Momentum], particles: int, bound_of_shell):
+    """(K, bound, copies) for K = 0 and, of each pair {K, -K}, the greater
+    block, counted twice: by shells of increasing |K|_1, ties in momentum
+    order, up to particles times max |p|_1 over modes, beyond which no block
+    of particles over modes holds a state. bound_of_shell(s) bounds every
+    level of every block with |K|_1 = s from below, and each shell's bound is
+    taken only when the loop reaches it. Momenta outside particles times the
+    box of the modes are skipped."""
+    low = [particles * min(c) for c in zip(*modes)]
+    high = [particles * max(c) for c in zip(*modes)]
+    for shell in range(particles * max(sum(abs(x) for x in p) for p in modes) + 1):
+        bound = bound_of_shell(shell)
+        for k in _shell(len(low), shell):
+            if k >= tuple(-x for x in k) and all(a <= x <= b for a, x, b in zip(low, k, high)):
                 yield Momentum(k), bound, 2 if shell else 1
+
+
+def _particle_visits(model: TorusModel, particles: int):
+    """_block_visits over model's sector of particles, bounded by
+    block_energy_bound. A mode set not closed under negation raises
+    ValueError: its block -K is not block K mirrored."""
+    modes = model.mode_set()
+    if {-p for p in modes} != set(modes):
+        raise ValueError("mode set not closed under negation: block -K is not block K mirrored")
+    return _block_visits(modes, particles, functools.partial(block_energy_bound, model, particles))
+
+
+def momentum_block(
+    model: TorusModel, particles: int, momentum: Momentum, settings: EDSettings = EDSettings()
+) -> tuple[FockBasis, scipy.sparse.csr_matrix | None]:
+    """Block momentum of model's sector of particles: its own basis
+    (enumerate_basis) and H on it, or None for an empty block.
+
+    A dense route of lowest_eigenpairs at settings above MAX_DENSE_STATES
+    is refused (ResourceLimitError) from the block's size, before anything
+    is assembled.
+    """
+    basis = enumerate_basis(model.mode_set(), particles, momentum)
+    if not basis.size:
+        return basis, None
+    _solves_dense(basis.size, settings)  # raises for an oversized dense route
+    return basis, build_hamiltonian(model, basis)
+
+
+def _solve_blocks(
+    visits, build, settings: EDSettings, wanted: int, zero_block=None
+) -> tuple[dict[Momentum, EDResult], list[float], Momentum, FockBasis]:
+    """The block loop of every sector solve.
+
+    visits yields (K, bound, copies) in increasing bound order: a lower bound
+    on every level of block K, and the number of blocks holding its levels,
+    2 with its mirror -K, else 1. build(K) gives the block's own basis and
+    operator; an empty basis is skipped. Each block is solved alone by
+    lowest_eigenpairs at settings; zero_block, K = 0's basis and its solve
+    at settings, stands in for K = 0. The loop stops once the next bound
+    exceeds the wanted-th lowest level found by 1e-10 max(1, |level|), a
+    block's levels counted copies times: no level of that block or of any
+    after it can be among the wanted lowest.
+
+    Block -K needs no solve of its own: the map p -> -p takes the mode set
+    to itself (build_mode_set makes it closed under negation, and the
+    callers refuse any other set), and w_hat is exactly even
+    (validate_potential), so H and HB on block -K are the block-K operator
+    with its rows permuted, with the same levels.
+
+    Returns the results by block, in the order solved; every level found, in
+    increasing order; the block holding the ground, the least ground energy
+    with ties to the lesser momentum, as when every block is solved; and its
+    basis.
+    """
+    results: dict[Momentum, EDResult] = {}
+    levels: list[float] = []
+    ground_at, ground_basis = None, None
+    for momentum, bound, copies in visits:
+        if len(levels) >= wanted:
+            last = levels[wanted - 1]
+            if bound > last + 1e-10 * max(1.0, abs(last)):
+                break
+        if zero_block is not None and momentum.is_zero:
+            basis, result = zero_block
+        else:
+            basis, op = build(momentum)
+            if not basis.size:
+                continue
+            result = lowest_eigenpairs(op, settings)
+        results[momentum] = result
+        levels = sorted(levels + list(result.eigenvalues) * copies)
+        least = None if ground_at is None else (results[ground_at].ground_energy, ground_at)
+        if least is None or (result.ground_energy, momentum) < least:
+            ground_at, ground_basis = momentum, basis
+    return results, levels, ground_at, ground_basis
+
+
+def _merged(
+    results: dict[Momentum, EDResult], levels: list[float], ground_at: Momentum, k: int
+) -> EDResult:
+    """The result on a whole sector from its solved blocks: the k lowest of
+    levels, the gap between the two lowest, and the ground block's vector, on
+    its own basis, and residual. It is converged when every solved block is;
+    its method is "davidson" if any solved block ran Davidson, and its
+    iterations are the sum over the solved blocks."""
+    ground = results[ground_at]
+    return EDResult(
+        eigenvalues=tuple(levels[:k]),
+        ground_vector=ground.ground_vector,
+        residual_norm=ground.residual_norm,
+        iterations=sum(r.iterations for r in results.values()),
+        converged=all(r.converged for r in results.values()),
+        method="davidson" if any(r.method == "davidson" for r in results.values()) else "dense",
+        gap=levels[1] - levels[0] if len(levels) > 1 else math.inf,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -1304,50 +1183,39 @@ class ParticleSector:
 
 
 def solve_particle_sector(
-    model: TorusModel,
-    settings: EDSettings = EDSettings(),
-    zero_block: tuple[FockBasis, EDResult] | None = None,
+    model: TorusModel, settings: EDSettings = EDSettings()
 ) -> ParticleSector:
     """Lowest levels of model's whole N sector, from the blocks that can hold them.
 
     No operator exists before a block is solved: the blocks are visited in
     increasing order of block_energy_bound, K = 0 and of each pair {K, -K}
-    the greater, whose levels count for its mirror too (see SectorSolve),
-    and the loop stops as solve_sector's does (_solve_blocks). Each block
-    visited is enumerated alone (enumerate_basis, which builds only rows
-    that can reach it), skipped when empty, refused when its dense route is
+    the greater, whose levels count for its mirror too, and the loop
+    (_solve_blocks) stops once the next bound lies above the max(k, 2)
+    lowest levels found. Each block visited is enumerated alone
+    (momentum_block, through enumerate_basis, which builds only rows that
+    can reach it), skipped when empty, refused when its dense route is
     oversized (ResourceLimitError) before assembly, and else assembled and
-    solved at max(k, 2) levels. zero_block, the K = 0 block's basis and
-    that solve already made, stands in for the K = 0 block.
+    solved at max(k, 2) levels.
 
     So the state budget refuses a block the loop must solve, never the
     sector for its size, and only the ground block's basis is kept: each
-    other block's basis and operator go once it is solved. merged is what
-    solve_sector on the assembled sector gives, the same levels and gap,
-    with the ground vector on the ground block and its residual measured
-    there. A mode set not closed under negation raises ValueError.
+    other block's basis and operator go once it is solved. merged holds the
+    levels and gap that solving every block would give, with the ground
+    vector on the ground block and its residual measured there. A mode set
+    not closed under negation raises ValueError.
     """
-    modes = model.mode_set()
-    if {-p for p in modes} != set(modes):
-        raise ValueError("mode set not closed under negation: block -K is not block K mirrored")
     block_settings = replace(settings, k=max(settings.k, 2))
-
-    def solve(momentum: Momentum) -> tuple[EDResult, FockBasis] | None:
-        if zero_block is not None and momentum.is_zero:
-            basis, result = zero_block
-            return result, basis
-        basis = enumerate_basis(modes, model.N, momentum)
-        if not basis.size:
-            return None
-        _solves_dense(basis.size, block_settings)  # refuses an oversized dense route
-        return lowest_eigenpairs(build_hamiltonian(model, basis), block_settings), basis
-
-    results, levels, ground_at, basis = _solve_blocks(_block_visits(model), solve, settings)
-    ground = results[ground_at]
+    results, levels, ground_at, basis = _solve_blocks(
+        _particle_visits(model, model.N),
+        lambda momentum: momentum_block(model, model.N, momentum, block_settings),
+        block_settings,
+        block_settings.k,
+    )
+    modes = model.mode_set()
     return ParticleSector(
         dimension=math.comb(model.N + len(modes) - 1, len(modes) - 1),
         basis=basis,
-        merged=_merged(results, levels, settings, ground.ground_vector, ground.residual_norm),
+        merged=_merged(results, levels, ground_at, settings.k),
     )
 
 
@@ -1462,20 +1330,23 @@ class IdentityResiduals:
 
 
 def operator_identity_residuals(
-    model: TorusModel, max_dim: int = 4000, sector: SectorSolve | None = None
+    model: TorusModel,
+    max_dim: int = 4000,
+    sector: tuple[FockBasis, scipy.sparse.csr_matrix, float, np.ndarray] | None = None,
 ) -> IdentityResiduals:
     """Verify both identities with explicit matrices on the N-1, N, N+1 sectors.
 
-    H on the whole N sector, its basis and its ground (merged, an eigenvector
-    of H) come from sector, a solve_sector result on the whole N sector, when
-    given; else that sector is solved here at default settings. A
-    momentum-filtered sector raises ValueError.
+    sector, when given, is (basis, ham, energy, ground) on the whole N
+    sector: its basis, H on it, and an eigenpair of H, the ground vector on
+    basis. Else the sector is enumerated and assembled here, and its ground
+    comes from solve_particle_sector at default settings, placed in the
+    whole basis. A momentum-filtered sector raises ValueError.
     """
     modes = model.mode_set()
     if not any(p.is_zero for p in modes):
         raise ValueError("identities involve a_0; include the zero mode")
     n = model.N
-    if sector is not None and sector.basis.momentum_sector is not None:
+    if sector is not None and sector[0].momentum_sector is not None:
         raise ValueError("the identities need the whole N sector, not one momentum block")
     total = 0
     for particles in (n - 1, n, n + 1):
@@ -1487,9 +1358,12 @@ def operator_identity_residuals(
     bases = {s: enumerate_basis(modes, n_particles=s) for s in (n - 1, n + 1)}
     h = {s: build_hamiltonian(model, b) for s, b in bases.items()}
     if sector is None:
-        bases[n] = enumerate_basis(modes, n_particles=n)
-        sector = solve_sector(bases[n], build_hamiltonian(model, bases[n]))
-    bases[n], h[n] = sector.basis, sector.ham
+        basis = enumerate_basis(modes, n_particles=n)
+        whole = solve_particle_sector(model)
+        psi = np.zeros(basis.size)
+        psi[basis.find(whole.basis.states)] = whole.merged.ground_vector
+        sector = basis, build_hamiltonian(model, basis), whole.merged.ground_energy, psi
+    bases[n], h[n], energy, psi = sector
     a0_np1 = zero_mode_annihilation(bases[n + 1], bases[n])
     a0_n = zero_mode_annihilation(bases[n], bases[n - 1])
     # a_0 [H, a_0*] passes through the N+1 sector, [H, a_0*] a_0 through N-1.
@@ -1504,8 +1378,6 @@ def operator_identity_residuals(
     residual_a = float(np.max(np.abs((x - y).toarray() - np.diag(closed))))
 
     hn = h[n]
-    energy = sector.merged.ground_energy
-    psi = sector.merged.ground_vector
     exc = bases[n].excitation_counts().astype(float)
     u = exc * psi
     hu = hn @ u
@@ -1521,24 +1393,16 @@ def operator_identity_residuals(
 # ---------------------------------------------------------------------------
 
 
-def nonzero_momentum_bound(model: TorusModel) -> float:
-    """A lower bound on every level of every K != 0 block of model's N sector:
-    block_energy_bound at |K|_1 = 1, the least shell of a K != 0 block.
-
-    B = (2 pi)^2 + lambda N (N-1) w_hat(0) / 2 - lambda N sum_{l!=0} w_hat(l) / 2.
-    """
-    return block_energy_bound(model, 1)
-
-
 @dataclass(frozen=True, eq=False)
 class BindingResult:
     """Ground energies of the K = 0 blocks of the N and N-1 sectors.
 
-    result_N and result_Nm1 are the K = 0 block solves of solve_sector, so
-    each holds the block's lowest max(k, 2) levels and a residual measured on
-    the block. basis_* and ham_* are those blocks' own bases and operators.
-    ground_bound is nonzero_momentum_bound of the model; it, sector_minimum
-    and k0_is_global are None without the global check.
+    result_N and result_Nm1 are the K = 0 block solves at max(k, 2) levels,
+    each with its residual measured on the block. basis_* and ham_* are
+    those blocks' own bases and operators. sector_minimum and
+    sector_minimum_Nm1 are the least levels of the whole N and N - 1
+    sectors, and k0_is_global says whether both K = 0 grounds attain them;
+    all three are None without the global check.
     """
 
     E_N: float
@@ -1553,7 +1417,7 @@ class BindingResult:
     sector_minimum: float | None
     k0_is_global: bool | None
     converged: bool
-    ground_bound: float | None = None
+    sector_minimum_Nm1: float | None = None
 
 
 def binding_from_ed(
@@ -1564,65 +1428,62 @@ def binding_from_ed(
     """Ground energies of the N and N-1 sectors (K = 0) and their difference.
 
     Both sectors share the coupling and mode set, and the K = 0 block of each
-    is enumerated, assembled and solved once by solve_sector. With
-    check_global, sector_minimum is the least level of the whole N sector and
-    k0_is_global says whether the K = 0 ground attains it. The reported K = 0
-    ground (a Rayleigh quotient, or a dense eigenvalue) lies above the block's
-    true ground up to rounding, so when it lies below the bound B on every
-    K != 0 level (nonzero_momentum_bound) by 1e-10 max(1, |B|), K = 0 holds
-    the ground: sector_minimum is E_N and nothing more is solved.
-    Otherwise the whole N sector is solved block by block
-    (solve_particle_sector), going on from the K = 0 block already solved,
-    so that block is solved once; the binding is converged only if that
-    solve is too and K = 0 attains its minimum. An empty K = 0 sector raises
+    is enumerated, assembled and solved once (momentum_block,
+    lowest_eigenpairs). With check_global, each sector's least level comes
+    from the block loop at one level (_solve_blocks), started from its K = 0
+    solve: the reported K = 0 ground (a Rayleigh quotient, or a dense
+    eigenvalue) lies above the block's true ground up to rounding, so where
+    block_energy_bound at |K|_1 = 1 lies above it by 1e-10 max(1, |E|), K = 0
+    holds the ground and nothing more is solved; else the blocks are solved
+    in bound order until the next bound lies above the least level found.
+    The binding is converged only if every block solved is and both K = 0
+    grounds attain their sector minimum. An empty K = 0 sector raises
     ValueError.
     """
     if model.N < 2:
         raise ValueError("binding energy needs N >= 2")
-    modes = model.mode_set()
     k0 = zero_momentum(model.d)
-    solves = {}
-    for sector in (model.N, model.N - 1):
-        basis = enumerate_basis(modes, n_particles=sector, momentum_sector=k0)
+    block_settings = replace(settings, k=max(settings.k, 2))
+    blocks = {}
+    for n in (model.N, model.N - 1):
+        basis, ham = momentum_block(model, n, k0, block_settings)
         if not basis.size:
-            raise ValueError(f"the K = 0 sector of {sector} particles holds no state")
-        plan_blocks(basis, settings)  # an oversized dense route is refused before assembly
-        solves[sector] = solve_sector(basis, build_hamiltonian(model, basis), settings)
-    result_n = solves[model.N].results[k0]
-    result_nm1 = solves[model.N - 1].results[k0]
-    converged = result_n.converged and result_nm1.converged
-    ground_bound: float | None = None
-    sector_minimum: float | None = None
+            raise ValueError(f"the K = 0 sector of {n} particles holds no state")
+        blocks[n] = basis, ham, lowest_eigenpairs(ham, block_settings)
+    (basis_n, ham_n, result_n), (basis_m, ham_m, result_m) = blocks.values()
+    converged = result_n.converged and result_m.converged
+    minima: dict[int, float | None] = dict.fromkeys(blocks)
     k0_is_global: bool | None = None
     if check_global:
-        ground_bound = nonzero_momentum_bound(model)
-        sector_minimum = result_n.ground_energy
-        # Certified: every K != 0 level lies above the K = 0 ground.
-        k0_is_global = sector_minimum < ground_bound - 1e-10 * max(1.0, abs(ground_bound))
-        if not k0_is_global:
-            merged = solve_particle_sector(
-                model, settings, zero_block=(solves[model.N].basis, result_n)
-            ).merged
-            sector_minimum = merged.ground_energy
-            k0_is_global = (
-                abs(sector_minimum - result_n.ground_energy)
-                <= 1e-10 * max(1.0, abs(sector_minimum))
+        k0_is_global = True
+        for n, (basis, _, result) in blocks.items():
+            results, _, ground_at, _ = _solve_blocks(
+                _particle_visits(model, n),
+                lambda momentum, n=n: momentum_block(model, n, momentum, block_settings),
+                block_settings,
+                1,
+                zero_block=(basis, result),
             )
-            converged = converged and merged.converged and k0_is_global
+            minima[n] = minimum = results[ground_at].ground_energy
+            k0_is_global = k0_is_global and (
+                abs(minimum - result.ground_energy) <= 1e-10 * max(1.0, abs(minimum))
+            )
+            converged = converged and all(r.converged for r in results.values())
+        converged = converged and k0_is_global
     return BindingResult(
         E_N=result_n.ground_energy,
-        E_Nm1=result_nm1.ground_energy,
-        delta_E=result_n.ground_energy - result_nm1.ground_energy,
+        E_Nm1=result_m.ground_energy,
+        delta_E=result_n.ground_energy - result_m.ground_energy,
         result_N=result_n,
-        result_Nm1=result_nm1,
-        basis_N=solves[model.N].basis,
-        basis_Nm1=solves[model.N - 1].basis,
-        ham_N=solves[model.N].ham,
-        ham_Nm1=solves[model.N - 1].ham,
-        sector_minimum=sector_minimum,
+        result_Nm1=result_m,
+        basis_N=basis_n,
+        basis_Nm1=basis_m,
+        ham_N=ham_n,
+        ham_Nm1=ham_m,
+        sector_minimum=minima[model.N],
         k0_is_global=k0_is_global,
         converged=converged,
-        ground_bound=ground_bound,
+        sector_minimum_Nm1=minima[model.N - 1],
     )
 
 
@@ -1680,8 +1541,16 @@ def variational_sandwich(binding: BindingResult) -> SandwichResult:
 
 @dataclass(frozen=True, eq=False)
 class HBGround:
+    """The pair Hamiltonian's lowest levels at cutoff_used.
+
+    result is the merged result on the whole <= M space, its ground vector
+    on basis, the own basis of the block holding the ground; dimension is
+    the space's state count, in closed form.
+    """
+
     result: EDResult
     basis: FockBasis
+    dimension: int
     cutoff_used: int
     delta_achieved: float
     converged: bool
@@ -1695,26 +1564,38 @@ def converged_bogoliubov_ground(
 ) -> HBGround:
     """Raise the excitation cutoff in steps of 2 until the K = 0 ground settles.
 
-    HB's ground lies in its K = 0 block, so each rung assembles and solves
-    that block alone. Convergence means two successive converged K = 0
-    grounds differ by less than hb.cutoff_delta. At the accepted (or last)
-    cutoff the whole <= M space is assembled once and solved by solve_sector
-    at settings; result is its merged result on basis.
+    HB's ground lies in its K = 0 block, so each rung builds and solves that
+    block alone. Convergence means two successive converged K = 0 grounds
+    differ by less than hb.cutoff_delta. At the accepted (or last) cutoff
+    the <= M space is solved block by block at settings (_solve_blocks),
+    each block built alone and bounded by _pair_block_bound; the last rung's
+    solve stands in for K = 0 when the blocks are solved at its two levels.
+    The space holds C(M + m, m) states over m modes.
     """
     modes = tuple(modes)
     k0 = zero_momentum(modes[0].d) if modes else None  # no modes: the builder raises
+    # k = 1 and k = 2 solve alike, two pairs each; k = 2 keeps both levels.
+    rung_settings = replace(settings, k=2)
     prev: EDResult | None = None
     last_delta = math.inf
     settled = False
     for cutoff in range(hb.start_cutoff, hb.max_cutoff + 1, 2):
-        block = build_bogoliubov_hamiltonian(modes, cutoff, potential, momentum_sector=k0)
-        result = solve_sector(*block, replace(settings, k=1)).merged
+        basis, op = build_bogoliubov_hamiltonian(modes, cutoff, potential, momentum_sector=k0)
+        result = lowest_eigenpairs(op, rung_settings)
         if prev is not None:
             last_delta = abs(result.ground_energy - prev.ground_energy)
             settled = last_delta < hb.cutoff_delta and result.converged and prev.converged
             if settled:
                 break
         prev = result
-    whole = solve_sector(*build_bogoliubov_hamiltonian(modes, cutoff, potential), settings)
-    converged = settled and whole.merged.converged
-    return HBGround(whole.merged, whole.basis, cutoff, last_delta, converged)
+    block_settings = replace(settings, k=max(settings.k, 2))
+    results, levels, ground_at, ground_basis = _solve_blocks(
+        _block_visits(basis.modes, cutoff, _pair_block_bound(modes, potential)),
+        lambda momentum: build_bogoliubov_hamiltonian(modes, cutoff, potential, momentum),
+        block_settings,
+        block_settings.k,
+        zero_block=(basis, result) if block_settings == rung_settings else None,
+    )
+    merged = _merged(results, levels, ground_at, settings.k)
+    dimension = math.comb(cutoff + len(modes), len(modes))
+    return HBGround(merged, ground_basis, dimension, cutoff, last_delta, settled and merged.converged)

@@ -279,10 +279,10 @@ class TestRunBindingStudy:
         # block, K = 0, holds 25.
         dims = []
         dense_solves = 0
-        blocks = 0
+        blocks = []
         assembled = 0
         solve = fock_ed.lowest_eigenpairs
-        solve_sector = fock_ed.solve_sector
+        block = fock_ed.momentum_block
         build = fock_ed.build_hamiltonian
 
         def recording(op, *args, **kwargs):
@@ -293,11 +293,9 @@ class TestRunBindingStudy:
             dense_solves += result.method == "dense"
             return result
 
-        def counting(*args, **kwargs):
-            nonlocal blocks
-            solved = solve_sector(*args, **kwargs)
-            blocks += len(solved.results)
-            return solved
+        def counting(model, particles, momentum, *args, **kwargs):
+            blocks.append(momentum)
+            return block(model, particles, momentum, *args, **kwargs)
 
         def building(*args, **kwargs):
             nonlocal assembled
@@ -305,16 +303,18 @@ class TestRunBindingStudy:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(fock_ed, "lowest_eigenpairs", recording)
-        monkeypatch.setattr(fock_ed, "solve_sector", counting)
+        monkeypatch.setattr(fock_ed, "momentum_block", counting)
         monkeypatch.setattr(fock_ed, "build_hamiltonian", building)
         n_values = (8, 16, 24, 32, 48)
         report = asymptotics.run_binding_study(one_pair_config(n_values))
         assert all(rec.converged for rec in report.records)
         assert max(dims) == 25
-        # Every solve is a momentum block of solve_sector, a CSR operator
-        # solved dense: the K = 0 blocks of N and N - 1. Each record
-        # assembles those two operators once.
-        assert len(dims) == blocks == dense_solves
+        # Every solve is a momentum block built alone, a CSR operator solved
+        # dense: the K = 0 blocks of N and N - 1, whose grounds the bound
+        # certifies in both sectors. Each record assembles those two
+        # operators once.
+        assert len(dims) == len(blocks) == dense_solves
+        assert all(k.is_zero for k in blocks)
         assert assembled == 2 * len(n_values)
 
     def test_overlap_monotone_toward_quasifree(self):

@@ -57,14 +57,16 @@ def run_traced(tracing, tmp_path, verb, doc, out, *extra) -> tuple[int, dict]:
 # So are the dense solves: of K = 0 and one block of each pair {K, -K}, only
 # the blocks whose bound does not rule them out are solved, so solving
 # blocks the bound skips shows too. The N = 8 sector is solved block by
-# block, and only K = 0 and K = +1 are assembled, each alone; the pair job
-# assembles two K = 0 rungs, then the whole pair space, of which its
-# Gershgorin bounds leave K = 0 and K = +1 to solve. A study
-# record solves only its two K = 0 blocks, since the energy bound certifies
-# that K = 0 holds the ground, so a whole N sector solved again shows as well.
+# block, and only K = 0 and K = +1 are assembled, each alone. The pair job
+# assembles the K = 0 blocks of its two rungs, M = 6 and 8, and then, block
+# by block in order of e_B + c |K|_1, only K = +1 of M = 8: the second rung's
+# solve stands in for K = 0, and the bound of |K|_1 = 2 lies above the two
+# lowest levels. A study record solves only its two K = 0 blocks, since the
+# energy bound certifies that K = 0 holds the ground of N and of N - 1, so a
+# whole sector solved again shows as well.
 @pytest.mark.parametrize(
     "ed, calls, nnz, dense",
-    [({}, 2, 23, 2), ({"hamiltonian": "pair", "excitation_cutoff": 6}, 3, 124, 4)],
+    [({}, 2, 23, 2), ({"hamiltonian": "pair", "excitation_cutoff": 6}, 3, 33, 3)],
     ids=["particle", "pair"],
 )
 def test_ed_job_runs_traced(tmp_path, tracing, ed, calls, nnz, dense):

@@ -9,6 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.sparse
 
@@ -62,8 +63,7 @@ def square_model() -> TorusModel:
 def far_pair_model() -> TorusModel:
     """w_hat(+-(2, 1)) = 224 at N = 2 over the nine square modes with
     |n|_inf <= 1, lambda = 1/2: the K = 0 ground holds no zero-mode particle
-    (a_0 Psi_N = 0), and the Gershgorin bounds of the whole sector leave
-    K = 0 the only block to solve."""
+    (a_0 Psi_N = 0), and every K != 0 block lies at (2 pi)^2 or above."""
     potential = PotentialSpec.from_table({(2, 1): 224.0, (-2, -1): 224.0})
     return TorusModel(d=2, N=2, potential=potential, mode_cutoff=1.5 * TWO_PI)
 
@@ -78,9 +78,9 @@ def k0_operator(model: TorusModel):
     return fock_ed.build_hamiltonian(model, basis)
 
 
-def whole_sector(model: TorusModel) -> fock_ed.SectorSolve:
+def whole_sector(model: TorusModel):
     basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
-    return fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis), SETTINGS)
+    return basis, fock_ed.build_hamiltonian(model, basis)
 
 
 def single_entry(i: int, j: int, value: float, size: int):
@@ -173,62 +173,73 @@ class TestViolations:
         assert all(c.ok for c in checks.mode_checks([free]))
 
     @staticmethod
-    def failed(model, sector) -> set[str]:
-        return {c.name for c in checks.sector_checks(model, sector, SETTINGS) if not c.ok}
+    def failed(model, basis, ham) -> set[str]:
+        solves = checks.block_solves(basis, ham, SETTINGS)
+        return {c.name for c in checks.sector_checks(model, basis, ham, solves, SETTINGS)
+                if not c.ok}
 
     def test_sector_checks(self):
         model = zero_mode_pair_model()
-        sector = whole_sector(model)
-        names = [c.name for c in checks.sector_checks(model, sector, SETTINGS)]
+        basis, ham = whole_sector(model)
+        solves = checks.block_solves(basis, ham, SETTINGS)
+        names = [c.name for c in checks.sector_checks(model, basis, ham, solves, SETTINGS)]
         assert names == CHECK_NAMES[-5:] + ["zero_mode_offset_exact"]
-        assert self.failed(model, sector) == set()
-        k0_rows = sector.rows[zero_momentum(1)]
-        other_rows = next(r for k, r in sector.rows.items() if not k.is_zero)
-        size = sector.basis.size
+        assert self.failed(model, basis, ham) == set()
+        blocks = basis.momentum_blocks()
+        k0_rows = blocks[zero_momentum(1)]
+        other_rows = next(r for k, r in blocks.items() if not k.is_zero)
+        size = basis.size
         # A non-symmetric operator: one entry inside the K = 0 block, not mirrored.
         skew = single_entry(k0_rows[0], k0_rows[1], 1e-3, size)
-        assert "hermiticity" in self.failed(model, replace(sector, ham=sector.ham + skew))
+        assert "hermiticity" in self.failed(model, basis, ham + skew)
         # An entry that crosses momentum blocks.
         cross = single_entry(k0_rows[0], other_rows[0], 0.5, size)
-        crossing = replace(sector, ham=sector.ham + cross)
-        assert self.failed(model, crossing) == {"momentum_block_diagonal"}
-        check = checks.sector_checks(model, crossing, SETTINGS)[2]
-        assert check.detail == "1 entries cross momentum sectors"
+        assert self.failed(model, basis, ham + cross) == {"momentum_block_diagonal"}
+        crossing = checks.sector_checks(
+            model, basis, ham + cross, checks.block_solves(basis, ham + cross, SETTINGS), SETTINGS
+        )
+        assert crossing[2].detail == "1 entries cross momentum sectors"
         # An operator pushed below the condensation bound.
-        lowered = replace(sector, ham=sector.ham - 1e3 * scipy.sparse.identity(size, format="csr"))
-        assert "condensation_lower_bound" in self.failed(model, lowered)
-        # A K != 0 block minimum below the bound that certifies K = 0.
-        k = next(k for k in sector.results if not k.is_zero)
-        bound = fock_ed.nonzero_momentum_bound(model)
-        results = {**sector.results, k: replace(sector.results[k], eigenvalues=(bound - 1.0,))}
-        assert self.failed(model, replace(sector, results=results)) == {"global_ground_bound"}
+        lowered = ham - 1e3 * scipy.sparse.identity(size, format="csr")
+        assert "condensation_lower_bound" in self.failed(model, basis, lowered)
+        # One K != 0 block's diagonal shifted down, its minimum 1 below the
+        # bound that certifies K = 0.
+        k = next(k for k in solves if not k.is_zero)
+        shift = solves[k].ground_energy - fock_ed.block_energy_bound(model, model.N, 1) + 1.0
+        down = scipy.sparse.diags(np.isin(np.arange(size), blocks[k]) * -shift, format="csr")
+        assert self.failed(model, basis, ham + down) == {"global_ground_bound"}
 
     def test_global_ground_bound_is_vacuous_without_k_nonzero_blocks(self):
         # Below 2 pi the mode set is the zero mode alone: only K = 0 exists.
         model = replace(zero_mode_pair_model(), mode_cutoff=1.0)
-        sector = whole_sector(model)
-        assert list(sector.results) == [zero_momentum(1)]
-        check = next(c for c in checks.sector_checks(model, sector, SETTINGS)
+        basis, ham = whole_sector(model)
+        solves = checks.block_solves(basis, ham, SETTINGS)
+        assert list(solves) == [zero_momentum(1)]
+        check = next(c for c in checks.sector_checks(model, basis, ham, solves, SETTINGS)
                      if c.name == "global_ground_bound")
         assert check.ok
 
     def test_global_ground_bound_reads_the_blocks_the_solve_skipped(self, monkeypatch):
-        # Only K = 0 is solved, so the least K != 0 level, (2 pi)^2, comes
-        # from the blocks the solve skipped: a bound B above it fails.
+        # block_solves solves K = 0 and the greater block of each pair, each
+        # on its slice of the operator, with no bound to skip any: the least
+        # K != 0 level, (2 pi)^2, is read whichever blocks a pruned solve
+        # would visit, and a bound B above it fails.
         model = far_pair_model()
-        sector = whole_sector(model)
-        assert list(sector.results) == [zero_momentum(2)]
-        minima = checks.block_minima(sector, SETTINGS)
-        _, routes = fock_ed.plan_blocks(sector.basis, SETTINGS)
-        assert list(minima) == list(routes) and len(minima) > 1
-        for k, energy in minima.items():
-            direct = fock_ed.lowest_eigenpairs(sector.block(k)[1]).ground_energy
-            assert energy == direct
-        least = min(e for k, e in minima.items() if not k.is_zero)
+        basis, ham = whole_sector(model)
+        solves = checks.block_solves(basis, ham, SETTINGS)
+        blocks = basis.momentum_blocks()
+        assert list(solves) == [k for k in blocks if k >= -k] and len(solves) > 1
+        for k, result in solves.items():
+            rows = blocks[k]
+            direct = fock_ed.lowest_eigenpairs(ham[rows][:, rows], replace(SETTINGS, k=2))
+            assert result.ground_energy == direct.ground_energy
+        least = min(r.ground_energy for k, r in solves.items() if not k.is_zero)
         assert least == pytest.approx(TWO_PI**2, abs=1e-9)
-        assert self.failed(model, sector) == set()
-        monkeypatch.setattr(fock_ed, "nonzero_momentum_bound", lambda model: least + 0.5)
-        assert self.failed(model, sector) == {"global_ground_bound"}
+        assert self.failed(model, basis, ham) == set()
+        monkeypatch.setattr(
+            fock_ed, "block_energy_bound", lambda model, particles, shell: least + 0.5
+        )
+        assert self.failed(model, basis, ham) == {"global_ground_bound"}
 
     def test_zero_mode_offset(self):
         model = zero_mode_pair_model()

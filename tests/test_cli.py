@@ -918,27 +918,27 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["444def24b6d90ed8988fdcae737a909a"],
+                ["aea3631a96f65d22200ce275a9e7e4fd"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["6632e69f9ae8964877f253b9be153223"],
+                ["446f30414709f5ef24da01d7250be6b2"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "57a5e6995dda51c28b9939c4b2605c2a",
-                    "e3a4d3a534c41799b31db76b6fa98c6b",
-                    "efb855fe9f4a192e602ca5e3d0192c96",
+                    "0d40182d62660738875126cf399b4066",
+                    "31a105802735e2f0009fcdc03e083d14",
+                    "d7cf81a614e324339cfb38df73ee4fe7",
                 ],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["889e46cada1df1a7b61f076e9763cca0"],
+                ["239dd879ecd4a465f15a84a497326740"],
             ),
         ],
     )

@@ -482,23 +482,43 @@ FULL_SECTOR_MODELS = (
     ),
 )
 def all_blocks_merged(basis: fock_ed.FockBasis, ham, ed: fock_ed.EDSettings):
-    """The eigenvalues, gap, ground vector and residual that solve_sector
-    merges when it solves every block plan_blocks names, none skipped by a
-    Gershgorin bound: the oracle of the pruned solve."""
-    rows, copies = fock_ed.plan_blocks(basis, ed)
+    """The eigenvalues, gap, ground block and its result that solving K = 0
+    and one block of each pair {K, -K} of an assembled space gives, each
+    block gathered by ham[rows][:, rows] and none skipped by a bound: the
+    oracle of the block loop."""
+    rows = basis.momentum_blocks()
     results, levels = {}, []
-    for p in copies:
-        op = ham[rows[p]][:, rows[p]]
-        results[p] = fock_ed.lowest_eigenpairs(op, replace(ed, k=max(ed.k, 2)))
-        mirrored = -p != p and -p in rows
-        levels += list(results[p].eigenvalues) * (2 if mirrored else 1)
+    for p in rows:
+        if p >= -p:
+            results[p] = fock_ed.lowest_eigenpairs(
+                ham[rows[p]][:, rows[p]], replace(ed, k=max(ed.k, 2))
+            )
+            levels += list(results[p].eigenvalues) * (1 if p.is_zero else 2)
     levels.sort()
-    ground_at = min(results, key=lambda p: results[p].ground_energy)
-    ground = np.zeros(basis.size)
-    ground[rows[ground_at]] = results[ground_at].ground_vector
-    residual = float(np.linalg.norm(ham @ ground - levels[0] * ground))
+    ground_at = min(results, key=lambda p: (results[p].ground_energy, p))
     gap = levels[1] - levels[0] if len(levels) > 1 else math.inf
-    return tuple(levels[: ed.k]), gap, ground, residual
+    return tuple(levels[: ed.k]), gap, ground_at, results[ground_at]
+
+
+def spy_block_solves(monkeypatch) -> dict:
+    """Record, by momentum, the operator momentum_block builds and the
+    lowest_eigenpairs result on it, for every block a loop solves."""
+    build, solve = fock_ed.momentum_block, fock_ed.lowest_eigenpairs
+    built, solved = {}, {}
+
+    def building(model, particles, momentum, settings=fock_ed.EDSettings()):
+        basis, op = build(model, particles, momentum, settings)
+        built[id(op)] = momentum
+        return basis, op
+
+    def solving(op, *args, **kwargs):
+        result = solve(op, *args, **kwargs)
+        solved[built[id(op)]] = op, result
+        return result
+
+    monkeypatch.setattr(fock_ed, "momentum_block", building)
+    monkeypatch.setattr(fock_ed, "lowest_eigenpairs", solving)
+    return solved
 
 
 FULL_SECTORS = pytest.mark.parametrize(
@@ -537,10 +557,10 @@ class TestMomentumBlocks:
         assert binding.k0_is_global == (
             abs(binding.sector_minimum - binding.E_N) <= 1e-10 * scale
         )
-        # The merged whole-sector result at k = 3 against the full solve.
-        solved = fock_ed.solve_sector(full, fock_ed.build_hamiltonian(model, full), settings)
-        merged = solved.merged
-        assert solved.basis.size == full.size
+        # The sector solved block by block at k = 3 against the full solve.
+        sector = fock_ed.solve_particle_sector(model, settings)
+        merged = sector.merged
+        assert sector.dimension == full.size
         assert merged.converged and merged.residual_norm <= settings.tol
         assert merged.method == "dense"
         assert len(merged.eigenvalues) == len(whole.eigenvalues) == 3
@@ -550,10 +570,11 @@ class TestMomentumBlocks:
         assert merged.vector_reliable and whole.vector_reliable
         for observable in (fock_ed.expect_nplus, fock_ed.expect_nplus2):
             assert abs(
-                observable(merged.ground_vector, full) - observable(whole.ground_vector, full)
+                observable(merged.ground_vector, sector.basis)
+                - observable(whole.ground_vector, full)
             ) <= 1e-12
         assert np.allclose(
-            fock_ed.expect_total_momentum(merged.ground_vector, full),
+            fock_ed.expect_total_momentum(merged.ground_vector, sector.basis),
             fock_ed.expect_total_momentum(whole.ground_vector, full),
             rtol=0.0,
             atol=1e-12,
@@ -563,39 +584,40 @@ class TestMomentumBlocks:
     @pytest.mark.parametrize(
         "k, dense_threshold", [(1, 500), (3, 500), (1, 10)], ids=["k1", "k3", "k1-threshold-10"]
     )
-    def test_blocks_match_their_sparse_slices(self, model, k, dense_threshold):
-        # Each solved block is solved from its slice of the sector's
-        # operator, and the reference solves the same slice on its own, so
-        # every bit agrees, the residual too. Blocks above the threshold run
-        # Davidson. Of each pair {K, -K} at most the greater is solved, and a
-        # direct solve of the other gives the levels counted for it. A block whose
-        # Gershgorin bound skipped it has no level below the max(k, 2)-th
-        # level reported.
+    def test_blocks_match_their_sparse_slices(self, model, k, dense_threshold, monkeypatch):
+        # Each block the loop solves is built alone, and is the slice of the
+        # sector's operator, so its solve and the reference's solve of that
+        # slice agree in every bit, the residual too. Blocks above the
+        # threshold run Davidson. Of each pair {K, -K} at most the greater is
+        # solved, and a direct solve of the other gives the levels counted
+        # for it. A block the bound skipped has no level below the
+        # max(k, 2)-th level reported.
         settings = fock_ed.EDSettings(k=k, dense_threshold=dense_threshold)
         full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
         ham = fock_ed.build_hamiltonian(model, full)
-        solved = fock_ed.solve_sector(full, ham, settings)
-        assert zero_momentum(model.d) in solved.results
-        assert set(solved.results) < {p for p in solved.rows if p >= -p}
-        assert list(solved.results) == sorted(solved.results)
-        merged = solved.merged
+        solve = fock_ed.lowest_eigenpairs
+        with monkeypatch.context() as patch:
+            solved = spy_block_solves(patch)
+            merged = fock_ed.solve_particle_sector(model, settings).merged
+        assert zero_momentum(model.d) in solved
+        rows = full.momentum_blocks()
+        assert set(solved) < {p for p in rows if p >= -p}
         last = merged.eigenvalues[-1] if k > 1 else merged.ground_energy + merged.gap
         methods = set()
-        for momentum, block in solved.rows.items():
-            theirs = fock_ed.lowest_eigenpairs(
-                ham[block][:, block], replace(settings, k=max(k, 2))
-            )
+        for momentum, block in rows.items():
+            theirs = solve(ham[block][:, block], replace(settings, k=max(k, 2)))
             methods.add(theirs.method)
-            if momentum not in solved.results and -momentum not in solved.results:
+            if momentum not in solved and -momentum not in solved:
                 assert theirs.ground_energy >= last
                 continue
-            if momentum not in solved.results:
-                counted = solved.results[-momentum].eigenvalues
+            if momentum not in solved:
+                counted = solved[-momentum][1].eigenvalues
                 assert len(counted) == len(theirs.eigenvalues)
                 for e, direct in zip(counted, theirs.eigenvalues):
                     assert abs(e - direct) <= 1e-12 * max(1.0, abs(direct))
                 continue
-            mine = solved.results[momentum]
+            op, mine = solved[momentum]
+            assert_same_csr(op, ham[block][:, block])
             assert (mine.method, mine.iterations) == (theirs.method, theirs.iterations)
             assert mine.eigenvalues == theirs.eigenvalues
             assert mine.gap == theirs.gap
@@ -633,8 +655,8 @@ class TestMomentumBlocks:
             assert mine[p].dtype == theirs[p].dtype and np.array_equal(mine[p], theirs[p])
 
     def test_blocks_found_once_per_basis(self, monkeypatch):
-        # plan_blocks and solve_sector both ask for the blocks of a whole
-        # sector: the second call reuses the first's read-only rows, and a
+        # The selfcheck asks for the blocks of its whole sector more than
+        # once: each later call reuses the first's read-only rows, and a
         # caller that edits its dict does not change the next one's.
         model = FULL_SECTOR_MODELS[1]
         full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
@@ -652,10 +674,12 @@ class TestMomentumBlocks:
 
     @pytest.mark.parametrize("dense_threshold", [500, 10], ids=["dense", "lanczos"])
     def test_one_block_solve_uses_ham_as_it_is(self, dense_threshold, monkeypatch):
-        # A K = 0 basis is one block in order: solve_sector neither permutes
-        # nor slices ham, and gives the direct solve of it bit for bit.
+        # A K = 0 block is solved by lowest_eigenpairs on the operator
+        # momentum_block builds for it, with no permutation and no slice:
+        # the binding's K = 0 solve is the direct solve, bit for bit.
         model = make_one_pair_model(N=48)
-        basis = fock_ed.enumerate_basis(model.mode_set(), 48, momentum_sector=Momentum((0,)))
+        k0 = Momentum((0,))
+        basis = fock_ed.enumerate_basis(model.mode_set(), 48, momentum_sector=k0)
         ham = fock_ed.build_hamiltonian(model, basis)
         settings = fock_ed.EDSettings(dense_threshold=dense_threshold)
         block_settings = replace(settings, k=2)
@@ -663,11 +687,14 @@ class TestMomentumBlocks:
         assert theirs.method == ("dense" if dense_threshold == 500 else "davidson")
 
         def no_indexing(self, key):
-            raise AssertionError("a one-block basis indexed its operator")
+            raise AssertionError("a one-block solve indexed its operator")
 
         monkeypatch.setattr(scipy.sparse.csr_matrix, "__getitem__", no_indexing)
-        solved = fock_ed.solve_sector(basis, ham, settings)
-        mine = solved.results[Momentum((0,))]
+        mine_basis, op = fock_ed.momentum_block(model, 48, k0, block_settings)
+        assert np.array_equal(mine_basis.states, basis.states)
+        assert_same_csr(op, ham)
+        binding = fock_ed.binding_from_ed(model, settings, check_global=False)
+        mine = binding.result_N
         assert (mine.method, mine.iterations, mine.converged) == (
             theirs.method,
             theirs.iterations,
@@ -675,11 +702,7 @@ class TestMomentumBlocks:
         )
         assert mine.eigenvalues == theirs.eigenvalues and mine.gap == theirs.gap
         assert np.array_equal(mine.ground_vector, theirs.ground_vector)
-        assert mine.residual_norm == theirs.residual_norm
-        merged = solved.merged
-        assert merged.eigenvalues == theirs.eigenvalues[:1]
-        assert np.array_equal(merged.ground_vector, theirs.ground_vector)
-        assert merged.residual_norm == float(
+        assert mine.residual_norm == theirs.residual_norm == float(
             np.linalg.norm(ham @ theirs.ground_vector - theirs.ground_energy * theirs.ground_vector)
         )
 
@@ -688,23 +711,29 @@ class TestMomentumBlocks:
     def test_pruned_solve_matches_every_block_solved(self, data):
         # Random even tables on the five modes of a line or the nine of a
         # square, lambda N up to 150 or lambda = 0 (exact ties between
-        # blocks), k = 1 or 3, both routes: the blocks the Gershgorin bounds
-        # skip change none of the merged bits.
+        # blocks), both routes: the binding's one-level loop, which solves
+        # blocks only until the next bound lies above the least level found,
+        # reports the least level of every block of the N and the N - 1
+        # sector, bit for bit.
         model = draw_even_model(data, st.just(0.0))
         lam_n = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 150.0)))
-        model = replace(model, lam=lam_n / model.N)
-        ed = fock_ed.EDSettings(
-            k=data.draw(st.sampled_from([1, 3])),
-            dense_threshold=data.draw(st.sampled_from([0, 10, 500])),
+        model = replace(model, N=max(model.N, 2), lam=lam_n / max(model.N, 2))
+        ed = fock_ed.EDSettings(dense_threshold=data.draw(st.sampled_from([0, 10, 500])))
+        binding = fock_ed.binding_from_ed(model, ed)
+        k0_ground = {model.N: binding.E_N, model.N - 1: binding.E_Nm1}
+        for n, minimum in ((model.N, binding.sector_minimum),
+                           (model.N - 1, binding.sector_minimum_Nm1)):
+            basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=n)
+            ham = fock_ed.build_hamiltonian(model, basis)
+            _, _, _, ground = all_blocks_merged(basis, ham, ed)
+            assert minimum == ground.ground_energy
+            assert minimum <= k0_ground[n]
+        at_minimum = all(
+            abs(m - k0_ground[n]) <= 1e-10 * max(1.0, abs(m))
+            for n, m in ((model.N, binding.sector_minimum),
+                         (model.N - 1, binding.sector_minimum_Nm1))
         )
-        basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
-        ham = fock_ed.build_hamiltonian(model, basis)
-        merged = fock_ed.solve_sector(basis, ham, ed).merged
-        eigenvalues, gap, ground, residual = all_blocks_merged(basis, ham, ed)
-        assert merged.eigenvalues == eigenvalues
-        assert merged.gap == gap
-        assert np.array_equal(merged.ground_vector, ground)
-        assert merged.residual_norm == residual
+        assert binding.k0_is_global is at_minimum
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -713,9 +742,9 @@ class TestMomentumBlocks:
         # square, lambda N up to 150 (where the energy bound prunes nothing)
         # or lambda = 0 (exact ties between blocks), k = 1 or 3, both
         # routes: the sector solved block by block, each block enumerated
-        # and assembled alone, reports the levels, gap and dimension that
-        # solve_sector gives on the assembled sector, bit for bit, and the
-        # ground vector on the same block.
+        # and assembled alone, reports the levels, gap, dimension, ground
+        # block, ground vector and residual that solving every block of the
+        # assembled sector gives, bit for bit.
         model = draw_even_model(data, st.just(0.0))
         lam_n = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 150.0)))
         model = replace(model, lam=lam_n / model.N)
@@ -724,38 +753,44 @@ class TestMomentumBlocks:
             dense_threshold=data.draw(st.sampled_from([0, 10, 500])),
         )
         basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
-        whole = fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis), ed)
+        eigenvalues, gap, ground_at, ground = all_blocks_merged(
+            basis, fock_ed.build_hamiltonian(model, basis), ed
+        )
         sector = fock_ed.solve_particle_sector(model, ed)
-        mine, theirs = sector.merged, whole.merged
-        assert mine.eigenvalues == theirs.eigenvalues
-        assert mine.gap == theirs.gap
+        mine = sector.merged
+        assert mine.eigenvalues == eigenvalues
+        assert mine.gap == gap
         assert sector.dimension == basis.size
-        ground_at = sector.basis.momentum_sector
-        assert np.array_equal(sector.basis.states, basis.states[whole.rows[ground_at]])
-        assert np.array_equal(mine.ground_vector, theirs.ground_vector[whole.rows[ground_at]])
+        assert sector.basis.momentum_sector == ground_at
+        rows = basis.momentum_blocks()[ground_at]
+        assert np.array_equal(sector.basis.states, basis.states[rows])
+        assert np.array_equal(mine.ground_vector, ground.ground_vector)
+        assert mine.residual_norm == ground.residual_norm
 
     def test_mode_set_not_closed_under_negation_refused(self):
         # Over modes 0 and 1 block -K is not the mirror of block K.
-        modes = (Momentum((0,)), Momentum((1,)))
-        basis = fock_ed.enumerate_basis(modes, n_particles=2)
+        model = make_one_pair_model(N=2)
+        model.__dict__["_modes"] = (Momentum((0,)), Momentum((1,)))
         with pytest.raises(ValueError, match="not closed under negation"):
-            fock_ed.solve_sector(basis, scipy.sparse.identity(basis.size, format="csr"))
+            fock_ed.solve_particle_sector(model)
 
     def test_mirrored_levels_keep_their_multiplicity(self):
         # Two bands, N = 16: above the K = 0 ground, the lowest level lies in
         # K = +1 and K = -1 alike, and the merged list holds it twice with
         # the same bits, as block K = +1 gives it.
         model = make_two_band_model(N=16)
-        full = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
-        solved = fock_ed.solve_sector(
-            full, fock_ed.build_hamiltonian(model, full), fock_ed.EDSettings(k=3)
+        settings = fock_ed.EDSettings(k=3)
+        sector = fock_ed.solve_particle_sector(model, settings)
+        k0, k1 = (
+            fock_ed.lowest_eigenpairs(
+                fock_ed.momentum_block(model, 16, Momentum((x,)))[1], settings
+            )
+            for x in (0, 1)
         )
-        k1 = Momentum((1,))
-        assert -k1 in solved.rows and -k1 not in solved.results
-        ground, first, second = solved.merged.eigenvalues
-        assert ground == solved.results[zero_momentum(1)].ground_energy
-        assert first == second == solved.results[k1].ground_energy
-        assert solved.merged.gap == first - ground
+        ground, first, second = sector.merged.eigenvalues
+        assert ground == k0.ground_energy
+        assert first == second == k1.ground_energy
+        assert sector.merged.gap == first - ground
 
 
 # Mode sets of the property tests: five modes on a line and the
@@ -1388,16 +1423,68 @@ class TestPairHamiltonian:
             fock_ed.HBSettings(start_cutoff=4, max_cutoff=6),
             fock_ed.EDSettings(k=5),
         )
-        assert hb.basis.size == 3003 and hb.cutoff_used == 6
+        assert hb.dimension == 3003 and hb.cutoff_used == 6
         excited = hb.result.eigenvalues[1:]
         assert len(excited) == 4 and max(excited) - min(excited) <= 1e-9
         assert hb.result.gap == pytest.approx(40.466063466, abs=1e-8)
-        # Each rung assembles its K = 0 block alone; the whole space of the
-        # last rung is assembled once, and every solve is one momentum block.
+        # Each rung builds its K = 0 block alone. At the last rung each
+        # block the loop visits is built alone too: K = 0 again, since the
+        # rung solved two levels and the loop wants five, then the greater
+        # of each pair of shell 1, which holds the fourfold level twice.
         k0 = zero_momentum(2)
-        assert built == [(4, k0), (6, k0), (6, None)]
-        largest = max(len(r) for r in hb.basis.momentum_blocks().values())
-        assert largest == 79 and max(dims) == largest
+        blocks = [k0, Momentum((0, 1)), Momentum((1, 0))]
+        assert built == [(4, k0), (6, k0)] + [(6, k) for k in blocks]
+        assert hb.basis.momentum_sector == k0
+        assert dims == [23, 79, 79, 69, 69] and max(dims) == hb.basis.size
+
+    @staticmethod
+    def pair_space(case: str):
+        """The model and cutoff of a pair space: one pair, two bands, and the
+        eight square modes with w_hat on the four nearest neighbours or on
+        all eight."""
+        table = {(x, y): 1.0 for x in (-1, 0, 1) for y in (-1, 0, 1) if (x, y) != (0, 0)}
+        return {
+            "one-pair-M48": (make_one_pair_model(N=8), 48),
+            "two-band-M12": (make_two_band_model(N=8), 12),
+            "square-nn-M6": (TestPairHamiltonian.nearest_neighbour_square(), 6),
+            "square-all-M6": (
+                TorusModel(d=2, N=4, potential=PotentialSpec.from_table(table), mode_cutoff=9.0),
+                6,
+            ),
+        }[case]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize(
+        "case", ["one-pair-M48", "two-band-M12", "square-nn-M6", "square-all-M6"]
+    )
+    def test_block_by_block_pair_space_matches_the_assembled_space(self, case, k):
+        # The <= M space solved block by block, each block built alone and
+        # visited in order of e_B + c |K|_1, reports the levels and gap that
+        # solving every block of the assembled space gives, bit for bit, and
+        # the ground on the same block. Every block's lowest level lies at or
+        # above its bound, up to the loop's 1e-10 tolerance.
+        model, m = self.pair_space(case)
+        modes = model.nonzero_modes()
+        ed = fock_ed.EDSettings(k=k)
+        hb = fock_ed.converged_bogoliubov_ground(
+            modes, model.potential, fock_ed.HBSettings(start_cutoff=m, max_cutoff=m), ed
+        )
+        basis, ham = fock_ed.build_bogoliubov_hamiltonian(modes, m, model.potential)
+        eigenvalues, gap, ground_at, ground = all_blocks_merged(basis, ham, ed)
+        assert hb.result.eigenvalues == eigenvalues
+        assert hb.result.gap == gap
+        assert (hb.dimension, hb.cutoff_used) == (basis.size, m)
+        assert hb.basis.momentum_sector == ground_at
+        rows = basis.momentum_blocks()
+        assert np.array_equal(hb.basis.states, basis.states[rows[ground_at]])
+        assert np.array_equal(hb.result.ground_vector, ground.ground_vector)
+        quantities = bogoliubov.solve(model).modes
+        e_b = bogoliubov.solve(model).e_B
+        rate = min(q.e_p / sum(abs(x) for x in q.p) for q in quantities)
+        for momentum, block in rows.items():
+            least = fock_ed.lowest_eigenpairs(ham[block][:, block]).ground_energy
+            bound = e_b + rate * sum(abs(x) for x in momentum)
+            assert least >= bound - 1e-10 * max(1.0, abs(least))
 
     @pytest.mark.parametrize("case", ["square-M6", "two-band-M8"])
     def test_momentum_block_is_the_sliced_operator(self, case):
@@ -1740,23 +1827,32 @@ class TestLowestEigenpairs:
     def test_oversized_dense_solve_refused_before_allocating(self, monkeypatch, settings):
         # The d = 2, 9-mode K = 0 block at N = 24 holds 30,936 states, whose
         # dense array would take 7.7 GB. Either entry point refuses the dense
-        # route before such an array exists or a solve starts.
+        # route before such an array exists or a solve starts, and
+        # momentum_block before the block is assembled.
         import scipy.linalg.lapack
 
         def refuse(*args, **kwargs):
             raise AssertionError("an oversized dense solve was started")
 
-        modes = build_mode_set(2, 1.5 * TWO_PI)
-        basis = fock_ed.enumerate_basis(modes, n_particles=24, momentum_sector=zero_momentum(2))
+        model = TorusModel(
+            d=2,
+            N=24,
+            potential=PotentialSpec.from_table({(1, 0): 1.0, (-1, 0): 1.0}),
+            mode_cutoff=1.5 * TWO_PI,
+        )
+        basis = fock_ed.enumerate_basis(
+            model.mode_set(), n_particles=24, momentum_sector=zero_momentum(2)
+        )
         dim = basis.size
         op = scipy.sparse.identity(dim, format="csr")
         solve = fock_ed.lowest_eigenpairs
         monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", refuse)
         monkeypatch.setattr(fock_ed, "lowest_eigenpairs", refuse)
+        monkeypatch.setattr(fock_ed, "build_hamiltonian", refuse)
+        with pytest.raises(ResourceLimitError, match="dense solve of 30936 states"):
+            fock_ed.momentum_block(model, 24, zero_momentum(2), settings)
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match="dense solve of 30936 states"):
-                fock_ed.solve_sector(basis, op, settings)
             with pytest.raises(ResourceLimitError, match="budget is 10000"):
                 solve(op, settings)
             _, peak = tracemalloc.get_traced_memory()
@@ -1834,13 +1930,19 @@ class TestDavidsonMatchesDense:
         ids=["one-pair-N48", "two-band-N12", "square-N6", "one-pair-HB-M20", "two-band-HB-M6"],
     )
     def test_every_solved_block(self, monkeypatch, build, k):
+        # Every block of more than max(k, 2) states that a block loop may
+        # solve, K = 0 and the greater of each pair {K, -K}, gathered from
+        # the assembled space; smaller blocks are solved dense on either
+        # route.
         monkeypatch.setattr(fock_ed, "MULTI_LEVEL_DENSE_LIMIT", 0)
-        settings = fock_ed.EDSettings(k=k, dense_threshold=0)
-        solved = fock_ed.solve_sector(*build(), settings)
-        assert solved.merged.converged
-        for momentum in solved.results:
-            self.assert_matches_dense(solved.block(momentum)[1], replace(settings, k=max(k, 2)))
-        assert any(r.method == "davidson" for r in solved.results.values())
+        settings = fock_ed.EDSettings(k=max(k, 2), dense_threshold=0)
+        basis, ham = build()
+        methods = set()
+        for momentum, rows in basis.momentum_blocks().items():
+            if momentum >= -momentum and len(rows) > settings.k:
+                result = self.assert_matches_dense(ham[rows][:, rows], settings)
+                methods.add(result.method)
+        assert "davidson" in methods
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_repeated_minimum_of_a_diagonal(self, monkeypatch, k):
@@ -2006,7 +2108,15 @@ class TestOperatorIdentities:
         model = make_two_band_model(N=3)
         fresh = fock_ed.operator_identity_residuals(model)
         full = fock_ed.enumerate_basis(model.mode_set(), n_particles=3)
-        sector = fock_ed.solve_sector(full, fock_ed.build_hamiltonian(model, full))
+        solved = fock_ed.solve_particle_sector(model)
+        ground = np.zeros(full.size)
+        ground[full.find(solved.basis.states)] = solved.merged.ground_vector
+        sector = (
+            full,
+            fock_ed.build_hamiltonian(model, full),
+            solved.merged.ground_energy,
+            ground,
+        )
         build = fock_ed.build_hamiltonian
         built = []
 
@@ -2024,10 +2134,9 @@ class TestOperatorIdentities:
 
     def test_momentum_block_sector_refused(self):
         model = make_two_band_model(N=3)
-        block = fock_ed.enumerate_basis(
-            model.mode_set(), n_particles=3, momentum_sector=zero_momentum(1)
-        )
-        sector = fock_ed.solve_sector(block, fock_ed.build_hamiltonian(model, block))
+        block, ham = fock_ed.momentum_block(model, 3, zero_momentum(1))
+        result = fock_ed.lowest_eigenpairs(ham)
+        sector = (block, ham, result.ground_energy, result.ground_vector)
         with pytest.raises(ValueError, match="whole N sector"):
             fock_ed.operator_identity_residuals(model, sector=sector)
 
@@ -2053,21 +2162,24 @@ class TestBindingFromED:
         without = fock_ed.binding_from_ed(model, check_global=False)
         assert with_check.k0_is_global is True
         assert without.k0_is_global is None
-        assert without.sector_minimum is None and without.ground_bound is None
+        assert without.sector_minimum is None and without.sector_minimum_Nm1 is None
         assert with_check.E_N == pytest.approx(without.E_N, abs=1e-12)
 
     def test_ground_bound_value(self):
-        # B = (2 pi)^2 + lambda N (N-1) w(0)/2 - lambda N sum_{l!=0} w(l)/2.
+        # B = (2 pi)^2 + lambda n (n-1) w(0)/2 - lambda n sum_{l!=0} w(l)/2
+        # on the sector of n particles, at |K|_1 = 1.
         one_pair = make_one_pair_model(N=8)
-        assert fock_ed.nonzero_momentum_bound(one_pair) == pytest.approx(TWO_PI**2 - 1.0)
+        assert fock_ed.block_energy_bound(one_pair, 8, 1) == pytest.approx(TWO_PI**2 - 1.0)
+        assert fock_ed.block_energy_bound(one_pair, 7, 1) == pytest.approx(TWO_PI**2 - 0.875)
         table = {(-1,): 1.0, (0,): 2.0, (1,): 1.0}
         model = TorusModel(d=1, N=4, potential=PotentialSpec.from_table(table), mode_cutoff=7.0)
         expected = TWO_PI**2 + 0.25 * 4 * 3 * 2.0 / 2 - 0.25 * 4 * 2.0 / 2
-        assert fock_ed.nonzero_momentum_bound(model) == pytest.approx(expected)
+        assert fock_ed.block_energy_bound(model, 4, 1) == pytest.approx(expected)
+        assert fock_ed.block_energy_bound(model, 4, 3) == pytest.approx(expected + 2 * TWO_PI**2)
 
     def test_certified_binding_solves_no_whole_sector(self, monkeypatch):
-        # The bound certifies the one-pair model at N = 8, so only the two
-        # K = 0 blocks are enumerated.
+        # The bound certifies the one-pair model at N = 8 and N = 7, so only
+        # the two K = 0 blocks are enumerated.
         enumerate_basis = fock_ed.enumerate_basis
         sectors = []
 
@@ -2078,37 +2190,41 @@ class TestBindingFromED:
         monkeypatch.setattr(fock_ed, "enumerate_basis", spy)
         model = make_one_pair_model(N=8)
         binding = fock_ed.binding_from_ed(model)
-        assert binding.ground_bound == fock_ed.nonzero_momentum_bound(model)
-        assert binding.E_N < binding.ground_bound
+        assert binding.E_N < fock_ed.block_energy_bound(model, 8, 1)
+        assert binding.E_Nm1 < fock_ed.block_energy_bound(model, 7, 1)
         assert sectors == [zero_momentum(1)] * 2
         assert binding.sector_minimum == binding.E_N
+        assert binding.sector_minimum_Nm1 == binding.E_Nm1
         assert binding.k0_is_global is True and binding.converged
 
     def test_uncertified_binding_falls_back_to_the_whole_sector(self):
-        # lambda N = 120 puts B = (2 pi)^2 - 120 below the K = 0 ground: the
-        # whole N sector is solved, and the result is what its solve gives.
+        # lambda N = 120 puts B = (2 pi)^2 - 120 below the K = 0 ground: more
+        # blocks of each sector are solved, and the minima are those that
+        # solving every block gives.
         model = make_one_pair_model(N=8, lam=15.0)
         binding = fock_ed.binding_from_ed(model)
-        assert binding.ground_bound <= binding.E_N
-        basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=model.N)
-        whole = fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis))
-        minimum = whole.merged.ground_energy
-        at_minimum = abs(minimum - binding.E_N) <= 1e-10 * max(1.0, abs(minimum))
-        assert binding.sector_minimum == minimum
+        assert fock_ed.block_energy_bound(model, 8, 1) <= binding.E_N
+        at_minimum = True
+        for n, minimum, k0_ground in ((8, binding.sector_minimum, binding.E_N),
+                                      (7, binding.sector_minimum_Nm1, binding.E_Nm1)):
+            basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=n)
+            ham = fock_ed.build_hamiltonian(model, basis)
+            _, _, _, ground = all_blocks_merged(basis, ham, fock_ed.EDSettings())
+            assert minimum == ground.ground_energy
+            rows = basis.momentum_blocks()[zero_momentum(1)]
+            direct = fock_ed.lowest_eigenpairs(ham[rows][:, rows], fock_ed.EDSettings(k=2))
+            assert k0_ground == direct.ground_energy
+            at_minimum = at_minimum and abs(minimum - k0_ground) <= 1e-10 * max(1.0, abs(minimum))
         assert binding.k0_is_global is at_minimum
         assert binding.converged is (
-            binding.result_N.converged
-            and binding.result_Nm1.converged
-            and whole.merged.converged
-            and at_minimum
+            binding.result_N.converged and binding.result_Nm1.converged and at_minimum
         )
-        assert binding.E_N == whole.results[zero_momentum(1)].ground_energy
 
     def test_k0_not_global_is_reported(self):
         # Modes +-1, +-2 and only w_hat(+-2) = 1: at N = 4 the K = 0 block
         # does not hold the sector minimum, so the binding is not converged.
         # Without a zero mode every level is at least N (2 pi)^2 > B, so the
-        # bound never certifies and the whole sector is solved.
+        # bound never certifies and the loop goes on past K = 0.
         model = TorusModel(
             d=1,
             N=4,
@@ -2117,17 +2233,66 @@ class TestBindingFromED:
             include_zero_mode=False,
         )
         binding = fock_ed.binding_from_ed(model)
-        assert binding.ground_bound <= binding.E_N
+        assert fock_ed.block_energy_bound(model, 4, 1) <= binding.E_N
         assert binding.sector_minimum < binding.E_N
         assert binding.k0_is_global is False
         assert binding.converged is False
 
+    @pytest.mark.parametrize("case", ["one-pair-N8", "two-band-no-zero-mode-N4"])
+    def test_nm1_sector_is_certified_too(self, case, monkeypatch):
+        # With the bound patched 1,000 low, the one-level loop of each sector
+        # solves its K != 0 blocks too, and reports the least level that
+        # solving every block gives, the N - 1 sector's included. Over the
+        # two bands without a zero mode at N = 4, w_hat(+-1) = 1, the K = 0
+        # ground of N = 4 is the least level, but that of N = 3 is not:
+        # three particles make K = 0 only as (+1, +1, -2) and its kin, at
+        # 6 (2 pi)^2, while K = +-1 holds (+1, +1, -1), at 3 (2 pi)^2. So
+        # the N - 1 certificate alone fails the binding.
+        model = {
+            "one-pair-N8": make_one_pair_model(N=8),
+            "two-band-no-zero-mode-N4": TorusModel(
+                d=1,
+                N=4,
+                potential=PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0}),
+                mode_cutoff=2.5 * TWO_PI,
+                include_zero_mode=False,
+                lam=10.0 / 4,
+            ),
+        }[case]
+        enumerate_basis, bound = fock_ed.enumerate_basis, fock_ed.block_energy_bound
+        sectors = []
+
+        def spy(modes, n_particles, momentum_sector=None, **kwargs):
+            sectors.append((n_particles, momentum_sector))
+            return enumerate_basis(modes, n_particles, momentum_sector, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fock_ed, "enumerate_basis", spy)
+            patch.setattr(
+                fock_ed,
+                "block_energy_bound",
+                lambda model, particles, shell: bound(model, particles, shell) - 1e3,
+            )
+            binding = fock_ed.binding_from_ed(model)
+        assert any(n == model.N - 1 and not k.is_zero for n, k in sectors)
+        held = {}
+        for n, minimum, k0_ground in ((model.N, binding.sector_minimum, binding.E_N),
+                                      (model.N - 1, binding.sector_minimum_Nm1, binding.E_Nm1)):
+            basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=n)
+            ham = fock_ed.build_hamiltonian(model, basis)
+            _, _, _, ground = all_blocks_merged(basis, ham, fock_ed.EDSettings())
+            assert minimum == ground.ground_energy
+            held[n] = abs(minimum - k0_ground) <= 1e-10 * max(1.0, abs(minimum))
+        assert held[model.N]
+        assert held[model.N - 1] is (case == "one-pair-N8")
+        assert binding.k0_is_global is binding.converged is held[model.N - 1]
+
     def test_unconverged_global_block_fails_the_binding(self, monkeypatch):
         # At lambda N = 120 the bound does not certify K = 0, so after the
-        # K = 0 blocks of N = 8 and 7 the whole N = 8 sector is solved block
-        # by block from the K = 0 result: K = +1 first, four states and not
-        # the ground. Its failure alone fails the binding, while the K = 0
-        # ground still attains the sector minimum.
+        # K = 0 blocks of N = 8 and 7 the N = 8 loop goes on from the K = 0
+        # result: K = +1 first, four states and not the ground. Its failure
+        # alone fails the binding, while the K = 0 ground still attains the
+        # sector minimum.
         solve = fock_ed.lowest_eigenpairs
         calls = []
 
@@ -2137,21 +2302,21 @@ class TestBindingFromED:
             return replace(result, converged=False) if len(calls) == 3 else result
 
         monkeypatch.setattr(fock_ed, "lowest_eigenpairs", failing_k1)
-        binding = fock_ed.binding_from_ed(make_one_pair_model(N=8, lam=15.0))
-        assert binding.ground_bound <= binding.E_N
+        model = make_one_pair_model(N=8, lam=15.0)
+        binding = fock_ed.binding_from_ed(model)
+        assert fock_ed.block_energy_bound(model, 8, 1) <= binding.E_N
         assert calls[:3] == [5, 4, 4]
         assert binding.k0_is_global is True
         assert binding.result_N.converged and binding.result_Nm1.converged
         assert binding.converged is False
 
     def test_fallback_solves_the_k0_block_once(self, monkeypatch):
-        # Where the bound does not certify (lambda N = 120), the whole N = 8
-        # sector is solved block by block, going on from the K = 0 result
-        # the binding already holds: the K = 0 block of N is enumerated and
-        # solved once, and no whole sector is enumerated. The blocks are
-        # K = 0 of N = 8 (5 states) and N = 7 (4), then K = 1, ..., 4 of
-        # N = 8 (4, 4, 3 and 3 states), the last whose bound lies below the
-        # two lowest levels found.
+        # Where the bound does not certify (lambda N = 120), each sector's
+        # one-level loop goes on from the K = 0 result the binding already
+        # holds: each K = 0 block is enumerated and solved once, and no
+        # whole sector is enumerated. The blocks are K = 0 of N = 8 (5
+        # states) and N = 7 (4), then K = 1 of N = 8 (4) and of N = 7 (4);
+        # each sector's shell-2 bound lies above its K = 0 ground.
         enumerate_basis = fock_ed.enumerate_basis
         solve = fock_ed.lowest_eigenpairs
         sectors, calls = [], []
@@ -2168,10 +2333,12 @@ class TestBindingFromED:
         monkeypatch.setattr(fock_ed, "lowest_eigenpairs", spy_solve)
         model = make_one_pair_model(N=8, lam=15.0)
         binding = fock_ed.binding_from_ed(model)
-        assert binding.E_N >= binding.ground_bound
-        k = [Momentum((x,)) for x in range(5)]
-        assert sectors == [(8, k[0]), (7, k[0])] + [(8, p) for p in k[1:]]
-        assert calls == [5, 4, 4, 4, 3, 3]
+        assert binding.E_N >= fock_ed.block_energy_bound(model, 8, 1)
+        k0, k1 = Momentum((0,)), Momentum((1,))
+        assert sectors == [(8, k0), (7, k0), (8, k1), (7, k1)]
+        assert calls == [5, 4, 4, 4]
+        for n, e in ((8, binding.E_N), (7, binding.E_Nm1)):
+            assert fock_ed.block_energy_bound(model, n, 2) > e
         assert binding.k0_is_global and binding.converged
 
     @settings(max_examples=40, deadline=None)
@@ -2181,7 +2348,7 @@ class TestBindingFromED:
         # nine of a square, couplings up to lambda N = 150: B lies below
         # every K != 0 block minimum of the whole sector; where it certifies
         # K = 0, the whole sector agrees; and the K = 0 results are the same
-        # bits whether the bound certifies or the whole sector is solved.
+        # bits whether the bound certifies or every block is solved.
         d = data.draw(st.sampled_from([1, 2]))
         coefficient = st.one_of(st.just(0.0), st.floats(0.01, 4.0))
         table = {(0,) * d: data.draw(coefficient)}
@@ -2198,20 +2365,27 @@ class TestBindingFromED:
             lam=data.draw(st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 150.0))) / n,
         )
         binding = fock_ed.binding_from_ed(model)
-        bound = binding.ground_bound
+        bound = fock_ed.block_energy_bound(model, n, 1)
         basis = fock_ed.enumerate_basis(model.mode_set(), n_particles=n)
-        whole = fock_ed.solve_sector(basis, fock_ed.build_hamiltonian(model, basis))
-        for k, energy in checks.block_minima(whole, fock_ed.EDSettings()).items():
+        solves = checks.block_solves(
+            basis, fock_ed.build_hamiltonian(model, basis), fock_ed.EDSettings()
+        )
+        for k, result in solves.items():
             if not k.is_zero:
+                energy = result.ground_energy
                 assert bound <= energy + 1e-10 * max(1.0, abs(energy))
-        minimum = whole.merged.ground_energy
+        minimum = min(r.ground_energy for r in solves.values())
         if binding.E_N < bound - 1e-10 * max(1.0, abs(bound)):
             assert abs(minimum - binding.E_N) <= 1e-10 * max(1.0, abs(minimum))
-            assert binding.sector_minimum == binding.E_N and binding.k0_is_global
+            assert binding.sector_minimum == binding.E_N
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fock_ed, "nonzero_momentum_bound", lambda model: -math.inf)
+            patch.setattr(fock_ed, "block_energy_bound", lambda model, particles, shell: -math.inf)
             fallback = fock_ed.binding_from_ed(model)
         assert fallback.sector_minimum == minimum
+        assert (fallback.sector_minimum, fallback.sector_minimum_Nm1) == (
+            binding.sector_minimum,
+            binding.sector_minimum_Nm1,
+        )
         assert (fallback.E_N, fallback.E_Nm1) == (binding.E_N, binding.E_Nm1)
         for mine, theirs in ((binding.result_N, fallback.result_N),
                              (binding.result_Nm1, fallback.result_Nm1)):
@@ -2237,7 +2411,7 @@ class TestBindingFromED:
     @pytest.mark.parametrize("dense_threshold", [500, 10], ids=["dense", "lanczos"])
     def test_matches_standalone_k0_solves(self, model, check_global, dense_threshold):
         # The oracle enumerates, assembles and solves each K = 0 sector on
-        # its own; binding_from_ed takes the same block from solve_sector.
+        # its own, as binding_from_ed does through momentum_block.
         # A threshold of 10 sends every K = 0 block to Davidson.
         settings = fock_ed.EDSettings(dense_threshold=dense_threshold)
         k0 = zero_momentum(model.d)
