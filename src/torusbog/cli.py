@@ -567,7 +567,7 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
                 # Block by block: only the blocks that can hold the levels are built.
                 whole = fock_ed.solve_particle_sector(model, settings)
                 return _ed_payload(whole.merged, whole.basis, whole.dimension, settings.tol)
-            # An oversized dense route is refused before assembly.
+            # A solve over the memory budget is refused before assembly.
             basis, ham = fock_ed.momentum_block(model, model.N, sector, settings)
             if not basis.size:
                 raise ConfigError(

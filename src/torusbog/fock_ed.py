@@ -61,8 +61,8 @@ they want:
 A caller of one block (the ed momentum_sector job, the binding's K = 0
 blocks, the pair Hamiltonian's cutoff ladder) solves it by
 lowest_eigenpairs directly. Davidson starts on the rows of low diagonal.
-An oversized dense solve of H is refused before assembly, from the block's
-size alone (momentum_block).
+A solve of H whose route would exceed the memory budget is refused before
+assembly, from the block's size alone (momentum_block, _solve_route).
 
 scipy is imported inside the functions that assemble, solve or build a_0,
 so a process that only reads cached results never loads it.
@@ -91,12 +91,9 @@ DEFAULT_MAX_STATES = 500_000
 # Ground-state gap below which vector-dependent observables are flagged unreliable.
 DEGENERACY_GAP = 1e-8
 
-# Requests for k >= 3 levels are solved dense up to this dimension (see
-# lowest_eigenpairs).
-MULTI_LEVEL_DENSE_LIMIT = 2000
-
 # Largest operator solved dense, whatever the settings ask: at this size its
-# array of dim**2 doubles takes 0.8 GB.
+# array of dim**2 doubles takes 0.8 GB, the memory budget of every
+# eigensolve (_solve_route).
 MAX_DENSE_STATES = 10_000
 
 
@@ -107,7 +104,8 @@ class EDSettings:
     tol: float = 1e-9
     max_iter: int = 1000
     seed: int = 0
-    # Largest k <= 2 solve sent dense; Davidson's measured crossover is near 130-180.
+    # Largest solve sent dense, at least max(k, 2) states; Davidson's measured
+    # crossover is near 130-180.
     dense_threshold: int = 500
     k: int = 1
 
@@ -763,21 +761,23 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0.0 else v
 
 
-def _solves_dense(dim: int, settings: EDSettings) -> bool:
-    """Whether lowest_eigenpairs solves an operator of dim states dense.
-
-    A dense route above MAX_DENSE_STATES raises ResourceLimitError, before
-    any dense array of that size is made.
+def _solve_route(dim: int, settings: EDSettings) -> str:
+    """The route of lowest_eigenpairs on dim states at settings, "dense" up
+    to max(settings.dense_threshold, k, 2) states, else "davidson" on
+    b = max(k, 2) vectors, within one memory budget of MAX_DENSE_STATES**2
+    doubles: a route whose arrays exceed it, dim**2 doubles for dense and
+    (2 (DAVIDSON_WIDTH + b) + 3 b) dim for Davidson (_davidson_lowest),
+    raises ResourceLimitError before any of them is made.
     """
-    dense = dim <= max(settings.dense_threshold, settings.k, 2) or (
-        settings.k >= 3 and dim <= MULTI_LEVEL_DENSE_LIMIT
-    )
-    if dense and dim > MAX_DENSE_STATES:
+    block = max(settings.k, 2)
+    method = "dense" if dim <= max(settings.dense_threshold, block) else "davidson"
+    doubles = dim * dim if method == "dense" else (2 * (DAVIDSON_WIDTH + block) + 3 * block) * dim
+    if doubles > MAX_DENSE_STATES**2:
         raise ResourceLimitError(
-            f"dense solve of {dim} states, budget is {MAX_DENSE_STATES}"
-            " (lower dense_threshold or k)"
+            f"{method} solve of {dim} states holds {doubles} doubles, budget is"
+            f" {MAX_DENSE_STATES**2} (lower k, or dense_threshold for a dense route)"
         )
-    return dense
+    return method
 
 
 @functools.cache
@@ -795,35 +795,30 @@ def lowest_eigenpairs(
     op: scipy.sparse.csr_matrix, settings: EDSettings = EDSettings()
 ) -> EDResult:
     """The settings.k smallest eigenvalues and ground vector of an exactly
-    symmetric CSR operator, as H and HB are assembled.
+    symmetric CSR operator, as H and HB are assembled, on the route that
+    _solve_route gives, which refuses one over the memory budget.
 
-    Up to settings.dense_threshold states (MULTI_LEVEL_DENSE_LIMIT when
-    k >= 3, and at least max(k, 2)) the k_int = min(dim, max(k, 2)) lowest
-    pairs come from one LAPACK dsyevr call with range "I", its workspace
-    queried once per dimension. It overwrites op.toarray().T, which is
-    Fortran-ordered and equal to op, so a dense solve holds one array of
-    dim**2 doubles. A failed call raises LinAlgError, and a dense route
-    above MAX_DENSE_STATES raises ResourceLimitError before any array is
-    made. Larger problems run a block Davidson solver on k_int vectors
-    (_davidson_lowest), at most settings.max_iter iterations, from unit
-    vectors on the rows of lowest diagonal, and report the Rayleigh
-    quotients of op at its Ritz vectors; iterations counts its operator
-    applications. The second pair gives the gap above the ground. The
-    residual ||H v - E v|| is always measured post hoc on op at the returned
-    vector, and convergence means residual_norm <= tol; a solve that stops
-    at max_iter keeps its best vectors and is reported unconverged, never
-    raised.
-
-    Davidson works on a block of k_int vectors, so it can report a
-    degenerate level as often as it occurs among the k_int lowest. Requests
-    for k >= 3 still stay dense up to MULTI_LEVEL_DENSE_LIMIT states.
+    The dense route takes the k_int = min(dim, max(k, 2)) lowest pairs from
+    one LAPACK dsyevr call with range "I", its workspace queried once per
+    dimension. It overwrites op.toarray().T, which is Fortran-ordered and
+    equal to op, so it holds one array of dim**2 doubles; a failed call
+    raises LinAlgError. The Davidson route runs a block Davidson solver on
+    k_int vectors (_davidson_lowest), at most settings.max_iter iterations,
+    and reports the Rayleigh quotients of op at its Ritz vectors, so it can
+    report a degenerate level as often as it occurs among the k_int lowest;
+    iterations counts its operator applications. The second pair gives the
+    gap above the ground. The residual ||H v - E v|| is always measured
+    post hoc on op at the returned vector, and convergence means
+    residual_norm <= tol; a solve that stops at max_iter keeps its best
+    vectors and is reported unconverged, never raised.
     """
     dim = op.shape[0]
     if dim == 0:
         raise ValueError("empty operator")
     k = min(settings.k, dim)
     k_int = min(dim, max(k, 2))
-    if _solves_dense(dim, settings):
+    method = _solve_route(dim, settings)
+    if method == "dense":
         import scipy.linalg.lapack
 
         lwork, liwork = _syevr_workspace(dim)
@@ -844,10 +839,8 @@ def lowest_eigenpairs(
         ground = _phase_fixed(np.ascontiguousarray(eigvecs[:, 0]))
         iterations = 0
         finished = True
-        method = "dense"
     else:
         theta, ground, iterations, finished = _davidson_lowest(op, k_int, settings)
-        method = "davidson"
     ground = ground / float(np.linalg.norm(ground))
     residual = float(np.linalg.norm(op @ ground - theta[0] * ground))
     gap = float(theta[1] - theta[0]) if len(theta) > 1 else math.inf
@@ -864,12 +857,8 @@ def lowest_eigenpairs(
 
 def _gershgorin(op: scipy.sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """The diagonal d_i of a CSR matrix, and each row's Gershgorin radius
-    r_i = sum_{j != i} |op_ij|.
-
-    Every eigenvalue of a symmetric op lies in the union of the intervals
-    [d_i - r_i, d_i + r_i], so min(d - r) bounds its spectrum from below
-    (Gershgorin circle theorem). op is read in one pass over its stored
-    values, with no copy of its index arrays.
+    r_i = sum_{j != i} |op_ij|, so that max(|d| + r) = ||op||_inf, read in
+    one pass over its stored values with no copy of its index arrays.
     """
     starts = op.indptr[:-1]
     held = starts < op.indptr[1:]
@@ -929,17 +918,25 @@ def _davidson_lowest(
     diagonal and each denominator at least that tolerance in size, or r_j
     itself where the correction lies in V (as on an exactly diagonal op).
     A new row goes through two passes of Gram-Schmidt against V and is kept
-    only if more than 1e-8 of its norm is left. When V is full it restarts
-    from the k Ritz vectors. An iteration that adds no row stops the
-    solve, unconverged. The space starts from _davidson_start. The levels
-    reported are fresh Rayleigh quotients of op at the Ritz vectors of the
-    last iteration, the best the solve found.
+    only if more than 1e-8 of its norm is left. When V cannot take a row
+    for each open pair it restarts from the k Ritz vectors, and takes as
+    many corrections as fit, the lowest pairs first. An iteration that adds
+    no row stops the solve, unconverged. The space starts from
+    _davidson_start. The levels reported are fresh Rayleigh quotients of op
+    at the Ritz vectors of the last iteration, the best the solve found.
+
+    Besides op and a temporary of its stored values (_gershgorin), it holds
+    V, HV, and the Ritz vectors (the start rows before the first
+    iteration), their images and residuals, each written in place: the
+    (2 (DAVIDSON_WIDTH + k) + 3 k) dim doubles _solve_route budgets.
     """
     dim = op.shape[0]
     diagonal, radii = _gershgorin(op)
     tol = 32.0 * np.finfo(float).eps * float((np.abs(diagonal) + radii).max())
+    ritz = _davidson_start(diagonal, radii, k, settings.seed)  # then the Ritz vectors
     space = np.empty((DAVIDSON_WIDTH + k, dim))
     image = np.empty_like(space)
+    ritz_image, residuals = np.empty_like(ritz), np.empty_like(ritz)
     size = 0
 
     def extend(row: np.ndarray) -> bool:
@@ -961,7 +958,7 @@ def _davidson_lowest(
         for i in range(start, stop):
             image[i] = op @ space[i]
 
-    for row in _davidson_start(diagonal, radii, k, settings.seed):
+    for row in ritz:
         extend(row)
     apply(0, size)
     applied = size
@@ -969,10 +966,12 @@ def _davidson_lowest(
     for iteration in range(settings.max_iter):
         theta, coefficients = np.linalg.eigh(space[:size] @ image[:size].T)
         coefficients = coefficients[:, :k].T
-        ritz = coefficients @ space[:size]
-        ritz_image = coefficients @ image[:size]
-        residuals = ritz_image - theta[:k, None] * ritz
-        open_pairs = np.flatnonzero(np.linalg.norm(residuals, axis=1) > tol)
+        np.matmul(coefficients, space[:size], out=ritz)
+        np.matmul(coefficients, image[:size], out=ritz_image)
+        np.subtract(ritz_image, np.multiply(theta[:k, None], ritz, out=residuals), out=residuals)
+        # The sums of np.linalg.norm(residuals, axis=1), row by row: no (k, dim) temporary.
+        norms = np.sqrt([np.add.reduce(r * r) for r in residuals])
+        open_pairs = np.flatnonzero(norms > tol)
         if not len(open_pairs):
             finished = True
             break
@@ -981,7 +980,7 @@ def _davidson_lowest(
         if size + len(open_pairs) > len(space):
             space[:k], image[:k], size = ritz, ritz_image, k
         grown = size
-        for j in open_pairs:
+        for j in open_pairs[: len(space) - size]:
             shifted = diagonal - theta[j]
             shifted[np.abs(shifted) < tol] = tol
             extend(residuals[j] / shifted) or extend(residuals[j])
@@ -989,6 +988,7 @@ def _davidson_lowest(
             break
         apply(grown, size)
         applied += size - grown
+    del ritz_image, residuals  # room for the op @ x below, within the budget
     ritz /= np.linalg.norm(ritz, axis=1)[:, None]
     theta = np.einsum("ij,ji->i", ritz, np.column_stack([op @ x for x in ritz]))
     order = np.argsort(theta)
@@ -1088,14 +1088,14 @@ def momentum_block(
     """Block momentum of model's sector of particles: its own basis
     (enumerate_basis) and H on it, or None for an empty block.
 
-    A dense route of lowest_eigenpairs at settings above MAX_DENSE_STATES
-    is refused (ResourceLimitError) from the block's size, before anything
-    is assembled.
+    A route of lowest_eigenpairs at settings over its memory budget is
+    refused (ResourceLimitError, _solve_route) from the block's size,
+    before anything is assembled.
     """
     basis = enumerate_basis(model.mode_set(), particles, momentum)
     if not basis.size:
         return basis, None
-    _solves_dense(basis.size, settings)  # raises for an oversized dense route
+    _solve_route(basis.size, settings)  # raises for a route over the budget
     return basis, build_hamiltonian(model, basis)
 
 
@@ -1193,11 +1193,11 @@ def solve_particle_sector(
     (_solve_blocks) stops once the next bound lies above the max(k, 2)
     lowest levels found. Each block visited is enumerated alone
     (momentum_block, through enumerate_basis, which builds only rows that
-    can reach it), skipped when empty, refused when its dense route is
-    oversized (ResourceLimitError) before assembly, and else assembled and
-    solved at max(k, 2) levels.
+    can reach it), skipped when empty, refused when its route is over the
+    memory budget (ResourceLimitError) before assembly, and else assembled
+    and solved at max(k, 2) levels.
 
-    So the state budget refuses a block the loop must solve, never the
+    So the memory budget refuses a block the loop must solve, never the
     sector for its size, and only the ground block's basis is kept: each
     other block's basis and operator go once it is solved. merged holds the
     levels and gap that solving every block would give, with the ground
@@ -1565,36 +1565,35 @@ def converged_bogoliubov_ground(
     """Raise the excitation cutoff in steps of 2 until the K = 0 ground settles.
 
     HB's ground lies in its K = 0 block, so each rung builds and solves that
-    block alone. Convergence means two successive converged K = 0 grounds
-    differ by less than hb.cutoff_delta. At the accepted (or last) cutoff
-    the <= M space is solved block by block at settings (_solve_blocks),
-    each block built alone and bounded by _pair_block_bound; the last rung's
-    solve stands in for K = 0 when the blocks are solved at its two levels.
-    The space holds C(M + m, m) states over m modes.
+    block alone, at the max(k, 2) levels the block loop wants. Convergence
+    means two successive converged K = 0 grounds differ by less than
+    hb.cutoff_delta. At the accepted (or last) cutoff the <= M space is
+    solved block by block at those levels (_solve_blocks), each block built
+    alone and bounded by _pair_block_bound, the last rung's solve standing
+    in for K = 0, so no block is built or solved twice. The space holds
+    C(M + m, m) states over m modes.
     """
     modes = tuple(modes)
     k0 = zero_momentum(modes[0].d) if modes else None  # no modes: the builder raises
-    # k = 1 and k = 2 solve alike, two pairs each; k = 2 keeps both levels.
-    rung_settings = replace(settings, k=2)
+    block_settings = replace(settings, k=max(settings.k, 2))
     prev: EDResult | None = None
     last_delta = math.inf
     settled = False
     for cutoff in range(hb.start_cutoff, hb.max_cutoff + 1, 2):
         basis, op = build_bogoliubov_hamiltonian(modes, cutoff, potential, momentum_sector=k0)
-        result = lowest_eigenpairs(op, rung_settings)
+        result = lowest_eigenpairs(op, block_settings)
         if prev is not None:
             last_delta = abs(result.ground_energy - prev.ground_energy)
             settled = last_delta < hb.cutoff_delta and result.converged and prev.converged
             if settled:
                 break
         prev = result
-    block_settings = replace(settings, k=max(settings.k, 2))
     results, levels, ground_at, ground_basis = _solve_blocks(
         _block_visits(basis.modes, cutoff, _pair_block_bound(modes, potential)),
         lambda momentum: build_bogoliubov_hamiltonian(modes, cutoff, potential, momentum),
         block_settings,
         block_settings.k,
-        zero_block=(basis, result) if block_settings == rung_settings else None,
+        zero_block=(basis, result),
     )
     merged = _merged(results, levels, ground_at, settings.k)
     dimension = math.comb(cutoff + len(modes), len(modes))

@@ -3,12 +3,12 @@
 bench/workloads.py compares every output of a workload pass with values that
 bench/reference.py computes without the program, and bench/run.py's
 --perturb-test shows that each check fails once its value is perturbed. These
-tests run the study-sweep, ed-sectors and ed-dense workloads once at seed
-1, in process, through bench/run.py's own set-up, pass and perturbation
-functions, so a change that moves a reported number past a check fails here,
-not only in a benchmark run. Between them they reach the dense and iterative
-solves, whole sectors solved block by block and single momentum blocks, and
-the pair Hamiltonian.
+tests run every workload, study-sweep, ed-sectors, ed-dense and eval-lattice,
+once at seed 1, in process, through bench/run.py's own set-up, pass and
+perturbation functions, so a change that moves a reported number past a check
+fails here, not only in a benchmark run. Between them they reach the dense
+and iterative solves, whole sectors solved block by block and single momentum
+blocks, the pair Hamiltonian, and the analytic layer on a d = 3 ball.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ def run():
             sys.modules.pop(name, None)
 
 
-@pytest.mark.parametrize("name", ["study-sweep", "ed-sectors", "ed-dense"])
+@pytest.mark.parametrize("name", ["study-sweep", "ed-sectors", "ed-dense", "eval-lattice"])
 def test_every_check_passes_and_reads_its_value(run, name, tmp_path, capsys):
     workload = run.workloads.WORKLOADS[name]
     ctx = run.setup(workload, 1, tmp_path / "configs")

@@ -575,6 +575,23 @@ class TestEdWorkflow:
         assert abs(result["eigenvalues"][0]) <= 1e-12
         assert result["gap"] == pytest.approx(8.0 * math.pi**2, abs=1e-9)
 
+    def test_many_levels_of_a_large_block(self, tmp_path):
+        # The two-band K = 0 block of N = 48 holds 3,581 states. Thirteen
+        # levels are more corrections than the Davidson search space holds
+        # beyond its block, so each restart takes as many as fit.
+        potential = {"entries": [[-2, 1.0], [-1, 1.0], [1, 1.0], [2, 1.0]]}
+        doc = {
+            "model": one_pair_model_doc(48, mode_cutoff=4.0 * math.pi + 0.1, potential=potential),
+            "ed": {"k": 13, "momentum_sector": [0]},
+        }
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        result = read_json(tmp_path / "out" / "report.json")["result"]
+        assert (result["dimension"], result["method"]) == (3581, "davidson")
+        assert result["converged"] is True
+        levels = result["eigenvalues"]
+        assert len(levels) == 13 and levels == sorted(levels)
+
     def test_cold_iterative_ed_imports_no_sparse_linalg(self, tmp_path):
         # The two-band K = 0 block of N = 34 (1,353 states) is solved by
         # Davidson, which needs nothing from scipy.sparse.linalg: a cold ed
@@ -602,9 +619,9 @@ class TestEdWorkflow:
         assert not [m for m in modules if m.startswith("scipy.sparse.linalg")]
 
     def test_unconverged_block_exit_3_and_not_cached(self, tmp_path, monkeypatch):
-        # The blocks solved are K = 0 (5 states) and K = +1 (4 states): the
-        # Gershgorin bounds of K = 2, ..., 8 lie above the two lowest levels
-        # found in them. K = +1 does not hold the ground: its failure alone
+        # The blocks solved are K = 0 (5 states) and K = +1 (4 states):
+        # block_energy_bound at |K|_1 = 2, ..., 8 lies above the two lowest
+        # levels found in them. K = +1 does not hold the ground: its failure alone
         # must fail the job.
         from torusbog import fock_ed
 
@@ -918,27 +935,27 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["aea3631a96f65d22200ce275a9e7e4fd"],
+                ["a4b41200cd7d8d350b50a28b3eefd1d4"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["446f30414709f5ef24da01d7250be6b2"],
+                ["90f414af7c9d54aac822fc359fba6a6f"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "0d40182d62660738875126cf399b4066",
-                    "31a105802735e2f0009fcdc03e083d14",
-                    "d7cf81a614e324339cfb38df73ee4fe7",
+                    "338b30f5bc99ffef3ff16626b1428724",
+                    "63d0c340223822764ec5c2a7dbcba23e",
+                    "903c30f4146791902494a567ae1b9ec4",
                 ],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["239dd879ecd4a465f15a84a497326740"],
+                ["351badf8cdf813589cffa237ed03a464"],
             ),
         ],
     )

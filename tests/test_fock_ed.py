@@ -1427,15 +1427,14 @@ class TestPairHamiltonian:
         excited = hb.result.eigenvalues[1:]
         assert len(excited) == 4 and max(excited) - min(excited) <= 1e-9
         assert hb.result.gap == pytest.approx(40.466063466, abs=1e-8)
-        # Each rung builds its K = 0 block alone. At the last rung each
-        # block the loop visits is built alone too: K = 0 again, since the
-        # rung solved two levels and the loop wants five, then the greater
-        # of each pair of shell 1, which holds the fourfold level twice.
+        # Each rung builds and solves its K = 0 block alone, at the loop's
+        # five levels, so the last rung stands in for K = 0. At the last rung
+        # the loop then builds the greater of each pair of shell 1 alone,
+        # which holds the fourfold level twice.
         k0 = zero_momentum(2)
-        blocks = [k0, Momentum((0, 1)), Momentum((1, 0))]
-        assert built == [(4, k0), (6, k0)] + [(6, k) for k in blocks]
+        assert built == [(4, k0), (6, k0), (6, Momentum((0, 1))), (6, Momentum((1, 0)))]
         assert hb.basis.momentum_sector == k0
-        assert dims == [23, 79, 79, 69, 69] and max(dims) == hb.basis.size
+        assert dims == [23, 79, 69, 69] and max(dims) == hb.basis.size
 
     @staticmethod
     def pair_space(case: str):
@@ -1861,6 +1860,61 @@ class TestLowestEigenpairs:
         assert dim == 30936 > fock_ed.MAX_DENSE_STATES
         assert peak < dim**2 * 8 / 1000
 
+    def test_oversized_davidson_solve_refused_before_allocating(self, monkeypatch):
+        # With the budget patched to 1,000**2 doubles, 60 Davidson vectors on
+        # the two-band K = 0 block of N = 48 (3,581 states) would hold
+        # (2 (12 + 60) + 180) 3,581 doubles, over it. Either entry point
+        # refuses the route before the block is assembled or any solver
+        # array exists, and two levels stay within it.
+        model = make_two_band_model(N=48)
+        op = scipy.sparse.identity(3581, format="csr")
+        settings = fock_ed.EDSettings(k=60)
+        solve = fock_ed.lowest_eigenpairs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized Davidson solve was started")
+
+        monkeypatch.setattr(fock_ed, "MAX_DENSE_STATES", 1000)
+        monkeypatch.setattr(fock_ed, "lowest_eigenpairs", refuse)
+        monkeypatch.setattr(fock_ed, "build_hamiltonian", refuse)
+        monkeypatch.setattr(fock_ed, "_davidson_lowest", refuse)
+        with pytest.raises(ResourceLimitError, match="davidson solve of 3581 states holds 1160244 doubles"):
+            fock_ed.momentum_block(model, 48, zero_momentum(1), settings)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="budget is 1000000"):
+                solve(op, settings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3581 * 8
+        assert fock_ed._solve_route(3581, fock_ed.EDSettings(k=2)) == "davidson"
+
+    def test_two_levels_never_refused_within_the_state_budget(self):
+        # The largest block the state budget lets through fits the memory
+        # budget on the Davidson route at k <= 2.
+        for k in (1, 2):
+            settings = fock_ed.EDSettings(k=k)
+            assert fock_ed._solve_route(fock_ed.DEFAULT_MAX_STATES, settings) == "davidson"
+
+    def test_iterative_solve_memory_matches_its_budget(self):
+        # The arrays of a Davidson solve on b vectors hold
+        # (2 (DAVIDSON_WIDTH + b) + 3 b) dim doubles and a few vectors more,
+        # the count the route's budget takes; measured at k = 2 and 13 on
+        # the two-band K = 0 block of N = 48 (3,581 states).
+        op = k0_hamiltonian(make_two_band_model(N=48))
+        dim = op.shape[0]
+        for k in (2, 13):
+            tracemalloc.start()
+            try:
+                result = fock_ed.lowest_eigenpairs(op, fock_ed.EDSettings(k=k))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (dim, result.method, result.converged) == (3581, "davidson", True)
+            counted = 2 * (fock_ed.DAVIDSON_WIDTH + k) + 3 * k
+            assert counted * dim * 8 < peak < (counted + 10) * dim * 8
+
     @pytest.mark.parametrize(
         "matrix", [[[-0.75]], [[1.0, 0.5], [0.5, -2.0]]], ids=["dim1", "dim2"]
     )
@@ -1878,13 +1932,11 @@ class TestLowestEigenpairs:
 
     def test_degenerate_levels_kept_at_default_settings(self):
         # One pair, M = 48 (1,225 states): the second level is doubly
-        # degenerate. A k >= 3 request of this size stays dense
-        # (MULTI_LEVEL_DENSE_LIMIT).
-        ham = one_pair_hb(48)
-        result = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(k=4))
-        dense = fock_ed.lowest_eigenpairs(ham, fock_ed.EDSettings(k=4, dense_threshold=10**9))
-        assert result.method == "dense"
-        assert result.eigenvalues == dense.eigenvalues
+        # degenerate. A k >= 3 request above dense_threshold runs Davidson
+        # on k vectors, which reports both copies, as dense does.
+        result = TestDavidsonMatchesDense.assert_matches_dense(
+            one_pair_hb(48), fock_ed.EDSettings(k=4)
+        )
         assert abs(result.eigenvalues[1] - result.eigenvalues[2]) <= 1e-9
 
 
@@ -1899,9 +1951,7 @@ def whole_pair_space(model, cutoff):
 
 class TestDavidsonMatchesDense:
     """The iterative route against dense, to 1e-12 max(1, ||H||_inf) on
-    every level it reports and the gap. MULTI_LEVEL_DENSE_LIMIT is lifted,
-    so k >= 3 runs Davidson too, and every block of more than two states
-    does."""
+    every level it reports and the gap."""
 
     @staticmethod
     def assert_matches_dense(op, settings):
@@ -1929,12 +1979,11 @@ class TestDavidsonMatchesDense:
         ],
         ids=["one-pair-N48", "two-band-N12", "square-N6", "one-pair-HB-M20", "two-band-HB-M6"],
     )
-    def test_every_solved_block(self, monkeypatch, build, k):
+    def test_every_solved_block(self, build, k):
         # Every block of more than max(k, 2) states that a block loop may
         # solve, K = 0 and the greater of each pair {K, -K}, gathered from
         # the assembled space; smaller blocks are solved dense on either
         # route.
-        monkeypatch.setattr(fock_ed, "MULTI_LEVEL_DENSE_LIMIT", 0)
         settings = fock_ed.EDSettings(k=max(k, 2), dense_threshold=0)
         basis, ham = build()
         methods = set()
@@ -1945,40 +1994,48 @@ class TestDavidsonMatchesDense:
         assert "davidson" in methods
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_repeated_minimum_of_a_diagonal(self, monkeypatch, k):
+    def test_repeated_minimum_of_a_diagonal(self, k):
         # The minimum 0 sits on rows 0 and 300: both are start rows, and both
         # copies are reported, with gap 0, so the ground vector is flagged
         # unreliable, as a dense solve flags it.
-        monkeypatch.setattr(fock_ed, "MULTI_LEVEL_DENSE_LIMIT", 0)
         op = scipy.sparse.diags(np.arange(600.0) % 300, format="csr")
         result = self.assert_matches_dense(op, fock_ed.EDSettings(k=k, dense_threshold=0))
         assert result.eigenvalues[:2] == (0.0, 0.0) and result.gap == 0.0
         assert not result.vector_reliable
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_free_two_band_model(self, monkeypatch, k):
+    def test_free_two_band_model(self, k):
         # w_hat = 0: H is the kinetic diagonal, 0 on the condensate, and
         # 2 (2 pi)^2 on the pair at +-1, the level above.
-        monkeypatch.setattr(fock_ed, "MULTI_LEVEL_DENSE_LIMIT", 0)
         op = k0_hamiltonian(free_two_band_model(34))
         result = self.assert_matches_dense(op, fock_ed.EDSettings(k=k, dense_threshold=0))
         assert result.ground_energy == 0.0
         assert result.gap == pytest.approx(2.0 * TWO_PI**2, abs=1e-9)
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_whole_sector_operator_unsplit(self, monkeypatch, k):
+    def test_whole_sector_operator_unsplit(self, k):
         # The one-pair N = 8 sector's operator as one matrix, its momentum
         # blocks not split apart: some corrections lie in the search space,
         # and the residual is added in their place.
-        monkeypatch.setattr(fock_ed, "MULTI_LEVEL_DENSE_LIMIT", 0)
         _, op = whole_sector(make_one_pair_model(N=8))
         self.assert_matches_dense(op, fock_ed.EDSettings(k=k, dense_threshold=0))
 
-    def test_degenerate_pair_levels_counted_twice(self, monkeypatch):
+    @pytest.mark.parametrize("k", [13, 20])
+    def test_more_levels_than_the_search_space_adds(self, k):
+        # The two-band K = 0 block of N = 24 (519 states) at default
+        # settings: k open pairs are more corrections than the
+        # DAVIDSON_WIDTH rows a restart leaves free, so each restart takes
+        # the lowest that fit and the rest wait for a later iteration.
+        op = k0_hamiltonian(make_two_band_model(N=24))
+        assert op.shape[0] == 519 > fock_ed.EDSettings().dense_threshold
+        assert k > fock_ed.DAVIDSON_WIDTH
+        result = self.assert_matches_dense(op, fock_ed.EDSettings(k=k))
+        assert len(result.eigenvalues) == k
+
+    def test_degenerate_pair_levels_counted_twice(self):
         # One pair, M = 48 (1,225 states) at k = 4: dense gives -0.0124,
         # 40.4537, 40.4537 and 80.9198, and the block of four vectors
         # reports the degenerate level twice, as dense does.
-        monkeypatch.setattr(fock_ed, "MULTI_LEVEL_DENSE_LIMIT", 0)
         result = self.assert_matches_dense(
             one_pair_hb(48), fock_ed.EDSettings(k=4, dense_threshold=0)
         )
