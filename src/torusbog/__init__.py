@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import importlib
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 _SUBMODULES = ("model", "bogoliubov", "fock_ed", "asymptotics", "cli")
 

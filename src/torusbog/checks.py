@@ -99,14 +99,13 @@ def off_block_entries(ham, rows: dict) -> int:
 
 
 def block_solves(basis: fock_ed.FockBasis, ham, settings: fock_ed.EDSettings) -> dict:
-    """lowest_eigenpairs at max(k, 2) levels on K = 0 and one block of each
-    pair {K, -K} of basis (the greater, or the one present), each on its own
+    """lowest_eigenpairs at settings on K = 0 and one block of each pair
+    {K, -K} of basis (the greater, or the one present), each on its own
     operator ham[rows][:, rows], by increasing momentum. No bound skips a
     block, so a check against every block minimum keeps its strength."""
     blocks = basis.momentum_blocks()
-    block_settings = replace(settings, k=max(settings.k, 2))
     return {
-        k: fock_ed.lowest_eigenpairs(ham[rows][:, rows], block_settings)
+        k: fock_ed.lowest_eigenpairs(ham[rows][:, rows], settings)
         for k, rows in blocks.items()
         if k >= -k or -k not in blocks
     }

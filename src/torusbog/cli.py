@@ -501,9 +501,10 @@ def _ed_observables(result, basis) -> dict | None:
     }
 
 
-def _ed_payload(result, basis, dimension: int, tol: float) -> dict:
+def _ed_payload(result, basis, dimension: int, settings) -> dict:
+    """The report of an ed job: of the levels result keeps, the settings.k lowest."""
     return {
-        "eigenvalues": list(result.eigenvalues),
+        "eigenvalues": list(result.eigenvalues[: settings.k]),
         "residual_norm": result.residual_norm,
         "iterations": result.iterations,
         "converged": result.converged,
@@ -511,7 +512,7 @@ def _ed_payload(result, basis, dimension: int, tol: float) -> dict:
         "gap": result.gap,
         "vector_reliable": result.vector_reliable,
         "dimension": dimension,
-        "tol": tol,
+        "tol": settings.tol,
         "observables": _ed_observables(result, basis),
     }
 
@@ -539,7 +540,7 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             if not modes:
                 raise ConfigError("model.mode_cutoff leaves no nonzero mode to pair")
             ground = fock_ed.converged_bogoliubov_ground(modes, model.potential, hb, settings)
-            payload = _ed_payload(ground.result, ground.basis, ground.dimension, settings.tol)
+            payload = _ed_payload(ground.result, ground.basis, ground.dimension, settings)
             payload["excitation_cutoff"] = ground.cutoff_used
             payload["cutoff_delta"] = ground.delta_achieved
             payload["converged"] = ground.converged
@@ -566,7 +567,7 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             if sector is None:
                 # Block by block: only the blocks that can hold the levels are built.
                 whole = fock_ed.solve_particle_sector(model, settings)
-                return _ed_payload(whole.merged, whole.basis, whole.dimension, settings.tol)
+                return _ed_payload(whole.merged, whole.basis, whole.dimension, settings)
             # A solve over the memory budget is refused before assembly.
             basis, ham = fock_ed.momentum_block(model, model.N, sector, settings)
             if not basis.size:
@@ -574,7 +575,7 @@ def run_ed(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
                     f"ed.momentum_sector {list(sector)} holds no state of {model.N} particles"
                 )
             result = fock_ed.lowest_eigenpairs(ham, settings)
-            return _ed_payload(result, basis, basis.size, settings.tol)
+            return _ed_payload(result, basis, basis.size, settings)
 
         key_payload = {
             "op": "ed-particle",

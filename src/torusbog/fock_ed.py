@@ -46,9 +46,8 @@ one block loop (_solve_blocks), with no operator built in advance: it
 visits blocks by shells of increasing |K|_1, each shell bounded from below
 before any of its blocks is built (_block_visits), enumerates, assembles
 and solves each block visited alone, and stops once the next bound lies
-above the levels it wants; one merge (_merged) makes the sector's result
-from the blocks solved. Its users differ in their bound and in the levels
-they want:
+above the levels it wants, and merges the blocks solved into the sector's
+result. Its users differ in their bound and in the levels they want:
 
 - solve_particle_sector, the ed whole-sector job, bounds H's block K by
   block_energy_bound, (2 pi)^2 |K|_1 plus an interaction bound;
@@ -61,8 +60,9 @@ they want:
 A caller of one block (the ed momentum_sector job, the binding's K = 0
 blocks, the pair Hamiltonian's cutoff ladder) solves it by
 lowest_eigenpairs directly. Davidson starts on the rows of low diagonal.
-A solve of H whose route would exceed the memory budget is refused before
-assembly, from the block's size alone (momentum_block, _solve_route).
+A solve of H or HB whose route would exceed the memory budget is refused
+before assembly, from the block's size alone (momentum_block,
+build_bogoliubov_hamiltonian, _solve_route).
 
 scipy is imported inside the functions that assemble, solve or build a_0,
 so a process that only reads cached results never loads it.
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -295,30 +295,26 @@ class FockBasis:
         H conserves total momentum, so it is block diagonal over these rows
         and its lowest level is the least of the block minima (Sandvik, AIP
         Conf. Proc. 1297, 135 (2010)). A basis filtered to one momentum is
-        that one block, all its rows in order, or no block when empty; its
-        momenta are not computed. The sectors solved block by block never
-        build a whole basis; the selfcheck reads these rows of the one it
-        assembles. The blocks are found once per basis, and the row arrays
-        are read-only.
+        that one block, all its rows in order, or no block when empty. The
+        sectors solved block by block never build a whole basis; the
+        selfcheck reads these rows of the one it assembles. The blocks are
+        found once per basis, and the row arrays are read-only.
         """
         return dict(self._blocks)
 
     @functools.cached_property
     def _blocks(self) -> dict[Momentum, np.ndarray]:
-        if self.momentum_sector is not None:
-            blocks = {self.momentum_sector: np.arange(self.size)} if self.size else {}
-        else:
-            momenta = self.momenta()
-            # Stable sort, first coordinate most significant: each block's
-            # rows stay ascending.
-            order = np.lexsort(momenta.T[::-1])
-            ordered = momenta[order]
-            cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
-            blocks = {
-                Momentum(int(x) for x in momenta[r[0]]): r
-                for r in np.split(order, cuts)
-                if len(r)  # an empty basis splits into one empty piece
-            }
+        momenta = self.momenta()
+        # Stable sort, first coordinate most significant: each block's rows
+        # stay ascending.
+        order = np.lexsort(momenta.T[::-1])
+        ordered = momenta[order]
+        cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+        blocks = {
+            Momentum(int(x) for x in momenta[r[0]]): r
+            for r in np.split(order, cuts)
+            if len(r)  # an empty basis splits into one empty piece
+        }
         for rows in blocks.values():
             rows.flags.writeable = False
         return blocks
@@ -684,6 +680,7 @@ def build_bogoliubov_hamiltonian(
     excitation_cutoff: int,
     potential: PotentialSpec,
     momentum_sector: Momentum | None = None,
+    settings: EDSettings = EDSettings(),
 ) -> tuple[FockBasis, scipy.sparse.csr_matrix]:
     """Sparse matrix of HB on the <= M excitation space over the nonzero modes,
     or on its momentum_sector block.
@@ -696,7 +693,9 @@ def build_bogoliubov_hamiltonian(
     holding fewer than 2 zero-mode quanta leaves the basis: the hard cutoff.
     A pair carries no momentum, so no other move leaves a block. Each pair
     creation, located by one FockBasis.shifted call, is stored with its
-    mirror, the annihilation, so HB == HB.T exactly.
+    mirror, the annihilation, so HB == HB.T exactly. As in momentum_block, a
+    route of lowest_eigenpairs at settings over its memory budget is refused
+    (ResourceLimitError, _solve_route) between enumeration and assembly.
     """
     modes = tuple(modes)
     if not modes:
@@ -712,6 +711,7 @@ def build_bogoliubov_hamiltonian(
         n_particles=excitation_cutoff,
         momentum_sector=momentum_sector,
     )
+    _solve_route(basis.size, settings)  # raises for a route over the budget
     states = basis.states
     diag = np.zeros(basis.size)
     for i, p in enumerate(modes):
@@ -739,17 +739,25 @@ def build_bogoliubov_hamiltonian(
 
 @dataclass(frozen=True, eq=False)
 class EDResult:
+    """The min(dim, max(k, 2)) lowest levels of an operator, in increasing
+    order (_levels_kept), and its ground vector; a report shows the first k."""
+
     eigenvalues: tuple[float, ...]
     ground_vector: np.ndarray
     residual_norm: float
     iterations: int
     converged: bool
     method: str
-    gap: float
 
     @property
     def ground_energy(self) -> float:
         return self.eigenvalues[0]
+
+    @property
+    def gap(self) -> float:
+        """The second level minus the first, inf with one level."""
+        levels = self.eigenvalues
+        return levels[1] - levels[0] if len(levels) > 1 else math.inf
 
     @property
     def vector_reliable(self) -> bool:
@@ -761,6 +769,11 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0.0 else v
 
 
+def _levels_kept(settings: EDSettings) -> int:
+    """max(k, 2), so that every result holds the gap above its ground."""
+    return max(settings.k, 2)
+
+
 def _solve_route(dim: int, settings: EDSettings) -> str:
     """The route of lowest_eigenpairs on dim states at settings, "dense" up
     to max(settings.dense_threshold, k, 2) states, else "davidson" on
@@ -769,7 +782,7 @@ def _solve_route(dim: int, settings: EDSettings) -> str:
     (2 (DAVIDSON_WIDTH + b) + 3 b) dim for Davidson (_davidson_lowest),
     raises ResourceLimitError before any of them is made.
     """
-    block = max(settings.k, 2)
+    block = _levels_kept(settings)
     method = "dense" if dim <= max(settings.dense_threshold, block) else "davidson"
     doubles = dim * dim if method == "dense" else (2 * (DAVIDSON_WIDTH + block) + 3 * block) * dim
     if doubles > MAX_DENSE_STATES**2:
@@ -780,48 +793,36 @@ def _solve_route(dim: int, settings: EDSettings) -> str:
     return method
 
 
-@functools.cache
-def _syevr_workspace(dim: int) -> tuple[int, int]:
-    """Optimal (lwork, liwork) of dsyevr at this dimension, from its query."""
-    import scipy.linalg.lapack
-
-    work, iwork, info = scipy.linalg.lapack.dsyevr_lwork(dim, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr workspace query failed, info = {info}")
-    return int(work), int(iwork)
-
-
 def lowest_eigenpairs(
     op: scipy.sparse.csr_matrix, settings: EDSettings = EDSettings()
 ) -> EDResult:
-    """The settings.k smallest eigenvalues and ground vector of an exactly
-    symmetric CSR operator, as H and HB are assembled, on the route that
-    _solve_route gives, which refuses one over the memory budget.
+    """The k_int = min(dim, max(settings.k, 2)) smallest eigenvalues and the
+    ground vector of an exactly symmetric CSR operator, as H and HB are
+    assembled, on the route that _solve_route gives, which refuses one over
+    the memory budget. Every level computed is kept (_levels_kept).
 
-    The dense route takes the k_int = min(dim, max(k, 2)) lowest pairs from
-    one LAPACK dsyevr call with range "I", its workspace queried once per
-    dimension. It overwrites op.toarray().T, which is Fortran-ordered and
-    equal to op, so it holds one array of dim**2 doubles; a failed call
-    raises LinAlgError. The Davidson route runs a block Davidson solver on
-    k_int vectors (_davidson_lowest), at most settings.max_iter iterations,
-    and reports the Rayleigh quotients of op at its Ritz vectors, so it can
-    report a degenerate level as often as it occurs among the k_int lowest;
-    iterations counts its operator applications. The second pair gives the
-    gap above the ground. The residual ||H v - E v|| is always measured
-    post hoc on op at the returned vector, and convergence means
-    residual_norm <= tol; a solve that stops at max_iter keeps its best
-    vectors and is reported unconverged, never raised.
+    The dense route takes the k_int lowest pairs from one LAPACK dsyevr call
+    with range "I", on the minimum workspace of scipy's wrapper (26 dim
+    doubles, 10 dim integers). It overwrites op.toarray().T, which is
+    Fortran-ordered and equal to op, so it holds one array of dim**2
+    doubles; a failed call raises LinAlgError. The Davidson route runs a
+    block Davidson solver on k_int vectors (_davidson_lowest), at most
+    settings.max_iter iterations, and reports the Rayleigh quotients of op
+    at its Ritz vectors, so it can report a degenerate level as often as it
+    occurs among the k_int lowest; iterations counts its operator
+    applications. The residual ||H v - E v|| is always measured post hoc on
+    op at the returned vector, and convergence means residual_norm <= tol; a
+    solve that stops at max_iter keeps its best vectors and is reported
+    unconverged, never raised.
     """
     dim = op.shape[0]
     if dim == 0:
         raise ValueError("empty operator")
-    k = min(settings.k, dim)
-    k_int = min(dim, max(k, 2))
+    k_int = min(dim, _levels_kept(settings))
     method = _solve_route(dim, settings)
     if method == "dense":
         import scipy.linalg.lapack
 
-        lwork, liwork = _syevr_workspace(dim)
         theta, eigvecs, found, _, info = scipy.linalg.lapack.dsyevr(
             op.toarray().T,
             compute_v=1,
@@ -829,8 +830,6 @@ def lowest_eigenpairs(
             il=1,
             iu=k_int,
             lower=1,
-            lwork=lwork,
-            liwork=liwork,
             overwrite_a=1,
         )
         if info != 0:
@@ -843,15 +842,13 @@ def lowest_eigenpairs(
         theta, ground, iterations, finished = _davidson_lowest(op, k_int, settings)
     ground = ground / float(np.linalg.norm(ground))
     residual = float(np.linalg.norm(op @ ground - theta[0] * ground))
-    gap = float(theta[1] - theta[0]) if len(theta) > 1 else math.inf
     return EDResult(
-        eigenvalues=tuple(float(t) for t in theta[:k]),
+        eigenvalues=tuple(float(t) for t in theta),
         ground_vector=ground,
         residual_norm=residual,
         iterations=iterations,
         converged=finished and residual <= settings.tol,
         method=method,
-        gap=gap,
     )
 
 
@@ -1100,8 +1097,8 @@ def momentum_block(
 
 
 def _solve_blocks(
-    visits, build, settings: EDSettings, wanted: int, zero_block=None
-) -> tuple[dict[Momentum, EDResult], list[float], Momentum, FockBasis]:
+    visits, build, settings: EDSettings, zero_block=None, wanted: int | None = None
+) -> tuple[EDResult, FockBasis]:
     """The block loop of every sector solve.
 
     visits yields (K, bound, copies) in increasing bound order: a lower bound
@@ -1110,9 +1107,10 @@ def _solve_blocks(
     operator; an empty basis is skipped. Each block is solved alone by
     lowest_eigenpairs at settings; zero_block, K = 0's basis and its solve
     at settings, stands in for K = 0. The loop stops once the next bound
-    exceeds the wanted-th lowest level found by 1e-10 max(1, |level|), a
-    block's levels counted copies times: no level of that block or of any
-    after it can be among the wanted lowest.
+    exceeds the wanted-th lowest level found, by default the
+    _levels_kept(settings)-th, by 1e-10 max(1, |level|), a block's levels
+    counted copies times: no level of that block or of any after it can be
+    among the wanted lowest.
 
     Block -K needs no solve of its own: the map p -> -p takes the mode set
     to itself (build_mode_set makes it closed under negation, and the
@@ -1120,14 +1118,18 @@ def _solve_blocks(
     (validate_potential), so H and HB on block -K are the block-K operator
     with its rows permuted, with the same levels.
 
-    Returns the results by block, in the order solved; every level found, in
-    increasing order; the block holding the ground, the least ground energy
-    with ties to the lesser momentum, as when every block is solved; and its
-    basis.
+    Returns the result on the whole space and the own basis of the block
+    holding the ground: the least ground energy, ties to the lesser
+    momentum, as when every block is solved. The result holds the wanted
+    lowest levels and that block's vector and residual. It is converged
+    when every solved block is; its method is "davidson" if any solved
+    block ran Davidson, and its iterations are the sum over the solved
+    blocks.
     """
-    results: dict[Momentum, EDResult] = {}
+    wanted = wanted or _levels_kept(settings)
+    results: list[EDResult] = []
     levels: list[float] = []
-    ground_at, ground_basis = None, None
+    ground = None  # (ground energy, momentum, result, basis) of the ground block
     for momentum, bound, copies in visits:
         if len(levels) >= wanted:
             last = levels[wanted - 1]
@@ -1140,32 +1142,20 @@ def _solve_blocks(
             if not basis.size:
                 continue
             result = lowest_eigenpairs(op, settings)
-        results[momentum] = result
+        results.append(result)
         levels = sorted(levels + list(result.eigenvalues) * copies)
-        least = None if ground_at is None else (results[ground_at].ground_energy, ground_at)
-        if least is None or (result.ground_energy, momentum) < least:
-            ground_at, ground_basis = momentum, basis
-    return results, levels, ground_at, ground_basis
-
-
-def _merged(
-    results: dict[Momentum, EDResult], levels: list[float], ground_at: Momentum, k: int
-) -> EDResult:
-    """The result on a whole sector from its solved blocks: the k lowest of
-    levels, the gap between the two lowest, and the ground block's vector, on
-    its own basis, and residual. It is converged when every solved block is;
-    its method is "davidson" if any solved block ran Davidson, and its
-    iterations are the sum over the solved blocks."""
-    ground = results[ground_at]
-    return EDResult(
-        eigenvalues=tuple(levels[:k]),
-        ground_vector=ground.ground_vector,
-        residual_norm=ground.residual_norm,
-        iterations=sum(r.iterations for r in results.values()),
-        converged=all(r.converged for r in results.values()),
-        method="davidson" if any(r.method == "davidson" for r in results.values()) else "dense",
-        gap=levels[1] - levels[0] if len(levels) > 1 else math.inf,
+        if ground is None or (result.ground_energy, momentum) < ground[:2]:
+            ground = result.ground_energy, momentum, result, basis
+    _, _, result, basis = ground
+    merged = EDResult(
+        eigenvalues=tuple(levels[:wanted]),
+        ground_vector=result.ground_vector,
+        residual_norm=result.residual_norm,
+        iterations=sum(r.iterations for r in results),
+        converged=all(r.converged for r in results),
+        method="davidson" if any(r.method == "davidson" for r in results) else "dense",
     )
+    return merged, basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -1195,27 +1185,25 @@ def solve_particle_sector(
     (momentum_block, through enumerate_basis, which builds only rows that
     can reach it), skipped when empty, refused when its route is over the
     memory budget (ResourceLimitError) before assembly, and else assembled
-    and solved at max(k, 2) levels.
+    and solved by lowest_eigenpairs at settings.
 
     So the memory budget refuses a block the loop must solve, never the
     sector for its size, and only the ground block's basis is kept: each
     other block's basis and operator go once it is solved. merged holds the
-    levels and gap that solving every block would give, with the ground
-    vector on the ground block and its residual measured there. A mode set
-    not closed under negation raises ValueError.
+    max(k, 2) lowest levels that solving every block would give, with the
+    ground vector on the ground block and its residual measured there. A
+    mode set not closed under negation raises ValueError.
     """
-    block_settings = replace(settings, k=max(settings.k, 2))
-    results, levels, ground_at, basis = _solve_blocks(
+    merged, basis = _solve_blocks(
         _particle_visits(model, model.N),
-        lambda momentum: momentum_block(model, model.N, momentum, block_settings),
-        block_settings,
-        block_settings.k,
+        lambda momentum: momentum_block(model, model.N, momentum, settings),
+        settings,
     )
     modes = model.mode_set()
     return ParticleSector(
         dimension=math.comb(model.N + len(modes) - 1, len(modes) - 1),
         basis=basis,
-        merged=_merged(results, levels, ground_at, settings.k),
+        merged=merged,
     )
 
 
@@ -1397,9 +1385,9 @@ def operator_identity_residuals(
 class BindingResult:
     """Ground energies of the K = 0 blocks of the N and N-1 sectors.
 
-    result_N and result_Nm1 are the K = 0 block solves at max(k, 2) levels,
-    each with its residual measured on the block. basis_* and ham_* are
-    those blocks' own bases and operators. sector_minimum and
+    result_N and result_Nm1 are the K = 0 block solves at the settings
+    given, each with its residual measured on the block. basis_* and ham_*
+    are those blocks' own bases and operators. sector_minimum and
     sector_minimum_Nm1 are the least levels of the whole N and N - 1
     sectors, and k0_is_global says whether both K = 0 grounds attain them;
     all three are None without the global check.
@@ -1443,13 +1431,12 @@ def binding_from_ed(
     if model.N < 2:
         raise ValueError("binding energy needs N >= 2")
     k0 = zero_momentum(model.d)
-    block_settings = replace(settings, k=max(settings.k, 2))
     blocks = {}
     for n in (model.N, model.N - 1):
-        basis, ham = momentum_block(model, n, k0, block_settings)
+        basis, ham = momentum_block(model, n, k0, settings)
         if not basis.size:
             raise ValueError(f"the K = 0 sector of {n} particles holds no state")
-        blocks[n] = basis, ham, lowest_eigenpairs(ham, block_settings)
+        blocks[n] = basis, ham, lowest_eigenpairs(ham, settings)
     (basis_n, ham_n, result_n), (basis_m, ham_m, result_m) = blocks.values()
     converged = result_n.converged and result_m.converged
     minima: dict[int, float | None] = dict.fromkeys(blocks)
@@ -1457,18 +1444,18 @@ def binding_from_ed(
     if check_global:
         k0_is_global = True
         for n, (basis, _, result) in blocks.items():
-            results, _, ground_at, _ = _solve_blocks(
+            merged, _ = _solve_blocks(
                 _particle_visits(model, n),
-                lambda momentum, n=n: momentum_block(model, n, momentum, block_settings),
-                block_settings,
-                1,
+                lambda momentum, n=n: momentum_block(model, n, momentum, settings),
+                settings,
                 zero_block=(basis, result),
+                wanted=1,
             )
-            minima[n] = minimum = results[ground_at].ground_energy
+            minima[n] = minimum = merged.ground_energy
             k0_is_global = k0_is_global and (
                 abs(minimum - result.ground_energy) <= 1e-10 * max(1.0, abs(minimum))
             )
-            converged = converged and all(r.converged for r in results.values())
+            converged = converged and merged.converged
         converged = converged and k0_is_global
     return BindingResult(
         E_N=result_n.ground_energy,
@@ -1565,36 +1552,34 @@ def converged_bogoliubov_ground(
     """Raise the excitation cutoff in steps of 2 until the K = 0 ground settles.
 
     HB's ground lies in its K = 0 block, so each rung builds and solves that
-    block alone, at the max(k, 2) levels the block loop wants. Convergence
-    means two successive converged K = 0 grounds differ by less than
-    hb.cutoff_delta. At the accepted (or last) cutoff the <= M space is
-    solved block by block at those levels (_solve_blocks), each block built
-    alone and bounded by _pair_block_bound, the last rung's solve standing
-    in for K = 0, so no block is built or solved twice. The space holds
-    C(M + m, m) states over m modes.
+    block alone at settings, as the block loop does. Convergence means two
+    successive converged K = 0 grounds differ by less than hb.cutoff_delta.
+    At the accepted (or last) cutoff the <= M space is solved block by
+    block (_solve_blocks), each block built alone and bounded by
+    _pair_block_bound, the last rung's solve standing in for K = 0, so no
+    block is built or solved twice. A block whose route is over the memory
+    budget is refused before it is assembled (build_bogoliubov_hamiltonian).
+    The space holds C(M + m, m) states over m modes.
     """
     modes = tuple(modes)
     k0 = zero_momentum(modes[0].d) if modes else None  # no modes: the builder raises
-    block_settings = replace(settings, k=max(settings.k, 2))
     prev: EDResult | None = None
     last_delta = math.inf
     settled = False
     for cutoff in range(hb.start_cutoff, hb.max_cutoff + 1, 2):
-        basis, op = build_bogoliubov_hamiltonian(modes, cutoff, potential, momentum_sector=k0)
-        result = lowest_eigenpairs(op, block_settings)
+        basis, op = build_bogoliubov_hamiltonian(modes, cutoff, potential, k0, settings)
+        result = lowest_eigenpairs(op, settings)
         if prev is not None:
             last_delta = abs(result.ground_energy - prev.ground_energy)
             settled = last_delta < hb.cutoff_delta and result.converged and prev.converged
             if settled:
                 break
         prev = result
-    results, levels, ground_at, ground_basis = _solve_blocks(
+    merged, ground_basis = _solve_blocks(
         _block_visits(basis.modes, cutoff, _pair_block_bound(modes, potential)),
-        lambda momentum: build_bogoliubov_hamiltonian(modes, cutoff, potential, momentum),
-        block_settings,
-        block_settings.k,
+        lambda p: build_bogoliubov_hamiltonian(modes, cutoff, potential, p, settings),
+        settings,
         zero_block=(basis, result),
     )
-    merged = _merged(results, levels, ground_at, settings.k)
     dimension = math.comb(cutoff + len(modes), len(modes))
     return HBGround(merged, ground_basis, dimension, cutoff, last_delta, settled and merged.converged)

@@ -592,6 +592,33 @@ class TestEdWorkflow:
         levels = result["eigenvalues"]
         assert len(levels) == 13 and levels == sorted(levels)
 
+    def test_every_solve_keeps_its_gap_and_the_report_shows_k_levels(self, tmp_path):
+        # A solve keeps the min(dim, max(k, 2)) levels it computes, on either
+        # route, and its gap is the second minus the first; a 1-state
+        # operator has one level and no gap. An ed job on one block writes
+        # exactly k levels, and the gap of the levels it kept.
+        import scipy.sparse
+
+        op = scipy.sparse.csr_matrix(np.diag([3.0, 1.0, 2.0, 5.0]))
+        for threshold in (0, 500):
+            for k, kept in ((1, 2), (3, 3), (6, 4)):
+                settings = fock_ed.EDSettings(k=k, dense_threshold=threshold)
+                result = fock_ed.lowest_eigenpairs(op, settings)
+                assert result.eigenvalues == pytest.approx([1.0, 2.0, 3.0, 5.0][:kept])
+                assert result.gap == result.eigenvalues[1] - result.eigenvalues[0]
+        one = fock_ed.lowest_eigenpairs(scipy.sparse.csr_matrix([[-0.5]]))
+        assert one.eigenvalues == (-0.5,) and one.gap == math.inf
+        reports = {}
+        for k in (1, 3):
+            doc = {"model": one_pair_model_doc(12), "ed": {"k": k, "momentum_sector": [0]}}
+            cfg = write_json(tmp_path / f"k{k}.json", doc)
+            assert cli.main(["ed", "--config", cfg, "--out", str(tmp_path / f"k{k}")]) == 0
+            reports[k] = read_json(tmp_path / f"k{k}" / "report.json")["result"]
+            assert len(reports[k]["eigenvalues"]) == k
+        levels = reports[3]["eigenvalues"]
+        assert reports[1]["eigenvalues"] == levels[:1]
+        assert reports[1]["gap"] == reports[3]["gap"] == levels[1] - levels[0] > 0.0
+
     def test_cold_iterative_ed_imports_no_sparse_linalg(self, tmp_path):
         # The two-band K = 0 block of N = 34 (1,353 states) is solved by
         # Davidson, which needs nothing from scipy.sparse.linalg: a cold ed
@@ -935,27 +962,27 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["a4b41200cd7d8d350b50a28b3eefd1d4"],
+                ["8178aa9e643bd8130d6cbf021ab6e606"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["90f414af7c9d54aac822fc359fba6a6f"],
+                ["aac4423323228e24c419efbfd0482dc9"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "338b30f5bc99ffef3ff16626b1428724",
-                    "63d0c340223822764ec5c2a7dbcba23e",
-                    "903c30f4146791902494a567ae1b9ec4",
+                    "277c8ca08812b2f3d1b25959d883f4ed",
+                    "9cd4fb64414a80bf1f109ca74978be74",
+                    "ec091980928eee5d1d2b9ef230c23405",
                 ],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["351badf8cdf813589cffa237ed03a464"],
+                ["1372f04fb5bc11d5942dc385392037cb"],
             ),
         ],
     )

@@ -482,22 +482,20 @@ FULL_SECTOR_MODELS = (
     ),
 )
 def all_blocks_merged(basis: fock_ed.FockBasis, ham, ed: fock_ed.EDSettings):
-    """The eigenvalues, gap, ground block and its result that solving K = 0
-    and one block of each pair {K, -K} of an assembled space gives, each
-    block gathered by ham[rows][:, rows] and none skipped by a bound: the
-    oracle of the block loop."""
+    """The max(k, 2) lowest eigenvalues, gap, ground block and its result
+    that solving K = 0 and one block of each pair {K, -K} of an assembled
+    space gives, each block gathered by ham[rows][:, rows] and none skipped
+    by a bound: the oracle of the block loop."""
     rows = basis.momentum_blocks()
     results, levels = {}, []
     for p in rows:
         if p >= -p:
-            results[p] = fock_ed.lowest_eigenpairs(
-                ham[rows[p]][:, rows[p]], replace(ed, k=max(ed.k, 2))
-            )
+            results[p] = fock_ed.lowest_eigenpairs(ham[rows[p]][:, rows[p]], ed)
             levels += list(results[p].eigenvalues) * (1 if p.is_zero else 2)
     levels.sort()
     ground_at = min(results, key=lambda p: (results[p].ground_energy, p))
     gap = levels[1] - levels[0] if len(levels) > 1 else math.inf
-    return tuple(levels[: ed.k]), gap, ground_at, results[ground_at]
+    return tuple(levels[: max(ed.k, 2)]), gap, ground_at, results[ground_at]
 
 
 def spy_block_solves(monkeypatch) -> dict:
@@ -602,10 +600,10 @@ class TestMomentumBlocks:
         assert zero_momentum(model.d) in solved
         rows = full.momentum_blocks()
         assert set(solved) < {p for p in rows if p >= -p}
-        last = merged.eigenvalues[-1] if k > 1 else merged.ground_energy + merged.gap
+        last = merged.eigenvalues[-1]
         methods = set()
         for momentum, block in rows.items():
-            theirs = solve(ham[block][:, block], replace(settings, k=max(k, 2)))
+            theirs = solve(ham[block][:, block], settings)
             methods.add(theirs.method)
             if momentum not in solved and -momentum not in solved:
                 assert theirs.ground_energy >= last
@@ -638,21 +636,14 @@ class TestMomentumBlocks:
         ],
         ids=["one-pair-N48-K0", "square-K0", "empty-block"],
     )
-    def test_filtered_basis_is_one_block(self, model, sector, monkeypatch):
-        # A filtered basis is its own block without computing its momenta;
-        # the reference groups the same rows by their computed momenta.
+    def test_filtered_basis_is_one_block(self, model, sector):
+        # A filtered basis is its own block, all its rows in order, or no
+        # block when empty.
         basis = fock_ed.enumerate_basis(model.mode_set(), model.N, momentum_sector=sector)
-        unfiltered = fock_ed.FockBasis(basis.modes, basis.states, basis.n_particles, None)
-        theirs = unfiltered.momentum_blocks()
-
-        def no_momenta(self):
-            raise AssertionError("a filtered basis computed its momenta")
-
-        monkeypatch.setattr(fock_ed.FockBasis, "momenta", no_momenta)
-        mine = basis.momentum_blocks()
-        assert list(mine) == list(theirs) == ([sector] if basis.size else [])
-        for p in theirs:
-            assert mine[p].dtype == theirs[p].dtype and np.array_equal(mine[p], theirs[p])
+        blocks = basis.momentum_blocks()
+        assert list(blocks) == ([sector] if basis.size else [])
+        for rows in blocks.values():
+            assert rows.dtype == np.int64 and np.array_equal(rows, np.arange(basis.size))
 
     def test_blocks_found_once_per_basis(self, monkeypatch):
         # The selfcheck asks for the blocks of its whole sector more than
@@ -1410,9 +1401,11 @@ class TestPairHamiltonian:
             dims.append(op.shape[0])
             return solve(op, *args, **kwargs)
 
-        def building(modes, excitation_cutoff, potential, momentum_sector=None):
+        def building(
+            modes, excitation_cutoff, potential, momentum_sector=None, settings=fock_ed.EDSettings()
+        ):
             built.append((excitation_cutoff, momentum_sector))
-            return build(modes, excitation_cutoff, potential, momentum_sector)
+            return build(modes, excitation_cutoff, potential, momentum_sector, settings)
 
         monkeypatch.setattr(fock_ed, "lowest_eigenpairs", recording)
         monkeypatch.setattr(fock_ed, "build_bogoliubov_hamiltonian", building)
@@ -1501,6 +1494,25 @@ class TestPairHamiltonian:
         assert basis.momentum_sector == k0 and 1 < basis.size < whole_basis.size
         assert np.array_equal(basis.states, whole_basis.states[rows])
         assert_same_csr(ham, whole[rows][:, rows])
+
+    def test_block_over_the_budget_refused_before_assembly(self, monkeypatch):
+        # With the budget at 2 states, the first rung's K = 0 block (4 states
+        # of the one-pair M = 6 space) is over it on the dense route: it is
+        # refused once enumerated, before anything is assembled.
+        assemble, assembled = fock_ed._assemble, []
+
+        def recording(*args):
+            assembled.append(args[-1])
+            return assemble(*args)
+
+        monkeypatch.setattr(fock_ed, "MAX_DENSE_STATES", 2)
+        monkeypatch.setattr(fock_ed, "_assemble", recording)
+        model = make_one_pair_model(N=8)
+        with pytest.raises(ResourceLimitError, match="dense solve of 4 states"):
+            fock_ed.converged_bogoliubov_ground(
+                model.nonzero_modes(), model.potential, fock_ed.HBSettings(6, 8)
+            )
+        assert assembled == []
 
     def test_empty_mode_set_refused(self):
         potential = PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0})
@@ -1643,9 +1655,10 @@ class TestLowestEigenpairs:
         dense = op.toarray()
         result = fock_ed.lowest_eigenpairs(op, fock_ed.EDSettings(k=k))
         assert result.method == "dense"
-        # Oracle: every eigenpair from a different LAPACK driver.
+        # Oracle: every eigenpair from a different LAPACK driver. The solve
+        # keeps the max(k, 2) lowest levels it computes.
         full, vecs = np.linalg.eigh(dense)
-        assert len(result.eigenvalues) == min(k, len(full))
+        assert len(result.eigenvalues) == min(max(k, 2), len(full))
         for got, want in zip(result.eigenvalues, full):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         if len(full) == 1:
