@@ -1,7 +1,9 @@
 """The N-sweep experiment: residual extraction, extrapolation, quasi-free overlap.
 
 For each N the binding energy deltaE(N) = E(lambda,N) - E(lambda,N-1) is computed
-exactly on the truncated lattice, the leading term lambda*(N-1)*w_hat(0) is
+exactly on the truncated lattice, from N's K = 0 block and its a_0 image, N - 1's,
+each ground certified as its sector's (fock_ed.binding_from_ed), so the mode set
+must hold the zero mode. The leading term lambda*(N-1)*w_hat(0) is
 subtracted, and the residual r(N) = N*(deltaE - leading) is confronted with the
 consistent-truncation prediction e_B - D, both sums running over exactly the mode
 set the diagonalization used. The overlap of each exact ground state with the
@@ -36,8 +38,6 @@ class SweepConfig:
     coupling_c: float = 1.0
     fit_model: str = FIT_MODELS[0]
     ed: fock_ed.EDSettings = fock_ed.EDSettings()
-    with_overlap: bool = True
-    check_global: bool = True
 
     def __post_init__(self) -> None:
         values = tuple(int(v) for v in self.N_values)
@@ -67,7 +67,7 @@ class StudyRecord:
     leading_term: float
     residual_r: float
     converged: bool
-    overlap: float | None
+    overlap: float
     nplus: float
     nplus2: float
     sandwich_lower: float
@@ -172,31 +172,24 @@ def quasifree_overlap(
     return abs(float(psi @ quasifree_state(basis_n, alpha)))
 
 
-def solve_quasifree_reference(
-    config: SweepConfig, solution: bogoliubov.BogoliubovSolution
-) -> dict[Momentum, float] | None:
+def solve_quasifree_reference(solution: bogoliubov.BogoliubovSolution) -> dict[Momentum, float]:
     """The quasi-free coefficient alpha_p of every nonzero mode, shared by every
     record of the sweep and read from solution, the sweep's prediction solve
     over the same modes and w_hat; the overlap needs nothing else."""
-    if not config.with_overlap:
-        return None
     return {mq.p: mq.alpha_p for mq in solution.modes}
 
 
-def binding_record(
-    config: SweepConfig, n: int, alpha: Mapping[Momentum, float] | None
-) -> StudyRecord:
-    """One sweep point: both sector solves, sandwich, residual, overlap."""
+def binding_record(config: SweepConfig, n: int, alpha: Mapping[Momentum, float]) -> StudyRecord:
+    """One sweep point: N's K = 0 block and its a_0 image, N - 1's, solved and
+    certified (fock_ed.binding_from_ed); sandwich, residual, overlap."""
     lam = config.coupling_c / n
     model = replace(config.base, N=n, lam=lam)
-    binding = fock_ed.binding_from_ed(model, config.ed, config.check_global)
+    binding = fock_ed.binding_from_ed(model, config.ed)
     sandwich = fock_ed.variational_sandwich(binding)
     w0 = config.base.potential.w_zero
     leading = lam * (n - 1) * w0
     residual = n * (binding.delta_E - leading)
-    overlap = None
-    if alpha is not None:
-        overlap = quasifree_overlap(binding.result_N.ground_vector, binding.basis_N, alpha)
+    overlap = quasifree_overlap(binding.result_N.ground_vector, binding.basis_N, alpha)
     return StudyRecord(
         N=n,
         lam=lam,
@@ -225,7 +218,7 @@ def run_binding_study(config: SweepConfig, record_loader=None) -> StudyReport:
     prediction_model = replace(config.base, N=config.N_values[-1], lam=None)
     solution = bogoliubov.solve(prediction_model)
     prediction = solution.e_B - solution.D
-    alpha = solve_quasifree_reference(config, solution)
+    alpha = solve_quasifree_reference(solution)
     loader = record_loader if record_loader is not None else binding_record
     records = [loader(config, n, alpha) for n in config.N_values]
     usable = [(rec.N, rec.residual_r) for rec in records if rec.converged]

@@ -213,9 +213,7 @@ def battery(
     ]
 
     sandwich = fock_ed.variational_sandwich(fock_ed.binding_from_ed(
-        model if model.N <= 6 else replace(model, N=6, lam=model.lam),
-        ed_settings,
-        check_global=False,
+        model if model.N <= 6 else replace(model, N=6, lam=model.lam), ed_settings
     ))
     devs = (sandwich.norm_identity_dev_N, sandwich.norm_identity_dev_Nm1)
     out += [

@@ -1,9 +1,11 @@
 """Command-line front end: config-driven workflows with a content-addressed cache.
 
 Verbs: eval (closed-form quantities), ed (one eigensolve), study (the N sweep),
-selfcheck (invariant suite). A run is fully determined by its JSON config file;
-the only environment influence is the CACHE_DIR override. Heavy numerical
-imports happen after --threads is applied, so BLAS pools honor the request.
+selfcheck (invariant suite). A run is determined by its JSON config file, up
+to the last bits that the BLAS thread settings can move, which every cache key
+records; the only other environment influence is the CACHE_DIR override. Heavy
+numerical imports happen after --threads is applied, so BLAS pools honor the
+request.
 
 Exit codes: 0 success, 2 invalid config, 3 solver non-convergence,
 4 selfcheck violation.
@@ -135,9 +137,12 @@ def cached_compute(cache_dir, key_payload, compute, verify, stats):
     A computed payload is returned as json.loads of its canonical text, the
     objects a later hit returns. Only payloads passing verify are stored, so
     every cache entry is re-verifiable on load. stats counts hits and misses.
+    The key also records the thread variables in effect, since BLAS threads
+    can move eigensolver results in the last bits.
     """
     if cache_dir is not None:
-        key = content_digest(key_payload)
+        threads = {var: os.environ.get(var) for var in _THREAD_VARS}
+        key = content_digest({**key_payload, "threads": threads})
         found = cache_lookup(cache_dir, key, verify)
         if found is not None:
             stats["hits"] += 1
@@ -361,8 +366,6 @@ def load_config(path: str | None, verb: str) -> dict:
                 "N_values": "ints",
                 "coupling_c": "number",
                 "fit_model": asymptotics.FIT_MODELS,
-                "with_overlap": "bool",
-                "check_global": "bool",
             },
             required=("N_values",),
         )
@@ -613,8 +616,6 @@ def run_study(parsed: dict, out_dir: str, cache_dir: str | None) -> int:
             "N": n,
             "coupling_c": cfg.coupling_c,
             "ed": _field_dict(cfg.ed),
-            "with_overlap": cfg.with_overlap,
-            "check_global": cfg.check_global,
         }
 
         def compute() -> dict:

@@ -62,7 +62,13 @@ blocks, the pair Hamiltonian's cutoff ladder) solves it by
 lowest_eigenpairs directly. Davidson starts on the rows of low diagonal.
 A solve of H or HB whose route would exceed the memory budget is refused
 before assembly, from the block's size alone (momentum_block,
-build_bogoliubov_hamiltonian, _solve_route).
+build_bogoliubov_hamiltonian, binding_from_ed, _solve_route).
+
+a_0 is a relation between bases: it maps the rows of an n-particle basis
+that hold a zero-mode particle, in order, onto the whole n - 1 sector or its
+block of the same K (zero_mode_annihilation). So the binding enumerates only
+N's K = 0 block and lowers it, and the operator identities enumerate only
+the N + 1 sector and lower it twice.
 
 scipy is imported inside the functions that assemble, solve or build a_0,
 so a process that only reads cached results never loads it.
@@ -1281,26 +1287,27 @@ def expect_pairing(vec: np.ndarray, basis: FockBasis, p: Momentum) -> float:
 # ---------------------------------------------------------------------------
 
 
-def zero_mode_annihilation(
-    basis_from: FockBasis, basis_to: FockBasis
-) -> scipy.sparse.csr_matrix:
-    """Matrix of a_0 from an n-particle basis onto the (n-1)-particle basis."""
-    if basis_from.modes != basis_to.modes:
-        raise ValueError("basis mismatch: mode sets differ")
-    if basis_from.n_particles != basis_to.n_particles + 1:
-        raise ValueError("a_0 maps the n sector onto the n-1 sector")
-    zp = basis_from.zero_position
+def zero_mode_annihilation(basis: FockBasis) -> tuple[FockBasis, scipy.sparse.csr_matrix]:
+    """The basis a_0 maps an n-particle basis onto, and a_0's matrix onto it.
+
+    The image is the rows of basis with n_0 >= 1, each with one zero-mode
+    particle fewer, in the same order: the whole n - 1 sector, or its block
+    of basis's momentum, since adding a zero-mode particle to any of its
+    rows gives a row of basis, and lowering one column keeps lexicographic
+    order. Image row i comes from the i-th such row, with entry sqrt(n_0).
+    A mode set without the zero mode, or an empty sector, raises ValueError.
+    """
+    zp = basis.zero_position
     if zp is None:
         raise ValueError("mode set has no zero mode")
-    cols = np.flatnonzero(basis_from.states[:, zp] > 0)
-    lowered = basis_from.states[cols]
+    if basis.n_particles < 1:
+        raise ValueError("a_0 needs at least one particle")
+    cols = np.flatnonzero(basis.states[:, zp] > 0)
+    lowered = basis.states[cols]
     lowered[:, zp] -= 1
-    rows = basis_to.find(lowered)
-    # A target outside a momentum-filtered image basis is dropped.
-    kept = rows >= 0
-    rows, cols = rows[kept], cols[kept]
-    vals = np.sqrt(basis_from.states[cols, zp])
-    return _assemble([rows], [cols], [vals], (basis_to.size, basis_from.size))
+    image = FockBasis(basis.modes, lowered, basis.n_particles - 1, basis.momentum_sector)
+    vals = np.sqrt(basis.states[cols, zp])
+    return image, _assemble([np.arange(len(cols))], [cols], [vals], (image.size, basis.size))
 
 
 @dataclass(frozen=True)
@@ -1324,18 +1331,18 @@ def operator_identity_residuals(
 ) -> IdentityResiduals:
     """Verify both identities with explicit matrices on the N-1, N, N+1 sectors.
 
-    sector, when given, is (basis, ham, energy, ground) on the whole N
-    sector: its basis, H on it, and an eigenpair of H, the ground vector on
-    basis. Else the sector is enumerated and assembled here, and its ground
-    comes from solve_particle_sector at default settings, placed in the
-    whole basis. A momentum-filtered sector raises ValueError.
+    Only the N + 1 sector is enumerated: a_0 lowers it onto the N sector and
+    that onto the N - 1 sector (zero_mode_annihilation). sector, when given,
+    is (basis, ham, energy, ground) on the whole N sector: its basis, H on
+    it, and an eigenpair of H, the ground vector on basis. Its rows must be
+    those of the lowering, else ValueError (a momentum block, say). Without
+    it, H is assembled here on the lowered sector, and the ground comes from
+    solve_particle_sector at default settings, placed in the whole basis.
     """
     modes = model.mode_set()
     if not any(p.is_zero for p in modes):
         raise ValueError("identities involve a_0; include the zero mode")
     n = model.N
-    if sector is not None and sector[0].momentum_sector is not None:
-        raise ValueError("the identities need the whole N sector, not one momentum block")
     total = 0
     for particles in (n - 1, n, n + 1):
         total += math.comb(particles + len(modes) - 1, len(modes) - 1)
@@ -1343,17 +1350,18 @@ def operator_identity_residuals(
             raise ResourceLimitError(
                 f"identity check needs {total} states, budget is {max_dim}"
             )
-    bases = {s: enumerate_basis(modes, n_particles=s) for s in (n - 1, n + 1)}
-    h = {s: build_hamiltonian(model, b) for s, b in bases.items()}
+    bases = {n + 1: enumerate_basis(modes, n_particles=n + 1)}
+    bases[n], a0_np1 = zero_mode_annihilation(bases[n + 1])
+    bases[n - 1], a0_n = zero_mode_annihilation(bases[n])
+    if sector is not None and not np.array_equal(sector[0].states, bases[n].states):
+        raise ValueError("the identities need the whole N sector's rows, in order")
+    h = {s: build_hamiltonian(model, bases[s]) for s in (n - 1, n + 1)}
     if sector is None:
-        basis = enumerate_basis(modes, n_particles=n)
         whole = solve_particle_sector(model)
-        psi = np.zeros(basis.size)
-        psi[basis.find(whole.basis.states)] = whole.merged.ground_vector
-        sector = basis, build_hamiltonian(model, basis), whole.merged.ground_energy, psi
-    bases[n], h[n], energy, psi = sector
-    a0_np1 = zero_mode_annihilation(bases[n + 1], bases[n])
-    a0_n = zero_mode_annihilation(bases[n], bases[n - 1])
+        psi = np.zeros(bases[n].size)
+        psi[bases[n].find(whole.basis.states)] = whole.merged.ground_vector
+        sector = bases[n], build_hamiltonian(model, bases[n]), whole.merged.ground_energy, psi
+    _, h[n], energy, psi = sector
     # a_0 [H, a_0*] passes through the N+1 sector, [H, a_0*] a_0 through N-1.
     x = a0_np1 @ (h[n + 1] @ a0_np1.T - a0_np1.T @ h[n])
     y = (h[n] @ a0_n.T - a0_n.T @ h[n - 1]) @ a0_n
@@ -1387,10 +1395,10 @@ class BindingResult:
 
     result_N and result_Nm1 are the K = 0 block solves at the settings
     given, each with its residual measured on the block. basis_* and ham_*
-    are those blocks' own bases and operators. sector_minimum and
-    sector_minimum_Nm1 are the least levels of the whole N and N - 1
-    sectors, and k0_is_global says whether both K = 0 grounds attain them;
-    all three are None without the global check.
+    are those blocks' own bases and operators, and a0 is a_0 from basis_N
+    onto basis_Nm1. sector_minimum and sector_minimum_Nm1 are the least
+    levels of the whole N and N - 1 sectors, and k0_is_global says whether
+    both K = 0 grounds attain them.
     """
 
     E_N: float
@@ -1402,61 +1410,55 @@ class BindingResult:
     basis_Nm1: FockBasis
     ham_N: scipy.sparse.csr_matrix
     ham_Nm1: scipy.sparse.csr_matrix
-    sector_minimum: float | None
-    k0_is_global: bool | None
+    a0: scipy.sparse.csr_matrix
+    sector_minimum: float
+    sector_minimum_Nm1: float
+    k0_is_global: bool
     converged: bool
-    sector_minimum_Nm1: float | None = None
 
 
-def binding_from_ed(
-    model: TorusModel,
-    settings: EDSettings = EDSettings(),
-    check_global: bool = True,
-) -> BindingResult:
+def binding_from_ed(model: TorusModel, settings: EDSettings = EDSettings()) -> BindingResult:
     """Ground energies of the N and N-1 sectors (K = 0) and their difference.
 
-    Both sectors share the coupling and mode set, and the K = 0 block of each
-    is enumerated, assembled and solved once (momentum_block,
-    lowest_eigenpairs). With check_global, each sector's least level comes
-    from the block loop at one level (_solve_blocks), started from its K = 0
+    Both sectors share the coupling and mode set. The K = 0 block of N is
+    enumerated and assembled once (momentum_block), and a_0 lowers it onto
+    the K = 0 block of N - 1 (zero_mode_annihilation), whose route is
+    checked (_solve_route) before it is assembled; each block is solved
+    once by lowest_eigenpairs. Each sector's least level then comes from
+    the block loop at one level (_solve_blocks), started from its K = 0
     solve: the reported K = 0 ground (a Rayleigh quotient, or a dense
     eigenvalue) lies above the block's true ground up to rounding, so where
     block_energy_bound at |K|_1 = 1 lies above it by 1e-10 max(1, |E|), K = 0
     holds the ground and nothing more is solved; else the blocks are solved
     in bound order until the next bound lies above the least level found.
     The binding is converged only if every block solved is and both K = 0
-    grounds attain their sector minimum. An empty K = 0 sector raises
-    ValueError.
+    grounds attain their sector minimum. A mode set without the zero mode
+    raises ValueError.
     """
     if model.N < 2:
         raise ValueError("binding energy needs N >= 2")
-    k0 = zero_momentum(model.d)
-    blocks = {}
-    for n in (model.N, model.N - 1):
-        basis, ham = momentum_block(model, n, k0, settings)
-        if not basis.size:
-            raise ValueError(f"the K = 0 sector of {n} particles holds no state")
-        blocks[n] = basis, ham, lowest_eigenpairs(ham, settings)
-    (basis_n, ham_n, result_n), (basis_m, ham_m, result_m) = blocks.values()
-    converged = result_n.converged and result_m.converged
-    minima: dict[int, float | None] = dict.fromkeys(blocks)
-    k0_is_global: bool | None = None
-    if check_global:
-        k0_is_global = True
-        for n, (basis, _, result) in blocks.items():
-            merged, _ = _solve_blocks(
-                _particle_visits(model, n),
-                lambda momentum, n=n: momentum_block(model, n, momentum, settings),
-                settings,
-                zero_block=(basis, result),
-                wanted=1,
-            )
-            minima[n] = minimum = merged.ground_energy
-            k0_is_global = k0_is_global and (
-                abs(minimum - result.ground_energy) <= 1e-10 * max(1.0, abs(minimum))
-            )
-            converged = converged and merged.converged
-        converged = converged and k0_is_global
+    basis_n, ham_n = momentum_block(model, model.N, zero_momentum(model.d), settings)
+    basis_m, a0 = zero_mode_annihilation(basis_n)
+    _solve_route(basis_m.size, settings)  # raises for a route over the budget
+    ham_m = build_hamiltonian(model, basis_m)
+    result_n = lowest_eigenpairs(ham_n, settings)
+    result_m = lowest_eigenpairs(ham_m, settings)
+    minima = {}
+    k0_is_global = converged = True
+    for n, basis, result in ((model.N, basis_n, result_n), (model.N - 1, basis_m, result_m)):
+        merged, _ = _solve_blocks(
+            _particle_visits(model, n),
+            lambda momentum, n=n: momentum_block(model, n, momentum, settings),
+            settings,
+            zero_block=(basis, result),
+            wanted=1,
+        )
+        minima[n] = minimum = merged.ground_energy
+        k0_is_global = k0_is_global and (
+            abs(minimum - result.ground_energy) <= 1e-10 * max(1.0, abs(minimum))
+        )
+        # The merged result holds the K = 0 solve's convergence too.
+        converged = converged and merged.converged
     return BindingResult(
         E_N=result_n.ground_energy,
         E_Nm1=result_m.ground_energy,
@@ -1467,10 +1469,11 @@ def binding_from_ed(
         basis_Nm1=basis_m,
         ham_N=ham_n,
         ham_Nm1=ham_m,
+        a0=a0,
         sector_minimum=minima[model.N],
-        k0_is_global=k0_is_global,
-        converged=converged,
         sector_minimum_Nm1=minima[model.N - 1],
+        k0_is_global=k0_is_global,
+        converged=converged and k0_is_global,
     )
 
 
@@ -1497,9 +1500,8 @@ class SandwichResult:
 def variational_sandwich(binding: BindingResult) -> SandwichResult:
     """Evaluate both Rayleigh quotients plus the norm identities
     ||a_0 Psi_N||^2 = N - <N+>_N and ||a_0* Psi_{N-1}||^2 = N - <N+>_{N-1},
-    reusing the sector operators and ground vectors of the binding solve."""
-    basis_n, basis_m = binding.basis_N, binding.basis_Nm1
-    a0 = zero_mode_annihilation(basis_n, basis_m)
+    reusing the operators, a_0 and ground vectors of the binding solve."""
+    basis_n, basis_m, a0 = binding.basis_N, binding.basis_Nm1, binding.a0
     psi_n = binding.result_N.ground_vector
     psi_m = binding.result_Nm1.ground_vector
     v = a0 @ psi_n

@@ -150,7 +150,7 @@ def test_5_variational_sandwich_bracket(capsys):
     worst_slack = math.inf
     for make in (make_one_pair_model, make_two_band_model):
         for n in (4, 8, 16):
-            binding = fock_ed.binding_from_ed(make(N=n), check_global=False)
+            binding = fock_ed.binding_from_ed(make(N=n))
             sandwich = fock_ed.variational_sandwich(binding)
             assert sandwich.converged
             slack = min(

@@ -70,7 +70,6 @@ class TestSweepConfig:
         config = one_pair_config((4, 8))
         assert config.coupling_c == 1.0
         assert config.fit_model == "1/N"
-        assert config.with_overlap and config.check_global
         assert config.ed == fock_ed.EDSettings()
 
 
@@ -140,7 +139,7 @@ class TestQuasifreeOverlap:
     def test_zero_potential_overlap_is_one(self):
         spec = PotentialSpec((), support_radius=0.0)
         model = TorusModel(d=1, N=4, potential=spec, mode_cutoff=7.0)
-        binding = fock_ed.binding_from_ed(model, check_global=False)
+        binding = fock_ed.binding_from_ed(model)
         overlap = asymptotics.quasifree_overlap(
             binding.result_N.ground_vector, binding.basis_N, quasifree_alpha(model)
         )
@@ -188,7 +187,7 @@ class TestQuasifreeOverlap:
         alpha = quasifree_alpha(model)
         phi = asymptotics.quasifree_state(hb.basis, alpha)
         np.testing.assert_allclose(phi, hb.result.ground_vector, rtol=0.0, atol=1e-10)
-        binding = fock_ed.binding_from_ed(model, check_global=False)
+        binding = fock_ed.binding_from_ed(model)
         psi = binding.result_N.ground_vector
         assert asymptotics.quasifree_overlap(psi, binding.basis_N, alpha) == pytest.approx(
             pair_hamiltonian_overlap(psi, binding.basis_N, hb), rel=0.0, abs=1e-12
@@ -203,7 +202,7 @@ class TestQuasifreeOverlap:
 
     def test_reference_is_alpha_of_every_nonzero_mode(self):
         config = one_pair_config((4, 8, 12))
-        alpha = asymptotics.solve_quasifree_reference(config, bogoliubov.solve(config.base))
+        alpha = asymptotics.solve_quasifree_reference(bogoliubov.solve(config.base))
         p2 = (2.0 * math.pi) ** 2
         expected = 1.0 / (p2 + 1.0 + math.sqrt(p2 * p2 + 2.0 * p2))
         assert set(alpha) == {Momentum((-1,)), Momentum((1,))}
@@ -224,7 +223,7 @@ class TestQuasifreeOverlap:
 class TestBindingRecord:
     def test_fields_are_consistent(self):
         config = one_pair_config((4, 6))
-        alpha = asymptotics.solve_quasifree_reference(config, bogoliubov.solve(config.base))
+        alpha = asymptotics.solve_quasifree_reference(bogoliubov.solve(config.base))
         rec = asymptotics.binding_record(config, 6, alpha)
         assert rec.N == 6
         assert rec.lam == pytest.approx(1.0 / 6.0, rel=1e-15)
@@ -237,13 +236,6 @@ class TestBindingRecord:
         assert rec.converged
         assert rec.sandwich_lower - 1e-9 <= rec.delta_E <= rec.sandwich_upper + 1e-9
         assert 0.0 < rec.overlap <= 1.0
-
-    def test_overlap_skipped_when_disabled(self):
-        config = one_pair_config((4, 6), with_overlap=False)
-        solution = bogoliubov.solve(config.base)
-        assert asymptotics.solve_quasifree_reference(config, solution) is None
-        rec = asymptotics.binding_record(config, 4, None)
-        assert rec.overlap is None
 
 
 class TestRunBindingStudy:
@@ -294,7 +286,7 @@ class TestRunBindingStudy:
             return result
 
         def counting(model, particles, momentum, *args, **kwargs):
-            blocks.append(momentum)
+            blocks.append((particles, momentum))
             return block(model, particles, momentum, *args, **kwargs)
 
         def building(*args, **kwargs):
@@ -309,22 +301,22 @@ class TestRunBindingStudy:
         report = asymptotics.run_binding_study(one_pair_config(n_values))
         assert all(rec.converged for rec in report.records)
         assert max(dims) == 25
-        # Every solve is a momentum block built alone, a CSR operator solved
-        # dense: the K = 0 blocks of N and N - 1, whose grounds the bound
-        # certifies in both sectors. Each record assembles those two
-        # operators once.
-        assert len(dims) == len(blocks) == dense_solves
-        assert all(k.is_zero for k in blocks)
+        # Every solve is a momentum block, a CSR operator solved dense: the
+        # K = 0 blocks of N and N - 1, whose grounds the bound certifies in
+        # both sectors. Each record builds N's block alone, lowers it to
+        # N - 1's, and assembles those two operators once.
+        assert len(dims) == dense_solves == 2 * len(n_values)
+        assert blocks == [(n, zero_momentum(1)) for n in n_values]
         assert assembled == 2 * len(n_values)
 
     def test_overlap_monotone_toward_quasifree(self):
-        config = one_pair_config((8, 16), with_overlap=True, check_global=False)
+        config = one_pair_config((8, 16))
         report = asymptotics.run_binding_study(config)
         o8, o16 = (rec.overlap for rec in report.records)
         assert 0.99 < o8 < o16 <= 1.0
 
     def test_record_loader_interposition(self):
-        config = one_pair_config((3, 4, 5), with_overlap=False)
+        config = one_pair_config((3, 4, 5))
         calls = []
 
         def loader(cfg, n, alpha):
@@ -338,9 +330,7 @@ class TestRunBindingStudy:
     def test_zero_mode_only_potential_gives_zero_residual(self):
         spec = PotentialSpec.from_table({(0,): 2.0})
         base = TorusModel(d=1, N=5, potential=spec, mode_cutoff=7.0)
-        config = asymptotics.SweepConfig(
-            base=base, N_values=(3, 4, 5), with_overlap=False
-        )
+        config = asymptotics.SweepConfig(base=base, N_values=(3, 4, 5))
         report = asymptotics.run_binding_study(config)
         assert report.prediction == 0.0
         for rec in report.records:
@@ -365,10 +355,10 @@ class TestRunBindingStudy:
         base_a = TorusModel(d=1, N=5, potential=spec, mode_cutoff=7.0)
         base_b = TorusModel(d=1, N=5, potential=shifted, mode_cutoff=7.0)
         report_a = asymptotics.run_binding_study(
-            asymptotics.SweepConfig(base=base_a, N_values=(3, 4, 5), with_overlap=False)
+            asymptotics.SweepConfig(base=base_a, N_values=(3, 4, 5))
         )
         report_b = asymptotics.run_binding_study(
-            asymptotics.SweepConfig(base=base_b, N_values=(3, 4, 5), with_overlap=False)
+            asymptotics.SweepConfig(base=base_b, N_values=(3, 4, 5))
         )
         for rec_a, rec_b in zip(report_a.records, report_b.records):
             assert rec_a.leading_term != rec_b.leading_term
@@ -380,7 +370,7 @@ class TestRunBindingStudy:
         # condensate energy (lambda/2) N(N-1) w_hat(0).
         spec = PotentialSpec.from_table({(0,): 2.0, (1,): 1.0, (-1,): 1.0})
         base = TorusModel(d=1, N=5, potential=spec, mode_cutoff=7.0)
-        config = asymptotics.SweepConfig(base=base, N_values=(3, 4, 5), with_overlap=False)
+        config = asymptotics.SweepConfig(base=base, N_values=(3, 4, 5))
         report = asymptotics.run_binding_study(config)
         for rec in report.records:
             trial = 0.5 * rec.lam * rec.N * (rec.N - 1) * 2.0

@@ -893,9 +893,8 @@ class TestStudyWorkflow:
         monkeypatch.setattr(fock_ed, "build_bogoliubov_hamiltonian", refuse)
         cfg = write_json(tmp_path / "cfg.json", self.study_doc((3, 4, 5)))
         config = cli.load_config(cfg, "study")["study"]
-        assert config.with_overlap
         report = asymptotics.run_binding_study(config)
-        assert all(rec.overlap is not None for rec in report.records)
+        assert all(0.0 < rec.overlap <= 1.0 for rec in report.records)
         assert cli.main(["study", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         records = read_json(tmp_path / "out" / "report.json")["records"]
         assert all(0.0 < rec["overlap"] <= 1.0 for rec in records)
@@ -919,8 +918,6 @@ class TestStudyWorkflow:
             "entries": [[-2, 1.0], [-1, 1.0], [1, 1.0], [2, 1.0]]
         }
         doc["ed"] = {"max_iter": 1, "dense_threshold": 0}
-        doc["study"]["with_overlap"] = False
-        doc["study"]["check_global"] = False
         cfg = write_json(tmp_path / "cfg.json", doc)
         out = tmp_path / "out"
         assert cli.main(["study", "--config", cfg, "--out", str(out)]) == 3
@@ -954,7 +951,8 @@ class TestColdWarmReports:
 class TestCacheKeys:
     """Cache file names are digests of each solve's parameters. A change that
     alters one orphans every cache entry written before it, so these are
-    pinned; the tool version is part of each digest."""
+    pinned; the tool version and the thread variables are part of each
+    digest."""
 
     @pytest.mark.parametrize(
         "verb, doc, names",
@@ -962,31 +960,34 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["8178aa9e643bd8130d6cbf021ab6e606"],
+                ["6a9e2827d9250308d8610a51caeccd88"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["aac4423323228e24c419efbfd0482dc9"],
+                ["927a61117143cf5d3212abc3fd896fc1"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "277c8ca08812b2f3d1b25959d883f4ed",
-                    "9cd4fb64414a80bf1f109ca74978be74",
-                    "ec091980928eee5d1d2b9ef230c23405",
+                    "695c7145472c2be78bad281bd13dd0b4",
+                    "a2040f212c899236b83eed7679c56fc0",
+                    "d2e69670a6c0392c12de3d6a8f35f0c9",
                 ],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["1372f04fb5bc11d5942dc385392037cb"],
+                ["e59e01cc35562796aecce9163df3c734"],
             ),
         ],
     )
-    def test_golden_cache_file_names(self, tmp_path, verb, doc, names):
+    def test_golden_cache_file_names(self, tmp_path, monkeypatch, verb, doc, names):
+        # The digests hold the thread variables in effect, so they are pinned.
+        for var in cli._THREAD_VARS:
+            monkeypatch.setenv(var, "1")
         cfg = write_json(tmp_path / "cfg.json", doc)
         cache = tmp_path / "cache"
         assert cli.main(
@@ -1069,6 +1070,25 @@ class TestThreadPinning:
         ) == 0
         for var in cli._THREAD_VARS:
             assert os.environ[var] == "3"
+
+    def test_cache_key_holds_the_thread_setting(self, tmp_path):
+        # BLAS threads can move eigenvalues in the last bits, so an entry
+        # written under one thread setting is not served under another; the
+        # same setting hits.
+        cfg = write_json(tmp_path / "cfg.json", {"model": one_pair_model_doc(3)})
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        counts = []
+        for run, threads in enumerate(("1", "2", "1")):
+            out = tmp_path / f"out{run}"
+            subprocess.run(
+                [sys.executable, "-m", "torusbog.cli", "ed", "--config", cfg, "--out", str(out),
+                 "--cache", str(tmp_path / "cache"), "--threads", threads],
+                check=True, env=env,
+            )
+            counts.append(read_json(out / "diagnostics.json")["cache"])
+        miss, hit = {"hits": 0, "misses": 1}, {"hits": 1, "misses": 0}
+        assert counts == [miss, miss, hit]
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
     def test_invalid_threads_rejected(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"model": one_pair_model_doc(3)})

@@ -684,7 +684,7 @@ class TestMomentumBlocks:
         mine_basis, op = fock_ed.momentum_block(model, 48, k0, block_settings)
         assert np.array_equal(mine_basis.states, basis.states)
         assert_same_csr(op, ham)
-        binding = fock_ed.binding_from_ed(model, settings, check_global=False)
+        binding = fock_ed.binding_from_ed(model, settings)
         mine = binding.result_N
         assert (mine.method, mine.iterations, mine.converged) == (
             theirs.method,
@@ -2107,12 +2107,46 @@ class TestObservables:
             fock_ed.expect_mode_occupation(np.zeros(basis.size), basis, Momentum((9,)))
 
 
+# Mode sets of the lowering oracle: one pair and two bands on a line, the
+# nine square-lattice modes with |n|_inf <= 1 and the seven-mode cross of d = 3.
+LOWERING_MODE_SETS = {
+    "one-pair": make_one_pair_model(N=2).mode_set(),
+    "two-band": make_two_band_model(N=2).mode_set(),
+    "square-9": build_mode_set(2, 1.5 * TWO_PI),
+    "cross-7": build_mode_set(3, 1.2 * TWO_PI),
+}
+
+
 class TestZeroModeAnnihilation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", LOWERING_MODE_SETS)
+    def test_lowering_is_the_enumerated_n_minus_1_basis(self, name, n):
+        # The whole n sector and each of its blocks, those with no n - 1
+        # state included: the image is the n - 1 basis enumerated on its
+        # own, row for row, and a_0 holds sqrt(n_0) at (image of row j, j)
+        # for every row j with a zero-mode particle, and nothing else.
+        modes = LOWERING_MODE_SETS[name]
+        assert len(modes) == {"one-pair": 3, "two-band": 5, "square-9": 9, "cross-7": 7}[name]
+        whole = fock_ed.enumerate_basis(modes, n_particles=n)
+        for sector in [None, *whole.momentum_blocks()]:
+            basis = fock_ed.enumerate_basis(modes, n, sector)
+            image, a0 = fock_ed.zero_mode_annihilation(basis)
+            expected = fock_ed.enumerate_basis(modes, n - 1, sector)
+            assert (image.n_particles, image.momentum_sector) == (n - 1, sector)
+            assert image.modes == modes
+            assert np.array_equal(image.states, expected.states)
+            zp = basis.zero_position
+            held = np.flatnonzero(basis.states[:, zp] > 0)
+            lowered = basis.states[held] - np.eye(len(modes), dtype=np.int64)[zp]
+            dense = a0.toarray()
+            assert dense.shape == (expected.size, basis.size)
+            assert np.count_nonzero(dense) == len(held)
+            assert (dense[expected.find(lowered), held] == np.sqrt(basis.states[held, zp])).all()
+
     def test_matrix_elements_are_sqrt_n0(self):
         modes = tuple(Momentum((n,)) for n in (-1, 0, 1))
         b3 = fock_ed.enumerate_basis(modes, n_particles=3)
-        b2 = fock_ed.enumerate_basis(modes, n_particles=2)
-        a0 = fock_ed.zero_mode_annihilation(b3, b2)
+        b2, a0 = fock_ed.zero_mode_annihilation(b3)
         index = {tuple(s): i for i, s in enumerate(b2.states.tolist())}
         for j, s in enumerate(b3.states.tolist()):
             col = a0[:, j].toarray().ravel()
@@ -2130,8 +2164,7 @@ class TestZeroModeAnnihilation:
         # ||a_0 psi||^2 = <psi, n_0 psi> = N - <N+> for any N-particle psi.
         modes = tuple(Momentum((n,)) for n in (-1, 0, 1))
         b4 = fock_ed.enumerate_basis(modes, n_particles=4)
-        b3 = fock_ed.enumerate_basis(modes, n_particles=3)
-        a0 = fock_ed.zero_mode_annihilation(b4, b3)
+        _, a0 = fock_ed.zero_mode_annihilation(b4)
         rng = np.random.default_rng(11)
         for _ in range(5):
             psi = rng.standard_normal(b4.size)
@@ -2140,12 +2173,13 @@ class TestZeroModeAnnihilation:
             expected = 4.0 - fock_ed.expect_nplus(psi, b4)
             assert float(image @ image) == pytest.approx(expected, abs=1e-12)
 
-    def test_sector_mismatch_rejected(self):
+    def test_no_zero_mode_or_particle_rejected(self):
+        no_zero = tuple(Momentum((n,)) for n in (-1, 1))
+        with pytest.raises(ValueError, match="no zero mode"):
+            fock_ed.zero_mode_annihilation(fock_ed.enumerate_basis(no_zero, n_particles=4))
         modes = tuple(Momentum((n,)) for n in (-1, 0, 1))
-        b4 = fock_ed.enumerate_basis(modes, n_particles=4)
-        b2 = fock_ed.enumerate_basis(modes, n_particles=2)
-        with pytest.raises(ValueError, match="n-1"):
-            fock_ed.zero_mode_annihilation(b4, b2)
+        with pytest.raises(ValueError, match="at least one particle"):
+            fock_ed.zero_mode_annihilation(fock_ed.enumerate_basis(modes, n_particles=0))
 
 
 class TestOperatorIdentities:
@@ -2226,15 +2260,6 @@ class TestBindingFromED:
         with pytest.raises(ValueError, match="N >= 2"):
             fock_ed.binding_from_ed(model)
 
-    def test_global_check_optional(self):
-        model = make_one_pair_model(N=4)
-        with_check = fock_ed.binding_from_ed(model, check_global=True)
-        without = fock_ed.binding_from_ed(model, check_global=False)
-        assert with_check.k0_is_global is True
-        assert without.k0_is_global is None
-        assert without.sector_minimum is None and without.sector_minimum_Nm1 is None
-        assert with_check.E_N == pytest.approx(without.E_N, abs=1e-12)
-
     def test_ground_bound_value(self):
         # B = (2 pi)^2 + lambda n (n-1) w(0)/2 - lambda n sum_{l!=0} w(l)/2
         # on the sector of n particles, at |K|_1 = 1.
@@ -2249,20 +2274,32 @@ class TestBindingFromED:
 
     def test_certified_binding_solves_no_whole_sector(self, monkeypatch):
         # The bound certifies the one-pair model at N = 8 and N = 7, so only
-        # the two K = 0 blocks are enumerated.
-        enumerate_basis = fock_ed.enumerate_basis
-        sectors = []
+        # N's K = 0 block is built and enumerated; a_0 lowers it to N - 1's,
+        # with no rank search.
+        enumerate_basis, block = fock_ed.enumerate_basis, fock_ed.momentum_block
+        sectors, blocks = [], []
 
         def spy(modes, n_particles, momentum_sector=None, **kwargs):
             sectors.append(momentum_sector)
             return enumerate_basis(modes, n_particles, momentum_sector, **kwargs)
 
+        def spy_block(model, particles, momentum, *args, **kwargs):
+            blocks.append((particles, momentum))
+            return block(model, particles, momentum, *args, **kwargs)
+
+        def no_find(self, occupations):
+            raise AssertionError("a_0 searched for its targets")
+
         monkeypatch.setattr(fock_ed, "enumerate_basis", spy)
+        monkeypatch.setattr(fock_ed, "momentum_block", spy_block)
+        monkeypatch.setattr(fock_ed.FockBasis, "find", no_find)
         model = make_one_pair_model(N=8)
         binding = fock_ed.binding_from_ed(model)
         assert binding.E_N < fock_ed.block_energy_bound(model, 8, 1)
         assert binding.E_Nm1 < fock_ed.block_energy_bound(model, 7, 1)
-        assert sectors == [zero_momentum(1)] * 2
+        assert sectors == [zero_momentum(1)]
+        assert blocks == [(8, zero_momentum(1))]
+        assert binding.basis_Nm1.n_particles == 7
         assert binding.sector_minimum == binding.E_N
         assert binding.sector_minimum_Nm1 == binding.E_Nm1
         assert binding.k0_is_global is True and binding.converged
@@ -2290,43 +2327,54 @@ class TestBindingFromED:
             binding.result_N.converged and binding.result_Nm1.converged and at_minimum
         )
 
-    def test_k0_not_global_is_reported(self):
-        # Modes +-1, +-2 and only w_hat(+-2) = 1: at N = 4 the K = 0 block
-        # does not hold the sector minimum, so the binding is not converged.
-        # Without a zero mode every level is at least N (2 pi)^2 > B, so the
-        # bound never certifies and the loop goes on past K = 0.
+    def test_k0_not_global_is_reported(self, monkeypatch):
+        # The nine square modes with only w_hat(+-(2, 0)) = 4 at lambda N =
+        # 60: at N = 2 the K = 0 block does not hold the sector minimum, so
+        # the binding is not converged. The bound does not certify, so the
+        # loop goes on past K = 0 in both sectors: momentum_block builds N's
+        # K = 0 block once, and blocks of N - 1 only past its K = 0.
+        block = fock_ed.momentum_block
+        blocks = []
+
+        def spy_block(model, particles, momentum, *args, **kwargs):
+            blocks.append((particles, momentum))
+            return block(model, particles, momentum, *args, **kwargs)
+
+        monkeypatch.setattr(fock_ed, "momentum_block", spy_block)
         model = TorusModel(
-            d=1,
-            N=4,
-            potential=PotentialSpec.from_table({(2,): 1.0, (-2,): 1.0}),
-            mode_cutoff=2.5 * TWO_PI,
-            include_zero_mode=False,
+            d=2,
+            N=2,
+            potential=PotentialSpec.from_table({(2, 0): 4.0, (-2, 0): 4.0}),
+            mode_cutoff=1.5 * TWO_PI,
+            lam=30.0,
         )
         binding = fock_ed.binding_from_ed(model)
-        assert fock_ed.block_energy_bound(model, 4, 1) <= binding.E_N
+        assert fock_ed.block_energy_bound(model, 2, 1) <= binding.E_N
         assert binding.sector_minimum < binding.E_N
         assert binding.k0_is_global is False
         assert binding.converged is False
+        k0 = zero_momentum(2)
+        assert blocks[0] == (2, k0) and blocks.count((2, k0)) == 1
+        assert (1, k0) not in blocks and any(n == 1 for n, _ in blocks)
 
-    @pytest.mark.parametrize("case", ["one-pair-N8", "two-band-no-zero-mode-N4"])
+    @pytest.mark.parametrize("case", ["one-pair-N8", "square-N4"])
     def test_nm1_sector_is_certified_too(self, case, monkeypatch):
         # With the bound patched 1,000 low, the one-level loop of each sector
         # solves its K != 0 blocks too, and reports the least level that
-        # solving every block gives, the N - 1 sector's included. Over the
-        # two bands without a zero mode at N = 4, w_hat(+-1) = 1, the K = 0
-        # ground of N = 4 is the least level, but that of N = 3 is not:
-        # three particles make K = 0 only as (+1, +1, -2) and its kin, at
-        # 6 (2 pi)^2, while K = +-1 holds (+1, +1, -1), at 3 (2 pi)^2. So
-        # the N - 1 certificate alone fails the binding.
+        # solving every block gives, the N - 1 sector's included; the N - 1
+        # K = 0 block is the lowering of N's, never enumerated. Over the nine
+        # square modes with only w_hat(+-(2, 0)) = 4 at lambda N = 150, the
+        # K = 0 ground of N = 4 is the least level, but that of N = 3 is not
+        # (0 against about -31.6 in a K != 0 block). So the N - 1 certificate
+        # alone fails the binding.
         model = {
             "one-pair-N8": make_one_pair_model(N=8),
-            "two-band-no-zero-mode-N4": TorusModel(
-                d=1,
+            "square-N4": TorusModel(
+                d=2,
                 N=4,
-                potential=PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0}),
-                mode_cutoff=2.5 * TWO_PI,
-                include_zero_mode=False,
-                lam=10.0 / 4,
+                potential=PotentialSpec.from_table({(2, 0): 4.0, (-2, 0): 4.0}),
+                mode_cutoff=1.5 * TWO_PI,
+                lam=150.0 / 4,
             ),
         }[case]
         enumerate_basis, bound = fock_ed.enumerate_basis, fock_ed.block_energy_bound
@@ -2345,6 +2393,7 @@ class TestBindingFromED:
             )
             binding = fock_ed.binding_from_ed(model)
         assert any(n == model.N - 1 and not k.is_zero for n, k in sectors)
+        assert (model.N - 1, zero_momentum(model.d)) not in sectors
         held = {}
         for n, minimum, k0_ground in ((model.N, binding.sector_minimum, binding.E_N),
                                       (model.N - 1, binding.sector_minimum_Nm1, binding.E_Nm1)):
@@ -2383,29 +2432,35 @@ class TestBindingFromED:
     def test_fallback_solves_the_k0_block_once(self, monkeypatch):
         # Where the bound does not certify (lambda N = 120), each sector's
         # one-level loop goes on from the K = 0 result the binding already
-        # holds: each K = 0 block is enumerated and solved once, and no
+        # holds: each K = 0 block is solved once, N's is the only one built
+        # by momentum_block and enumerated, N - 1's is its lowering, and no
         # whole sector is enumerated. The blocks are K = 0 of N = 8 (5
         # states) and N = 7 (4), then K = 1 of N = 8 (4) and of N = 7 (4);
         # each sector's shell-2 bound lies above its K = 0 ground.
-        enumerate_basis = fock_ed.enumerate_basis
+        enumerate_basis, block = fock_ed.enumerate_basis, fock_ed.momentum_block
         solve = fock_ed.lowest_eigenpairs
-        sectors, calls = [], []
+        sectors, blocks, calls = [], [], []
 
         def spy_enumerate(modes, n_particles, momentum_sector=None, **kwargs):
             sectors.append((n_particles, momentum_sector))
             return enumerate_basis(modes, n_particles, momentum_sector, **kwargs)
+
+        def spy_block(model, particles, momentum, *args, **kwargs):
+            blocks.append((particles, momentum))
+            return block(model, particles, momentum, *args, **kwargs)
 
         def spy_solve(op, *args, **kwargs):
             calls.append(op.shape[0])
             return solve(op, *args, **kwargs)
 
         monkeypatch.setattr(fock_ed, "enumerate_basis", spy_enumerate)
+        monkeypatch.setattr(fock_ed, "momentum_block", spy_block)
         monkeypatch.setattr(fock_ed, "lowest_eigenpairs", spy_solve)
         model = make_one_pair_model(N=8, lam=15.0)
         binding = fock_ed.binding_from_ed(model)
         assert binding.E_N >= fock_ed.block_energy_bound(model, 8, 1)
         k0, k1 = Momentum((0,)), Momentum((1,))
-        assert sectors == [(8, k0), (7, k0), (8, k1), (7, k1)]
+        assert sectors == blocks == [(8, k0), (8, k1), (7, k1)]
         assert calls == [5, 4, 4, 4]
         for n, e in ((8, binding.E_N), (7, binding.E_Nm1)):
             assert fock_ed.block_energy_bound(model, n, 2) > e
@@ -2463,26 +2518,29 @@ class TestBindingFromED:
         ours, theirs = fock_ed.variational_sandwich(binding), fock_ed.variational_sandwich(fallback)
         assert (ours.lower, ours.upper) == (theirs.lower, theirs.upper)
 
-    @pytest.mark.parametrize("check_global", [True, False])
-    def test_empty_k0_sector_is_named(self, check_global):
-        # Modes +-1 and no zero mode: an odd particle count has no K = 0 state.
+    @pytest.mark.parametrize(
+        "n, cutoff", [(3, 7.0), (4, 2.5 * TWO_PI)], ids=["pair-N3", "two-band-N4"]
+    )
+    def test_no_zero_mode_raises(self, n, cutoff):
+        # Modes +-1 (and +-2) and no zero mode: a_0 has nothing to lower,
+        # whether the K = 0 block is empty (three particles on +-1) or not.
         model = TorusModel(
             d=1,
-            N=3,
+            N=n,
             potential=PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0}),
-            mode_cutoff=7.0,
+            mode_cutoff=cutoff,
             include_zero_mode=False,
         )
-        with pytest.raises(ValueError, match="K = 0 sector of 3 particles holds no state"):
-            fock_ed.binding_from_ed(model, check_global=check_global)
+        with pytest.raises(ValueError, match="no zero mode"):
+            fock_ed.binding_from_ed(model)
 
     @FULL_SECTORS
-    @pytest.mark.parametrize("check_global", [True, False])
     @pytest.mark.parametrize("dense_threshold", [500, 10], ids=["dense", "lanczos"])
-    def test_matches_standalone_k0_solves(self, model, check_global, dense_threshold):
+    def test_matches_standalone_k0_solves(self, model, dense_threshold):
         # The oracle enumerates, assembles and solves each K = 0 sector on
-        # its own, as binding_from_ed does through momentum_block.
-        # A threshold of 10 sends every K = 0 block to Davidson.
+        # its own, and finds a_0's targets by rank search; the binding lowers
+        # N's block to N - 1's. A threshold of 10 sends every K = 0 block to
+        # Davidson.
         settings = fock_ed.EDSettings(dense_threshold=dense_threshold)
         k0 = zero_momentum(model.d)
         bases, hams, results = {}, {}, {}
@@ -2490,7 +2548,7 @@ class TestBindingFromED:
             bases[n] = fock_ed.enumerate_basis(model.mode_set(), n, momentum_sector=k0)
             hams[n] = fock_ed.build_hamiltonian(model, bases[n])
             results[n] = fock_ed.lowest_eigenpairs(hams[n], settings)
-        binding = fock_ed.binding_from_ed(model, settings, check_global)
+        binding = fock_ed.binding_from_ed(model, settings)
         assert binding.E_N == results[model.N].ground_energy
         assert binding.E_Nm1 == results[model.N - 1].ground_energy
         mine = {
@@ -2506,6 +2564,17 @@ class TestBindingFromED:
             # on the sparse operator; the two products round differently.
             scale = float(abs(hams[n]).sum(axis=1).max())
             assert abs(result.residual_norm - results[n].residual_norm) <= 1e-14 * scale
+        # a_0 by rank search: each row of N's block with a zero-mode
+        # particle, lowered and located in the enumerated N - 1 block.
+        upper, lower = bases[model.N], bases[model.N - 1]
+        zp = upper.zero_position
+        cols = np.flatnonzero(upper.states[:, zp] > 0)
+        lowered = upper.states[cols] - np.eye(len(upper.modes), dtype=np.int64)[zp]
+        a0 = scipy.sparse.coo_matrix(
+            (np.sqrt(upper.states[cols, zp]), (lower.find(lowered), cols)),
+            shape=(lower.size, upper.size),
+        ).tocsr()
+        assert_same_csr(binding.a0, a0)
         oracle = fock_ed.BindingResult(
             E_N=results[model.N].ground_energy,
             E_Nm1=results[model.N - 1].ground_energy,
@@ -2516,8 +2585,10 @@ class TestBindingFromED:
             basis_Nm1=bases[model.N - 1],
             ham_N=hams[model.N],
             ham_Nm1=hams[model.N - 1],
-            sector_minimum=None,
-            k0_is_global=None,
+            a0=a0,
+            sector_minimum=results[model.N].ground_energy,
+            sector_minimum_Nm1=results[model.N - 1].ground_energy,
+            k0_is_global=True,
             converged=True,
         )
         ours, theirs = fock_ed.variational_sandwich(binding), fock_ed.variational_sandwich(oracle)
@@ -2536,7 +2607,7 @@ class TestVariationalSandwich:
             mode_cutoff=1.5 * TWO_PI,
             lam=28.0,
         )
-        binding = fock_ed.binding_from_ed(model, check_global=False)
+        binding = fock_ed.binding_from_ed(model)
         zp = binding.basis_N.zero_position
         held = binding.basis_N.states[:, zp] > 0
         assert not binding.result_N.ground_vector[held].any()
@@ -2547,7 +2618,7 @@ class TestVariationalSandwich:
 
     def test_bracket_and_norm_identities(self):
         model = make_one_pair_model(N=8)
-        sw = fock_ed.variational_sandwich(fock_ed.binding_from_ed(model, check_global=False))
+        sw = fock_ed.variational_sandwich(fock_ed.binding_from_ed(model))
         assert sw.lower - 1e-9 <= sw.delta_E <= sw.upper + 1e-9
         assert sw.norm_identity_dev_N <= 1e-10
         assert sw.norm_identity_dev_Nm1 <= 1e-10
@@ -2555,7 +2626,7 @@ class TestVariationalSandwich:
 
     def test_n16_golden(self):
         model = make_one_pair_model(N=16)
-        sw = fock_ed.variational_sandwich(fock_ed.binding_from_ed(model, check_global=False))
+        sw = fock_ed.variational_sandwich(fock_ed.binding_from_ed(model))
         lower, de, upper = GOLD_SW16
         assert sw.lower == pytest.approx(lower, abs=1e-9)
         assert sw.delta_E == pytest.approx(de, abs=1e-9)
@@ -2563,7 +2634,7 @@ class TestVariationalSandwich:
 
     def test_reuses_precomputed_binding(self, monkeypatch):
         model = make_one_pair_model(N=6)
-        binding = fock_ed.binding_from_ed(model, check_global=False)
+        binding = fock_ed.binding_from_ed(model)
 
         def no_rebuild(*args, **kwargs):
             raise AssertionError("the sandwich must reuse the binding's operators")
