@@ -275,7 +275,7 @@ def parse_model(doc):
     pot = _read(
         keys.pop("potential"),
         "model.potential",
-        {"entries": "list", "support_radius": "number"},
+        {"entries": "list"},
         required=("entries",),
     )
     entries = []
@@ -290,12 +290,9 @@ def parse_model(doc):
         if not _is_number(value):
             raise ConfigError(f"{where} value must be a number")
         entries.append((model_mod.Momentum(coords), float(value)))
-    support = pot.get("support_radius")
-    if support is None:
-        support = max((p.norm for p, _ in entries), default=0.0)
     model_fields = {("lam" if k == "lambda" else k): v for k, v in keys.items()}
     try:
-        potential = model_mod.PotentialSpec(tuple(entries), support)
+        potential = model_mod.PotentialSpec(tuple(entries))
         return model_mod.TorusModel(potential=potential, **model_fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -12,10 +12,11 @@ pair Hamiltonian
        + (1/2) sum_{p!=0} w_hat(p) (a_p* a_{-p}* + a_p a_{-p})
 
 on the M-particle sector over the nonzero modes and the zero mode, as sparse
-symmetric operators, on a whole sector or one total-momentum block of it. A
-block is enumerated directly, one mode at a time, each mode taking only the
+symmetric operators, on a whole sector or one total-momentum block of it.
+Both are enumerated by one pass over the modes, each mode taking only the
 occupations with which the modes after it can still reach the block's
-momentum, so no row outside it is made.
+momentum, so no row outside it is made; a whole sector is the block over no
+momentum coordinates.
 Each term moves a fixed occupation change across every state it acts on, and
 TorusModel.transfers, built once per model, groups the two-body terms by it.
 A term's adjoint makes the opposite change with the same weight, so H is
@@ -150,6 +151,11 @@ class HBSettings:
             raise ValueError(f"cutoff_delta must be positive and finite, got {self.cutoff_delta}")
 
 
+def sector_size(modes: int, particles: int) -> int:
+    """States of particles bosons over modes modes, C(particles + modes - 1, modes - 1)."""
+    return math.comb(particles + modes - 1, modes - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class FockBasis:
     """Occupation vectors of n_particles bosons over a mode set, in lexicographic order.
@@ -181,7 +187,7 @@ class FockBasis:
         if states.ndim != 2 or states.shape[1] != len(self.modes):
             raise ValueError("states must be one row of occupations per state")
         states.flags.writeable = False
-        count = math.comb(self.n_particles + len(self.modes) - 1, len(self.modes) - 1)
+        count = sector_size(len(self.modes), self.n_particles)
         if count > np.iinfo(np.int64).max:
             raise ValueError(f"sector holds {count} states, too many to rank in int64")
         # binomials[k, r] = C(r + k, k), the number of rows of k + 1 modes
@@ -333,11 +339,11 @@ class FockBasis:
 
 
 def _sector_rows(
-    momenta: np.ndarray, budget: int, target: np.ndarray | None, max_states: int
+    momenta: np.ndarray, budget: int, target: np.ndarray, max_states: int
 ) -> np.ndarray:
-    """Every row of len(momenta) nonnegative occupations summing to budget,
-    and with a target only those whose momentum, the sum of occupation times
-    momenta row, is target, in lexicographic order, built one mode at a time.
+    """Every row of len(momenta) nonnegative occupations summing to budget
+    whose momentum, the sum of occupation times momenta row, is target, in
+    lexicographic order, built one mode at a time.
 
     A prefix over modes 0..j-1 leaves r particles and a momentum need, target
     minus its own momentum, to modes j, j + 1, .... Mode j takes only the
@@ -347,22 +353,22 @@ def _sector_rows(
     so each prefix gets an interval of v, one integer division per bound and
     coordinate over all prefixes at once. Over the last mode the bounds meet,
     so the rows made are exactly those of the block, and a prefix that no
-    occupation continues has no children. Without a target v runs over
-    0..r, and the rows are the whole sector. A step whose candidate count,
-    the sum of the interval lengths, exceeds max_states raises
-    ResourceLimitError before it builds them.
+    occupation continues has no children. Over momenta and a target of no
+    coordinates there is no bound, v runs over 0..r, and the rows are the
+    whole sector. A step whose candidate count, the sum of the interval
+    lengths, exceeds max_states raises ResourceLimitError before it builds
+    them.
 
     A step keeps each prefix as its parent prefix and its own occupation, not
     as a row, and the rows are read back from those links at the end.
     """
     m = len(momenta)
-    if target is not None:
-        # low[j] and high[j]: least and greatest coordinates over modes j, j + 1, ...
-        low = np.minimum.accumulate(momenta[::-1])[::-1]
-        high = np.maximum.accumulate(momenta[::-1])[::-1]
-        need = target[None, :]
+    # low[j] and high[j]: least and greatest coordinates over modes j, j + 1, ...
+    low = np.minimum.accumulate(momenta[::-1])[::-1]
+    high = np.maximum.accumulate(momenta[::-1])[::-1]
+    need = target[None, :]
     remaining = np.array([budget], dtype=np.int64)
-    if target is not None and m == 1 and (budget * momenta[0] != target).any():
+    if m == 1 and (budget * momenta[0] != target).any():
         remaining = remaining[:0]  # one mode alone cannot make the block
     links: list[tuple[np.ndarray, np.ndarray]] = []  # (parent, value) per mode but the last
     for j in range(m - 1):
@@ -370,21 +376,20 @@ def _sector_rows(
         # stay a few of one entry per prefix or per candidate.
         first = np.zeros_like(remaining)
         last = remaining.copy()
-        if target is not None:
-            p = momenta[j]
-            for c in range(len(p)):
-                # need_c - v p_c lies within [(r - v) low, (r - v) high] over
-                # modes j + 1, ...: each side reads a + b v >= 0.
-                for a, b in (
-                    (need[:, c] - remaining * low[j + 1, c], low[j + 1, c] - p[c]),
-                    (remaining * high[j + 1, c] - need[:, c], p[c] - high[j + 1, c]),
-                ):
-                    if b > 0:  # v >= ceil(-a / b)
-                        np.maximum(first, -(a // b), out=first)
-                    elif b < 0:  # v <= floor(a / -b)
-                        np.minimum(last, a // -b, out=last)
-                    else:
-                        last[a < 0] = -1
+        p = momenta[j]
+        for c in range(len(p)):
+            # need_c - v p_c lies within [(r - v) low, (r - v) high] over
+            # modes j + 1, ...: each side reads a + b v >= 0.
+            for a, b in (
+                (need[:, c] - remaining * low[j + 1, c], low[j + 1, c] - p[c]),
+                (remaining * high[j + 1, c] - need[:, c], p[c] - high[j + 1, c]),
+            ):
+                if b > 0:  # v >= ceil(-a / b)
+                    np.maximum(first, -(a // b), out=first)
+                elif b < 0:  # v <= floor(a / -b)
+                    np.minimum(last, a // -b, out=last)
+                else:
+                    last[a < 0] = -1
         counts = last
         counts -= first
         counts += 1
@@ -406,10 +411,9 @@ def _sector_rows(
         links.append((parent, value))
         remaining = remaining[parent]
         remaining -= value
-        if target is not None:
-            need = need[parent]
-            for c in range(len(p)):
-                need[:, c] -= value * p[c]
+        need = need[parent]
+        for c in range(len(p)):
+            need[:, c] -= value * p[c]
     rows = np.empty((len(remaining), m), dtype=np.int64)
     rows[:, -1] = remaining
     at = np.arange(len(remaining))
@@ -430,12 +434,14 @@ def enumerate_basis(
 
     A block is built by one pass over the modes in which each mode takes
     only the occupations that can still reach the block's momentum
-    (_sector_rows), so no row outside the block is made. max_states bounds
-    what is built: a whole sector's count is computed in closed form, and a
-    block's candidate rows step by step, each before any of it is
-    allocated; exceeding it raises ResourceLimitError. A whole particle
-    sector is solved from its blocks (solve_particle_sector), so only the
-    callers that assemble a whole space ask for one.
+    (_sector_rows), so no row outside the block is made; the whole sector
+    goes through the same pass as the block over no momentum coordinates.
+    max_states bounds what is built: a whole sector's count is computed in
+    closed form (sector_size), and a block's candidate rows step by step,
+    each before any of it is allocated; exceeding it raises
+    ResourceLimitError. A whole particle sector is solved from its blocks
+    (solve_particle_sector), so only the callers that assemble a whole
+    space ask for one.
     """
     modes = tuple(modes)
     if not modes:
@@ -446,14 +452,13 @@ def enumerate_basis(
         raise ValueError("particle count must be nonnegative")
     if momentum_sector is not None and len(momentum_sector) != modes[0].d:
         raise ValueError("momentum sector dimension mismatch")
-    target = None
     if momentum_sector is None:
-        count = math.comb(n_particles + len(modes) - 1, len(modes) - 1)
+        count = sector_size(len(modes), n_particles)
         if count > max_states:
             raise ResourceLimitError(f"sector holds {count} states, budget is {max_states}")
-    else:
-        target = np.array(momentum_sector, dtype=np.int64)
-    states = _sector_rows(np.array(modes, dtype=np.int64), n_particles, target, max_states)
+    target = np.array(() if momentum_sector is None else momentum_sector, dtype=np.int64)
+    momenta = np.array(modes, dtype=np.int64)[:, : len(target)]
+    states = _sector_rows(momenta, n_particles, target, max_states)
     return FockBasis(
         modes=modes,
         states=states,
@@ -1059,10 +1064,10 @@ def _shell(d: int, size: int):
 
 
 def _block_visits(modes: Sequence[Momentum], particles: int, bound_of_shell):
-    """(K, bound, copies) for K = 0 and, of each pair {K, -K}, the greater
-    block, counted twice: by shells of increasing |K|_1, ties in momentum
-    order, up to particles times max |p|_1 over modes, beyond which no block
-    of particles over modes holds a state. bound_of_shell(s) bounds every
+    """(K, bound) for K = 0 and, of each pair {K, -K}, the greater block: by
+    shells of increasing |K|_1, ties in momentum order, up to particles times
+    max |p|_1 over modes, beyond which no block of particles over modes
+    holds a state. bound_of_shell(s) bounds every
     level of every block with |K|_1 = s from below, and each shell's bound is
     taken only when the loop reaches it. Momenta outside particles times the
     box of the modes are skipped."""
@@ -1072,7 +1077,7 @@ def _block_visits(modes: Sequence[Momentum], particles: int, bound_of_shell):
         bound = bound_of_shell(shell)
         for k in _shell(len(low), shell):
             if k >= tuple(-x for x in k) and all(a <= x <= b for a, x, b in zip(low, k, high)):
-                yield Momentum(k), bound, 2 if shell else 1
+                yield Momentum(k), bound
 
 
 def _particle_visits(model: TorusModel, particles: int):
@@ -1107,16 +1112,15 @@ def _solve_blocks(
 ) -> tuple[EDResult, FockBasis]:
     """The block loop of every sector solve.
 
-    visits yields (K, bound, copies) in increasing bound order: a lower bound
-    on every level of block K, and the number of blocks holding its levels,
-    2 with its mirror -K, else 1. build(K) gives the block's own basis and
-    operator; an empty basis is skipped. Each block is solved alone by
-    lowest_eigenpairs at settings; zero_block, K = 0's basis and its solve
-    at settings, stands in for K = 0. The loop stops once the next bound
-    exceeds the wanted-th lowest level found, by default the
-    _levels_kept(settings)-th, by 1e-10 max(1, |level|), a block's levels
-    counted copies times: no level of that block or of any after it can be
-    among the wanted lowest.
+    visits yields (K, bound) in increasing bound order: K = 0 or the greater
+    block of a pair {K, -K}, and a lower bound on every level of block K.
+    build(K) gives the block's own basis and operator; an empty basis is
+    skipped. Each block is solved alone by lowest_eigenpairs at settings;
+    zero_block, K = 0's basis and its solve at settings, stands in for
+    K = 0. The loop stops once the next bound exceeds the wanted-th lowest
+    level found, by default the _levels_kept(settings)-th, by 1e-10
+    max(1, |level|), a nonzero K's levels counted twice, for K and -K: no
+    level of that block or of any after it can be among the wanted lowest.
 
     Block -K needs no solve of its own: the map p -> -p takes the mode set
     to itself (build_mode_set makes it closed under negation, and the
@@ -1136,7 +1140,7 @@ def _solve_blocks(
     results: list[EDResult] = []
     levels: list[float] = []
     ground = None  # (ground energy, momentum, result, basis) of the ground block
-    for momentum, bound, copies in visits:
+    for momentum, bound in visits:
         if len(levels) >= wanted:
             last = levels[wanted - 1]
             if bound > last + 1e-10 * max(1.0, abs(last)):
@@ -1149,6 +1153,7 @@ def _solve_blocks(
                 continue
             result = lowest_eigenpairs(op, settings)
         results.append(result)
+        copies = 1 if momentum.is_zero else 2  # block -K holds block K's levels
         levels = sorted(levels + list(result.eigenvalues) * copies)
         if ground is None or (result.ground_energy, momentum) < ground[:2]:
             ground = result.ground_energy, momentum, result, basis
@@ -1205,12 +1210,7 @@ def solve_particle_sector(
         lambda momentum: momentum_block(model, model.N, momentum, settings),
         settings,
     )
-    modes = model.mode_set()
-    return ParticleSector(
-        dimension=math.comb(model.N + len(modes) - 1, len(modes) - 1),
-        basis=basis,
-        merged=merged,
-    )
+    return ParticleSector(sector_size(len(model.mode_set()), model.N), basis, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -1345,7 +1345,7 @@ def operator_identity_residuals(
     n = model.N
     total = 0
     for particles in (n - 1, n, n + 1):
-        total += math.comb(particles + len(modes) - 1, len(modes) - 1)
+        total += sector_size(len(modes), particles)
         if total > max_dim:
             raise ResourceLimitError(
                 f"identity check needs {total} states, budget is {max_dim}"
@@ -1561,7 +1561,8 @@ def converged_bogoliubov_ground(
     _pair_block_bound, the last rung's solve standing in for K = 0, so no
     block is built or solved twice. A block whose route is over the memory
     budget is refused before it is assembled (build_bogoliubov_hamiltonian).
-    The space holds C(M + m, m) states over m modes.
+    The space holds C(M + m, m) states over m modes, as many as M
+    particles over those modes and one more (sector_size).
     """
     modes = tuple(modes)
     k0 = zero_momentum(modes[0].d) if modes else None  # no modes: the builder raises
@@ -1583,5 +1584,5 @@ def converged_bogoliubov_ground(
         settings,
         zero_block=(basis, result),
     )
-    dimension = math.comb(cutoff + len(modes), len(modes))
+    dimension = sector_size(len(modes) + 1, cutoff)
     return HBGround(merged, ground_basis, dimension, cutoff, last_delta, settled and merged.converged)

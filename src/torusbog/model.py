@@ -63,11 +63,11 @@ class PotentialSpec:
     """Finite Fourier table of an even interaction with nonnegative coefficients.
 
     entries holds (p, w_hat(p)) pairs sorted by integer coordinates; this is the
-    canonical representation that feeds hashing and serialization.
+    canonical representation that feeds hashing and serialization. The table
+    is the whole interaction: its support is where the entries are nonzero.
     """
 
     entries: tuple[tuple[Momentum, float], ...]
-    support_radius: float
     _table: Mapping[Momentum, float] = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -85,13 +85,8 @@ class PotentialSpec:
         object.__setattr__(self, "_table", table)
 
     @staticmethod
-    def from_table(
-        table: Mapping[Iterable[int], float], support_radius: float | None = None
-    ) -> "PotentialSpec":
-        entries = tuple((Momentum(k), float(v)) for k, v in table.items())
-        if support_radius is None:
-            support_radius = max((p.norm for p, _ in entries), default=0.0)
-        return PotentialSpec(entries, support_radius)
+    def from_table(table: Mapping[Iterable[int], float]) -> "PotentialSpec":
+        return PotentialSpec(tuple((Momentum(k), float(v)) for k, v in table.items()))
 
     @staticmethod
     def band(d: int, radius: float, value: float, w0: float = 0.0) -> "PotentialSpec":
@@ -99,7 +94,7 @@ class PotentialSpec:
         table: dict[Momentum, float] = {}
         for p in build_mode_set(d, radius, include_zero=True):
             table[p] = w0 if p.is_zero else value
-        return PotentialSpec.from_table(table, support_radius=radius)
+        return PotentialSpec.from_table(table)
 
     def w_hat(self, p: Momentum) -> float:
         return self._table.get(p, 0.0)
@@ -138,10 +133,6 @@ def validate_potential(spec: PotentialSpec) -> list[str]:
             report.append(f"negative coefficient at p={tuple(p)}")
         if spec.w_hat(-p) != v:
             report.append(f"evenness violated at p={tuple(p)}")
-        if v != 0.0 and p.norm > spec.support_radius:
-            report.append(f"support exceeds support_radius at p={tuple(p)}")
-    if not math.isfinite(spec.support_radius) or spec.support_radius < 0.0:
-        report.append("support_radius must be finite and nonnegative")
     return report
 
 
@@ -173,8 +164,7 @@ def normalize_zero_mode(
     w0 = spec.w_zero
     if w0 == 0.0:
         return spec, lambda lam, N: 0.0
-    entries = tuple((p, v) for p, v in spec.entries if not p.is_zero)
-    shifted = PotentialSpec(entries, spec.support_radius)
+    shifted = PotentialSpec(tuple((p, v) for p, v in spec.entries if not p.is_zero))
     return shifted, lambda lam, N: lam * w0 * N * (N - 1) / 2.0
 
 
@@ -306,8 +296,5 @@ class TorusModel:
             "lambda": self.lam,
             "mode_cutoff": self.mode_cutoff,
             "include_zero_mode": self.include_zero_mode,
-            "potential": {
-                "entries": [[*p, v] for p, v in self.potential.entries],
-                "support_radius": self.potential.support_radius,
-            },
+            "potential": {"entries": [[*p, v] for p, v in self.potential.entries]},
         }

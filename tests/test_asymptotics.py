@@ -85,7 +85,7 @@ class TestConsistentTruncationPrediction:
         assert value == pytest.approx(GOLD_PREDICTION_TWO_BAND, rel=1e-13)
 
     def test_zero_potential(self):
-        spec = PotentialSpec((), support_radius=0.0)
+        spec = PotentialSpec(())
         model = TorusModel(d=1, N=4, potential=spec, mode_cutoff=7.0)
         solution = bogoliubov.solve(model)
         assert solution.e_B - solution.D == 0.0
@@ -137,7 +137,7 @@ class TestQuasifreeOverlap:
         assert overlap == pytest.approx(GOLD_VACUUM_OVERLAP, abs=1e-9)
 
     def test_zero_potential_overlap_is_one(self):
-        spec = PotentialSpec((), support_radius=0.0)
+        spec = PotentialSpec(())
         model = TorusModel(d=1, N=4, potential=spec, mode_cutoff=7.0)
         binding = fock_ed.binding_from_ed(model)
         overlap = asymptotics.quasifree_overlap(
@@ -338,7 +338,7 @@ class TestRunBindingStudy:
             assert abs(rec.residual_r) < 1e-10
 
     def test_zero_potential_all_columns_zero(self):
-        spec = PotentialSpec((), support_radius=0.0)
+        spec = PotentialSpec(())
         base = TorusModel(d=1, N=5, potential=spec, mode_cutoff=7.0)
         config = asymptotics.SweepConfig(base=base, N_values=(3, 4, 5))
         report = asymptotics.run_binding_study(config)

@@ -4,7 +4,8 @@ bench/tracing.py wraps the program's functions and reads their arguments by
 name: build_hamiltonian, build_bogoliubov_hamiltonian, lowest_eigenpairs,
 cache_store(cache_dir, key) and the artifact writers among them. The
 benchmark's untraced runs never enter it, so these tests drive one ed job of
-each Hamiltonian, a cached study cold then warm, and an eval through it.
+each Hamiltonian, a cached study cold then warm, an eval and the default
+selfcheck through it.
 """
 from __future__ import annotations
 
@@ -100,3 +101,14 @@ def test_eval_runs_traced(tmp_path, tracing):
     assert code == 0
     assert metrics["bogoliubov.solve_calls"] == 1
     assert metrics["cli.artifact_bytes"] > 0
+
+
+# The selfcheck is the one verb that reaches expect_mode_occupation,
+# expect_pairing and the operator identities, so it runs traced too. Its
+# assembly and dense-solve counts are pinned like the ed job's.
+def test_selfcheck_runs_traced(tmp_path, tracing):
+    code, metrics = run_traced(tracing, tmp_path, "selfcheck", {}, "out")
+    assert code == 0
+    assert metrics["fock_ed.assemble_calls"] == 8
+    assert metrics["fock_ed.assemble_nnz"] == 134
+    assert metrics["fock_ed.dense_calls"] == 10

@@ -194,6 +194,10 @@ class TestConfigRejection:
         assert "unknown key: zzz" in capsys.readouterr().err
         assert self.run_eval(tmp_path, {"model": one_pair_model_doc(oops=3)}) == 2
         assert "unknown key: model.oops" in capsys.readouterr().err
+        radius = one_pair_model_doc()
+        radius["potential"]["support_radius"] = 7.0
+        assert self.run_eval(tmp_path, {"model": radius}) == 2
+        assert "unknown key: model.potential.support_radius" in capsys.readouterr().err
 
     def test_type_errors(self, tmp_path, capsys):
         assert self.run_eval(tmp_path, {"model": one_pair_model_doc(N=True)}) == 2
@@ -960,27 +964,27 @@ class TestCacheKeys:
             (
                 "ed",
                 {"model": one_pair_model_doc(3), "ed": {"momentum_sector": [0]}},
-                ["6a9e2827d9250308d8610a51caeccd88"],
+                ["7ef42575d4c4e4e5ff3aea1a6b7a8125"],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3),
                  "ed": {"hamiltonian": "pair", "excitation_cutoff": 6}},
-                ["927a61117143cf5d3212abc3fd896fc1"],
+                ["ce5868c99dd390ed79d98972bb4a97a4"],
             ),
             (
                 "study",
                 {"model": one_pair_model_doc(5), "study": {"N_values": [3, 4, 5]}},
                 [
-                    "695c7145472c2be78bad281bd13dd0b4",
-                    "a2040f212c899236b83eed7679c56fc0",
-                    "d2e69670a6c0392c12de3d6a8f35f0c9",
+                    "18581a418686cfcd32ab56b557ea882f",
+                    "890ed1a13684e625fabac804463e2b91",
+                    "9308fccfb65a137483036213ec929378",
                 ],
             ),
             (
                 "ed",
                 {"model": one_pair_model_doc(3)},
-                ["e59e01cc35562796aecce9163df3c734"],
+                ["e9abeec52274c3042637e30bdf09e4b8"],
             ),
         ],
     )
@@ -998,13 +1002,17 @@ class TestCacheKeys:
 
     def test_tool_version_is_the_package_version(self):
         # The version in every report and cache key is the one pyproject.toml
-        # packages.
+        # packages: it reads torusbog.__version__ and holds no literal. The
+        # file is read as text, since setuptools warns that its pyproject
+        # reader is beta.
         import re
 
-        import torusbog
-
         pyproject = (Path(cli.__file__).parents[2] / "pyproject.toml").read_text()
-        assert re.findall(r'^version = "([^"]+)"$', pyproject, re.M) == [torusbog.__version__]
+        assert re.findall(r"^dynamic = .+$", pyproject, re.M) == ['dynamic = ["version"]']
+        assert re.findall(r"^version = .+$", pyproject, re.M) == [
+            'version = {attr = "torusbog.__version__"}'
+        ]
+        assert '[tool.setuptools.dynamic]\nversion = {attr' in pyproject
 
 class TestSelfcheckWorkflow:
     def test_default_model_passes(self, tmp_path, capsys):

@@ -432,27 +432,27 @@ class TestEnumerateBasis:
     @given(data=st.data())
     def test_sector_rows_match_a_brute_force_filter(self, data):
         # Mode sets in d = 1, 2 and 3, in any order and with gaps, N from 0,
-        # and a target reachable or not, or none: the rows are those of the
-        # whole sector, made by itertools, whose momentum is the target, in
-        # lexicographic order.
+        # and a target reachable or not, or the whole sector as the block
+        # over no coordinates: the rows are those of the whole sector, made
+        # by itertools, whose momentum is the target, in lexicographic order.
         d = data.draw(st.sampled_from([1, 2, 3]))
         box = list(itertools.product(range(-2, 3), repeat=d))
         modes = data.draw(st.lists(st.sampled_from(box), min_size=1, max_size=6, unique=True))
         n = data.draw(st.integers(0, {1: 8, 2: 6, 3: 4}[d]))
         reach = 2 * n + 2
         target = data.draw(
-            st.one_of(st.none(), st.lists(st.integers(-reach, reach), min_size=d, max_size=d))
+            st.one_of(st.just([]), st.lists(st.integers(-reach, reach), min_size=d, max_size=d))
         )
         expected = []
         for chosen in itertools.combinations_with_replacement(range(len(modes)), n):
-            momentum = [sum(modes[i][c] for i in chosen) for c in range(d)]
-            if target is None or momentum == target:
+            momentum = [sum(modes[i][c] for i in chosen) for c in range(len(target))]
+            if momentum == target:
                 expected.append([chosen.count(i) for i in range(len(modes))])
         expected.sort()
         rows = fock_ed._sector_rows(
-            np.array(modes, dtype=np.int64),
+            np.array(modes, dtype=np.int64)[:, : len(target)],
             n,
-            None if target is None else np.array(target, dtype=np.int64),
+            np.array(target, dtype=np.int64),
             math.comb(n + len(modes) - 1, n),
         )
         assert rows.shape == (len(expected), len(modes))

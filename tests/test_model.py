@@ -102,7 +102,7 @@ class TestPotentialSpec:
 
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            PotentialSpec(((Momentum((1,)), 1.0), (Momentum((1,)), 2.0)), 7.0)
+            PotentialSpec(((Momentum((1,)), 1.0), (Momentum((1,)), 2.0)))
 
     def test_band_constructor(self):
         spec = PotentialSpec.band(d=1, radius=2.5 * TWO_PI, value=3.0, w0=1.0)
@@ -119,10 +119,6 @@ class TestPotentialSpec:
         assert any("evenness" in line for line in validate_potential(odd))
         negative = PotentialSpec.from_table({(1,): -1.0, (-1,): -1.0})
         assert any("negative" in line for line in validate_potential(negative))
-        outside = PotentialSpec(
-            ((Momentum((2,)), 1.0), (Momentum((-2,)), 1.0)), support_radius=TWO_PI
-        )
-        assert any("support" in line for line in validate_potential(outside))
         good = PotentialSpec.from_table({(1,): 1.0, (-1,): 1.0})
         assert validate_potential(good) == []
 
